@@ -9,14 +9,20 @@ diamagnetic inequality at the matrix level.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from .errors import EigensolverDiverged
+from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
+
+# Band storage n (kd + 1) of one Cholesky factor.  The largest shipped case,
+# the 3D criterion-4 tube (n = 57,399, kd = 399, complex), needs 367 MB.
+BAND_BUDGET_BYTES = 2 * 1024**3
 
 
 @dataclass
@@ -141,6 +147,46 @@ def dirichlet_second_difference(n_nodes: int, h: float) -> sp.csr_matrix:
     return form_term(D)
 
 
+def banded_cholesky(matrix: sp.spmatrix):
+    """Factor a Hermitian positive-definite sparse matrix; return its solve.
+
+    LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix.
+    Tube operators in s-major order have kd = section size, so the band
+    holds n (kd + 1) entries where SuperLU's fill is several times larger.
+    The band array is Fortran-ordered and factored in place.  Finiteness is
+    checked once here, not on every solve.  Raises NotPositiveDefinite when
+    a leading minor is not positive and GridBudgetError when the band would
+    exceed BAND_BUDGET_BYTES.
+    """
+    if not np.isfinite(matrix.data).all():
+        raise ValueError("matrix has non-finite entries")
+    upper = sp.triu(matrix, format="csr").tocoo()
+    n = matrix.shape[0]
+    kd = int((upper.col - upper.row).max(initial=0))
+    nbytes = n * (kd + 1) * upper.dtype.itemsize
+    if nbytes > BAND_BUDGET_BYTES:
+        raise GridBudgetError(
+            f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
+            f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
+        )
+    ab = np.zeros((kd + 1, n), dtype=upper.dtype, order="F")
+    ab[kd + upper.row - upper.col, upper.col] = upper.data
+    try:
+        cb = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except la.LinAlgError as exc:
+        pivot = int(re.match(r"\d+", str(exc)).group())
+        raise NotPositiveDefinite(
+            f"leading minor of order {pivot} (of {n}) is not positive; "
+            "the operator is not positive definite",
+            pivot=pivot,
+        ) from exc
+
+    def solve(rhs):
+        return la.cho_solve_banded((cb, False), rhs, check_finite=False)
+
+    return solve
+
+
 def lowest_eigenpairs(
     matrix: sp.spmatrix,
     k: int = 1,
@@ -152,8 +198,11 @@ def lowest_eigenpairs(
 ):
     """k lowest eigenpairs of a Hermitian sparse matrix.
 
-    Shift-invert Lanczos with sparse factorization; dense fallback below
-    ``dense_threshold`` unknowns.  Deterministic given the seed.
+    Shift-invert Lanczos with scipy's internal SuperLU factor of
+    ``matrix - sigma``; dense fallback below ``dense_threshold`` unknowns.
+    The callers' interior shifts (segment, large-b, deformation) may make
+    that matrix indefinite, which rules out a Cholesky factor here.
+    Deterministic given the seed.
     """
     n = matrix.shape[0]
     if k >= n:

@@ -53,7 +53,19 @@ class QuadratureResolutionError(MagtubeError):
 
 
 class GridBudgetError(MagtubeError):
-    """Requested grid exceeds the unknown-count budget; use a coarser grid."""
+    """Requested grid exceeds a size budget (3D unknown count, or the band
+    storage of a Cholesky factor); use a coarser grid."""
+
+
+class NotPositiveDefinite(MagtubeError):
+    """Cholesky factorization met a leading minor that is not positive.
+
+    ``pivot`` is LAPACK's 1-based order of that minor.
+    """
+
+    def __init__(self, msg, pivot=None):
+        super().__init__(msg)
+        self.pivot = pivot
 
 
 class DegenerateModeError(MagtubeError):

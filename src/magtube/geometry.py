@@ -181,20 +181,22 @@ class CurveProfile:
         return bound
 
 
-def _cumint_from_zero(y, x):
-    """Antiderivative F(x) = int_0^x y, on a grid containing 0 exactly."""
+def _cumint_from_zero(y, x, axis=-1):
+    """Antiderivative F(x) = int_0^x y along ``axis`` of y, on a grid x
+    containing 0 exactly; every line along that axis in one call."""
     i0 = int(np.argmin(np.abs(x)))
     if abs(x[i0]) > 1e-12:
         raise ValueError("grid must contain 0")
-    F = np.empty_like(np.asarray(y, dtype=float))
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
+    F = np.empty_like(y)
     if i0 < len(x) - 1:
-        F[i0:] = cumulative_simpson(y[i0:], x=x[i0:], initial=0.0)
+        F[..., i0:] = cumulative_simpson(y[..., i0:], x=x[i0:], initial=0.0)
     else:
-        F[i0] = 0.0
+        F[..., i0] = 0.0
     if i0 > 0:
-        back = cumulative_simpson(y[: i0 + 1][::-1], x=-x[: i0 + 1][::-1], initial=0.0)
-        F[: i0 + 1] = -back[::-1]
-    return F
+        back = cumulative_simpson(y[..., i0::-1], x=-x[i0::-1], initial=0.0)
+        F[..., : i0 + 1] = -back[..., ::-1]
+    return np.moveaxis(F, -1, axis)
 
 
 @dataclass
@@ -619,9 +621,7 @@ def gauge_2d(field, frame: FrameTrajectory, tube: TubeSpec,
         + eps * fine[None, :, None] * data["nu"][:, None, :]
     )
     Bvals = field.value(pos) * (1.0 - eps * fine[None, :] * kappa[:, None])
-    A1_fine = np.stack(
-        [eps * _cumint_from_zero(Bvals[i], fine) for i in range(len(s_arr))]
-    )
+    A1_fine = eps * _cumint_from_zero(Bvals, fine, axis=1)
     return A1_fine[:, ::subdiv][:, : len(tau_arr)]
 
 
@@ -746,12 +746,8 @@ def gauge_3d(pulled: PulledField, tube: TubeSpec, s_arr,
     ).copy()
     fine2 = _fine_axis(tau2, subdiv)
     B23f, B13f, B12f = pulled.components(s_arr, fine2, tau3)
-    int_B23 = np.empty_like(B23f)
-    int_B12 = np.empty_like(B12f)
-    for i in range(len(s_arr)):
-        for k in range(len(tau3)):
-            int_B23[i, :, k] = eps * _cumint_from_zero(B23f[i, :, k], fine2)
-            int_B12[i, :, k] = eps * _cumint_from_zero(B12f[i, :, k], fine2)
+    int_B23 = eps * _cumint_from_zero(B23f, fine2, axis=1)
+    int_B12 = eps * _cumint_from_zero(B12f, fine2, axis=1)
     sel = slice(None, None, subdiv)
     A3 = -0.5 * t2[None, :, None] * B23ax[:, None, None] + int_B23[:, sel, :]
     A1 = (
@@ -760,8 +756,6 @@ def gauge_3d(pulled: PulledField, tube: TubeSpec, s_arr,
     )
     fine3 = _fine_axis(tau3, subdiv)
     _, B13line, _ = pulled.components(s_arr, np.array([0.0]), fine3)
-    int_B13 = np.stack(
-        [eps * _cumint_from_zero(B13line[i, 0, :], fine3) for i in range(len(s_arr))]
-    )
+    int_B13 = eps * _cumint_from_zero(B13line[:, 0, :], fine3)
     A1 = A1 - int_B13[:, None, ::subdiv]
     return A1, A2, A3

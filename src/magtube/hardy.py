@@ -17,6 +17,7 @@ intensity the discrete spectrum of a compactly bent tube empties.
 
 from __future__ import annotations
 
+import gc
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +29,7 @@ import scipy.sparse.linalg as sla
 from .assemble import (
     AssembledOperator,
     RegimeParams,
+    banded_cholesky,
     cov_link_matrix,
     form_term,
     lowest_eigenpairs,
@@ -37,6 +39,7 @@ from .geometry import (
     CurveProfile,
     Profile,
     TubeSpec,
+    _cumint_from_zero,
     gauge_3d,
     integrate_frame,
 )
@@ -94,10 +97,7 @@ def _gauge_straight_2d(section: GridDomain, field, s_pts, subdiv: int = 4):
     nfine = int(round((tau[-1] - tau[0]) / step))
     tfine = tau[0] + step * np.arange(nfine + 1)
     pos = np.stack(np.broadcast_arrays(s_pts[:, None], tfine[None, :]), axis=-1)
-    B = field.value(pos)
-    from .geometry import _cumint_from_zero
-
-    A1f = np.stack([_cumint_from_zero(B[i], tfine) for i in range(len(s_pts))])
+    A1f = _cumint_from_zero(field.value(pos), tfine, axis=1)
     return A1f[:, ::subdiv]
 
 
@@ -288,21 +288,37 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
 
 
 def _pencil_smallest(A: sp.spmatrix, W: sp.spmatrix, seed: int = 5) -> float:
-    """Smallest eigenvalue of the pencil A psi = mu W psi (A >= 0, W > 0).
+    """Smallest eigenvalue of the pencil A psi = mu W psi (A > 0, W > 0).
 
     Shift-invert Lanczos on the generalized problem at sigma = 0 (inverse
-    iteration on the pencil).
+    iteration on the pencil).  A = H - lam1 on the Dirichlet tube is
+    positive definite (its floor is the longitudinal ground energy), so
+    OPinv = A^-1 is a banded Cholesky solve; a failed factor raises
+    NotPositiveDefinite.
     """
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(A.shape[0])
     if np.iscomplexobj(A):
         v0 = v0 + 1j * rng.standard_normal(A.shape[0])
+    OPinv = sla.LinearOperator(A.shape, matvec=banded_cholesky(A),
+                               dtype=A.dtype)
+    return _generalized_nearest(A, W, 0.0, v0, OPinv=OPinv)
+
+
+def _generalized_nearest(A, M, sigma: float, v0, OPinv=None) -> float:
+    """Eigenvalue of A psi = mu M psi nearest sigma (shift-invert Lanczos);
+    OPinv = (A - sigma M)^-1, factored by SuperLU when not given."""
     with warnings.catch_warnings():
         # ARPACK's generalized-mode bookkeeping casts the real Ritz values
         # through the complex work arrays
         warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-        vals = sla.eigsh(A, k=1, M=W, sigma=0.0, which="LM", v0=v0,
-                         return_eigenvectors=False)
+        vals = sla.eigsh(A, k=1, M=M, sigma=sigma, which="LM", v0=v0,
+                         OPinv=OPinv, return_eigenvectors=False)
+    if np.iscomplexobj(A):
+        # scipy's complex ARPACK driver holds OPinv, and with it the
+        # factor, in a reference cycle; release it now, not whenever the
+        # cyclic collector next runs (factors piled up across a sweep)
+        gc.collect()
     return float(vals[0])
 
 
@@ -379,10 +395,7 @@ def assemble_deformed_tube(section: GridDomain, field, b: float,
         )
         detf = 1.0 + amplitude * deformation.E1.d1(Sg)
         Bref = detf * field.value(pos)
-        from .geometry import _cumint_from_zero
-
-        A1f = np.stack([-_cumint_from_zero(Bref[i], tf)
-                        for i in range(len(s_pts))])
+        A1f = -_cumint_from_zero(Bref, tf, axis=1)
         idx = np.rint((t_pts - tf[0]) / step).astype(int)
         return A1f[:, idx]
 
@@ -476,12 +489,8 @@ def deformation_experiment(section: GridDomain, field, b: float,
                                             a, L, ds=ds)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            vals = sla.eigsh(H.tocsc(), k=1, M=mass.tocsc(),
-                             sigma=0.8 * lam1_omega, which="LM", v0=v0,
-                             return_eigenvectors=False)
-        lam = float(vals[0])
+        lam = _generalized_nearest(H.tocsc(), mass.tocsc(), 0.8 * lam1_omega,
+                                   v0)
         rows.append({
             "amplitude": a,
             "lam1": lam,

@@ -28,6 +28,7 @@ import scipy.sparse.linalg as sla
 from .assemble import (
     AssembledOperator,
     Spectrum,
+    banded_cholesky,
     cov_link_matrix,
     dirichlet_second_difference,
     form_term,
@@ -570,12 +571,15 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     E is the isometric J1-fiber embedding when B lives on the 1D axis grid;
     identity when both operators share a space.  The norm of the Hermitian
     difference comes from Lanczos (largest magnitude) on the implicit
-    resolvent difference; relative accuracy ``tol``.
+    resolvent difference; relative accuracy ``tol``.  Both operators are
+    factored by banded Cholesky: the shift makes them positive definite, and
+    in s-major order their bandwidth is the section size.  A shift that
+    fails to do so raises NotPositiveDefinite.
     """
     complex_path = opA.is_complex or opB.is_complex
     dtype = complex if complex_path else float
-    A = sla.splu(opA.matrix.astype(dtype).tocsc())
-    B = sla.splu(opB.matrix.astype(dtype).tocsc())
+    solve_A = banded_cholesky(opA.matrix.astype(dtype, copy=False))
+    solve_B = banded_cholesky(opB.matrix.astype(dtype, copy=False))
     n = opA.n
     if embedding is None and opB.n != n:
         J1h = opA.meta["J1h"]
@@ -583,15 +587,17 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
         embedding = fiber_embedding(J1h, ns)
         sec = opA.grid["section"]
         dvol_ratio = sec.h**sec.dim
+    if embedding is not None:
+        embedding_h = embedding.getH()
 
     def matvec(x):
         x = x.astype(dtype)
-        out = A.solve(x)
+        out = solve_A(x)
         if embedding is not None:
-            xr = dvol_ratio * (embedding.getH() @ x)
-            out = out - embedding @ B.solve(xr)
+            xr = dvol_ratio * (embedding_h @ x)
+            out = out - embedding @ solve_B(xr)
         else:
-            out = out - B.solve(x)
+            out = out - solve_B(x)
         return out
 
     lin = sla.LinearOperator((n, n), matvec=matvec, dtype=dtype)

@@ -36,3 +36,25 @@ def make_tube(curve, section, eps, delta=1.0, b=None, K=None):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def per_line_gauges(monkeypatch):
+    """Route every gauge quadrature through a per-line 1D loop of
+    ``_cumint_from_zero``: the oracle for the one-call vectorized form."""
+    from magtube import hardy
+
+    one_call = geo._cumint_from_zero
+
+    def per_line(y, x, axis=-1):
+        y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
+        out = np.empty_like(y)
+        for idx in np.ndindex(y.shape[:-1]):
+            out[idx] = one_call(y[idx], x)
+        return np.moveaxis(out, -1, axis)
+
+    def install():
+        monkeypatch.setattr(geo, "_cumint_from_zero", per_line)
+        monkeypatch.setattr(hardy, "_cumint_from_zero", per_line)
+
+    return install

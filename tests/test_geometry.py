@@ -264,6 +264,36 @@ def test_gauge_3d_properties():
     assert np.abs(err13).max() < 5e-3
 
 
+def test_gauge_3d_one_call_matches_per_line_loop(per_line_gauges):
+    sec = grids.square(1.0, 0.25)
+    curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
+                             kappa2=geo.Profile.single(0.0, 1.5, 0.4),
+                             theta_prime=geo.Profile.single(0.3, 1.5, 0.5))
+    fr = geo.integrate_frame(curve)
+    tube = make_tube(curve, sec, 0.15)
+    pulled = geo.pullback_field(_field3d(), fr, tube)
+    s = fr.s[40:201]
+    got = geo.gauge_3d(pulled, tube, s, *sec.axes)
+    per_line_gauges()
+    want = geo.gauge_3d(pulled, tube, s, *sec.axes)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_gauge_2d_one_call_matches_per_line_loop(per_line_gauges):
+    sec = grids.interval(1.0, 0.05)
+    curve = geo.CurveProfile(dim=2, S=8.0, ds=0.05,
+                             kappa=geo.Profile.single(0.0, 2.0, 0.7))
+    fr = geo.integrate_frame(curve)
+    tube = make_tube(curve, sec, 0.05)
+    field = geo.AmbientField2D((((0.3, 0.1), 2.0, 1.0),))
+    s = fr.s[::3]
+    tau = sec.node_coords()
+    got = geo.gauge_2d(field, fr, tube, s, tau)
+    per_line_gauges()
+    assert np.array_equal(got, geo.gauge_2d(field, fr, tube, s, tau))
+
+
 def test_gauge_3d_zero_field():
     sec = grids.square(1.0, 0.5)
     curve = geo.CurveProfile(dim=3, S=6.0, ds=0.1)

@@ -1,5 +1,6 @@
 """Hardy constants, weighted certification, stability experiments."""
 
+import gc
 import warnings
 
 import numpy as np
@@ -144,6 +145,40 @@ def test_pure_reparametrization_is_inert(sec2d, field2d):
     lam0 = rep["rows"][0]["lam1"]
     lam1 = rep["rows"][1]["lam1"]
     assert abs(lam1 - lam0) < 5e-3
+
+
+def test_deformation_solve_releases_its_factor(sec2d, field2d):
+    # complex generalized shift-invert: scipy's ARPACK driver keeps its
+    # SuperLU factor in a reference cycle, which must not outlive the call
+    dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0))
+    gc.collect()
+    gc.disable()
+    try:
+        hardy.deformation_experiment(sec2d, field2d, 1.0, dspec, [0.1],
+                                     L=6.0, ds=0.1)
+        alive = [o for o in gc.get_objects()
+                 if type(o).__name__ == "SpLuInv"]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
+def test_straight_gauges_one_call_match_per_line_loop(sec2d, field2d,
+                                                       per_line_gauges):
+    s_pts = np.linspace(-3.0, 3.0, 121)
+    dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0),
+                                  E1=geo.Profile.single(1.0, 2.0, 0.3))
+
+    def gauged():
+        H, _, _ = hardy.assemble_deformed_tube(sec2d, field2d, 1.0, dspec,
+                                               0.2, L=4.0)
+        return hardy._gauge_straight_2d(sec2d, field2d, s_pts), H
+
+    A1, H = gauged()
+    per_line_gauges()
+    A1_want, H_want = gauged()
+    assert np.array_equal(A1, A1_want)
+    assert (H != H_want).nnz == 0
 
 
 def test_large_b_experiment(sec2d):
