@@ -76,16 +76,6 @@ class AssembledOperator:
         scale = max(1.0, abs(self.matrix).max())
         return float(abs(d).max() / scale) if d.nnz else 0.0
 
-    def shifted(self, delta_shift: float) -> "AssembledOperator":
-        return AssembledOperator(
-            matrix=(self.matrix + delta_shift * sp.eye(self.n, format="csr")).tocsr(),
-            grid=self.grid,
-            bc=self.bc,
-            shift=self.shift + delta_shift,
-            regime=self.regime,
-            meta=dict(self.meta),
-        )
-
 
 @dataclass
 class Spectrum:
@@ -138,12 +128,17 @@ def form_term(factor: sp.spmatrix, weights=None) -> sp.csr_matrix:
     return (factor.getH() @ (W @ factor)).tocsr()
 
 
-def dirichlet_second_difference(n_nodes: int, h: float) -> sp.csr_matrix:
-    """-d^2/dx^2 on n interior nodes, Dirichlet ends, via D^T D on links."""
+def dirichlet_links(n_nodes: int):
+    """(idx_l, idx_r) of the n + 1 links of a chain of n nodes whose two
+    end links reach a Dirichlet ghost (index -1)."""
     idx = np.arange(-1, n_nodes + 1)
     idx[0] = idx[-1] = -1
-    idx_l, idx_r = idx[:-1], idx[1:]
-    D = cov_link_matrix(n_nodes, idx_l, idx_r, h)
+    return idx[:-1], idx[1:]
+
+
+def dirichlet_second_difference(n_nodes: int, h: float) -> sp.csr_matrix:
+    """-d^2/dx^2 on n interior nodes, Dirichlet ends, via D^T D on links."""
+    D = cov_link_matrix(n_nodes, *dirichlet_links(n_nodes), h)
     return form_term(D)
 
 
@@ -242,12 +237,6 @@ def lowest_eigenpairs(
         ]
     )
     return vals, vecs, residuals
-
-
-def spectrum_of(op: AssembledOperator, k: int, sigma: float | None = 0.0,
-                seed: int = 7, ess_threshold: float | None = None) -> Spectrum:
-    vals, vecs, res = lowest_eigenpairs(op.matrix, k=k, sigma=sigma, seed=seed)
-    return Spectrum(vals, vecs, res, ess_threshold=ess_threshold)
 
 
 # -- sparse triplet text export ------------------------------------------------

@@ -35,7 +35,12 @@ from .errors import (
     NotApplicable,
 )
 from .geometry import FrameTrajectory, TubeSpec, integrate_frame
-from .operators import axis_grid, fiber_embedding, smallest_eigenpairs
+from .operators import (
+    axis_grid,
+    fiber_embedding,
+    smallest_eigenpairs,
+    transverse_form,
+)
 
 MAX_SERIES_ORDER = 6  # machine-generated factor expansions; enough for J <= 4
 
@@ -169,9 +174,10 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
         frame = integrate_frame(tube.curve)
     ax = axis_grid(tube.curve)
     sec = tube.section
+    lat = ax.lattice(sec)
     tau = sec.node_coords()
     ntau = sec.n
-    n = ax.ns * ntau
+    n = lat.n
     order = max(j_max - 2, 0)
     kap_n = tube.curve.kappa(ax.nodes)
     kap_m = tube.curve.kappa(ax.mids)
@@ -198,20 +204,8 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
     if order >= 1:
         p_coef[1] = ax.ds * 0.5 * np.outer(beta_m * kap_m, tau**2).ravel()
     Eser = _phase_exp_series(p_coef, order)
-    idx_l_1d = np.arange(-1, ax.ns)
-    idx_r_1d = np.arange(0, ax.ns + 1)
-    idx_r_1d[-1] = -1
-    idx_l = (idx_l_1d[:, None] * ntau + np.arange(ntau)[None, :]).copy()
-    idx_r = (idx_r_1d[:, None] * ntau + np.arange(ntau)[None, :]).copy()
-    idx_l[idx_l_1d < 0, :] = -1
-    idx_r[idx_r_1d < 0, :] = -1
     nlinks = (ax.ns + 1) * ntau
-    selR_rows, selR_cols = np.nonzero(idx_r.ravel() >= 0)[0], idx_r.ravel()[idx_r.ravel() >= 0]
-    R = sp.csr_matrix((np.ones(len(selR_rows)), (selR_rows, selR_cols)),
-                      shape=(nlinks, n))
-    selL_rows, selL_cols = np.nonzero(idx_l.ravel() >= 0)[0], idx_l.ravel()[idx_l.ravel() >= 0]
-    L = sp.csr_matrix((np.ones(len(selL_rows)), (selL_rows, selL_cols)),
-                      shape=(nlinks, n))
+    L, R = lat.axis_selectors()
     Bser = []
     for k in range(order + 1):
         Bk = (-1j / ax.ds) * (sp.diags(Eser[k]) @ R)
@@ -222,8 +216,7 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
     WY = _series_mul([sp.diags(np.ones(nlinks)) @ w for w in Wser], Yser, order)
     Kser = _series_mul(_series_adjoint(Yser), WY, order)
     Cser = _series_add(Kser, Vser, order)
-    Ttau = dirichlet_second_difference(ntau, sec.h)
-    terms = [sp.kron(sp.eye(ax.ns), Ttau, format="csr"), None]
+    terms = [transverse_form(lat), None]
     for k in range(order + 1):
         terms.append(Cser[k].tocsr())
     terms = terms[: j_max + 1]

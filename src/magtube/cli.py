@@ -2,7 +2,7 @@
 
 Subcommands mirror the experiment kinds plus cache maintenance:
 
-    magtube xsection   --config cfg.ini [--out DIR] [--threads N] [--seed S]
+    magtube xsection   --config cfg.ini [--out DIR] [--seed S] [--check]
     magtube full2d     ...
     magtube full3d     ...
     magtube effective  ...
@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True, help="experiment config (INI)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--check", action="store_true",
                        help="exit 3 when a footer target is missed")
@@ -86,8 +85,7 @@ def main(argv=None) -> int:
     from .runner import run
 
     try:
-        result = run(config, out_dir=args.out, threads=args.threads,
-                     seed=args.seed)
+        result = run(config, out_dir=args.out, seed=args.seed)
     except MagtubeError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1

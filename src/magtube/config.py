@@ -34,12 +34,16 @@ bump families use ``center width amplitude`` triplets joined by ';':
     eps = 0.2 0.1 0.05 0.025              (strictly decreasing for sweeps)
     delta = 0 0.5 1
     b = 0 0.5 1 2 4                       (hardy / stability schedules)
-    K = ...                               (optional shift constant)
+    K = 2.0                               (full2d / full3d / effective: the
+                                           shift constant K >= sup kappa^2/2;
+                                           default sup kappa^2/2 + 1)
 
     [solver]
     k = 1 / tol = 1e-3 / R = 2 / L = 10 / J = 2 / mode = 1 /
     amplitudes = 0.05 0.1 0.2 / mode_kind = galerkin|coefficient /
-    coefficient = measured|printed / threads = 1
+    coefficient = measured|printed
+
+Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
 """
 
 from __future__ import annotations

@@ -56,14 +56,3 @@ def richardson(value_h, value_h2, order: float = 2.0) -> float:
     fac = 2.0**order
     return (fac * value_h2 - value_h) / (fac - 1.0)
 
-
-def observed_order(value_h, value_h2, value_h4) -> float:
-    """Order estimate from three dyadic refinements."""
-    num = value_h - value_h2
-    den = value_h2 - value_h4
-    if den == 0:
-        return np.inf
-    ratio = num / den
-    if ratio <= 0:
-        return np.nan
-    return float(np.log2(ratio))

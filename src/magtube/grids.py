@@ -9,6 +9,7 @@ flat arrays over the interior nodes, in the order produced by
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,9 +219,18 @@ class GridDomain:
         return w * self.h**self.dim
 
     def descriptor(self) -> str:
-        """Stable text key identifying shape + resolution (cache key)."""
+        """Stable text key identifying shape + resolution (cache key).
+
+        A polygon mask is not determined by its parameters, so its key ends
+        in a digest of the mask, its shape and ``lo``.
+        """
         params = ",".join(f"{p:.12g}" for p in self.shape_params)
-        return f"{self.shape_tag}[{params}]h={self.h:.12g}"
+        key = f"{self.shape_tag}[{params}]h={self.h:.12g}"
+        if self.shape_tag == "polygon-mask":
+            content = repr((self.mask.shape, tuple(map(float, self.lo))))
+            digest = hashlib.sha256(content.encode() + self.mask.tobytes())
+            key += f"#{digest.hexdigest()[:16]}"
+        return key
 
 
 # -- constructors -------------------------------------------------------------

@@ -38,13 +38,14 @@ from .errors import DeformationTooLarge, ZeroFieldWarning
 from .geometry import (
     CurveProfile,
     Profile,
+    PulledField,
     TubeSpec,
     _cumint_from_zero,
     gauge_3d,
     integrate_frame,
 )
 from .grids import GridDomain
-from .operators import transverse_ground
+from .operators import TubeLattice, transverse_form, transverse_ground
 
 
 # -- cutoff pair and the explicit constant C -------------------------------------
@@ -123,84 +124,34 @@ def _straight_tube_matrix(section: GridDomain, field, b: float, s_nodes,
 
     With ``neumann_ends`` the end nodes are unknowns and the quadratic form
     simply omits outside links (natural magnetic Neumann: vanishing covariant
-    normal derivative); otherwise the ends are Dirichlet-eliminated.
+    normal derivative); otherwise the ends are Dirichlet-eliminated.  The
+    field enters with the orientation of the curvilinear operators at
+    eps = 1: A1 of the planar gauge, the explicit 3D gauge in space.
     """
-    ds = s_nodes[1] - s_nodes[0]
-    nsec = section.n
-    ns = len(s_nodes)
-    n = ns * nsec
-    zero_field = field is None or field.is_zero() or b == 0.0
-    # s-links: interior links only for Neumann; padded links for Dirichlet
-    if neumann_ends:
-        idx_l_1d = np.arange(0, ns - 1)
-        idx_r_1d = np.arange(1, ns)
-        s_mids = s_nodes[:-1] + ds / 2
-    else:
-        idx_l_1d = np.arange(-1, ns)
-        idx_r_1d = np.concatenate([np.arange(0, ns), [-1]])
-        s_mids = np.concatenate([[s_nodes[0] - ds / 2], s_nodes + ds / 2])
-    idx_l = (idx_l_1d[:, None] * nsec + np.arange(nsec)[None, :]).copy()
-    idx_r = (idx_r_1d[:, None] * nsec + np.arange(nsec)[None, :]).copy()
-    idx_l[idx_l_1d < 0, :] = -1
-    idx_r[idx_r_1d < 0, :] = -1
-
-    if section.dim == 1:
-        phases = None
-        if not zero_field:
-            A1 = _gauge_straight_2d(section, field, s_mids, subdiv=subdiv)
-            phases = (ds * b * A1).ravel()
-        D = cov_link_matrix(n, idx_l.ravel(), idx_r.ravel(), ds, phases=phases)
-        mat = form_term(D)
-        from .assemble import dirichlet_second_difference
-
-        Ttau = dirichlet_second_difference(nsec, section.h)
-        mat = mat + sp.kron(sp.eye(ns), Ttau, format="csr")
-        return mat.tocsr()
-
-    # 3D straight tube: curvilinear machinery with an identity frame
-    S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + ds
-    curve = CurveProfile(dim=3, S=S, ds=ds)
-    frame = integrate_frame(curve)
-    tube = TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
-    box_axes = section.axes
-    coords = section.node_coords()
-    mat = sp.csr_matrix((n, n), dtype=float if zero_field else complex)
-    if not zero_field:
-        # segment fields intentionally cover the whole range; skip the
-        # decaying-support validation of pullback_field
-        from .geometry import PulledField
-
-        pulled = PulledField(field=field, frame=frame, tube=tube)
-    for axis in (0, 1):
-        idx_l2, idx_r2, mids = section.links(axis)
-        phases = None
-        if not zero_field:
-            if axis == 0:
-                B23ax, _, _, _ = pulled.on_axis(s_nodes)
-                phases = (
-                    section.h * b * (-0.5 * mids[:, 1])[None, :]
-                    * B23ax[:, None]
-                ).ravel()
-            else:
-                u3 = np.unique(mids[:, 1])
-                _, _, A3g = gauge_3d(pulled, tube, s_nodes, box_axes[0], u3)
-                i2 = np.rint((mids[:, 0] - box_axes[0][0]) / section.h).astype(int)
-                i3 = np.searchsorted(u3, mids[:, 1])
-                phases = (section.h * b * A3g[:, i2, i3]).ravel()
-        offs = np.arange(ns) * nsec
-        il = np.where(idx_l2[None, :] >= 0, idx_l2[None, :] + offs[:, None], -1)
-        ir = np.where(idx_r2[None, :] >= 0, idx_r2[None, :] + offs[:, None], -1)
-        D = cov_link_matrix(n, il.ravel(), ir.ravel(), section.h, phases=phases)
-        mat = mat + form_term(D)
+    lat = TubeLattice(s_nodes, section, neumann_ends)
+    pulled = None
     phases = None
-    if not zero_field:
-        A1g, _, _ = gauge_3d(pulled, tube, s_mids, box_axes[0], box_axes[1])
-        i2 = np.rint((coords[:, 0] - box_axes[0][0]) / section.h).astype(int)
-        i3 = np.rint((coords[:, 1] - box_axes[1][0]) / section.h).astype(int)
-        phases = (ds * b * A1g[:, i2, i3]).ravel()
-    D = cov_link_matrix(n, idx_l.ravel(), idx_r.ravel(), ds, phases=phases)
-    mat = mat + form_term(D)
-    return mat.tocsr()
+    if not (field is None or field.is_zero() or b == 0.0):
+        if section.dim == 1:
+            # (i d/ds + b A1)^2 = (-i d/ds - b A1)^2
+            a_link = -_gauge_straight_2d(section, field, lat.mids, subdiv=subdiv)
+        else:
+            S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + lat.ds
+            curve = CurveProfile(dim=3, S=S, ds=lat.ds)
+            tube = TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
+            # segment fields intentionally cover the whole range; skip the
+            # decaying-support validation of pullback_field
+            pulled = PulledField(field=field, frame=integrate_frame(curve),
+                                 tube=tube)
+            ax2, ax3 = section.axes
+            A1g, _, _ = gauge_3d(pulled, tube, lat.mids, ax2, ax3)
+            coords = section.node_coords()
+            i2 = np.rint((coords[:, 0] - ax2[0]) / section.h).astype(int)
+            i3 = np.rint((coords[:, 1] - ax3[0]) / section.h).astype(int)
+            a_link = A1g[:, i2, i3]
+        phases = (lat.ds * b * a_link).ravel()
+    mat = transverse_form(lat, pulled, 1.0, b)
+    return (mat + form_term(lat.axis_factor(phases))).tocsr()
 
 
 def assemble_segment(section: GridDomain, field, b: float, R: float,
@@ -400,32 +351,19 @@ def assemble_deformed_tube(section: GridDomain, field, b: float,
         return A1f[:, idx]
 
     # s-edges (Dirichlet ghosts at both ends)
-    idx_l_1d = np.arange(-1, ns)
-    idx_r_1d = np.concatenate([np.arange(0, ns), [-1]])
-    s_mids = np.concatenate([[s_nodes[0] - ds / 2], s_nodes + ds / 2])
-    idx_l = (idx_l_1d[:, None] * nt + np.arange(nt)[None, :]).copy()
-    idx_r = (idx_r_1d[:, None] * nt + np.arange(nt)[None, :]).copy()
-    idx_l[idx_l_1d < 0, :] = -1
-    idx_r[idx_r_1d < 0, :] = -1
+    lat = TubeLattice(s_nodes, section, ds=ds)
     phases = None
     if not zero_field:
-        phases = (ds * b * gauge_ref(s_mids, tau)).ravel()
-    Ds = cov_link_matrix(n, idx_l.ravel(), idx_r.ravel(), ds, phases=phases)
+        phases = (ds * b * gauge_ref(lat.mids, tau)).ravel()
     _, w11_e, _, _ = metric(
-        np.repeat(s_mids, nt), np.tile(tau, ns + 1)
+        np.repeat(lat.mids, nt), np.tile(tau, ns + 1)
     )
-    H = form_term(Ds, weights=w11_e)
+    H = form_term(lat.axis_factor(phases), weights=w11_e)
     # t-edges
-    t_mids = np.concatenate([[tau[0] - dtau / 2], tau + dtau / 2])
-    idx_l2 = np.arange(-1, nt)
-    idx_r2 = np.concatenate([np.arange(0, nt), [-1]])
-    il = (np.arange(ns)[:, None] * nt + idx_l2[None, :]).copy()
-    ir = (np.arange(ns)[:, None] * nt + idx_r2[None, :]).copy()
-    il[:, idx_l2 < 0] = -1
-    ir[:, idx_r2 < 0] = -1
-    Dt = cov_link_matrix(n, il.ravel(), ir.ravel(), dtau)
+    il, ir, t_mids = lat.section_links(0)
+    Dt = cov_link_matrix(n, il, ir, dtau)
     _, _, _, w22_e = metric(
-        np.repeat(s_nodes, nt + 1), np.tile(t_mids, ns)
+        np.repeat(s_nodes, len(t_mids)), np.tile(t_mids, ns)
     )
     H = H + form_term(Dt, weights=w22_e)
     # cross term, cell-centered with averaged covariant gradients

@@ -10,6 +10,16 @@ longitudinal factor of the (i d/ds + b A1) sandwich is composed with the
 metric multipliers node/link-wise.  Real symmetric matrices are produced
 whenever no magnetic or twist term is present.
 
+Every tube operator lives on one :class:`TubeLattice`, the product of axis
+nodes and the section's interior nodes.  Unknowns are s-major: node
+(s_k, omega_j) has index k * nsec + j, so each operator is banded with
+bandwidth nsec.  A link endpoint with index -1 is a Dirichlet ghost: an
+eliminated boundary node whose value is 0.  Section links always end in
+ghosts outside the mask (Dirichlet on the tube wall).  Dirichlet axis ends
+add a ghost link before the first and after the last s-node; Neumann ends
+keep only the links between unknowns, which leaves the natural (vanishing
+covariant normal derivative) condition.
+
 The 1D <-> 2D/3D comparison uses the isometric J1-fiber embedding (the
 thin-tube ground-mode projection); effective operators come in a
 "coefficient" flavor (the printed 1D model with a configurable transverse
@@ -30,6 +40,7 @@ from .assemble import (
     Spectrum,
     banded_cholesky,
     cov_link_matrix,
+    dirichlet_links,
     dirichlet_second_difference,
     form_term,
     lowest_eigenpairs,
@@ -62,14 +73,117 @@ class AxisGrid:
     def second_difference(self) -> sp.csr_matrix:
         return dirichlet_second_difference(self.ns, self.ds)
 
-    def link_index(self):
-        idx = np.arange(-1, self.ns + 1)
-        idx[0] = idx[-1] = -1
-        return idx[:-1], idx[1:]
+    def lattice(self, section: GridDomain) -> "TubeLattice":
+        return TubeLattice(self.nodes, section, ds=self.ds, mids=self.mids)
 
 
 def axis_grid(curve) -> AxisGrid:
     return AxisGrid(curve.S, curve.ds)
+
+
+@dataclass
+class TubeLattice:
+    """Axis nodes x section nodes, s-major, with Dirichlet ghost links.
+
+    ``ds`` and ``mids`` (the s-link midpoints) default to the node spacing
+    and the midpoints between nodes; an :class:`AxisGrid` passes its own.
+    """
+
+    nodes: np.ndarray
+    section: GridDomain
+    neumann_ends: bool = False
+    ds: float | None = None
+    mids: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.ns = len(self.nodes)
+        self.nsec = self.section.n
+        self.n = self.ns * self.nsec
+        if self.ds is None:
+            self.ds = self.nodes[1] - self.nodes[0]
+        if self.mids is None:
+            if self.neumann_ends:
+                self.mids = self.nodes[:-1] + self.ds / 2
+            else:
+                self.mids = np.concatenate([[self.nodes[0] - self.ds / 2],
+                                            self.nodes + self.ds / 2])
+
+    def axis_links(self):
+        """(idx_l, idx_r) of the s-links; link (k, j) sits at
+        (mids[k], section node j) and is row k * nsec + j."""
+        if self.neumann_ends:
+            k_l, k_r = np.arange(self.ns - 1), np.arange(1, self.ns)
+        else:
+            k_l, k_r = dirichlet_links(self.ns)
+        j = np.arange(self.nsec)[None, :]
+        return tuple(np.where(k[:, None] >= 0, k[:, None] * self.nsec + j, -1)
+                     .ravel() for k in (k_l, k_r))
+
+    def section_links(self, axis: int):
+        """(idx_l, idx_r, mids) of the section links along ``axis`` in every
+        s-slab; link (k, m) joins section link m at s-node k, sits at
+        (nodes[k], mids[m]) and is row k * len(mids) + m."""
+        idx_l, idx_r, mids = self.section.links(axis)
+        offs = (np.arange(self.ns) * self.nsec)[:, None]
+        return (np.where(idx_l >= 0, idx_l + offs, -1).ravel(),
+                np.where(idx_r >= 0, idx_r + offs, -1).ravel(), mids)
+
+    def axis_factor(self, phases=None) -> sp.csr_matrix:
+        """Covariant s-difference on the axis links (phases per link)."""
+        return cov_link_matrix(self.n, *self.axis_links(), self.ds,
+                               phases=phases)
+
+    def axis_selectors(self):
+        """(SL, SR): per s-link, the value at its left / right node (0 at a
+        ghost endpoint)."""
+        out = []
+        for idx in self.axis_links():
+            ok = idx >= 0
+            out.append(sp.csr_matrix(
+                (np.ones(ok.sum()), (np.nonzero(ok)[0], idx[ok])),
+                shape=(len(idx), self.n)))
+        return tuple(out)
+
+    def link_average(self) -> sp.csr_matrix:
+        """Average node values onto the s-links."""
+        SL, SR = self.axis_selectors()
+        return 0.5 * (SL + SR)
+
+
+def transverse_form(lat: TubeLattice, pulled=None, eps: float = 1.0,
+                    b: float = 0.0) -> sp.csr_matrix:
+    """eps^-2 sum_j (-i d/dtau_j + eps b A_j)^2 on every s-slab.
+
+    Without ``pulled`` this is the section's Dirichlet Laplacian per slab.
+    With a pulled 3D field it uses the explicit gauge of :func:`gauge_3d`
+    at the lattice's s-nodes.
+    """
+    sec = lat.section
+    mat = None
+    for axis in range(sec.dim):
+        idx_l, idx_r, mids = lat.section_links(axis)
+        phases = None
+        if pulled is not None:
+            if axis == 0:
+                # A2 = -t3 B23(s,0,0)/2, independent of tau2
+                B23ax, _, _, _ = pulled.on_axis(lat.nodes)
+                phases = (
+                    sec.h * eps * b
+                    * (-0.5 * eps * mids[:, 1])[None, :] * B23ax[:, None]
+                )
+            else:
+                # A3 needs the tau2-cumulative of B23 at tau3 link midpoints
+                u3 = np.unique(mids[:, 1])
+                _, _, A3g = gauge_3d(pulled, pulled.tube, lat.nodes,
+                                     sec.axes[0], u3)
+                i2 = np.rint((mids[:, 0] - sec.axes[0][0]) / sec.h).astype(int)
+                i3 = np.searchsorted(u3, mids[:, 1])
+                phases = sec.h * eps * b * A3g[:, i2, i3]
+            phases = phases.ravel()
+        D = cov_link_matrix(lat.n, idx_l, idx_r, sec.h, phases=phases)
+        term = eps**-2 * form_term(D)
+        mat = term if mat is None else mat + term
+    return mat
 
 
 _TRANSVERSE_MEMO: dict = {}
@@ -114,6 +228,9 @@ def assemble_full_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
     validate_tube(tube, frame=None)
     ax = axis_grid(tube.curve)
     sec = tube.section
+    if sec.dim != 1:
+        raise ValueError("2D tube needs a 1D cross section")
+    lat = ax.lattice(sec)
     tau = sec.node_coords()
     ntau = sec.n
     eps, b = tube.regime.eps, tube.regime.b
@@ -137,34 +254,30 @@ def assemble_full_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
             dchi = chi[1:] - chi[:-1]
             phases = phases - b * dchi[:, None]
         phases = phases.ravel()
-    idx_l_1d, idx_r_1d = ax.link_index()
-    idx_l = (idx_l_1d[:, None] * ntau + np.arange(ntau)[None, :]).copy()
-    idx_r = (idx_r_1d[:, None] * ntau + np.arange(ntau)[None, :]).copy()
-    idx_l[idx_l_1d < 0, :] = -1
-    idx_r[idx_r_1d < 0, :] = -1
-    n = ax.ns * ntau
-    D = cov_link_matrix(n, idx_l.ravel(), idx_r.ravel(), ax.ds, phases=phases)
-    Y = D @ sp.diags(m_node.ravel())
+    Y = lat.axis_factor(phases) @ sp.diags(m_node.ravel())
     kin_s = form_term(Y, weights=(m_link**2).ravel())
-    Ttau = dirichlet_second_difference(ntau, sec.h) if sec.dim == 1 else None
-    if Ttau is None:
-        raise ValueError("2D tube needs a 1D cross section")
-    mat = kin_s + eps**-2 * sp.kron(sp.eye(ax.ns), Ttau, format="csr") \
-        + sp.diags(V.ravel())
+    mat = kin_s + transverse_form(lat, eps=eps) + sp.diags(V.ravel())
+    return _tube_operator(mat, tube, ax, shifted, "full2d")
+
+
+def _tube_operator(mat, tube: TubeSpec, ax: AxisGrid, shifted: bool,
+                   model: str) -> AssembledOperator:
+    """Wrap a tube matrix; ``shifted`` adds -eps^-2 lam1h + K."""
+    sec = tube.section
+    eps = tube.regime.eps
     lam1h, J1h = transverse_ground(sec)
     K = _shift_constant(tube)
     shift = (-(eps**-2) * lam1h + K) if shifted else 0.0
-    op = AssembledOperator(
-        matrix=(mat + shift * sp.eye(n)).tocsr(),
-        grid={"kind": "tube2d", "axis": ax, "section": sec},
-        bc={"s": "dirichlet", "tau": "dirichlet"},
+    return AssembledOperator(
+        matrix=(mat + shift * sp.eye(mat.shape[0])).tocsr(),
+        grid={"kind": f"tube{sec.dim + 1}d", "axis": ax, "section": sec},
+        bc={"s": "dirichlet", "tau" if sec.dim == 1 else "omega": "dirichlet"},
         shift=shift,
         regime=tube.regime,
         meta={"lam1h": lam1h, "J1h": J1h, "K": K,
               "ess_threshold": eps**-2 * lam1h + shift,
-              "model": "full2d"},
+              "model": model},
     )
-    return op
 
 
 def _shift_constant(tube: TubeSpec) -> float:
@@ -183,39 +296,18 @@ def assemble_app_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
         frame = integrate_frame(tube.curve)
     ax = axis_grid(tube.curve)
     sec = tube.section
+    lat = ax.lattice(sec)
     tau = sec.node_coords()
-    ntau = sec.n
     eps, b = tube.regime.eps, tube.regime.b
     zero_field = field is None or field.is_zero()
     phases = None
     if not zero_field:
         beta_mid = field.on_axis(frame, ax.mids)
         phases = (-ax.ds * eps * b * np.outer(beta_mid, tau)).ravel()
-    idx_l_1d, idx_r_1d = ax.link_index()
-    idx_l = (idx_l_1d[:, None] * ntau + np.arange(ntau)[None, :]).copy()
-    idx_r = (idx_r_1d[:, None] * ntau + np.arange(ntau)[None, :]).copy()
-    idx_l[idx_l_1d < 0, :] = -1
-    idx_r[idx_r_1d < 0, :] = -1
-    n = ax.ns * ntau
-    D = cov_link_matrix(n, idx_l.ravel(), idx_r.ravel(), ax.ds, phases=phases)
-    kin_s = form_term(D)
-    V = -0.25 * tube.curve.kappa(ax.nodes)[:, None] ** 2 * np.ones((1, ntau))
-    Ttau = dirichlet_second_difference(ntau, sec.h)
-    mat = kin_s + eps**-2 * sp.kron(sp.eye(ax.ns), Ttau, format="csr") \
-        + sp.diags(V.ravel())
-    lam1h, J1h = transverse_ground(sec)
-    K = _shift_constant(tube)
-    shift = (-(eps**-2) * lam1h + K) if shifted else 0.0
-    return AssembledOperator(
-        matrix=(mat + shift * sp.eye(n)).tocsr(),
-        grid={"kind": "tube2d", "axis": ax, "section": sec},
-        bc={"s": "dirichlet", "tau": "dirichlet"},
-        shift=shift,
-        regime=tube.regime,
-        meta={"lam1h": lam1h, "J1h": J1h, "K": K,
-              "ess_threshold": eps**-2 * lam1h + shift,
-              "model": "app2d"},
-    )
+    kin_s = form_term(lat.axis_factor(phases))
+    V = -0.25 * tube.curve.kappa(ax.nodes)[:, None] ** 2 * np.ones((1, sec.n))
+    mat = kin_s + transverse_form(lat, eps=eps) + sp.diags(V.ravel())
+    return _tube_operator(mat, tube, ax, shifted, "app2d")
 
 
 def fiber_embedding(J1h: np.ndarray, ns: int) -> sp.csr_matrix:
@@ -294,27 +386,14 @@ def assemble_effective_2d(tube: TubeSpec, field, constants=None,
 # -- 3D assemblies ----------------------------------------------------------------
 
 
-def _axis_links_3d(ax: AxisGrid, nsec: int):
-    idx_l_1d, idx_r_1d = ax.link_index()
-    idx_l = (idx_l_1d[:, None] * nsec + np.arange(nsec)[None, :]).copy()
-    idx_r = (idx_r_1d[:, None] * nsec + np.arange(nsec)[None, :]).copy()
-    idx_l[idx_l_1d < 0, :] = -1
-    idx_r[idx_r_1d < 0, :] = -1
-    return idx_l.ravel(), idx_r.ravel()
+def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:
+    """-i theta' d_alpha, with d_alpha averaged from the nodes onto s-links."""
+    from .xsection import angular_derivative
 
-
-def _link_average(idx_l, idx_r, n: int) -> sp.csr_matrix:
-    """Average node values onto links (Dirichlet endpoints contribute 0)."""
-    sel = []
-    for idx in (idx_l, idx_r):
-        ok = idx >= 0
-        sel.append(
-            sp.csr_matrix(
-                (np.ones(ok.sum()), (np.nonzero(ok)[0], idx[ok])),
-                shape=(len(idx), n),
-            )
-        )
-    return 0.5 * (sel[0] + sel[1])
+    Dal = sp.kron(sp.eye(lat.ns), angular_derivative(lat.section).matrix,
+                  format="csr")
+    tw = np.repeat(tp_mid, lat.nsec)
+    return (-1j) * sp.diags(tw) @ (lat.link_average() @ Dal)
 
 
 def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
@@ -334,8 +413,9 @@ def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
     sec = tube.section
     if sec.dim != 2:
         raise ValueError("3D tube needs a 2D cross section")
+    lat = ax.lattice(sec)
     nsec = sec.n
-    n = ax.ns * nsec
+    n = lat.n
     if n > budget:
         raise GridBudgetError(
             f"{n} unknowns exceed the 3D budget {budget}; coarsen ds or h"
@@ -358,38 +438,9 @@ def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
             - eps * tau3 * (-k2 * sa + k3 * ca)
         )
 
-    # transverse covariant squares, eps^-2 (-i d/dtau_j + eps b A_j)^2
-    mat = sp.csr_matrix((n, n), dtype=complex if not zero_field else float)
-    box_axes = sec.axes
-    for axis in (0, 1):
-        idx_l2, idx_r2, mids = sec.links(axis)
-        nl = len(idx_l2)
-        if zero_field:
-            phase_slab = None
-        else:
-            if axis == 0:
-                # A2 = -t3 B23(s,0,0)/2, independent of tau2
-                B23ax, _, _, _ = pulled.on_axis(ax.nodes)
-                phase_slab = (
-                    sec.h * eps * b
-                    * (-0.5 * eps * mids[:, 1])[None, :] * B23ax[:, None]
-                )
-            else:
-                # A3 needs the tau2-cumulative of B23 at tau3 link midpoints
-                u3 = np.unique(mids[:, 1])
-                _, _, A3g = gauge_3d(pulled, tube, ax.nodes, box_axes[0], u3)
-                i2 = np.rint((mids[:, 0] - box_axes[0][0]) / sec.h).astype(int)
-                i3 = np.searchsorted(u3, mids[:, 1])
-                phase_slab = sec.h * eps * b * A3g[:, i2, i3]
-        offs = np.arange(ax.ns) * nsec
-        idx_l = np.where(idx_l2[None, :] >= 0, idx_l2[None, :] + offs[:, None], -1)
-        idx_r = np.where(idx_r2[None, :] >= 0, idx_r2[None, :] + offs[:, None], -1)
-        phases = None if phase_slab is None else phase_slab.ravel()
-        D = cov_link_matrix(n, idx_l.ravel(), idx_r.ravel(), sec.h, phases=phases)
-        mat = mat + eps**-2 * form_term(D)
+    mat = transverse_form(lat, pulled, eps, b)
 
     # longitudinal sandwich
-    idx_l, idx_r = _axis_links_3d(ax, nsec)
     h_node = h_factor(
         np.repeat(ax.nodes, nsec), np.tile(t2n, ax.ns), np.tile(t3n, ax.ns)
     )
@@ -400,6 +451,7 @@ def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
         phases = None
         Rmult = None
     else:
+        box_axes = sec.axes
         A1g, A2g, A3g = gauge_3d(pulled, tube, ax.mids, box_axes[0], box_axes[1])
         i2 = np.rint((t2n - box_axes[0][0]) / sec.h).astype(int)
         i3 = np.rint((t3n - box_axes[1][0]) / sec.h).astype(int)
@@ -411,37 +463,16 @@ def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
         h2_link = -eps * t2n[None, :] * tp_mid[:, None]
         h3_link = eps * t3n[None, :] * tp_mid[:, None]
         Rmult = (h3_link * b * A2_link + h2_link * b * A3_link).ravel()
-    X = cov_link_matrix(n, idx_l, idx_r, ax.ds, phases=phases)
-    tp_mid = curve.theta_prime(ax.mids)
-    has_twist = not curve.theta_prime.is_zero
-    if has_twist or Rmult is not None:
-        from .xsection import angular_derivative
-
-        AVG = _link_average(idx_l, idx_r, n)
-        if has_twist:
-            Dal = sp.kron(sp.eye(ax.ns), angular_derivative(sec).matrix,
-                          format="csr")
-            tw = np.repeat(tp_mid, nsec)
-            X = X + (-1j) * sp.diags(tw) @ (AVG @ Dal)
-        if Rmult is not None and np.abs(Rmult).max() > 0:
-            X = X + sp.diags(Rmult) @ AVG
+    X = lat.axis_factor(phases)
+    if not curve.theta_prime.is_zero:
+        X = X + _twist_term(lat, curve.theta_prime(ax.mids))
+    if Rmult is not None and np.abs(Rmult).max() > 0:
+        X = X + sp.diags(Rmult) @ lat.link_average()
     Y = X @ sp.diags(h_node**-0.5)
     mat = mat + form_term(Y, weights=1.0 / h_link)
     kap2 = curve.kappa_mag(np.repeat(ax.nodes, nsec)) ** 2
     mat = mat + sp.diags(-0.25 * kap2 / h_node**2)
-    lam1h, J1h = transverse_ground(sec)
-    K = _shift_constant(tube)
-    shift = (-(eps**-2) * lam1h + K) if shifted else 0.0
-    return AssembledOperator(
-        matrix=(mat + shift * sp.eye(n)).tocsr(),
-        grid={"kind": "tube3d", "axis": ax, "section": sec},
-        bc={"s": "dirichlet", "omega": "dirichlet"},
-        shift=shift,
-        regime=tube.regime,
-        meta={"lam1h": lam1h, "J1h": J1h, "K": K,
-              "ess_threshold": eps**-2 * lam1h + shift,
-              "model": "full3d"},
-    )
+    return _tube_operator(mat, tube, ax, shifted, "full3d")
 
 
 def _app2_longitudinal_3d(tube: TubeSpec, field, frame: FrameTrajectory,
@@ -449,14 +480,10 @@ def _app2_longitudinal_3d(tube: TubeSpec, field, frame: FrameTrajectory,
     """X~ = -i d/ds - i theta' d_alpha - B12(s,0,0) tau2 - B13(s,0,0) tau3
     as a link-factor matrix (the longitudinal factor of the straight-tube
     approximation at delta = 1; field terms dropped when not critical)."""
-    from .xsection import angular_derivative
-
     ax = axis_grid(tube.curve)
     sec = tube.section
-    nsec = sec.n
-    n = ax.ns * nsec
+    lat = ax.lattice(sec)
     coords = sec.node_coords()
-    idx_l, idx_r = _axis_links_3d(ax, nsec)
     zero_field = field is None or field.is_zero() or not critical
     phases = None
     if not zero_field:
@@ -465,12 +492,9 @@ def _app2_longitudinal_3d(tube: TubeSpec, field, frame: FrameTrajectory,
         a_mult = -(B12ax[:, None] * coords[None, :, 0]
                    + B13ax[:, None] * coords[None, :, 1])
         phases = (ax.ds * a_mult).ravel()
-    X = cov_link_matrix(n, idx_l, idx_r, ax.ds, phases=phases)
+    X = lat.axis_factor(phases)
     if not tube.curve.theta_prime.is_zero:
-        AVG = _link_average(idx_l, idx_r, n)
-        Dal = sp.kron(sp.eye(ax.ns), angular_derivative(sec).matrix, format="csr")
-        tw = np.repeat(tube.curve.theta_prime(ax.mids), nsec)
-        X = X + (-1j) * sp.diags(tw) @ (AVG @ Dal)
+        X = X + _twist_term(lat, tube.curve.theta_prime(ax.mids))
     return X
 
 
@@ -531,8 +555,8 @@ def assemble_effective_3d(tube: TubeSpec, field, constants=None,
             if np.abs(a_mid).max() > 0:
                 phases = ax.ds * a_mid
             meta["M_omega"] = constants.M_omega
-        idx_l, idx_r = ax.link_index()
-        D = cov_link_matrix(ax.ns, idx_l, idx_r, ax.ds, phases=phases)
+        D = cov_link_matrix(ax.ns, *dirichlet_links(ax.ns), ax.ds,
+                            phases=phases)
         mat = form_term(D) + sp.diags(pot)
         meta["coefficient_source"] = "coefficient"
         meta["p"] = constants.p

@@ -12,7 +12,6 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,43 +67,31 @@ class PartialFailure(MagtubeError):
         self.tables = tables
 
 
-def _parallel(points, worker, threads: int, on_result=None, tables=()):
-    """Run sweep points deterministically; on error identify the point and
-    carry the partially filled tables for flushing."""
+def _sweep(points, worker, on_result=None, tables=()):
+    """Run sweep points in order; on error identify the point and carry the
+    partially filled tables for flushing."""
     results = []
-
-    def consume(point, fut_or_call):
+    for p in points:
         try:
-            r = fut_or_call() if callable(fut_or_call) else fut_or_call.result()
+            r = worker(p)
         except Exception as exc:
-            raise PartialFailure(point, exc, list(tables)) from exc
+            raise PartialFailure(p, exc, list(tables)) from exc
         results.append(r)
         if on_result is not None:
-            on_result(point, r)
-
-    if threads <= 1 or len(points) <= 1:
-        for p in points:
-            consume(p, lambda p=p: worker(p))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(p, pool.submit(worker, p)) for p in points]
-            for p, fut in futures:
-                consume(p, fut)
+            on_result(p, r)
     return results
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None,
-        threads: int | None = None, seed: int | None = None) -> dict:
+        seed: int | None = None) -> dict:
     """Execute one experiment; returns {tables, artifacts, elapsed}."""
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
-    threads = threads if threads is not None else config.get_int(
-        "solver", "threads", 1)
     seed = seed if seed is not None else config.seed
     t0 = time.time()
     runner = _RUNNERS[config.kind]
     try:
-        tables, artifacts = runner(config, out, threads, seed)
+        tables, artifacts = runner(config, out, seed)
     except PartialFailure as exc:
         # flush whatever completed before surfacing the failing point
         for table in exc.tables:
@@ -146,7 +133,7 @@ def _write_manifest(config, out, written, seed, elapsed):
 # -- experiments -------------------------------------------------------------------
 
 
-def _run_xsection(config, out, threads, seed):
+def _run_xsection(config, out, seed):
     from . import xsection as xs
 
     section = config.build_section()
@@ -171,102 +158,52 @@ def _spectrum_rows(table, op, spec, extra):
                   float(spec.residuals[i]), bool(spec.discrete_flags[i]))
 
 
-def _run_full2d(config, out, threads, seed):
+def _run_spectrum(config, out, seed):
+    """Lowest eigenvalues of the full2d, full3d or effective operator over
+    the (delta, eps) grid, shifted by the configured ``K``."""
     from . import geometry as geo, operators as ops
 
     section = config.build_section()
     curve = config.build_curve()
     fieldobj = config.build_field() if "field" in config.raw else None
     frame = geo.integrate_frame(curve)
-    k = config.get_int("solver", "k", 3)
-    K = config.get_float("regime", "k_shift")
+    kind = config.kind
+    k = config.get_int("solver", "k", 2 if kind == "full3d" else 3)
+    K = config.get_float("regime", "k")
     eps_list = config.get_floats("regime", "eps")
     delta_list = config.get_floats("regime", "delta", (1.0,))
+    source = config.get("solver", "coefficient", "measured")
+    assemble = {
+        "full2d": ops.assemble_full_2d,
+        "full3d": ops.assemble_full_3d,
+        "effective": (ops.assemble_effective_2d if curve.dim == 2
+                      else ops.assemble_effective_3d),
+    }[kind]
+    options = {}
+    if kind == "effective" and curve.dim == 2:
+        options["coefficient_source"] = source
     table = ResultTable(
-        "spectrum_full2d",
+        f"spectrum_{kind}",
         ["eps", "delta", "b", "K", "n", "eigenvalue", "residual", "discrete"],
     )
 
     def point(pt):
-        eps, delta = pt
-        tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta,
-                                                         K=K))
-        op = ops.assemble_full_2d(tube, fieldobj, frame)
+        delta, eps = pt
+        tube = geo.TubeSpec(curve, section,
+                            RegimeParams(eps=eps, delta=delta, K=K))
+        op = assemble(tube, fieldobj, frame=frame, **options)
         spec = ops.smallest_eigenpairs(op, k=k, sigma=0.0, seed=seed)
-        return tube, op, spec
+        _spectrum_rows(table, op, spec,
+                       (eps, delta, tube.regime.b, op.meta["K"]))
 
-    points = [(e, d) for d in delta_list for e in eps_list]
-    _parallel(
-        points, point, threads,
-        on_result=lambda p, r: _spectrum_rows(
-            table, r[1], r[2],
-            (r[0].regime.eps, r[0].regime.delta, r[0].regime.b,
-             r[1].meta["K"])),
-        tables=(table,),
-    )
+    _sweep([(d, e) for d in delta_list for e in eps_list], point,
+           tables=(table,))
+    if kind == "effective":
+        table.footer["coefficient_source"] = source
     return [table], []
 
 
-def _run_full3d(config, out, threads, seed):
-    from . import geometry as geo, operators as ops
-
-    section = config.build_section()
-    curve = config.build_curve()
-    fieldobj = config.build_field() if "field" in config.raw else None
-    frame = geo.integrate_frame(curve)
-    k = config.get_int("solver", "k", 2)
-    K = config.get_float("regime", "k_shift")
-    eps_list = config.get_floats("regime", "eps")
-    delta_list = config.get_floats("regime", "delta", (1.0,))
-    table = ResultTable(
-        "spectrum_full3d",
-        ["eps", "delta", "b", "K", "n", "eigenvalue", "residual", "discrete"],
-    )
-    for delta in delta_list:
-        for eps in eps_list:
-            tube = geo.TubeSpec(curve, section,
-                                RegimeParams(eps=eps, delta=delta, K=K))
-            op = ops.assemble_full_3d(tube, fieldobj, frame)
-            spec = ops.smallest_eigenpairs(op, k=k, sigma=0.0, seed=seed)
-            _spectrum_rows(table, op, spec,
-                           (eps, delta, tube.regime.b, op.meta["K"]))
-    return [table], []
-
-
-def _run_effective(config, out, threads, seed):
-    from . import geometry as geo, operators as ops
-
-    section = config.build_section()
-    curve = config.build_curve()
-    fieldobj = config.build_field() if "field" in config.raw else None
-    frame = geo.integrate_frame(curve)
-    k = config.get_int("solver", "k", 3)
-    source = config.get("solver", "coefficient", "measured")
-    eps_list = config.get_floats("regime", "eps")
-    delta_list = config.get_floats("regime", "delta", (1.0,))
-    assemble = (ops.assemble_effective_2d if curve.dim == 2
-                else ops.assemble_effective_3d)
-    table = ResultTable(
-        "spectrum_effective",
-        ["eps", "delta", "b", "K", "n", "eigenvalue", "residual", "discrete"],
-    )
-    for delta in delta_list:
-        for eps in eps_list:
-            tube = geo.TubeSpec(curve, section,
-                                RegimeParams(eps=eps, delta=delta))
-            if curve.dim == 2:
-                op = assemble(tube, fieldobj, frame=frame,
-                              coefficient_source=source)
-            else:
-                op = assemble(tube, fieldobj, frame=frame)
-            spec = ops.smallest_eigenpairs(op, k=k, sigma=0.0, seed=seed)
-            _spectrum_rows(table, op, spec, (eps, delta, tube.regime.b,
-                                             op.meta["K"]))
-    table.footer["coefficient_source"] = source
-    return [table], []
-
-
-def _run_nrc_sweep(config, out, threads, seed):
+def _run_nrc_sweep(config, out, seed):
     from . import geometry as geo, operators as ops
 
     section = config.build_section()
@@ -298,9 +235,8 @@ def _run_nrc_sweep(config, out, threads, seed):
         return (delta, eps, tube.regime.b, dist, info["converged"])
 
     points = [(d, e) for d in delta_list for e in eps_list]
-    results = _parallel(points, point, threads,
-                        on_result=lambda p, r: table.add(*r),
-                        tables=(table,))
+    results = _sweep(points, point, on_result=lambda p, r: table.add(*r),
+                     tables=(table,))
     table.rows.clear()  # rebuilt below grouped by delta
     for delta in delta_list:
         sub = [r for r in results if r[0] == delta]
@@ -317,7 +253,7 @@ def _run_nrc_sweep(config, out, threads, seed):
     return [table], [svg]
 
 
-def _run_asymptotics(config, out, threads, seed):
+def _run_asymptotics(config, out, seed):
     from . import asymptotics as asym, geometry as geo
 
     section = config.build_section()
@@ -364,7 +300,7 @@ def _run_asymptotics(config, out, threads, seed):
     return [gamma_table, track, res_table], [svg]
 
 
-def _run_hardy(config, out, threads, seed):
+def _run_hardy(config, out, seed):
     from . import hardy
 
     section = config.build_section()
@@ -389,9 +325,7 @@ def _run_hardy(config, out, threads, seed):
                 return cert
             return hardy.verify_hardy(section, fieldobj, b, R, L, ds=ds)
 
-    certs = _parallel(
-        list(b_list), point, threads,
-        on_result=lambda p, c: None, tables=(table,))
+    certs = _sweep(list(b_list), point, tables=(table,))
     for cert in certs:
         table.add(cert.R, cert.b, cert.lam1_dn, cert.cutoff_C, cert.c_R,
                   cert.mu_min, cert.margin, cert.passed)
@@ -405,7 +339,7 @@ def _run_hardy(config, out, threads, seed):
     return [table], [svg]
 
 
-def _run_stability(config, out, threads, seed):
+def _run_stability(config, out, seed):
     from . import geometry as geo, hardy
 
     section = config.build_section()
@@ -449,9 +383,9 @@ def _run_stability(config, out, threads, seed):
 
 _RUNNERS = {
     "xsection": _run_xsection,
-    "full2d": _run_full2d,
-    "full3d": _run_full3d,
-    "effective": _run_effective,
+    "full2d": _run_spectrum,
+    "full3d": _run_spectrum,
+    "effective": _run_spectrum,
     "nrc-sweep": _run_nrc_sweep,
     "asymptotics": _run_asymptotics,
     "hardy": _run_hardy,

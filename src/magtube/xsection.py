@@ -22,6 +22,7 @@ uses; both views are reported.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -324,18 +325,22 @@ def compute_constants(
 
 # -- persistent constants cache -------------------------------------------------
 #
-# One text file per key under the cache directory.  Schema (v1):
-#   magtube-constants v1
+# One text file per key under the cache directory.  Schema (v2):
+#   magtube-constants v2
 #   key = <descriptor|method>
 #   backend = mask|radial
 #   dim = 1|2
 #   h = <float>
 #   <scalar> = <float>            (lam1, lam2, moment2, m2, m3, Q22, Q23, Q33,
 #                                  p, kappa_mag, M_omega)
+#   meta.<name> = <JSON value>    (the constants' meta: footers and note)
 #   array.J1 = v v v ...          (interior-node order; optional)
 #   array.rho = v v v ...         (optional)
 #   array.r / array.J1r           (radial backend profile; optional)
 # Writes are atomic (temp file + rename): single writer, many readers.
+
+
+_CACHE_SCHEMA = "magtube-constants v2"
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
@@ -347,10 +352,12 @@ def _cache_path(cache_dir: str, key: str) -> str:
 
 def _cache_store(cache_dir: str, key: str, c: XSectionConstants) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    lines = ["magtube-constants v1", f"key = {key}", f"backend = {c.backend}",
+    lines = [_CACHE_SCHEMA, f"key = {key}", f"backend = {c.backend}",
              f"dim = {c.dim}", f"h = {c.h:.17g}", f"descriptor = {c.descriptor}"]
     for name, val in c.scalar_items().items():
         lines.append(f"{name} = {val:.17g}")
+    for name, val in c.meta.items():
+        lines.append(f"meta.{name} = {json.dumps(val)}")
     def arr(name, a):
         lines.append(f"array.{name} = " + " ".join(f"{v:.17g}" for v in a))
     if c.J1 is not None:
@@ -371,16 +378,18 @@ def _cache_load(cache_dir, key, domain) -> XSectionConstants | None:
     path = _cache_path(cache_dir, key)
     if not os.path.exists(path):
         return None
-    scalars, arrays, text = {}, {}, {}
+    scalars, arrays, text, meta = {}, {}, {}, {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
-        if header != "magtube-constants v1":
+        if header != _CACHE_SCHEMA:
             return None
         for line in f:
             name, _, val = line.partition("=")
             name, val = name.strip(), val.strip()
             if name.startswith("array."):
                 arrays[name[6:]] = np.array(val.split(), dtype=float)
+            elif name.startswith("meta."):
+                meta[name[5:]] = json.loads(val)
             elif name in ("key", "backend", "descriptor"):
                 text[name] = val
             elif name in ("dim",):
@@ -399,7 +408,7 @@ def _cache_load(cache_dir, key, domain) -> XSectionConstants | None:
         second_moments=(scalars["Q22"], scalars["Q23"], scalars["Q33"]),
         p=scalars["p"], kappa_mag=scalars["kappa_mag"],
         M_omega=scalars["M_omega"], J1=arrays.get("J1"), rho=arrays.get("rho"),
-        radial_profile=prof, meta={"cache": "hit"},
+        radial_profile=prof, meta={**meta, "cache": "hit"},
     )
 
 

@@ -92,3 +92,20 @@ def test_gradient_axis_exact_for_quadratics():
     g = sq.gradient_axis(u, 0)
     inside = sq.mask
     assert np.allclose(g[inside], (2 * X - 0.3)[inside], atol=1e-12)
+
+
+def test_polygon_masks_of_one_box_do_not_share_a_key():
+    from magtube import operators as ops
+
+    def polygon(ncols):
+        mask = np.zeros((12, 12), dtype=bool)
+        mask[1:11, 1:1 + ncols] = True
+        return grids.GridDomain(2, 0.1, (-0.55, -0.55), mask, "polygon-mask",
+                                (12.0, 12.0))
+
+    full, half = polygon(10), polygon(5)
+    assert full.descriptor() != half.descriptor()
+    lam_full, J_full = ops.transverse_ground(full)
+    lam_half, J_half = ops.transverse_ground(half)
+    assert (len(J_full), len(J_half)) == (100, 50)
+    assert lam_half > lam_full + 10.0

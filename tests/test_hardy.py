@@ -197,3 +197,27 @@ def test_large_b_experiment(sec2d):
     assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
     assert rep["conclusive"]
     assert rows[-1]["empty"]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_straight_tube_is_the_full_operator_at_eps_1(dim):
+    # the Hardy tube and the curvilinear assembly share one field orientation
+    from magtube import operators as ops
+
+    b = 1.3
+    if dim == 2:
+        section = grids.interval(1.0, 1 / 20)
+        field = geo.AmbientField2D((((0.3, 0.2), 3.0, 1.0),))
+    else:
+        section = grids.square(1.0, 1 / 5)
+        field = geo.CurlPotentialField3D((
+            (0, geo.TensorBump3((0.5, 0.0, 0.0), (2.5, 2.0, 2.0)), 0.8),
+            (2, geo.TensorBump3((0.0, 0.2, -0.1), (3.0, 3.0, 3.0)), 1.0),
+        ))
+    curve = geo.CurveProfile(dim=dim, S=8.0, ds=0.1)
+    tube = geo.TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
+    assemble = ops.assemble_full_2d if dim == 2 else ops.assemble_full_3d
+    full = assemble(tube, field, shifted=False).matrix
+    H = hardy._straight_tube_matrix(section, field, b,
+                                    ops.axis_grid(curve).nodes, False)
+    assert abs(full - H).max() <= 1e-13 * abs(full).max()

@@ -149,17 +149,6 @@ def test_cli_cache_commands(tmp_path, capsys):
     assert xs.cache_inspect(cache) == []
 
 
-def test_threaded_run_matches_serial(tmp_path):
-    cfg_path = write_config(tmp_path / "hardy.ini",
-                            MINI_HARDY.format(out=tmp_path / "t1"))
-    cfg = ExperimentConfig.load(cfg_path)
-    run(cfg, out_dir=str(tmp_path / "t1"), threads=1)
-    run(cfg, out_dir=str(tmp_path / "t2"), threads=3)
-    a = (tmp_path / "t1" / "hardy_certificates.csv").read_bytes()
-    b = (tmp_path / "t2" / "hardy_certificates.csv").read_bytes()
-    assert a == b
-
-
 def test_svg_writer_stable():
     p1 = LinePlot(title="t", xlabel="x", ylabel="y", xlog=True, ylog=True)
     p1.add_series("a", [0.1, 0.01], [1.0, 0.1])
@@ -236,6 +225,7 @@ beta = 0.2 1.0 0.5
 [regime]
 eps = 0.1
 delta = 1
+K = 50
 
 [solver]
 k = 2
@@ -252,6 +242,7 @@ k = 2
         cols = table.columns
         assert cols[:4] == ["eps", "delta", "b", "K"]
         assert "discrete" in cols
+        assert [row[3] for row in table.rows] == [50.0, 50.0]
 
 
 def test_runner_asymptotics_kind(tmp_path):

@@ -215,3 +215,22 @@ def test_constants_cache_roundtrip(tmp_path):
     entries = xs.cache_inspect(cache)
     assert len(entries) == 1
     assert xs.cache_clear(cache) == 1
+
+
+def test_warm_cache_writes_the_cold_bytes(tmp_path):
+    from magtube.config import ExperimentConfig
+    from magtube.runner import run
+
+    path = tmp_path / "xs.ini"
+    path.write_text(
+        "[experiment]\nversion = 1\nkind = xsection\nseed = 7\n"
+        "[section]\nshape = interval\nh = 0.05\nhalf_width = 1.0\n"
+        f"[solver]\ncache_dir = {tmp_path / 'cache'}\n")
+    cfg = ExperimentConfig.load(str(path))
+    csv = []
+    for name in ("cold", "warm"):
+        xs._MEMO.clear()  # a fresh process: only the disk cache persists
+        run(cfg, out_dir=str(tmp_path / name))
+        csv.append((tmp_path / name / "xsection_constants.csv").read_bytes())
+    assert b"effective_coefficient_measured" in csv[0]
+    assert csv[1] == csv[0]
