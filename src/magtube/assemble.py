@@ -185,7 +185,7 @@ def banded_cholesky(matrix: sp.spmatrix):
 def lowest_eigenpairs(
     matrix: sp.spmatrix,
     k: int = 1,
-    sigma: float | None = 0.0,
+    sigma: float = 0.0,
     seed: int = 7,
     tol: float = 0.0,
     dense_threshold: int = 3000,
@@ -193,11 +193,15 @@ def lowest_eigenpairs(
 ):
     """k lowest eigenpairs of a Hermitian sparse matrix.
 
-    Shift-invert Lanczos with scipy's internal SuperLU factor of
+    Shift-invert Lanczos whose OPinv is the banded Cholesky solve of
     ``matrix - sigma``; dense fallback below ``dense_threshold`` unknowns.
-    The callers' interior shifts (segment, large-b, deformation) may make
-    that matrix indefinite, which rules out a Cholesky factor here.
-    Deterministic given the seed.
+    Every caller shifts below the spectrum (sigma = 0 on the shifted tube
+    operators and the cross sections; 0.5 lam1(omega) on the segment and
+    large-b tubes, whose floor is lam1(omega) by the diamagnetic
+    inequality), so the factor exists.  By Sylvester's law of inertia it
+    proves that no eigenvalue lies below sigma, which makes the k pairs
+    nearest sigma the k lowest.  A sigma above the bottom of the spectrum
+    raises NotPositiveDefinite.  Deterministic given the seed.
     """
     n = matrix.shape[0]
     if k >= n:
@@ -207,19 +211,28 @@ def lowest_eigenpairs(
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:k], vecs[:, :k]
     else:
+        try:
+            solve = banded_cholesky(matrix - sigma * sp.eye(n, format="csr"))
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
+                pivot=exc.pivot,
+            ) from exc
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(n)
         if np.iscomplexobj(matrix):
             v0 = v0 + 1j * rng.standard_normal(n)
         try:
             vals, vecs = sla.eigsh(
-                matrix.tocsc(),
+                matrix,
                 k=k,
                 sigma=sigma,
                 which="LM",
                 v0=v0,
                 tol=tol,
                 maxiter=maxiter,
+                OPinv=sla.LinearOperator(matrix.shape, matvec=solve,
+                                         dtype=matrix.dtype),
             )
         except ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)

@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_targets(tables) -> bool:
-    """Footer-driven pass/fail: fitted orders vs *_target keys, pass columns."""
+    """Footer-driven pass/fail: fitted orders vs target_order (nominal, 0.2
+    slack) and target_order_delta_<d> (lower bounds), pass columns."""
     ok = True
     for table in tables:
         target = table.footer.get("target_order")
@@ -53,6 +54,9 @@ def _check_targets(tables) -> bool:
             fitted = table.footer.get("fitted_order")
             if fitted is not None and fitted < float(target) - 0.2:
                 ok = False
+        for key, bound in table.footer.items():
+            if key.startswith("target_order_delta_"):
+                ok &= table.footer["fitted" + key[len("target"):]] >= bound
         if "pass" in table.columns:
             idx = table.columns.index("pass")
             ok &= all(bool(r[idx]) for r in table.rows)

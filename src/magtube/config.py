@@ -13,7 +13,8 @@ bump families use ``center width amplitude`` triplets joined by ';':
     [section]
     shape = interval | square | rectangle | disk | polygon
     h = 0.05
-    half_width / ax / ay / radius = ...   (per shape)
+    half_width / a / ax ay / radius = ... (interval / square / rectangle /
+                                           disk)
     file = mask.txt                       (polygon)
 
     [curve]
@@ -39,11 +40,12 @@ bump families use ``center width amplitude`` triplets joined by ';':
                                            default sup kappa^2/2 + 1)
 
     [solver]
-    k = 1 / tol = 1e-3 / R = 2 / L = 10 / J = 2 / mode = 1 /
-    amplitudes = 0.05 0.1 0.2 / mode_kind = galerkin|coefficient /
-    coefficient = measured|printed
+    k = 1 / tol = 1e-3 / R = 2 / L = 10 / ds = 0.05 / J = 2 / mode = 1 /
+    coefficient = measured|printed / cache_dir = DIR /
+    amplitudes = 0.05 0.1 0.2 / b_deform / shift_center / shift_width
 
 Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
+A section or key not listed here is a ConfigError: no code reads it.
 """
 
 from __future__ import annotations
@@ -60,6 +62,18 @@ KINDS = (
     "xsection", "full2d", "full3d", "effective", "nrc-sweep",
     "asymptotics", "hardy", "stability",
 )
+
+# Every key the builders below and the runners read, per section.
+KEYS = {
+    "experiment": {"version", "kind", "seed", "out"},
+    "section": {"shape", "h", "half_width", "a", "ax", "ay", "radius", "file"},
+    "curve": {"dim", "s", "ds", "kappa", "kappa2", "kappa3", "theta_prime"},
+    "field": {"kind", "beta", "bumps", "comp", "beta23", "beta13", "beta12"},
+    "regime": {"eps", "delta", "b", "k"},
+    "solver": {"k", "tol", "r", "l", "ds", "j", "mode", "coefficient",
+               "cache_dir", "amplitudes", "b_deform", "shift_center",
+               "shift_width"},
+}
 
 
 def _floats(text: str) -> list:
@@ -99,6 +113,13 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config parse failure: {exc}") from exc
         raw = {s: dict(parser[s]) for s in parser.sections()}
+        for section, keys in raw.items():
+            if section not in KEYS:
+                raise ConfigError(f"unknown section [{section}]")
+            unread = sorted(set(keys) - KEYS[section])
+            if unread:
+                raise ConfigError(f"unknown key(s) in [{section}]: "
+                                  f"{', '.join(unread)}")
         exp = raw.get("experiment", {})
         if exp.get("version", "") != "1":
             raise ConfigError("missing or unsupported schema version "
@@ -179,7 +200,7 @@ class ExperimentConfig:
     def build_curve(self) -> geo.CurveProfile:
         cur = self.raw.get("curve", {})
         dim = int(cur.get("dim", "2"))
-        S = float(cur.get("s", cur.get("S", "10.0")))
+        S = float(cur.get("s", "10.0"))
         ds = float(cur.get("ds", "0.05"))
         try:
             return geo.CurveProfile(

@@ -220,9 +220,8 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
     s_nodes = (-L + ds * np.arange(n_sub + 1))[1:-1]
     H = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=False)
     lam1_omega, _ = transverse_ground(section)
-    A = (H - lam1_omega * sp.eye(H.shape[0])).tocsc()
-    wdiag = np.repeat(1.0 / (1.0 + s_nodes**2), section.n)
-    W = sp.diags(wdiag).tocsc()
+    A = H - lam1_omega * sp.eye(H.shape[0])
+    W = sp.diags(np.repeat(1.0 / (1.0 + s_nodes**2), section.n))
     mu_min = _pencil_smallest(A, W, seed=5)
     if dense_check and A.shape[0] <= 6000:
         dense_vals = la.eigh(
@@ -241,24 +240,30 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
 def _pencil_smallest(A: sp.spmatrix, W: sp.spmatrix, seed: int = 5) -> float:
     """Smallest eigenvalue of the pencil A psi = mu W psi (A > 0, W > 0).
 
-    Shift-invert Lanczos on the generalized problem at sigma = 0 (inverse
-    iteration on the pencil).  A = H - lam1 on the Dirichlet tube is
-    positive definite (its floor is the longitudinal ground energy), so
-    OPinv = A^-1 is a banded Cholesky solve; a failed factor raises
-    NotPositiveDefinite.
+    Inverse iteration on the pencil: shift-invert at sigma = 0, whose factor
+    is the banded Cholesky factor of A itself.  A = H - lam1 on the
+    Dirichlet tube is positive definite (its floor is the longitudinal
+    ground energy); a failed factor raises NotPositiveDefinite.
     """
     rng = np.random.default_rng(seed)
     v0 = rng.standard_normal(A.shape[0])
     if np.iscomplexobj(A):
         v0 = v0 + 1j * rng.standard_normal(A.shape[0])
-    OPinv = sla.LinearOperator(A.shape, matvec=banded_cholesky(A),
-                               dtype=A.dtype)
-    return _generalized_nearest(A, W, 0.0, v0, OPinv=OPinv)
+    return _generalized_nearest(A, W, 0.0, v0)
 
 
-def _generalized_nearest(A, M, sigma: float, v0, OPinv=None) -> float:
-    """Eigenvalue of A psi = mu M psi nearest sigma (shift-invert Lanczos);
-    OPinv = (A - sigma M)^-1, factored by SuperLU when not given."""
+def _generalized_nearest(A, M, sigma: float, v0) -> float:
+    """Eigenvalue of A psi = mu M psi nearest sigma (shift-invert Lanczos).
+
+    OPinv is the banded Cholesky solve of A - sigma M.  The callers shift
+    below the pencil's spectrum: sigma = 0 on the positive Hardy pencil,
+    0.8 lam1(omega) on the deformed tube, whose lowest eigenvalue stays
+    near lam1(omega) at the amplitudes the factor admits.  A successful
+    factor proves A - sigma M positive definite, so the eigenvalue nearest
+    sigma is the lowest; a shift above it raises NotPositiveDefinite.
+    """
+    solve = banded_cholesky(A - sigma * M)
+    OPinv = sla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype)
     with warnings.catch_warnings():
         # ARPACK's generalized-mode bookkeeping casts the real Ritz values
         # through the complex work arrays
@@ -427,8 +432,7 @@ def deformation_experiment(section: GridDomain, field, b: float,
                                             a, L, ds=ds)
         rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
-        lam = _generalized_nearest(H.tocsc(), mass.tocsc(), 0.8 * lam1_omega,
-                                   v0)
+        lam = _generalized_nearest(H, mass, 0.8 * lam1_omega, v0)
         rows.append({
             "amplitude": a,
             "lam1": lam,
@@ -449,8 +453,8 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
     """Track the ground energy of the eps = 1 bent tube along the b schedule.
 
     pass = the lowest eigenvalue exceeds lam1(omega) - budget from some b_0
-    onward; the crossing intensity is reported (inconclusive if the schedule
-    ends first).
+    onward; the crossing intensity is the smallest scheduled b from which
+    every later row is empty (inconclusive if the last row is not).
     """
     from .operators import assemble_full_2d
 
@@ -460,7 +464,6 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
     S = tube.curve.S
     budget = 2.0 * (np.pi / (2 * S)) ** 2
     rows = []
-    crossing = None
     for b in b_schedule:
         regime = RegimeParams(eps=1.0, delta=0.0, b=float(b), K=tube.regime.K)
         tube_b = TubeSpec(tube.curve, tube.section, regime)
@@ -469,10 +472,13 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
         vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=0.5 * lam1_omega,
                                        seed=seed)
         lam = float(vals[0])
-        empty = lam >= lam1_omega - budget
-        if empty and crossing is None:
-            crossing = float(b)
-        rows.append({"b": float(b), "lam1": lam, "empty": empty})
+        rows.append({"b": float(b), "lam1": lam,
+                     "empty": lam >= lam1_omega - budget})
+    crossing = None
+    for row in reversed(rows):
+        if not row["empty"]:
+            break
+        crossing = row["b"]
     trend = np.polyfit([r["b"] for r in rows], [r["lam1"] for r in rows], 1)[0] \
         if len(rows) >= 2 else 0.0
     return {

@@ -203,6 +203,11 @@ def _run_spectrum(config, out, seed):
     return [table], []
 
 
+# Lower bounds on the fitted eps-order of the resolvent distance, per curve
+# dimension and delta: the thresholds of acceptance criterion 4.
+NRC_TARGET_ORDERS = {2: {0.0: 0.8, 0.5: 0.4, 1.0: 0.8}, 3: {0.0: 0.6, 1.0: 0.6}}
+
+
 def _run_nrc_sweep(config, out, seed):
     from . import geometry as geo, operators as ops
 
@@ -245,6 +250,9 @@ def _run_nrc_sweep(config, out, seed):
         fit = fit_order([r[1] for r in sub], [r[3] for r in sub])
         table.footer[f"fitted_order_delta_{delta:g}"] = fit.slope
         table.footer[f"fitted_order_ci95_delta_{delta:g}"] = fit.ci95
+        target = NRC_TARGET_ORDERS[curve.dim].get(delta)
+        if target is not None:
+            table.footer[f"target_order_delta_{delta:g}"] = target
         plot.add_series(f"delta={delta:g}", [r[1] for r in sub],
                         [r[3] for r in sub])
     table.footer["effective_mode"] = "galerkin"

@@ -72,6 +72,17 @@ def test_resolvent_distance_rejects_indefinite_shift(planar):
     assert 1 <= info.value.pivot <= op.n
 
 
+def test_lowest_eigenpairs_rejects_a_shift_above_the_spectrum(planar):
+    # the factor proves no eigenvalue lies below sigma; above the ground
+    # energy it fails instead of returning the eigenvalue nearest sigma
+    op = _complex_2d(planar)
+    assert op.n > 3000
+    lam0 = assemble.lowest_eigenpairs(op.matrix, k=1)[0][0]
+    with pytest.raises(NotPositiveDefinite, match="sigma = ") as info:
+        assemble.lowest_eigenpairs(op.matrix, k=1, sigma=lam0 + 0.5)
+    assert 1 <= info.value.pivot <= op.n
+
+
 def test_non_finite_matrix_rejected():
     mat = sp.diags([2.0, np.nan, 2.0]).tocsr()
     with pytest.raises(ValueError, match="non-finite"):
@@ -87,3 +98,10 @@ def test_band_memory_budget(planar, monkeypatch):
         banded_cholesky(op.matrix)
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
     banded_cholesky(op.matrix)
+
+
+def test_lowest_eigenpairs_respects_the_band_budget(planar, monkeypatch):
+    op = _complex_2d(planar)
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", op.n * 16)
+    with pytest.raises(GridBudgetError, match="exceeds the budget"):
+        assemble.lowest_eigenpairs(op.matrix, k=1)

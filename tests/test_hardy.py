@@ -148,8 +148,9 @@ def test_pure_reparametrization_is_inert(sec2d, field2d):
 
 
 def test_deformation_solve_releases_its_factor(sec2d, field2d):
-    # complex generalized shift-invert: scipy's ARPACK driver keeps its
-    # SuperLU factor in a reference cycle, which must not outlive the call
+    # complex generalized shift-invert: scipy's ARPACK driver keeps OPinv,
+    # whose closure holds the band factor, in a reference cycle, which must
+    # not outlive the call
     dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0))
     gc.collect()
     gc.disable()
@@ -157,7 +158,8 @@ def test_deformation_solve_releases_its_factor(sec2d, field2d):
         hardy.deformation_experiment(sec2d, field2d, 1.0, dspec, [0.1],
                                      L=6.0, ds=0.1)
         alive = [o for o in gc.get_objects()
-                 if type(o).__name__ == "SpLuInv"]
+                 if getattr(o, "__qualname__", None)
+                 == "banded_cholesky.<locals>.solve"]
     finally:
         gc.enable()
     assert alive == []
@@ -197,6 +199,27 @@ def test_large_b_experiment(sec2d):
     assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
     assert rep["conclusive"]
     assert rows[-1]["empty"]
+
+
+def test_large_b_crossing_needs_an_empty_tail(sec2d, monkeypatch):
+    # the crossing is the smallest b from which every later row is empty,
+    # not the first empty row
+    from magtube.operators import transverse_ground
+
+    lam1 = transverse_ground(sec2d)[0]
+    tube = geo.TubeSpec(geo.CurveProfile(dim=2, S=4.0, ds=0.2), sec2d,
+                        RegimeParams(eps=1.0, delta=0.0, b=0.0))
+    schedule = [0.0, 0.5, 1.0, 2.0, 4.0]
+    below, empty = lam1 - 1.0, lam1
+    for lams, crossing in (([below, empty, below, empty, empty], 2.0),
+                           ([below, empty, empty, empty, below], None)):
+        it = iter(lams)
+        monkeypatch.setattr(hardy, "lowest_eigenpairs",
+                            lambda *a, **kw: (np.array([next(it)]), None, None))
+        rep = hardy.large_b_experiment(tube, None, schedule)
+        assert [r["empty"] for r in rep["rows"]] == [lam == empty for lam in lams]
+        assert rep["crossing_b"] == crossing
+        assert rep["conclusive"] == (crossing is not None)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

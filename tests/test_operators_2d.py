@@ -178,19 +178,37 @@ def test_effective_bump_has_negative_mode(bent_setup):
     assert spec.eigenvalues[0] < 0.0
 
 
-def test_dense_vs_sparse_paths(rng):
+def _bent_planar_tube():
     sec = grids.interval(1.0, 1 / 20)
     curve = geo.CurveProfile(dim=2, S=2.5, ds=0.1,
                              kappa=geo.Profile.single(0.0, 1.0, 0.8))
     frame = geo.integrate_frame(curve)
     field = geo.FrameAlignedField2D(geo.Profile.single(0.0, 1.0, 0.5))
     op = ops.assemble_full_2d(make_tube(curve, sec, 0.2), field, frame)
+    return op.matrix, 0.0
+
+
+def _square_hardy_segment():
+    # complex 3D mixed Dirichlet/Neumann segment at the Hardy shift
+    from magtube import hardy
+
+    sec = grids.square(1.0, 0.25)
+    bump = geo.TensorBump3((0.0, 3.0, 0.0), (8.0, 4.5, 8.0))
+    field = geo.CurlPotentialField3D(((2, bump, 3.0),))
+    seg = hardy.assemble_segment(sec, field, 1.0, R=1.0, ds=0.125)
+    assert np.iscomplexobj(seg.op.matrix)
+    return seg.op.matrix, 0.5 * seg.lam1_omega
+
+
+def test_dense_vs_sparse_paths():
     from magtube.assemble import lowest_eigenpairs
 
-    v_dense, _, _ = lowest_eigenpairs(op.matrix, k=3, dense_threshold=10**9)
-    v_sparse, _, _ = lowest_eigenpairs(op.matrix, k=3, sigma=0.0,
-                                       dense_threshold=1)
-    assert np.abs(v_dense - v_sparse).max() < 1e-9
+    for build in (_bent_planar_tube, _square_hardy_segment):
+        matrix, sigma = build()
+        v_dense, _, _ = lowest_eigenpairs(matrix, k=3, dense_threshold=10**9)
+        v_sparse, _, _ = lowest_eigenpairs(matrix, k=3, sigma=sigma,
+                                           dense_threshold=1)
+        assert np.abs(v_dense - v_sparse).max() < 1e-10, build.__name__
 
 
 def test_resolvent_distance_identical_operators(bent_setup, axis_field):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,43 @@ def test_config_validation(tmp_path):
     )
     with pytest.raises(ConfigError):
         ExperimentConfig.load(increasing)
+
+
+def test_config_rejects_keys_no_code_reads(tmp_path, capsys):
+    # [regime] k_shift is the key the spectrum runner read before K
+    good = MINI_HARDY.format(out=tmp_path / "out")
+    for text, named in (
+        (good.replace("[regime]\n", "[regime]\nk_shift = 50\n"),
+         "[regime]: k_shift"),
+        (good.replace("[solver]\n", "[solver]\nmode_kind = galerkin\n"),
+         "[solver]: mode_kind"),
+        (good + "[solvers]\ntol = 1e-3\n", "[solvers]"),
+    ):
+        path = write_config(tmp_path / "extra.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main(["hardy", "--config", path]) == 2
+        assert named in capsys.readouterr().err
+
+
+def test_shipped_configs_load():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "configs").glob("*.ini"))
+    assert len(paths) == 7
+    for path in paths + [root / "perfbench" / "fixtures" / "hardy3d.ini"]:
+        ExperimentConfig.load(str(path))
+
+
+def test_check_targets_reads_the_nrc_order_footers():
+    table = ResultTable("nrc_distances", ["delta", "eps", "b", "distance",
+                                          "converged"])
+    table.footer.update({"fitted_order_delta_0": 0.85,
+                         "target_order_delta_0": 0.8,
+                         "fitted_order_delta_0.5": 0.45,
+                         "target_order_delta_0.5": 0.4})
+    assert cli._check_targets([table])
+    table.footer["fitted_order_delta_0.5"] = 0.35
+    assert not cli._check_targets([table])
 
 
 def test_result_table_formatting(tmp_path):
