@@ -13,7 +13,8 @@ Subcommands mirror the experiment kinds plus cache maintenance:
     magtube cache inspect|clear --dir CACHEDIR
 
 Exit codes: 0 pass, 1 computation error, 2 config error, 3 acceptance-check
-failure (a sweep whose fitted order or certificate misses its target).
+failure (a sweep whose fitted order or certificate misses its target, or a
+stability run whose large-b crossing is inconclusive).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_targets(tables) -> bool:
     """Footer-driven pass/fail: fitted orders vs target_order (nominal, 0.2
-    slack) and target_order_delta_<d> (lower bounds), pass columns."""
+    slack) and target_order_delta_<d> (lower bounds), ``conclusive``
+    footers, pass columns."""
     ok = True
     for table in tables:
         target = table.footer.get("target_order")
@@ -57,6 +59,8 @@ def _check_targets(tables) -> bool:
         for key, bound in table.footer.items():
             if key.startswith("target_order_delta_"):
                 ok &= table.footer["fitted" + key[len("target"):]] >= bound
+        if "conclusive" in table.footer:
+            ok &= bool(table.footer["conclusive"])
         if "pass" in table.columns:
             idx = table.columns.index("pass")
             ok &= all(bool(r[idx]) for r in table.rows)

@@ -588,6 +588,24 @@ def validate_tube(tube: TubeSpec, frame: FrameTrajectory | None = None,
 # -- gauges ------------------------------------------------------------------------
 
 
+def section_curvature(curve: CurveProfile, frame: FrameTrajectory,
+                      s_arr) -> np.ndarray:
+    """Axis curvature in the section frame, shape (len(s), dim - 1).
+
+    The metric factor is h = 1 - eps <tau, k(s)>.  2D: k = kappa.  3D, in the
+    section frame rotated by theta: k = (kappa2 cos theta + kappa3 sin theta,
+    -kappa2 sin theta + kappa3 cos theta).
+    """
+    s_arr = np.asarray(s_arr, dtype=float)
+    if curve.dim == 2:
+        return curve.kappa(s_arr)[:, None]
+    th = frame.at(s_arr)["theta"]
+    k2 = curve.kappa2(s_arr)
+    k3 = curve.kappa3(s_arr)
+    ca, sa = np.cos(th), np.sin(th)
+    return np.column_stack([k2 * ca + k3 * sa, -k2 * sa + k3 * ca])
+
+
 def _fine_axis(grid: np.ndarray, subdiv: int) -> np.ndarray:
     """Refine a uniform grid by an integer factor (keeps original nodes)."""
     step = grid[1] - grid[0]
@@ -692,14 +710,11 @@ class PulledField:
         )
         B = self.field.value(pos)
         curve = self.tube.curve
-        th = data["theta"]
-        k2 = curve.kappa2(s_arr)
-        k3 = curve.kappa3(s_arr)
-        ca, sa = np.cos(th), np.sin(th)
+        k = section_curvature(curve, self.frame, s_arr)
         hfac = (
             1.0
-            - t2[None, :, None] * (k2 * ca + k3 * sa)[:, None, None]
-            - t3[None, None, :] * (-k2 * sa + k3 * ca)[:, None, None]
+            - t2[None, :, None] * k[:, 0, None, None]
+            - t3[None, None, :] * k[:, 1, None, None]
         )
         tp = curve.theta_prime(s_arr)
         h2 = -t2[None, :, None] * tp[:, None, None] + 0.0 * t3[None, None, :]

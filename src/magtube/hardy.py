@@ -38,14 +38,17 @@ from .errors import DeformationTooLarge, ZeroFieldWarning
 from .geometry import (
     CurveProfile,
     Profile,
-    PulledField,
     TubeSpec,
     _cumint_from_zero,
-    gauge_3d,
     integrate_frame,
 )
 from .grids import GridDomain
-from .operators import TubeLattice, transverse_form, transverse_ground
+from .operators import (
+    TubeLattice,
+    _tube_matrix,
+    assemble_full_2d,
+    transverse_ground,
+)
 
 
 # -- cutoff pair and the explicit constant C -------------------------------------
@@ -89,19 +92,6 @@ def cutoff_constant(samples: int = 200001) -> float:
 # -- straight-tube magnetic operators ---------------------------------------------
 
 
-def _gauge_straight_2d(section: GridDomain, field, s_pts, subdiv: int = 4):
-    """A1(s, t) = int_0^t B(s, t') of the straight planar tube."""
-    tau = section.node_coords()
-    if getattr(field, "frame_aligned", False):
-        return field.beta(s_pts)[:, None] * tau[None, :]
-    step = section.h / subdiv
-    nfine = int(round((tau[-1] - tau[0]) / step))
-    tfine = tau[0] + step * np.arange(nfine + 1)
-    pos = np.stack(np.broadcast_arrays(s_pts[:, None], tfine[None, :]), axis=-1)
-    A1f = _cumint_from_zero(field.value(pos), tfine, axis=1)
-    return A1f[:, ::subdiv]
-
-
 @dataclass
 class SegmentProblem:
     """Mixed-boundary magnetic operator on Omega(R) = (-R, R) x omega."""
@@ -119,39 +109,21 @@ class SegmentProblem:
 
 
 def _straight_tube_matrix(section: GridDomain, field, b: float, s_nodes,
-                          neumann_ends: bool, subdiv: int = 4):
+                          neumann_ends: bool):
     """(-i grad + b A)^2 on s_nodes x omega, Dirichlet on the omega faces.
 
     With ``neumann_ends`` the end nodes are unknowns and the quadratic form
     simply omits outside links (natural magnetic Neumann: vanishing covariant
-    normal derivative); otherwise the ends are Dirichlet-eliminated.  The
-    field enters with the orientation of the curvilinear operators at
-    eps = 1: A1 of the planar gauge, the explicit 3D gauge in space.
+    normal derivative); otherwise the ends are Dirichlet-eliminated.  This is
+    the curvilinear tube operator of a straight curve at eps = 1, so the field
+    enters with its orientation and gauge.  Segment fields cover the whole
+    range on purpose: no support validation.
     """
     lat = TubeLattice(s_nodes, section, neumann_ends)
-    pulled = None
-    phases = None
-    if not (field is None or field.is_zero() or b == 0.0):
-        if section.dim == 1:
-            # (i d/ds + b A1)^2 = (-i d/ds - b A1)^2
-            a_link = -_gauge_straight_2d(section, field, lat.mids, subdiv=subdiv)
-        else:
-            S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + lat.ds
-            curve = CurveProfile(dim=3, S=S, ds=lat.ds)
-            tube = TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
-            # segment fields intentionally cover the whole range; skip the
-            # decaying-support validation of pullback_field
-            pulled = PulledField(field=field, frame=integrate_frame(curve),
-                                 tube=tube)
-            ax2, ax3 = section.axes
-            A1g, _, _ = gauge_3d(pulled, tube, lat.mids, ax2, ax3)
-            coords = section.node_coords()
-            i2 = np.rint((coords[:, 0] - ax2[0]) / section.h).astype(int)
-            i3 = np.rint((coords[:, 1] - ax3[0]) / section.h).astype(int)
-            a_link = A1g[:, i2, i3]
-        phases = (lat.ds * b * a_link).ravel()
-    mat = transverse_form(lat, pulled, 1.0, b)
-    return (mat + form_term(lat.axis_factor(phases))).tocsr()
+    S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + lat.ds
+    curve = CurveProfile(dim=section.dim + 1, S=S, ds=lat.ds)
+    tube = TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
+    return _tube_matrix(tube, lat, integrate_frame(curve), field).tocsr()
 
 
 def assemble_segment(section: GridDomain, field, b: float, R: float,
@@ -456,8 +428,6 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
     onward; the crossing intensity is the smallest scheduled b from which
     every later row is empty (inconclusive if the last row is not).
     """
-    from .operators import assemble_full_2d
-
     if frame is None:
         frame = integrate_frame(tube.curve)
     lam1_omega, _ = transverse_ground(tube.section)
@@ -467,8 +437,7 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
     for b in b_schedule:
         regime = RegimeParams(eps=1.0, delta=0.0, b=float(b), K=tube.regime.K)
         tube_b = TubeSpec(tube.curve, tube.section, regime)
-        op = assemble_full_2d(tube_b, field if b > 0 else None, frame,
-                              shifted=False)
+        op = assemble_full_2d(tube_b, field, frame, shifted=False)
         vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=0.5 * lam1_omega,
                                        seed=seed)
         lam = float(vals[0])

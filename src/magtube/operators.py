@@ -10,6 +10,12 @@ longitudinal factor of the (i d/ds + b A1) sandwich is composed with the
 metric multipliers node/link-wise.  Real symmetric matrices are produced
 whenever no magnetic or twist term is present.
 
+One builder, ``_tube_matrix``, writes the curvilinear tube operator
+    transverse covariant Laplacian + h^-1/2 X h^-1 X h^-1/2 - |k|^2/(4 h^2),
+h = 1 - eps <tau, k(s)>, once.  The planar tube is its case with one
+transverse direction (no twist, no R term); the straight Hardy tubes of
+:mod:`magtube.hardy` are its kappa = 0, eps = 1 case.
+
 Every tube operator lives on one :class:`TubeLattice`, the product of axis
 nodes and the section's interior nodes.  Unknowns are s-major: node
 (s_k, omega_j) has index k * nsec + j, so each operator is banded with
@@ -29,6 +35,7 @@ straight-tube approximation, used for discretization-matched rate sweeps).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +53,11 @@ from .assemble import (
     lowest_eigenpairs,
 )
 from .errors import GridBudgetError, SupportTruncationError
-from .geometry import FrameTrajectory, TubeSpec, integrate_frame, \
-    pullback_field, gauge_2d, gauge_3d, validate_tube
+from .geometry import FrameTrajectory, PulledField, TubeSpec, gauge_2d, \
+    gauge_3d, integrate_frame, pullback_field, section_curvature, validate_tube
 from .grids import GridDomain
-from .xsection import assemble_dirichlet_laplacian, lowest_modes
+from .xsection import PRINTED_T2_COEFFICIENT, angular_derivative, \
+    compute_constants
 
 GRID_BUDGET_3D = 300_000
 
@@ -186,16 +194,10 @@ def transverse_form(lat: TubeLattice, pulled=None, eps: float = 1.0,
     return mat
 
 
-_TRANSVERSE_MEMO: dict = {}
-
-
 def transverse_ground(section: GridDomain):
     """(lam1h, J1h) of the discrete Dirichlet Laplacian on the section."""
-    key = section.descriptor()
-    if key not in _TRANSVERSE_MEMO:
-        modes = lowest_modes(assemble_dirichlet_laplacian(section), 1)
-        _TRANSVERSE_MEMO[key] = (modes.lam1, modes.J1)
-    return _TRANSVERSE_MEMO[key]
+    consts = compute_constants(section, method="mask")
+    return consts.lam1, consts.J1
 
 
 def _check_support(tube: TubeSpec, field) -> None:
@@ -206,6 +208,91 @@ def _check_support(tube: TubeSpec, field) -> None:
         raise SupportTruncationError(
             f"supports reach |s| = {bound:.3f} > S/2 = {tube.curve.S / 2:.3f}"
         )
+
+
+def _validate(tube: TubeSpec, frame: FrameTrajectory) -> None:
+    """validate_tube with the overlap probe; each message becomes a warning."""
+    for message in validate_tube(tube, frame=frame).messages:
+        warnings.warn(message, stacklevel=3)
+
+
+# -- the curvilinear tube operator -------------------------------------------------
+
+
+def _tube_matrix(tube: TubeSpec, lat: TubeLattice, frame: FrameTrajectory,
+                 field, gauge_chi=None) -> sp.csr_matrix:
+    """Unshifted homogenized operator of a planar or spatial tube on ``lat``.
+
+    transverse_form + Y* diag(1/h) Y - |k|^2 / (4 h^2), with Y = X h^(-1/2),
+    h = 1 - eps <tau, k> (k from :func:`section_curvature`) and the s-link
+    factor X = -i d/ds + b A1 - i theta' d_alpha + R, R = h3 b A2 + h2 b A3.
+    A planar tube has one transverse direction, A1 = -(the gauge_2d
+    potential) and neither twist nor R; the Hardy tubes are the straight
+    eps = 1 case.  A zero field or b = 0 leaves the matrix real.
+    ``gauge_chi`` (Dirichlet axis ends) shifts the link phases by
+    -b (chi(s_r) - chi(s_l)).  No validation.
+    """
+    sec = lat.section
+    curve = tube.curve
+    eps, b = tube.regime.eps, tube.regime.b
+    coords = sec.node_coords().reshape(sec.n, -1)
+
+    def metric(s_arr):
+        k = section_curvature(curve, frame, s_arr)
+        k_tau = k[:, :1] * coords[:, 0]
+        for j in range(1, sec.dim):
+            k_tau = k_tau + k[:, j:j + 1] * coords[:, j]
+        return k, 1.0 - eps * k_tau
+
+    k_node, h_node = metric(lat.nodes)
+    _, h_link = metric(lat.mids)
+    no_field = field is None or field.is_zero()
+    pulled = phases = r_mult = None
+    if b != 0.0 and not (no_field and gauge_chi is None):
+        if no_field:
+            a = np.zeros((len(lat.mids), sec.n))
+        elif sec.dim == 1:
+            # (i d/ds + b A1)^2 = (-i d/ds - b A1)^2
+            a = -gauge_2d(field, frame, tube, lat.mids, coords[:, 0])
+        else:
+            pulled = PulledField(field=field, frame=frame, tube=tube)
+            i2, i3 = (np.rint((coords[:, j] - sec.axes[j][0]) / sec.h)
+                      .astype(int) for j in (0, 1))
+            a, A2, A3 = (A[:, i2, i3] for A in
+                         gauge_3d(pulled, tube, lat.mids, *sec.axes))
+            tp = curve.theta_prime(lat.mids)[:, None]
+            h2 = -eps * coords[None, :, 0] * tp
+            h3 = eps * coords[None, :, 1] * tp
+            r_mult = (h3 * b * A2 + h2 * b * A3).ravel()
+        phases = lat.ds * b * a
+        if gauge_chi is not None:
+            s_ext = np.concatenate([[lat.nodes[0] - lat.ds], lat.nodes,
+                                    [lat.nodes[-1] + lat.ds]])
+            chi = np.asarray(gauge_chi(s_ext), dtype=float)
+            phases = phases - b * (chi[1:] - chi[:-1])[:, None]
+        phases = phases.ravel()
+    X = lat.axis_factor(phases)
+    if not curve.theta_prime.is_zero:
+        X = X + _twist_term(lat, curve.theta_prime(lat.mids))
+    if r_mult is not None and np.abs(r_mult).max() > 0:
+        X = X + sp.diags(r_mult) @ lat.link_average()
+    # the planar operator's arithmetic (h**-0.5, its square on the links,
+    # h**-2.0 in the potential): the asymptotics sweep reads eigenvalue
+    # differences that cancel to 1e-9 of their size, so the planar matrices
+    # must not move in their last bits; spatial tubes round 1/h this way too
+    Y = X @ sp.diags((h_node**-0.5).ravel())
+    V = -0.25 * (k_node**2).sum(axis=1)[:, None] * h_node**-2.0
+    return (transverse_form(lat, pulled, eps, b)
+            + form_term(Y, weights=((h_link**-0.5) ** 2).ravel())
+            + sp.diags(V.ravel()))
+
+
+def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:
+    """-i theta' d_alpha, with d_alpha averaged from the nodes onto s-links."""
+    Dal = sp.kron(sp.eye(lat.ns), angular_derivative(lat.section).matrix,
+                  format="csr")
+    tw = np.repeat(tp_mid, lat.nsec)
+    return (-1j) * sp.diags(tw) @ (lat.link_average() @ Dal)
 
 
 # -- 2D assemblies ----------------------------------------------------------------
@@ -225,38 +312,11 @@ def assemble_full_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
     _check_support(tube, field)
     if frame is None:
         frame = integrate_frame(tube.curve)
-    validate_tube(tube, frame=None)
-    ax = axis_grid(tube.curve)
-    sec = tube.section
-    if sec.dim != 1:
+    _validate(tube, frame)
+    if tube.section.dim != 1:
         raise ValueError("2D tube needs a 1D cross section")
-    lat = ax.lattice(sec)
-    tau = sec.node_coords()
-    ntau = sec.n
-    eps, b = tube.regime.eps, tube.regime.b
-    kap_n = tube.curve.kappa(ax.nodes)
-    kap_m = tube.curve.kappa(ax.mids)
-    m_node = (1.0 - eps * np.outer(kap_n, tau)) ** (-0.5)
-    m_link = (1.0 - eps * np.outer(kap_m, tau)) ** (-0.5)
-    V = -0.25 * kap_n[:, None] ** 2 * (1.0 - eps * np.outer(kap_n, tau)) ** (-2.0)
-    zero_field = (field is None or field.is_zero()) and gauge_chi is None
-    phases = None
-    if not zero_field:
-        if field is None or field.is_zero():
-            A1 = np.zeros((len(ax.mids), ntau))
-        else:
-            A1 = gauge_2d(field, frame, tube, ax.mids, tau)
-        phases = (-ax.ds * b * A1)  # (i d/ds + bA1)^2 = (-i d/ds - bA1)^2
-        if gauge_chi is not None:
-            s_ext = np.concatenate([[ax.nodes[0] - ax.ds], ax.nodes,
-                                    [ax.nodes[-1] + ax.ds]])
-            chi = np.asarray(gauge_chi(s_ext), dtype=float)
-            dchi = chi[1:] - chi[:-1]
-            phases = phases - b * dchi[:, None]
-        phases = phases.ravel()
-    Y = lat.axis_factor(phases) @ sp.diags(m_node.ravel())
-    kin_s = form_term(Y, weights=(m_link**2).ravel())
-    mat = kin_s + transverse_form(lat, eps=eps) + sp.diags(V.ravel())
+    ax = axis_grid(tube.curve)
+    mat = _tube_matrix(tube, ax.lattice(tube.section), frame, field, gauge_chi)
     return _tube_operator(mat, tube, ax, shifted, "full2d")
 
 
@@ -356,8 +416,6 @@ def assemble_effective_2d(tube: TubeSpec, field, constants=None,
             frame = integrate_frame(tube.curve)
         pot = -0.25 * tube.curve.kappa(ax.nodes) ** 2
         if critical and field is not None and not field.is_zero():
-            from .xsection import PRINTED_T2_COEFFICIENT, compute_constants
-
             if constants is None:
                 constants = compute_constants(tube.section)
             c_B = (
@@ -386,16 +444,6 @@ def assemble_effective_2d(tube: TubeSpec, field, constants=None,
 # -- 3D assemblies ----------------------------------------------------------------
 
 
-def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:
-    """-i theta' d_alpha, with d_alpha averaged from the nodes onto s-links."""
-    from .xsection import angular_derivative
-
-    Dal = sp.kron(sp.eye(lat.ns), angular_derivative(lat.section).matrix,
-                  format="csr")
-    tw = np.repeat(tp_mid, lat.nsec)
-    return (-1j) * sp.diags(tw) @ (lat.link_average() @ Dal)
-
-
 def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
                      shifted: bool = True, budget: int = GRID_BUDGET_3D
                      ) -> AssembledOperator:
@@ -408,70 +456,16 @@ def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None
     _check_support(tube, field)
     if frame is None:
         frame = integrate_frame(tube.curve)
-    validate_tube(tube, frame=None)
-    ax = axis_grid(tube.curve)
-    sec = tube.section
-    if sec.dim != 2:
+    _validate(tube, frame)
+    if tube.section.dim != 2:
         raise ValueError("3D tube needs a 2D cross section")
-    lat = ax.lattice(sec)
-    nsec = sec.n
-    n = lat.n
-    if n > budget:
+    ax = axis_grid(tube.curve)
+    lat = ax.lattice(tube.section)
+    if lat.n > budget:
         raise GridBudgetError(
-            f"{n} unknowns exceed the 3D budget {budget}; coarsen ds or h"
+            f"{lat.n} unknowns exceed the 3D budget {budget}; coarsen ds or h"
         )
-    eps, b = tube.regime.eps, tube.regime.b
-    curve = tube.curve
-    coords = sec.node_coords()
-    t2n, t3n = coords[:, 0], coords[:, 1]
-    zero_field = field is None or field.is_zero()
-    pulled = None if zero_field else pullback_field(field, frame, tube)
-
-    def h_factor(s_arr, tau2, tau3):
-        th = frame.at(s_arr)["theta"]
-        k2 = curve.kappa2(s_arr)
-        k3 = curve.kappa3(s_arr)
-        ca, sa = np.cos(th), np.sin(th)
-        return (
-            1.0
-            - eps * tau2 * (k2 * ca + k3 * sa)
-            - eps * tau3 * (-k2 * sa + k3 * ca)
-        )
-
-    mat = transverse_form(lat, pulled, eps, b)
-
-    # longitudinal sandwich
-    h_node = h_factor(
-        np.repeat(ax.nodes, nsec), np.tile(t2n, ax.ns), np.tile(t3n, ax.ns)
-    )
-    h_link = h_factor(
-        np.repeat(ax.mids, nsec), np.tile(t2n, ax.ns + 1), np.tile(t3n, ax.ns + 1)
-    )
-    if zero_field:
-        phases = None
-        Rmult = None
-    else:
-        box_axes = sec.axes
-        A1g, A2g, A3g = gauge_3d(pulled, tube, ax.mids, box_axes[0], box_axes[1])
-        i2 = np.rint((t2n - box_axes[0][0]) / sec.h).astype(int)
-        i3 = np.rint((t3n - box_axes[1][0]) / sec.h).astype(int)
-        A1_link = A1g[:, i2, i3]          # (ns+1, nsec)
-        A2_link = A2g[:, i2, i3]
-        A3_link = A3g[:, i2, i3]
-        phases = (ax.ds * b * A1_link).ravel()
-        tp_mid = curve.theta_prime(ax.mids)
-        h2_link = -eps * t2n[None, :] * tp_mid[:, None]
-        h3_link = eps * t3n[None, :] * tp_mid[:, None]
-        Rmult = (h3_link * b * A2_link + h2_link * b * A3_link).ravel()
-    X = lat.axis_factor(phases)
-    if not curve.theta_prime.is_zero:
-        X = X + _twist_term(lat, curve.theta_prime(ax.mids))
-    if Rmult is not None and np.abs(Rmult).max() > 0:
-        X = X + sp.diags(Rmult) @ lat.link_average()
-    Y = X @ sp.diags(h_node**-0.5)
-    mat = mat + form_term(Y, weights=1.0 / h_link)
-    kap2 = curve.kappa_mag(np.repeat(ax.nodes, nsec)) ** 2
-    mat = mat + sp.diags(-0.25 * kap2 / h_node**2)
+    mat = _tube_matrix(tube, lat, frame, field)
     return _tube_operator(mat, tube, ax, shifted, "full3d")
 
 
@@ -512,8 +506,6 @@ def assemble_effective_3d(tube: TubeSpec, field, constants=None,
     (-i d/ds + a)^2 - a^2 + theta'^2 p + second-moment potential with
     a = -(B12 m2 + B13 m3), valid for reflection-symmetric sections.
     """
-    from .xsection import compute_constants
-
     if frame is None:
         frame = integrate_frame(tube.curve)
     ax = axis_grid(tube.curve)

@@ -167,20 +167,17 @@ def test_deformation_solve_releases_its_factor(sec2d, field2d):
 
 def test_straight_gauges_one_call_match_per_line_loop(sec2d, field2d,
                                                        per_line_gauges):
-    s_pts = np.linspace(-3.0, 3.0, 121)
     dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0),
                                   E1=geo.Profile.single(1.0, 2.0, 0.3))
 
     def gauged():
         H, _, _ = hardy.assemble_deformed_tube(sec2d, field2d, 1.0, dspec,
                                                0.2, L=4.0)
-        return hardy._gauge_straight_2d(sec2d, field2d, s_pts), H
+        return H
 
-    A1, H = gauged()
+    H = gauged()
     per_line_gauges()
-    A1_want, H_want = gauged()
-    assert np.array_equal(A1, A1_want)
-    assert (H != H_want).nnz == 0
+    assert (H != gauged()).nnz == 0
 
 
 def test_large_b_experiment(sec2d):

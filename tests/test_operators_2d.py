@@ -285,3 +285,16 @@ def test_first_approximation_resolvent_decay(bent_setup, axis_field):
 
     fit = fit_order([0.2, 0.1, 0.05], dists)
     assert fit.slope >= 0.8
+
+
+def test_assembly_warns_on_a_sampled_overlap():
+    # the hairpin of test_validate_tube_hairpin_warning: the assembly runs
+    # the overlap probe on the frame it holds and warns
+    width = 2.0
+    curve = geo.CurveProfile(dim=2, S=10.0, ds=0.05, kappa=geo.Profile.single(
+        0.0, width, np.pi / (width * 0.888022)))
+    tube = geo.TubeSpec(curve, grids.interval(1.0, 0.1),
+                        RegimeParams(eps=0.45))
+    with pytest.warns(UserWarning, match="approach"):
+        op = ops.assemble_full_2d(tube, None)
+    assert op.n == 399 * 19

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from magtube import geometry as geo, grids, operators as ops
 from magtube.assemble import RegimeParams
@@ -87,6 +88,26 @@ def test_full3d_hermitian_with_field_and_twist(square_sec, field3d, bent3d):
                               frame)
     assert op.is_complex
     assert op.hermiticity_defect() <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.1])
+def test_one_row_spatial_tube_is_the_planar_tube(eps):
+    # one section row at tau3 = 0 and curvature in kappa2 only: the spatial
+    # operator is the planar one plus the row's Dirichlet term 2 eps^-2 / h^2
+    h = 1 / 20
+    kappa = geo.Profile.single(0.0, 2.0, 1.2)
+    planar = geo.TubeSpec(geo.CurveProfile(dim=2, S=8.0, ds=0.1, kappa=kappa),
+                          grids.interval(1.0, h), RegimeParams(eps=eps))
+    spatial = geo.TubeSpec(geo.CurveProfile(dim=3, S=8.0, ds=0.1,
+                                            kappa2=kappa),
+                           grids.rectangle(1.0, h, h), RegimeParams(eps=eps))
+    for shifted in (False, True):
+        A2 = ops.assemble_full_2d(planar, None, shifted=shifted).matrix
+        A3 = ops.assemble_full_3d(spatial, None, shifted=shifted).matrix
+        if not shifted:
+            A3 = A3 - 2 * eps**-2 / h**2 * sp.eye(A3.shape[0])
+        assert A3.shape == A2.shape
+        assert abs(A3 - A2).max() <= 1e-13 * abs(A2).max()
 
 
 def test_budget_guard(square_sec):

@@ -10,7 +10,7 @@ import pytest
 
 from magtube import cli
 from magtube.config import ExperimentConfig
-from magtube.errors import ConfigError, FitDomainError
+from magtube.errors import ConfigError, FitDomainError, ZeroFieldWarning
 from magtube.fitting import fit_order
 from magtube.runner import ResultTable, run
 from magtube.svgplot import LinePlot
@@ -124,6 +124,30 @@ def test_check_targets_reads_the_nrc_order_footers():
     assert not cli._check_targets([table])
 
 
+def test_check_targets_reads_the_conclusive_footer():
+    table = ResultTable("large_b", ["b", "lam1", "discrete_empty"])
+    table.footer["conclusive"] = False
+    assert not cli._check_targets([table])
+    table.footer["conclusive"] = True
+    assert cli._check_targets([table])
+
+
+def test_hardy_runner_certifies_b_0(tmp_path):
+    # b = 0 solves the (real, positive definite) pencil like every other b
+    from magtube import hardy
+
+    cfg = ExperimentConfig.load(write_config(
+        tmp_path / "hardy.ini", MINI_HARDY.format(out=tmp_path / "out")))
+    table = run(cfg, out_dir=str(tmp_path / "out"))["tables"][0]
+    row = dict(zip(table.columns, table.rows[0]))
+    assert row["b"] == 0.0
+    with pytest.warns(ZeroFieldWarning):
+        cert = hardy.verify_hardy(cfg.build_section(), cfg.build_field(), 0.0,
+                                  R=2.0, L=8.0, ds=0.1)
+    assert row["mu_min"] == cert.mu_min > 0
+    assert row["margin"] == cert.margin and row["pass"]
+
+
 def test_result_table_formatting(tmp_path):
     t = ResultTable("demo", ["a", "b"])
     t.add(1.0 / 3.0, True)
@@ -227,9 +251,11 @@ def test_partial_flush_on_sweep_failure(tmp_path):
         "[experiment]\nversion = 1\nkind = hardy\nseed = 7\n"
         f"out = {tmp_path / 'bad_out'}\n"
         "[section]\nshape = interval\nh = 0.1\nhalf_width = 1.0\n"
-        "[field]\nkind = ambient2d\nbumps = 0.0 0.0 6.0 1.0\n"
+        # a bump narrower than the gauge quadrature step: b = 0 needs no
+        # gauge and certifies, b = 0.5 fails
+        "[field]\nkind = ambient2d\nbumps = 0.0 0.0 0.05 1.0\n"
         "[regime]\nb = 0 0.5 2\n"
-        "[solver]\nr = 2.0\nl = 4.0\nds = 0.1\n",  # L < 4R: point failure
+        "[solver]\nr = 2.0\nl = 8.0\nds = 0.1\n",
     )
     cfg = ExperimentConfig.load(bad_cfg)
     with pytest.raises(PartialFailure) as err:
