@@ -92,13 +92,6 @@ class GridDomain:
             self.lo[d] + self.h * np.arange(self.mask.shape[d]) for d in range(self.dim)
         )
 
-    @property
-    def bounding_box(self) -> tuple:
-        return tuple(
-            (self.lo[d], self.lo[d] + self.h * (self.mask.shape[d] - 1))
-            for d in range(self.dim)
-        )
-
     def node_coords(self) -> np.ndarray:
         """Coordinates of interior nodes, shape (n,) in 1D or (n, 2) in 2D."""
         if self.dim == 1:
@@ -119,9 +112,6 @@ class GridDomain:
         full = np.zeros(self.mask.shape, dtype=np.asarray(u).dtype)
         full[self.mask] = u
         return full
-
-    def restrict(self, full) -> np.ndarray:
-        return np.asarray(full)[self.mask]
 
     # -- lattice links -------------------------------------------------------
 

@@ -60,6 +60,11 @@ from .xsection import PRINTED_T2_COEFFICIENT, angular_derivative, \
     compute_constants
 
 GRID_BUDGET_3D = 300_000
+# Krylov dimension of a warm-started resolvent Lanczos.  A start near the
+# maximizer converges in a handful of matvecs, and each restart of a small
+# basis costs few solves.  Cold starts keep ARPACK's default of 20: with 6,
+# the clustered top of nrc2d's first points took 355-403 matvecs, not 131.
+WARM_NCV = 6
 
 
 # -- grids along the axis --------------------------------------------------------
@@ -581,7 +586,7 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
                        embedding: sp.spmatrix | None = None,
                        dvol_ratio: float | None = None,
                        tol: float = 1e-3, seed: int = 11,
-                       maxiter: int = 6000):
+                       maxiter: int = 6000, v0: np.ndarray | None = None):
     """Operator norm of A^-1 - E B^-1 E* (both shifted positive definite).
 
     E is the isometric J1-fiber embedding when B lives on the 1D axis grid;
@@ -591,6 +596,17 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     factored by banded Cholesky: the shift makes them positive definite, and
     in s-major order their bandwidth is the section size.  A shift that
     fails to do so raises NotPositiveDefinite.
+
+    Without ``v0`` Lanczos starts from a random vector drawn from ``seed``
+    with ARPACK's default Krylov dimension.  A ``v0`` (say, the maximizer of
+    a neighbouring sweep point) is a warm start: Lanczos starts from it with
+    a Krylov dimension of WARM_NCV.
+
+    Returns ``(dist, info)``.  ``info["vector"]`` is the maximizer,
+    ``info["matvecs"]`` the number of applications of the difference (the
+    probe included).  ``info["converged"]`` is False when ARPACK ran out of
+    iterations but returned a Ritz pair, which then gives ``dist``; without
+    one, ArpackNoConvergence propagates.
     """
     complex_path = opA.is_complex or opB.is_complex
     dtype = complex if complex_path else float
@@ -605,8 +621,11 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
         dvol_ratio = sec.h**sec.dim
     if embedding is not None:
         embedding_h = embedding.getH()
+    matvecs = 0
 
     def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
         x = x.astype(dtype)
         out = solve_A(x)
         if embedding is not None:
@@ -617,30 +636,25 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
         return out
 
     lin = sla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    info = {"converged": True}
-    probe = matvec(v0 / np.linalg.norm(v0))
+    ncv = None
+    if v0 is None:
+        v0 = np.random.default_rng(seed).standard_normal(n)
+    else:
+        v0 = np.asarray(v0)
+        v0 = (v0 if complex_path else v0.real).astype(dtype)
+        ncv = WARM_NCV
+    start = v0 / np.linalg.norm(v0)
+    probe = matvec(start)
     if np.linalg.norm(probe) < 1e-14:
-        return float(np.linalg.norm(probe)), info
+        return float(np.linalg.norm(probe)), {
+            "converged": True, "vector": start, "matvecs": matvecs}
+    converged = True
     try:
-        vals = sla.eigsh(lin, k=1, which="LM", tol=tol, maxiter=maxiter,
-                         v0=v0, return_eigenvectors=False)
-        dist = float(abs(vals[0]))
-    except (sla.ArpackNoConvergence, sla.ArpackError) as exc:
-        # power-iteration fallback with an error bar from the last sweep
-        x = v0 / np.linalg.norm(v0)
-        prev = 0.0
-        for _ in range(200):
-            y = matvec(x)
-            cur = float(np.linalg.norm(y))
-            if cur == 0.0:
-                break
-            x = y / cur
-            if abs(cur - prev) < tol * max(cur, 1e-300):
-                break
-            prev = cur
-        dist = float(abs(np.vdot(x, matvec(x))))
-        info = {"converged": False, "error_bar": abs(cur - prev),
-                "detail": str(exc)}
-    return dist, info
+        vals, vecs = sla.eigsh(lin, k=1, which="LM", tol=tol, ncv=ncv,
+                               maxiter=maxiter, v0=v0)
+    except sla.ArpackNoConvergence as exc:
+        if len(exc.eigenvalues) == 0:
+            raise
+        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
+    return float(abs(vals[0])), {"converged": converged,
+                                 "vector": vecs[:, 0], "matvecs": matvecs}

@@ -224,8 +224,14 @@ def _run_nrc_sweep(config, out, seed):
     )
     plot = LinePlot(title="norm-resolvent distance", xlabel="eps",
                     ylabel="|| inv difference ||", xlog=True, ylog=True)
+    # Lanczos start vectors: the maximizer at the same eps from the previous
+    # delta, else the previous eps's at this delta; only the first point
+    # starts cold (from ``seed``).  The sweep order fixes every start.
+    maximizers = {}  # eps -> maximizer at the latest delta solved
+    previous = None
 
     def point(pt):
+        nonlocal previous
         delta, eps = pt
         tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta))
         if curve.dim == 2:
@@ -236,7 +242,9 @@ def _run_nrc_sweep(config, out, seed):
             opA = ops.assemble_full_3d(tube, fieldobj, frame)
             opB = ops.assemble_effective_3d(tube, fieldobj, frame=frame,
                                             mode="galerkin")
-        dist, info = ops.resolvent_distance(opA, opB, tol=tol, seed=seed)
+        dist, info = ops.resolvent_distance(
+            opA, opB, tol=tol, seed=seed, v0=maximizers.get(eps, previous))
+        previous = maximizers[eps] = info["vector"]
         return (delta, eps, tube.regime.b, dist, info["converged"])
 
     points = [(d, e) for d in delta_list for e in eps_list]

@@ -177,7 +177,10 @@ def test_criterion_3_eigenvalue_asymptotics(sweep_fixture):
 
 def test_criterion_4_norm_resolvent_rates(sweep_fixture):
     sec, curve, frame, field = sweep_fixture
+    # each Lanczos starts where the nrc-sweep runner starts it: from the
+    # maximizer at the same eps of the previous delta, else of the previous eps
     slopes = {}
+    maximizers, previous = {}, None
     for delta in (0.0, 0.5, 1.0):
         dists = []
         eps_list = [0.2, 0.1, 0.05, 0.025]
@@ -186,8 +189,10 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
             opA = ops.assemble_full_2d(tube, field, frame)
             opB = ops.assemble_effective_2d(tube, field, frame=frame,
                                             mode="galerkin")
-            d, info = ops.resolvent_distance(opA, opB)
+            d, info = ops.resolvent_distance(
+                opA, opB, v0=maximizers.get(eps, previous))
             assert info["converged"]
+            previous = maximizers[eps] = info["vector"]
             dists.append(d)
         slopes[delta] = fit_order(eps_list, dists).slope
     ok2d = (slopes[0.0] >= 0.8 and slopes[0.5] >= 0.4 and slopes[1.0] >= 0.8)
@@ -202,6 +207,7 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
     bump2 = geo.TensorBump3((0.5, 0.0, 0.0), (2.5, 2.0, 2.0))
     field3 = geo.CurlPotentialField3D(((0, bump2, 0.8), (2, bump, 1.0)))
     slopes3 = {}
+    maximizers, previous = {}, None
     for delta in (0.0, 1.0):
         dists = []
         eps_list3 = [0.2, 0.1, 0.05, 0.025]
@@ -210,7 +216,9 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
             opA = ops.assemble_full_3d(tube, field3, frame3)
             opB = ops.assemble_effective_3d(tube, field3, frame=frame3,
                                             mode="galerkin")
-            d, _ = ops.resolvent_distance(opA, opB)
+            d, info = ops.resolvent_distance(
+                opA, opB, v0=maximizers.get(eps, previous))
+            previous = maximizers[eps] = info["vector"]
             dists.append(d)
         slopes3[delta] = fit_order(eps_list3, dists).slope
     elapsed3 = time.monotonic() - t3

@@ -233,6 +233,61 @@ def test_resolvent_distance_decays(bent_setup, axis_field):
     assert dists[1] < 0.75 * dists[0]
 
 
+@pytest.fixture(scope="module")
+def small_pair():
+    """(full, galerkin effective) planar pair at (eps, delta), n = 1,121."""
+    sec = grids.interval(1.0, 1 / 20)
+    curve = geo.CurveProfile(dim=2, S=6.0, ds=0.1,
+                             kappa=geo.Profile.single(0.0, 1.0, 0.8))
+    frame = geo.integrate_frame(curve)
+    field = geo.FrameAlignedField2D(geo.Profile.single(0.2, 1.0, 0.5))
+
+    def pair(eps, delta):
+        tube = make_tube(curve, sec, eps, delta=delta)
+        return (ops.assemble_full_2d(tube, field, frame),
+                ops.assemble_effective_2d(tube, field, frame=frame,
+                                          mode="galerkin"))
+
+    return pair
+
+
+def test_resolvent_distance_restarts_from_its_maximizer(small_pair):
+    tol = 1e-3
+    opA, opB = small_pair(0.1, 1.0)
+    cold, info = ops.resolvent_distance(opA, opB, tol=tol)
+    assert info["converged"] and info["vector"].shape == (opA.n,)
+    warm, warm_info = ops.resolvent_distance(opA, opB, tol=tol,
+                                             v0=info["vector"])
+    assert warm_info["converged"]
+    assert abs(warm - cold) <= tol * cold
+    assert warm_info["matvecs"] <= 10 < info["matvecs"]
+
+
+def test_warm_distance_is_not_below_the_cold_one(small_pair):
+    # both are Ritz values, so lower bounds of the norm; a start from the
+    # neighbouring point's maximizer must not stop lower than a cold start
+    tol = 1e-3
+    maximizers, previous = {}, None
+    for delta in (0.0, 1.0):
+        for eps in (0.2, 0.1, 0.05):
+            opA, opB = small_pair(eps, delta)
+            cold, _ = ops.resolvent_distance(opA, opB, tol=tol)
+            warm, info = ops.resolvent_distance(
+                opA, opB, tol=tol, v0=maximizers.get(eps, previous))
+            assert info["converged"]
+            assert warm >= (1 - tol) * cold, (delta, eps)
+            previous = maximizers[eps] = info["vector"]
+
+
+def test_resolvent_lanczos_out_of_iterations_raises(small_pair):
+    # at k = 1 an unconverged ARPACK run has no Ritz pair to return
+    from scipy.sparse.linalg import ArpackNoConvergence
+
+    opA, opB = small_pair(0.1, 1.0)
+    with pytest.raises(ArpackNoConvergence):
+        ops.resolvent_distance(opA, opB, tol=1e-12, maxiter=1)
+
+
 def test_truncation_doubling_stability(bent_setup):
     # with supports inside [-S/2, S/2], doubling S moves the bound state by
     # far less than 1e-6 relative (exponential decay)

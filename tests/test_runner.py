@@ -352,13 +352,12 @@ mode = 1
     assert os.path.exists(tmp_path / "asym" / "quasimode_residuals.svg")
 
 
-def test_runner_nrc_kind_minimal(tmp_path):
-    text = f"""
+MINI_NRC = """
 [experiment]
 version = 1
 kind = nrc-sweep
 seed = 7
-out = {tmp_path / 'nrc'}
+out = {out}
 
 [section]
 shape = interval
@@ -376,13 +375,53 @@ beta = 0.2 1.2 0.5
 
 [regime]
 eps = 0.2 0.1 0.05
-delta = 1
+delta = {delta}
 
 [solver]
 tol = 1e-3
 """
+
+
+def test_runner_nrc_kind_minimal(tmp_path):
+    text = MINI_NRC.format(out=tmp_path / "nrc", delta="1")
     cfg = ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
     result = run(cfg, out_dir=str(tmp_path / "nrc"))
     table = result["tables"][0]
     assert table.footer["fitted_order_delta_1"] > 0.5
     assert os.path.exists(tmp_path / "nrc" / "nrc_distances.svg")
+
+
+def test_nrc_sweep_passes_start_vectors(tmp_path, monkeypatch):
+    # each point starts from the maximizer at the same eps of the previous
+    # delta, else of the previous eps at its delta; only the first is cold
+    from magtube import operators as ops
+
+    starts = []
+
+    def record(opA, opB, tol, seed, v0):
+        delta, eps = opA.regime.delta, opA.regime.eps
+        starts.append(((delta, eps), v0))
+        return eps * (1 + delta), {"converged": True,
+                                   "vector": ("maximizer", delta, eps)}
+
+    monkeypatch.setattr(ops, "resolvent_distance", record)
+    text = MINI_NRC.format(out=tmp_path / "nrc", delta="0 0.5 1")
+    run(ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text)),
+        out_dir=str(tmp_path / "nrc"))
+    expected = [((0.0, 0.2), None),
+                ((0.0, 0.1), ("maximizer", 0.0, 0.2)),
+                ((0.0, 0.05), ("maximizer", 0.0, 0.1))]
+    for prev, delta in ((0.0, 0.5), (0.5, 1.0)):
+        expected += [((delta, eps), ("maximizer", prev, eps))
+                     for eps in (0.2, 0.1, 0.05)]
+    assert starts == expected
+
+
+def test_nrc_sweep_reproducible_bytes(tmp_path):
+    # warm starts chain the points; the fixed sweep order keeps the bytes
+    text = MINI_NRC.format(out=tmp_path / "o1", delta="0 1")
+    cfg = ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
+    run(cfg, out_dir=str(tmp_path / "o1"))
+    run(cfg, out_dir=str(tmp_path / "o2"))
+    a = (tmp_path / "o1" / "nrc_distances.csv").read_bytes()
+    assert a == (tmp_path / "o2" / "nrc_distances.csv").read_bytes()
