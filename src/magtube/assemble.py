@@ -9,6 +9,10 @@ diamagnetic inequality at the matrix level.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -23,6 +27,78 @@ from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 # Band storage n (kd + 1) of one Cholesky factor.  The largest shipped case,
 # the 3D criterion-4 tube (n = 57,399, kd = 399, complex), needs 367 MB.
 BAND_BUDGET_BYTES = 2 * 1024**3
+
+# Bandwidth from which ?pbtrf gains from a second BLAS thread.  On 2 cores
+# (n = 15,000, complex) 2 threads take 3.6x the one-thread time at kd = 39,
+# 1.05x at kd = 192, 0.85x at kd = 256 and 0.66-0.74x at kd = 361-399.
+# Shipped 2D bands have kd 39-79, 3D bands kd 361-399.
+WIDE_BAND = 256
+
+
+# -- BLAS thread pools ------------------------------------------------------------
+
+# Counts each open blas_threads block found on entry; the first entry holds
+# the counts in force outside every block.  OpenBLAS pools are per process.
+_SAVED_COUNTS: list = []
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """(name, get, set) of every OpenBLAS pool mapped into the process:
+    numpy's libscipy_openblas64_, scipy's libscipy_openblas and a system
+    libopenblas.  Empty when there is none (MKL, Accelerate, no procfs)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split()[-1] for line in f if "openblas" in line}
+    except OSError:
+        return ()
+    pools = []
+    for path in sorted(p for p in paths if os.path.isfile(p)):
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                pools.append((os.path.basename(path), get, set_))
+                break
+    return tuple(pools)
+
+
+@contextlib.contextmanager
+def blas_threads(n: int | None):
+    """Run the block with every OpenBLAS pool at ``n`` threads, restoring
+    the previous counts on exit.  ``n = None`` selects the counts in force
+    outside the outermost open block (``OPENBLAS_NUM_THREADS`` unless a
+    caller set them).  Re-entrant and usable as a decorator; a no-op without
+    an OpenBLAS pool.  Not safe across Python threads: the pools are
+    process-wide."""
+    pools = _blas_pools()
+    saved = [get() for _, get, _ in pools]
+    if n is None:
+        target = _SAVED_COUNTS[0] if _SAVED_COUNTS else saved
+    else:
+        target = [n] * len(pools)
+    _SAVED_COUNTS.append(saved)
+    try:
+        for (_, _, set_), k in zip(pools, target):
+            set_(k)
+        yield
+    finally:
+        _SAVED_COUNTS.pop()
+        for (_, _, set_), k in zip(pools, saved):
+            set_(k)
+
+
+def blas_report() -> dict:
+    """Each OpenBLAS pool found, with the thread count that band factors of
+    kd >= WIDE_BAND get from it; all other solver work runs on one thread."""
+    pools = _blas_pools()
+    ambient = _SAVED_COUNTS[0] if _SAVED_COUNTS else [g() for _, g, _ in pools]
+    return {"pools": {name: k for (name, _, _), k in zip(pools, ambient)},
+            "wide_band": WIDE_BAND}
 
 
 @dataclass
@@ -152,6 +228,9 @@ def banded_cholesky(matrix: sp.spmatrix):
     checked once here, not on every solve.  Raises NotPositiveDefinite when
     a leading minor is not positive and GridBudgetError when the band would
     exceed BAND_BUDGET_BYTES.
+
+    A band narrower than WIDE_BAND is factored on one BLAS thread, a wider
+    one with the thread counts in force outside every blas_threads block.
     """
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
@@ -167,7 +246,8 @@ def banded_cholesky(matrix: sp.spmatrix):
     ab = np.zeros((kd + 1, n), dtype=upper.dtype, order="F")
     ab[kd + upper.row - upper.col, upper.col] = upper.data
     try:
-        cb = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        with blas_threads(1 if kd < WIDE_BAND else None):
+            cb = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except la.LinAlgError as exc:
         pivot = int(re.match(r"\d+", str(exc)).group())
         raise NotPositiveDefinite(
@@ -182,6 +262,7 @@ def banded_cholesky(matrix: sp.spmatrix):
     return solve
 
 
+@blas_threads(1)
 def lowest_eigenpairs(
     matrix: sp.spmatrix,
     k: int = 1,
@@ -201,7 +282,8 @@ def lowest_eigenpairs(
     inequality), so the factor exists.  By Sylvester's law of inertia it
     proves that no eigenvalue lies below sigma, which makes the k pairs
     nearest sigma the k lowest.  A sigma above the bottom of the spectrum
-    raises NotPositiveDefinite.  Deterministic given the seed.
+    raises NotPositiveDefinite.  Deterministic given the seed, and runs on
+    one BLAS thread (see blas_threads).
     """
     n = matrix.shape[0]
     if k >= n:

@@ -286,23 +286,38 @@ def integrate_frame(curve: CurveProfile, substeps: int = 8,
             k3 = float(curve.kappa3(si))
             return np.concatenate([T_, k2 * m2 + k3 * m3, -k2 * T_, -k3 * T_])
 
-        # integrate from s = 0 outward in both directions (supports are
-        # compact, the straight tails stay exact)
+        def increment(si, st, hh):
+            k1 = rhs(si, st)
+            k2_ = rhs(si + hh / 2, st + hh / 2 * k1)
+            k3_ = rhs(si + hh / 2, st + hh / 2 * k2_)
+            k4 = rhs(si + hh, st + hh * k3_)
+            return hh / 6 * (k1 + 2 * k2_ + 2 * k3_ + k4)
+
+        # integrate from s = 0 outward in both directions.  Beyond the
+        # curvature support [lo, hi] the frame is constant, so every RK4
+        # step adds the same increment: the straight tails are its running
+        # sum, which np.add.accumulate forms in the loop's order (equal
+        # values, no RK4 loop).
+        bent = [p.support for p in (curve.kappa2, curve.kappa3) if not p.is_zero]
+        lo = min((a for a, _ in bent), default=np.inf)
+        hi = max((b for _, b in bent), default=-np.inf)
         i0 = int(np.argmin(np.abs(s)))
         y[i0] = state
         hsub = half / substeps
         for direction in (+1, -1):
             st = state.copy()
+            hh = direction * hsub
             rng = range(i0 + 1, n_half + 1) if direction > 0 else range(i0 - 1, -1, -1)
             for k in rng:
                 si = s[k] - direction * half
+                if si >= hi if direction > 0 else si <= lo:
+                    n_steps = substeps * abs(rng.stop - k)
+                    steps = np.vstack([st, np.tile(increment(si, st, hh),
+                                                   (n_steps, 1))])
+                    y[k::direction] = np.add.accumulate(steps)[substeps::substeps]
+                    break
                 for _ in range(substeps):
-                    hh = direction * hsub
-                    k1 = rhs(si, st)
-                    k2_ = rhs(si + hh / 2, st + hh / 2 * k1)
-                    k3_ = rhs(si + hh / 2, st + hh / 2 * k2_)
-                    k4 = rhs(si + hh, st + hh * k3_)
-                    st = st + hh / 6 * (k1 + 2 * k2_ + 2 * k3_ + k4)
+                    st = st + increment(si, st, hh)
                     si = si + hh
                 y[k] = st
         gamma, T, M2, M3 = y[:, 0:3], y[:, 3:6], y[:, 6:9], y[:, 9:12]

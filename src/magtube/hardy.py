@@ -30,6 +30,7 @@ from .assemble import (
     AssembledOperator,
     RegimeParams,
     banded_cholesky,
+    blas_threads,
     cov_link_matrix,
     form_term,
     lowest_eigenpairs,
@@ -224,6 +225,7 @@ def _pencil_smallest(A: sp.spmatrix, W: sp.spmatrix, seed: int = 5) -> float:
     return _generalized_nearest(A, W, 0.0, v0)
 
 
+@blas_threads(1)
 def _generalized_nearest(A, M, sigma: float, v0) -> float:
     """Eigenvalue of A psi = mu M psi nearest sigma (shift-invert Lanczos).
 

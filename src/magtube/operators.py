@@ -46,6 +46,7 @@ from .assemble import (
     AssembledOperator,
     Spectrum,
     banded_cholesky,
+    blas_threads,
     cov_link_matrix,
     dirichlet_links,
     dirichlet_second_difference,
@@ -582,6 +583,7 @@ def smallest_eigenpairs(op: AssembledOperator, k: int = 1,
     return Spectrum(vals, vecs, res, ess_threshold=op.meta.get("ess_threshold"))
 
 
+@blas_threads(1)
 def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
                        embedding: sp.spmatrix | None = None,
                        dvol_ratio: float | None = None,
@@ -604,9 +606,10 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
 
     Returns ``(dist, info)``.  ``info["vector"]`` is the maximizer,
     ``info["matvecs"]`` the number of applications of the difference (the
-    probe included).  ``info["converged"]`` is False when ARPACK ran out of
-    iterations but returned a Ritz pair, which then gives ``dist``; without
-    one, ArpackNoConvergence propagates.
+    probe included).  ``info["converged"]`` is always True: at k = 1 an
+    ARPACK run out of iterations has no partial Ritz pair to give, so
+    ArpackNoConvergence propagates instead.  Runs on one BLAS thread (see
+    blas_threads).
     """
     complex_path = opA.is_complex or opB.is_complex
     dtype = complex if complex_path else float
@@ -648,13 +651,7 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     if np.linalg.norm(probe) < 1e-14:
         return float(np.linalg.norm(probe)), {
             "converged": True, "vector": start, "matvecs": matvecs}
-    converged = True
-    try:
-        vals, vecs = sla.eigsh(lin, k=1, which="LM", tol=tol, ncv=ncv,
-                               maxiter=maxiter, v0=v0)
-    except sla.ArpackNoConvergence as exc:
-        if len(exc.eigenvalues) == 0:
-            raise
-        vals, vecs, converged = exc.eigenvalues, exc.eigenvectors, False
-    return float(abs(vals[0])), {"converged": converged,
+    vals, vecs = sla.eigsh(lin, k=1, which="LM", tol=tol, ncv=ncv,
+                           maxiter=maxiter, v0=v0)
+    return float(abs(vals[0])), {"converged": True,
                                  "vector": vecs[:, 0], "matvecs": matvecs}

@@ -18,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .assemble import RegimeParams
+from .assemble import RegimeParams, blas_report, blas_threads
 from .config import ExperimentConfig
 from .errors import MagtubeError, ZeroFieldWarning
 from .fitting import fit_order
@@ -82,9 +82,14 @@ def _sweep(points, worker, on_result=None, tables=()):
     return results
 
 
+@blas_threads(1)
 def run(config: ExperimentConfig, out_dir: str | None = None,
         seed: int | None = None) -> dict:
-    """Execute one experiment; returns {tables, artifacts, elapsed}."""
+    """Execute one experiment; returns {tables, artifacts, elapsed}.
+
+    The run holds every BLAS pool at one thread, so its CSV bytes do not
+    depend on OPENBLAS_NUM_THREADS; only band factors of kd >= WIDE_BAND
+    (3D tubes) use the ambient count (see assemble.banded_cholesky)."""
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
     seed = seed if seed is not None else config.seed
@@ -124,6 +129,7 @@ def _write_manifest(config, out, written, seed, elapsed):
         },
         "outputs": sorted(os.path.basename(p) for p in written),
         "elapsed_s": round(elapsed, 3),
+        "blas": blas_report(),
     }
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
@@ -220,6 +226,7 @@ def _run_nrc_sweep(config, out, seed):
     tol = config.get_float("solver", "tol", 1e-3)
     table = ResultTable(
         "nrc_distances",
+        # converged is always 1: an unconverged Lanczos raises instead
         ["delta", "eps", "b", "distance", "converged"],
     )
     plot = LinePlot(title="norm-resolvent distance", xlabel="eps",

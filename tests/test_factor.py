@@ -105,3 +105,99 @@ def test_lowest_eigenpairs_respects_the_band_budget(planar, monkeypatch):
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", op.n * 16)
     with pytest.raises(GridBudgetError, match="exceeds the budget"):
         assemble.lowest_eigenpairs(op.matrix, k=1)
+
+
+class FakePool:
+    """An OpenBLAS pool stand-in: its count, and every count it was set to."""
+
+    def __init__(self, name, count):
+        self.name, self.count, self.history = name, count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.count = n
+        self.history.append(n)
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    pools = [FakePool("numpy", 2), FakePool("scipy", 3)]
+    monkeypatch.setattr(assemble, "_blas_pools",
+                        lambda: tuple((p.name, p.get, p.set) for p in pools))
+    return pools
+
+
+def test_blas_threads_nests_and_restores(fake_pools):
+    numpy_pool, scipy_pool = fake_pools
+    with assemble.blas_threads(1):
+        assert [p.count for p in fake_pools] == [1, 1]
+        with assemble.blas_threads(4):
+            assert [p.count for p in fake_pools] == [4, 4]
+            with assemble.blas_threads(None):  # the counts outside every block
+                assert [p.count for p in fake_pools] == [2, 3]
+            assert [p.count for p in fake_pools] == [4, 4]
+        assert [p.count for p in fake_pools] == [1, 1]
+    assert [p.count for p in fake_pools] == [2, 3]
+    assert assemble.blas_report()["pools"] == {"numpy": 2, "scipy": 3}
+
+
+def test_blas_threads_restores_on_error(fake_pools):
+    with pytest.raises(RuntimeError):
+        with assemble.blas_threads(1):
+            raise RuntimeError
+    assert [p.count for p in fake_pools] == [2, 3]
+    assert assemble._SAVED_COUNTS == []
+
+
+def test_blas_threads_without_a_pool_is_a_noop(monkeypatch):
+    monkeypatch.setattr(assemble, "_blas_pools", lambda: ())
+    with assemble.blas_threads(1), assemble.blas_threads(None):
+        pass
+    assert assemble.blas_report()["pools"] == {}
+
+
+def test_blas_threads_sets_the_loaded_pools():
+    pools = assemble._blas_pools()
+    before = [get() for _, get, _ in pools]
+    with assemble.blas_threads(1):
+        assert [get() for _, get, _ in pools] == [1] * len(pools)
+    assert [get() for _, get, _ in pools] == before
+
+
+def test_band_factor_threads_follow_the_bandwidth(fake_pools, monkeypatch):
+    # a narrow band factors on one thread, a wide one with the counts in
+    # force outside every blas_threads block, also from inside one
+    seen = []
+    factor = assemble.la.cholesky_banded
+
+    def record(*args, **kwargs):
+        seen.append([p.count for p in fake_pools])
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(assemble.la, "cholesky_banded", record)
+    for kd in (assemble.WIDE_BAND - 1, assemble.WIDE_BAND):
+        mat = (4.0 * sp.eye(kd + 2) + sp.eye(kd + 2, k=kd)
+               + sp.eye(kd + 2, k=-kd)).tocsr()
+        banded_cholesky(mat)
+        with assemble.blas_threads(1):
+            banded_cholesky(mat)
+    assert seen == [[1, 1], [1, 1], [2, 3], [2, 3]]
+    assert [p.count for p in fake_pools] == [2, 3]
+
+
+def test_solver_entry_points_run_on_one_thread(planar, fake_pools, monkeypatch):
+    seen = []
+    solve = assemble.la.cho_solve_banded
+
+    def record(*args, **kwargs):
+        seen.append([p.count for p in fake_pools])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(assemble.la, "cho_solve_banded", record)
+    op = _real_2d(planar)
+    assemble.lowest_eigenpairs(op.matrix, k=1)
+    ops.resolvent_distance(op, op, tol=1e-2)
+    assert seen and all(counts == [1, 1] for counts in seen)
+    assert [p.count for p in fake_pools] == [2, 3]

@@ -1,10 +1,13 @@
 """Frames, fields, tube validation, gauges, and the comatrix pullback."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from magtube import geometry as geo, grids
 from magtube.assemble import RegimeParams
+from magtube.config import ExperimentConfig
 from magtube.errors import NotApplicable, SupportTruncationError, TubeOverlapError
 
 
@@ -49,6 +52,56 @@ def test_3d_decoupled_row_vs_fine_reference():
     idx_ref = ref._index(np.array([0.0, 1.0, 2.5, -3.0]))
     assert np.abs(fr.gamma[idx] - ref.gamma[idx_ref]).max() < 1e-8
     assert fr.gram_defect < 1e-10
+
+
+def _rk4_frame_loop(curve, substeps=8):
+    """The 3D frame by an RK4 step on every sub-interval, tails included:
+    the reference for integrate_frame's accumulated straight tails."""
+    half = curve.ds / 2.0
+    n_half = int(round(2 * curve.S / half))
+    s = -curve.S + half * np.arange(n_half + 1)
+    y = np.zeros((n_half + 1, 12))
+    state = np.concatenate([[0.0, 0.0, 0.0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    def rhs(si, st):
+        T_, m2, m3 = st[3:6], st[6:9], st[9:12]
+        k2, k3 = float(curve.kappa2(si)), float(curve.kappa3(si))
+        return np.concatenate([T_, k2 * m2 + k3 * m3, -k2 * T_, -k3 * T_])
+
+    i0 = int(np.argmin(np.abs(s)))
+    y[i0] = state
+    for direction in (+1, -1):
+        st = state.copy()
+        hh = direction * half / substeps
+        ks = range(i0 + 1, n_half + 1) if direction > 0 else range(i0 - 1, -1, -1)
+        for k in ks:
+            si = s[k] - direction * half
+            for _ in range(substeps):
+                k1 = rhs(si, st)
+                k2_ = rhs(si + hh / 2, st + hh / 2 * k1)
+                k3_ = rhs(si + hh / 2, st + hh / 2 * k2_)
+                k4 = rhs(si + hh, st + hh * k3_)
+                st = st + hh / 6 * (k1 + 2 * k2_ + 2 * k3_ + k4)
+                si = si + hh
+            y[k] = st
+    return y
+
+
+@pytest.mark.parametrize("name", ["full3d", "straight", "one_sided"])
+def test_3d_frame_tails_equal_the_rk4_loop(name):
+    if name == "full3d":
+        path = Path(__file__).resolve().parent.parent / "configs" / "full3d.ini"
+        curve = ExperimentConfig.load(str(path)).build_curve()
+    elif name == "straight":
+        curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1)
+    else:  # curvature support beside s = 0: the whole s < 0 half is a tail
+        curve = geo.CurveProfile(dim=3, S=6.0, ds=0.05,
+                                 kappa2=geo.Profile.single(2.0, 1.0, 0.5),
+                                 kappa3=geo.Profile.single(3.0, 0.5, -0.3))
+    fr = geo.integrate_frame(curve)
+    ref = _rk4_frame_loop(curve)
+    got = np.hstack([fr.gamma, fr.T, fr.M2, fr.M3])
+    assert np.array_equal(got, ref)
 
 
 def test_kappa_identity_3d():

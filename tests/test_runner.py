@@ -3,12 +3,16 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magtube
 from magtube import cli
+from magtube.assemble import WIDE_BAND, _blas_pools
 from magtube.config import ExperimentConfig
 from magtube.errors import ConfigError, FitDomainError, ZeroFieldWarning
 from magtube.fitting import fit_order
@@ -185,6 +189,11 @@ def test_manifest_echoes_config(tmp_path):
     assert any(line.startswith("regime.b") for line in manifest["config"])
     assert "hardy_certificates.csv" in manifest["outputs"]
     assert manifest["versions"]["magtube"]
+    # the BLAS pools found, each with the thread count of wide-band factors
+    blas = manifest["blas"]
+    assert blas["wide_band"] == WIDE_BAND
+    assert sorted(blas["pools"]) == sorted(name for name, _, _ in _blas_pools())
+    assert all(k >= 1 for k in blas["pools"].values())
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -425,3 +434,22 @@ def test_nrc_sweep_reproducible_bytes(tmp_path):
     run(cfg, out_dir=str(tmp_path / "o2"))
     a = (tmp_path / "o1" / "nrc_distances.csv").read_bytes()
     assert a == (tmp_path / "o2" / "nrc_distances.csv").read_bytes()
+
+
+def test_nrc_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # OPENBLAS_NUM_THREADS = 1 and 2 set the ambient pools of two fresh
+    # processes; the run pins its 2D solves to one thread, so the bytes agree
+    cfg_path = write_config(tmp_path / "nrc.ini",
+                            MINI_NRC.format(out=tmp_path / "o", delta="0 1"))
+    src = str(Path(magtube.__file__).resolve().parent.parent)
+    csv = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "magtube.cli", "nrc-sweep",
+                        "--config", cfg_path, "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=600)
+        csv[threads] = (out / "nrc_distances.csv").read_bytes()
+    assert csv["1"] == csv["2"]
