@@ -28,9 +28,11 @@ from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 # the 3D criterion-4 tube (n = 57,399, kd = 399, complex), needs 367 MB.
 BAND_BUDGET_BYTES = 2 * 1024**3
 
-# Bandwidth from which ?pbtrf gains from a second BLAS thread.  On 2 cores
-# (n = 15,000, complex) 2 threads take 3.6x the one-thread time at kd = 39,
-# 1.05x at kd = 192, 0.85x at kd = 256 and 0.66-0.74x at kd = 361-399.
+# Bandwidth from which a complex ?pbtrf gains from a second BLAS thread.  On
+# 2 cores (n = 15,000, complex) 2 threads take 3.6x the one-thread time at
+# kd = 39, 1.05x at kd = 192, 0.85x at kd = 256 and 0.66-0.74x at
+# kd = 361-399.  Real bands gain at no width: 2 threads take 1.07-1.34x
+# the one-thread time at kd = 320-399.
 # Shipped 2D bands have kd 39-79, 3D bands kd 361-399.
 WIDE_BAND = 256
 
@@ -93,8 +95,9 @@ def blas_threads(n: int | None):
 
 
 def blas_report() -> dict:
-    """Each OpenBLAS pool found, with the thread count that band factors of
-    kd >= WIDE_BAND get from it; all other solver work runs on one thread."""
+    """Each OpenBLAS pool found, with the thread count that complex band
+    factors of kd >= WIDE_BAND get from it; all other solver work runs on
+    one thread."""
     pools = _blas_pools()
     ambient = _SAVED_COUNTS[0] if _SAVED_COUNTS else [g() for _, g, _ in pools]
     return {"pools": {name: k for (name, _, _), k in zip(pools, ambient)},
@@ -229,8 +232,9 @@ def banded_cholesky(matrix: sp.spmatrix):
     a leading minor is not positive and GridBudgetError when the band would
     exceed BAND_BUDGET_BYTES.
 
-    A band narrower than WIDE_BAND is factored on one BLAS thread, a wider
-    one with the thread counts in force outside every blas_threads block.
+    A complex band of kd >= WIDE_BAND is factored with the thread counts in
+    force outside every blas_threads block, every other band on one BLAS
+    thread.
     """
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
@@ -245,8 +249,9 @@ def banded_cholesky(matrix: sp.spmatrix):
         )
     ab = np.zeros((kd + 1, n), dtype=upper.dtype, order="F")
     ab[kd + upper.row - upper.col, upper.col] = upper.data
+    wide = kd >= WIDE_BAND and np.iscomplexobj(ab)
     try:
-        with blas_threads(1 if kd < WIDE_BAND else None):
+        with blas_threads(None if wide else 1):
             cb = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except la.LinAlgError as exc:
         pivot = int(re.match(r"\d+", str(exc)).group())

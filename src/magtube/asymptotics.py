@@ -1,15 +1,16 @@
-"""Formal power-series expansion of the critical-regime 2D operator,
-quasimode construction, eigenvalue expansions, and the form-to-resolvent
-bound checker.
+"""Eps-expansion of the critical-regime 2D operator, quasimode construction,
+eigenvalue expansions, and the form-to-resolvent bound checker.
 
 The operator family L(eps) = m (i d/ds + b A1) m^2 (i d/ds + b A1) m
-- eps^-2 d2/dtau2 + V at b = 1/eps is entrywise analytic in eps at fixed
-grid.  Every assembled factor (metric multipliers, potential, link phases)
-is expanded as a matrix-valued power series and multiplied with truncation,
-which reproduces the assembled full operator to the truncation order at
-machine precision; the series coefficients are the discrete counterparts of
-the expansion terms L_0 = -d2/dtau2, L_1 = 0, L_2 = (i d/ds + tau B(s,0))^2
-- kappa^2/4, ...
+- eps^-2 d2/dtau2 + V at b = 1/eps is, at fixed grid, eps^-2 T (T the
+transverse Dirichlet form) plus a matrix M(eps) that is entrywise analytic
+in eps.  Its Taylor coefficients are read off the one tube builder,
+:func:`magtube.operators._tube_matrix`: M is sampled on a circle
+|eps| = r in the complex plane, and a discrete Fourier transform of the
+samples gives the Cauchy integrals of its coefficients (the trapezoidal
+rule, exact up to aliasing).
+They are the discrete counterparts of the expansion terms L_0 = -d2/dtau2,
+L_1 = 0, L_2 = (i d/ds + tau B(s,0))^2 - kappa^2/4, ...
 
 Quasimode grading: a quasimode of order J certifies eigenvalue accuracy
 O(eps^(J+1)).  A truncation of the formal series at order J alone leaves an
@@ -26,7 +27,11 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .assemble import AssembledOperator, dirichlet_second_difference
+from .assemble import (
+    AssembledOperator,
+    RegimeParams,
+    dirichlet_second_difference,
+)
 from .errors import (
     DegenerateModeError,
     InvalidFormPair,
@@ -36,78 +41,24 @@ from .errors import (
 )
 from .geometry import FrameTrajectory, TubeSpec, integrate_frame
 from .operators import (
+    _tube_parts,
     axis_grid,
     fiber_embedding,
     smallest_eigenpairs,
     transverse_form,
 )
 
-MAX_SERIES_ORDER = 6  # machine-generated factor expansions; enough for J <= 4
-
-# (1 - x)^(-1/2) Taylor coefficients
-_INV_SQRT_COEF = [1.0, 1 / 2, 3 / 8, 5 / 16, 35 / 128, 63 / 256, 231 / 1024]
-
-
-def _series_mul(A: list, B: list, order: int) -> list:
-    """Truncated Cauchy product of matrix power series (lists by eps power)."""
-    out = [None] * (order + 1)
-    for i, a in enumerate(A):
-        if a is None:
-            continue
-        for j, b in enumerate(B):
-            if b is None or i + j > order:
-                continue
-            prod = a @ b
-            out[i + j] = prod if out[i + j] is None else out[i + j] + prod
-    return out
-
-
-def _series_add(A: list, B: list, order: int) -> list:
-    out = []
-    for k in range(order + 1):
-        a = A[k] if k < len(A) else None
-        b = B[k] if k < len(B) else None
-        if a is None:
-            out.append(b)
-        elif b is None:
-            out.append(a)
-        else:
-            out.append(a + b)
-    return out
-
-
-def _series_adjoint(A: list) -> list:
-    return [None if a is None else a.getH().tocsr() for a in A]
-
-
-def _phase_exp_series(p_coef: np.ndarray, order: int) -> list:
-    """Per-link series of e^{i p(eps)} with p(eps) = sum_k p_coef[k] eps^k.
-
-    Returns arrays [E_0, ..., E_order]; E_0 = e^{i p_0} exactly, the rest from
-    the exponential of the zero-constant-term part.
-    """
-    nlinks = p_coef.shape[1]
-    base = np.exp(1j * p_coef[0])
-    # exp of N(eps) = i sum_{k>=1} p_k eps^k via the series of exp
-    res = [np.ones(nlinks, dtype=complex)] + [
-        np.zeros(nlinks, dtype=complex) for _ in range(order)
-    ]
-    term = [np.ones(nlinks, dtype=complex)] + [
-        np.zeros(nlinks, dtype=complex) for _ in range(order)
-    ]
-    N = [np.zeros(nlinks, dtype=complex) for _ in range(order + 1)]
-    for k in range(1, min(order, len(p_coef) - 1) + 1):
-        N[k] = 1j * p_coef[k]
-    for m in range(1, order + 1):
-        # term <- term * N / m
-        new = [np.zeros(nlinks, dtype=complex) for _ in range(order + 1)]
-        for i in range(order + 1):
-            for j in range(1, order + 1 - i):
-                new[i + j] += term[i] * N[j] / m
-        term = new
-        for k in range(order + 1):
-            res[k] += term[k]
-    return [base * r for r in res]
+# The Cauchy contour: CONTOUR_POINTS samples on |eps| = r with
+# r = CONTOUR_RADIUS / max(1, sup|kappa| sup|tau|).  h = 1 - eps kappa tau
+# vanishes at |eps| = 1 / (kappa tau), so the radius follows the geometry:
+# the aliased coefficient j + N enters coefficient j with a weight of about
+# (r kappa tau)^N <= 0.3^32 = 2e-17.  A fixed r = 0.3 puts L2 off by 9e-7
+# at kappa sup|tau| = 2 and by 39% at 3.
+CONTOUR_POINTS = 32
+CONTOUR_RADIUS = 0.3
+# roundoff in L_j grows like r^(2 - j); on criterion 5's fixture L2..L6
+# agree with a hand-derived series to 5e-16..5e-15 of their largest entries
+MAX_SERIES_ORDER = 6
 
 
 @dataclass
@@ -128,16 +79,6 @@ class SeriesOperator:
         n = self.grid["n"]
         return sp.csr_matrix((n, n), dtype=complex) if t is None else t
 
-    def evaluate(self, eps: float) -> sp.csr_matrix:
-        out = None
-        for j in range(self.j_max + 1):
-            t = self.terms[j]
-            if t is None:
-                continue
-            contrib = eps ** (j - 2) * t
-            out = contrib if out is None else out + contrib
-        return out.tocsr()
-
     def hermiticity_defects(self) -> list:
         out = []
         for t in self.terms:
@@ -153,10 +94,19 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
                        frame: FrameTrajectory | None = None) -> SeriesOperator:
     """Taylor coefficients (in eps) of the critical-regime 2D operator.
 
-    Requires delta = 1 and a frame-aligned field (closed-form on-axis profile,
-    so the gauge expansion b A1(s, eps tau) = beta tau - eps beta kappa tau^2/2
-    is exact).  Factor expansions are machine-generated and multiplied as
-    truncated matrix power series.
+    terms[0] is the transverse form T, terms[1] = None and terms[j] the
+    coefficient of eps^(j-2) in M(eps) = L(eps) - eps^-2 T.  With the
+    s-link factor Y, link weights w and potential V of the tube builder
+    (:func:`magtube.operators._tube_parts`),
+    M(eps) = Y(conj eps)^H diag(w(eps)) Y(eps) + diag(V(eps)), the
+    holomorphic continuation of the assembled matrix: the Hermitian adjoint
+    itself is not analytic in eps.  Each coefficient is the Cauchy integral
+    of M over |eps| = r by the trapezoidal rule at CONTOUR_POINTS points (a
+    discrete Fourier transform of the samples).
+
+    Requires delta = 1 and no field or a frame-aligned one: an ambient
+    field's gauge casts positions to float, so it cannot be sampled at
+    complex eps.
     """
     if abs(tube.regime.delta - 1.0) > 1e-12:
         raise NotApplicable("operator expansion is defined in the critical regime")
@@ -175,53 +125,47 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
     ax = axis_grid(tube.curve)
     sec = tube.section
     lat = ax.lattice(sec)
-    tau = sec.node_coords()
-    ntau = sec.n
-    n = lat.n
-    order = max(j_max - 2, 0)
-    kap_n = tube.curve.kappa(ax.nodes)
-    kap_m = tube.curve.kappa(ax.mids)
-    if field is None or field.is_zero():
-        beta_m = np.zeros(len(ax.mids))
-    else:
-        beta_m = field.on_axis(frame, ax.mids)
+    r = CONTOUR_RADIUS / max(1.0, tube.curve.sup_kappa() * tube.sup_tau())
+    N, order = CONTOUR_POINTS, max(j_max - 2, 0)
 
-    xs_node = np.outer(kap_n, tau).ravel()  # (tau kappa) per node
-    xs_link = np.outer(kap_m, tau).ravel()
-    Mser = [
-        sp.diags(_INV_SQRT_COEF[k] * xs_node**k).tocsr() for k in range(order + 1)
-    ]
-    Wser = [sp.diags(xs_link**k).tocsr() for k in range(order + 1)]
-    Vser = [
-        sp.diags((-0.25 * kap_n[:, None] ** 2
-                  * (k + 1) * np.outer(kap_n, tau) ** k).ravel()).tocsr()
-        for k in range(order + 1)
-    ]
-    # link phases: phi(eps) = ds * a with a = -b A1(s, eps tau),
-    # b A1 = beta tau - eps beta kappa tau^2 / 2 for frame-aligned fields
-    p_coef = np.zeros((order + 1, (ax.ns + 1) * ntau))
-    p_coef[0] = -ax.ds * np.outer(beta_m, tau).ravel()
-    if order >= 1:
-        p_coef[1] = ax.ds * 0.5 * np.outer(beta_m * kap_m, tau**2).ravel()
-    Eser = _phase_exp_series(p_coef, order)
-    nlinks = (ax.ns + 1) * ntau
-    L, R = lat.axis_selectors()
-    Bser = []
-    for k in range(order + 1):
-        Bk = (-1j / ax.ds) * (sp.diags(Eser[k]) @ R)
-        if k == 0:
-            Bk = Bk + (1j / ax.ds) * L
-        Bser.append(Bk.tocsr())
-    Yser = _series_mul(Bser, Mser, order)
-    WY = _series_mul([sp.diags(np.ones(nlinks)) @ w for w in Wser], Yser, order)
-    Kser = _series_mul(_series_adjoint(Yser), WY, order)
-    Cser = _series_add(Kser, Vser, order)
+    def parts(eps):
+        regime = RegimeParams(eps=eps, delta=1.0)
+        return _tube_parts(TubeSpec(tube.curve, sec, regime), lat, frame, field)
+
+    # every sample has the structure of |Y|^T |Y| + I, as Y's does not
+    # depend on eps; adjoint[p] is the slot of the transpose of entry p
+    Y = parts(r)[0]
+    pattern = (abs(Y).T @ abs(Y) + sp.eye(lat.n)).tocoo()
+    rows, cols = pattern.row, pattern.col
+    slot = sp.csr_matrix((np.arange(1, len(rows) + 1), (rows, cols)))
+    adjoint = np.asarray(slot[cols, rows]).ravel() - 1
+
+    def sample(eps):
+        Y, w, V, _ = parts(eps)
+        Y_conj = Y if np.isreal(eps) else parts(np.conj(eps))[0]
+        M = Y_conj.getH() @ (sp.diags(w) @ Y) + sp.diags(V)
+        return np.asarray(M[rows, cols]).ravel()
+
+    # The trapezoidal rule N r^j c_j = sum_k M(eps_k) e^(-2 pi i j k / N),
+    # eps_k = r e^(2 pi i k / N), summed over M_k - M_0 (with M_0 added back
+    # to c_0) so that entries constant in eps give exact zeros.  As
+    # M(eps_(N-k)) = M(eps_k)^H, the terms k and N - k pair into F + F^H,
+    # which keeps every c_j Hermitian; only the j <= order rows are summed.
+    m0 = sample(r)
+    F = np.zeros((order + 1, len(rows)), dtype=complex)
+    for k in range(1, N // 2):
+        eps = r * np.exp(2j * np.pi * k / N)
+        F += (np.exp(-2j * np.pi * k * np.arange(order + 1) / N)[:, None]
+              * (sample(eps) - m0))
+    d_half = sample(-r) - m0
     terms = [transverse_form(lat), None]
-    for k in range(order + 1):
-        terms.append(Cser[k].tocsr())
+    for j in range(order + 1):
+        c = (F[j] + F[j, adjoint].conj() + (-1) ** j * d_half) / (N * r**j)
+        terms.append(sp.csr_matrix((c + m0 if j == 0 else c, (rows, cols)),
+                                   shape=(lat.n, lat.n)))
     terms = terms[: j_max + 1]
-    grid = {"kind": "tube2d", "axis": ax, "section": sec, "n": n,
-            "ntau": ntau}
+    grid = {"kind": "tube2d", "axis": ax, "section": sec, "n": lat.n,
+            "ntau": sec.n}
     return SeriesOperator(terms=terms, j_max=min(j_max, len(terms) - 1),
                           grid=grid, meta={"delta": 1.0})
 

@@ -238,6 +238,21 @@ def _tube_matrix(tube: TubeSpec, lat: TubeLattice, frame: FrameTrajectory,
     ``gauge_chi`` (Dirichlet axis ends) shifts the link phases by
     -b (chi(s_r) - chi(s_l)).  No validation.
     """
+    Y, weights, V, pulled = _tube_parts(tube, lat, frame, field, gauge_chi)
+    return (transverse_form(lat, pulled, tube.regime.eps, tube.regime.b)
+            + form_term(Y, weights=weights) + sp.diags(V))
+
+
+def _tube_parts(tube: TubeSpec, lat: TubeLattice, frame: FrameTrajectory,
+                field, gauge_chi=None):
+    """(Y, w, V, pulled) of :func:`_tube_matrix`: the s-link factor
+    Y = X h^(-1/2), the link weights w = 1/h, the potential -|k|^2/(4 h^2)
+    per node and the pulled 3D field of the transverse form (or None).
+
+    Without a field or with a frame-aligned planar one, every entry is
+    analytic in eps; a complex eps (b = 1/eps) gives their continuation,
+    which :mod:`magtube.asymptotics` samples on a circle.
+    """
     sec = lat.section
     curve = tube.curve
     eps, b = tube.regime.eps, tube.regime.b
@@ -288,9 +303,7 @@ def _tube_matrix(tube: TubeSpec, lat: TubeLattice, frame: FrameTrajectory,
     # must not move in their last bits; spatial tubes round 1/h this way too
     Y = X @ sp.diags((h_node**-0.5).ravel())
     V = -0.25 * (k_node**2).sum(axis=1)[:, None] * h_node**-2.0
-    return (transverse_form(lat, pulled, eps, b)
-            + form_term(Y, weights=((h_link**-0.5) ** 2).ravel())
-            + sp.diags(V.ravel()))
+    return Y, ((h_link**-0.5) ** 2).ravel(), V.ravel(), pulled
 
 
 def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:

@@ -61,16 +61,26 @@ def test_L2_matches_app_assembly(setup, series5):
 
 
 def test_series_truncation_order(setup, series5):
+    # the second curve has kappa sup|tau| = 3, so h = 1 - eps kappa tau
+    # vanishes at |eps| = 1/3 and the contour radius must shrink below it;
+    # its bump is narrow enough (turning 2.7 rad) for the tube to validate
     sec, curve, frame, field = setup
+    sharp = geo.CurveProfile(dim=2, S=12.0, ds=0.075,
+                             kappa=geo.Profile.single(0.0, 0.75, 3.0))
+    sharp_frame = geo.integrate_frame(sharp)
+    sharp_series = asym.expand_operator_2d(make_tube(sharp, sec, 0.1), field,
+                                           j_max=4, frame=sharp_frame)
     eps_list = [0.2, 0.1, 0.05, 0.025]
-    diffs = []
-    for eps in eps_list:
-        full = ops.assemble_full_2d(make_tube(curve, sec, eps), field, frame,
-                                    shifted=False)
-        ser4 = sum(eps ** (j - 2) * series5.term(j) for j in range(5))
-        diffs.append(abs(full.matrix - ser4).max())
-    fit = fit_order(eps_list, diffs)
-    assert fit.slope >= 2.8  # truncating after L4 leaves O(eps^3)
+    for crv, frm, series in ((curve, frame, series5),
+                             (sharp, sharp_frame, sharp_series)):
+        diffs = []
+        for eps in eps_list:
+            full = ops.assemble_full_2d(make_tube(crv, sec, eps), field, frm,
+                                        shifted=False)
+            ser4 = sum(eps ** (j - 2) * series.term(j) for j in range(5))
+            diffs.append(abs(full.matrix - ser4).max())
+        fit = fit_order(eps_list, diffs)
+        assert fit.slope >= 2.8  # truncating after L4 leaves O(eps^3)
 
 
 def test_series_order_cap():

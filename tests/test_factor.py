@@ -167,8 +167,9 @@ def test_blas_threads_sets_the_loaded_pools():
 
 
 def test_band_factor_threads_follow_the_bandwidth(fake_pools, monkeypatch):
-    # a narrow band factors on one thread, a wide one with the counts in
-    # force outside every blas_threads block, also from inside one
+    # a narrow band and a real wide band factor on one thread, a complex
+    # wide one with the counts in force outside every blas_threads block,
+    # also from inside one
     seen = []
     factor = assemble.la.cholesky_banded
 
@@ -177,13 +178,14 @@ def test_band_factor_threads_follow_the_bandwidth(fake_pools, monkeypatch):
         return factor(*args, **kwargs)
 
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
-    for kd in (assemble.WIDE_BAND - 1, assemble.WIDE_BAND):
-        mat = (4.0 * sp.eye(kd + 2) + sp.eye(kd + 2, k=kd)
-               + sp.eye(kd + 2, k=-kd)).tocsr()
+    for kd, off in ((assemble.WIDE_BAND - 1, 1j), (assemble.WIDE_BAND, 1.0),
+                    (assemble.WIDE_BAND, 1j)):
+        mat = (4.0 * sp.eye(kd + 2) + off * sp.eye(kd + 2, k=kd)
+               + np.conj(off) * sp.eye(kd + 2, k=-kd)).tocsr()
         banded_cholesky(mat)
         with assemble.blas_threads(1):
             banded_cholesky(mat)
-    assert seen == [[1, 1], [1, 1], [2, 3], [2, 3]]
+    assert seen == [[1, 1], [1, 1], [1, 1], [1, 1], [2, 3], [2, 3]]
     assert [p.count for p in fake_pools] == [2, 3]
 
 

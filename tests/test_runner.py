@@ -319,13 +319,12 @@ k = 2
         assert [row[3] for row in table.rows] == [50.0, 50.0]
 
 
-def test_runner_asymptotics_kind(tmp_path):
-    text = f"""
+MINI_ASYM = """
 [experiment]
 version = 1
 kind = asymptotics
 seed = 7
-out = {tmp_path / 'asym'}
+out = {out}
 
 [section]
 shape = interval
@@ -348,6 +347,10 @@ eps = 0.1 0.07 0.05
 j = 2
 mode = 1
 """
+
+
+def test_runner_asymptotics_kind(tmp_path):
+    text = MINI_ASYM.format(out=tmp_path / "asym")
     cfg = ExperimentConfig.load(write_config(tmp_path / "asym.ini", text))
     result = run(cfg, out_dir=str(tmp_path / "asym"))
     names = {t.name: t for t in result["tables"]}
@@ -439,17 +442,25 @@ def test_nrc_sweep_reproducible_bytes(tmp_path):
 def test_nrc_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OPENBLAS_NUM_THREADS = 1 and 2 set the ambient pools of two fresh
     # processes; the run pins its 2D solves to one thread, so the bytes agree
-    cfg_path = write_config(tmp_path / "nrc.ini",
-                            MINI_NRC.format(out=tmp_path / "o", delta="0 1"))
+    # (the asymptotics run adds the eps-expansion's contour sums and sparse
+    # products)
+    configs = {
+        "nrc-sweep": MINI_NRC.format(out=tmp_path / "o", delta="0 1"),
+        "asymptotics": MINI_ASYM.format(out=tmp_path / "o"),
+    }
     src = str(Path(magtube.__file__).resolve().parent.parent)
-    csv = {}
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"t{threads}"
-        subprocess.run([sys.executable, "-m", "magtube.cli", "nrc-sweep",
-                        "--config", cfg_path, "--out", str(out)],
-                       env=env, check=True, capture_output=True, timeout=600)
-        csv[threads] = (out / "nrc_distances.csv").read_bytes()
-    assert csv["1"] == csv["2"]
+    for kind, text in configs.items():
+        cfg_path = write_config(tmp_path / f"{kind}.ini", text)
+        csv = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"{kind}-t{threads}"
+            subprocess.run([sys.executable, "-m", "magtube.cli", kind,
+                            "--config", cfg_path, "--out", str(out)],
+                           env=env, check=True, capture_output=True,
+                           timeout=600)
+            csv[threads] = {p.name: p.read_bytes()
+                            for p in sorted(out.glob("*.csv"))}
+        assert csv["1"] and csv["1"] == csv["2"]
