@@ -61,10 +61,12 @@ from .xsection import PRINTED_T2_COEFFICIENT, angular_derivative, \
     compute_constants
 
 GRID_BUDGET_3D = 300_000
-# Krylov dimension of a warm-started resolvent Lanczos.  A start near the
-# maximizer converges in a handful of matvecs, and each restart of a small
-# basis costs few solves.  Cold starts keep ARPACK's default of 20: with 6,
-# the clustered top of nrc2d's first points took 355-403 matvecs, not 131.
+# Krylov dimension of a resolvent Lanczos started near its maximizer: from a
+# neighbouring sweep point's maximizer, or from the fiber start of a
+# full/effective pair (see resolvent_distance).  Such a start converges in a
+# handful of matvecs, and each restart of a small basis costs few solves.
+# A random start keeps ARPACK's default of 20: with 6, the clustered top of
+# nrc2d's first points took 355-403 matvecs from a random start, not 131.
 WARM_NCV = 6
 
 
@@ -612,10 +614,17 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     in s-major order their bandwidth is the section size.  A shift that
     fails to do so raises NotPositiveDefinite.
 
-    Without ``v0`` Lanczos starts from a random vector drawn from ``seed``
-    with ARPACK's default Krylov dimension.  A ``v0`` (say, the maximizer of
-    a neighbouring sweep point) is a warm start: Lanczos starts from it with
-    a Krylov dimension of WARM_NCV.
+    A ``v0`` (say, the maximizer of a neighbouring sweep point) is a warm
+    start: Lanczos starts from it with a Krylov dimension of WARM_NCV.
+    Without ``v0``, a pair embedded by the J1 fiber starts, also at
+    WARM_NCV, from u_B (x) (J1 + w): u_B the ground state of B, and
+    w ~ (sum_alpha tau_alpha) J1 the first-moment direction through which
+    curvature and field couple the fiber to the second transverse band.
+    The maximizer lies near one of those two states (the resolvent is
+    O(eps^2) on the rest), so the start is free of ``seed``.  Any other
+    pair (a same-space one, or an explicit ``embedding``) starts from a
+    random vector drawn from ``seed``, with ARPACK's default Krylov
+    dimension.
 
     Returns ``(dist, info)``.  ``info["vector"]`` is the maximizer,
     ``info["matvecs"]`` the number of applications of the difference (the
@@ -629,12 +638,18 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     solve_A = banded_cholesky(opA.matrix.astype(dtype, copy=False))
     solve_B = banded_cholesky(opB.matrix.astype(dtype, copy=False))
     n = opA.n
+    ncv = WARM_NCV
     if embedding is None and opB.n != n:
         J1h = opA.meta["J1h"]
         ns = opB.n
         embedding = fiber_embedding(J1h, ns)
         sec = opA.grid["section"]
         dvol_ratio = sec.h**sec.dim
+        if v0 is None:
+            uB = lowest_eigenpairs(opB.matrix, k=1)[1][:, 0]
+            w = sec.node_coords().reshape(sec.n, -1).sum(axis=1) * J1h
+            fiber = J1h / np.linalg.norm(J1h) + w / np.linalg.norm(w)
+            v0 = np.kron(uB, fiber)
     if embedding is not None:
         embedding_h = embedding.getH()
     matvecs = 0
@@ -652,13 +667,12 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
         return out
 
     lin = sla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
-    ncv = None
     if v0 is None:
         v0 = np.random.default_rng(seed).standard_normal(n)
+        ncv = None
     else:
         v0 = np.asarray(v0)
         v0 = (v0 if complex_path else v0.real).astype(dtype)
-        ncv = WARM_NCV
     start = v0 / np.linalg.norm(v0)
     probe = matvec(start)
     if np.linalg.norm(probe) < 1e-14:

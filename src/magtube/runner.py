@@ -234,7 +234,8 @@ def _run_nrc_sweep(config, out, seed):
                     ylabel="|| inv difference ||", xlog=True, ylog=True)
     # Lanczos start vectors: the maximizer at the same eps from the previous
     # delta, else the previous eps's at this delta; only the first point
-    # starts cold (from ``seed``).  The sweep order fixes every start.
+    # starts cold, from the fiber state of its operators (not from ``seed``).
+    # The sweep order fixes every start.
     maximizers = {}  # eps -> maximizer at the latest delta solved
     previous = None
 

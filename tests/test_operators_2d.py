@@ -279,6 +279,19 @@ def test_warm_distance_is_not_below_the_cold_one(small_pair):
             previous = maximizers[eps] = info["vector"]
 
 
+def test_cold_resolvent_distance_starts_from_the_fiber(small_pair):
+    # without v0 a full/effective pair starts from u_B (x) (J1 + w), which
+    # lies near the maximizer; a seeded random start finds the same norm
+    tol = 1e-3
+    for eps in (0.2, 0.1):
+        opA, opB = small_pair(eps, 0.0)
+        dist, info = ops.resolvent_distance(opA, opB, tol=tol)
+        assert info["converged"] and info["matvecs"] <= 15, eps
+        v0 = np.random.default_rng(11).standard_normal(opA.n)
+        ref, _ = ops.resolvent_distance(opA, opB, tol=tol, v0=v0)
+        assert abs(dist - ref) <= tol * ref, eps
+
+
 def test_resolvent_lanczos_out_of_iterations_raises(small_pair):
     # at k = 1 an unconverged ARPACK run has no Ritz pair to return
     from scipy.sparse.linalg import ArpackNoConvergence

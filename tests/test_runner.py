@@ -439,6 +439,17 @@ def test_nrc_sweep_reproducible_bytes(tmp_path):
     assert a == (tmp_path / "o2" / "nrc_distances.csv").read_bytes()
 
 
+def test_nrc_sweep_bytes_do_not_depend_on_the_seed(tmp_path):
+    # the first point starts from the fiber state of its operators, every
+    # later one from a maximizer, so no start vector is drawn from the seed
+    text = MINI_NRC.format(out=tmp_path / "s7", delta="0 1")
+    cfg = ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
+    run(cfg, out_dir=str(tmp_path / "s7"), seed=7)
+    run(cfg, out_dir=str(tmp_path / "s8"), seed=8)
+    a = (tmp_path / "s7" / "nrc_distances.csv").read_bytes()
+    assert a == (tmp_path / "s8" / "nrc_distances.csv").read_bytes()
+
+
 def test_nrc_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OPENBLAS_NUM_THREADS = 1 and 2 set the ambient pools of two fresh
     # processes; the run pins its 2D solves to one thread, so the bytes agree
