@@ -36,6 +36,19 @@ BAND_BUDGET_BYTES = 2 * 1024**3
 # Shipped 2D bands have kd 39-79, 3D bands kd 361-399.
 WIDE_BAND = 256
 
+# Krylov dimension of a Lanczos run started near its target vector: a
+# resolvent Lanczos from a neighbouring sweep point's maximizer or from the
+# fiber start of a full/effective pair (see operators.resolvent_distance),
+# and a shift-invert eigensolve from a fiber state at a shift just below a
+# proven floor (the Hardy segment at its diamagnetic floor, the positive
+# Hardy pencil at 0; see hardy.assemble_segment).  Such a start
+# converges in a handful of solves, and each restart of a small basis costs
+# few of them.  A random start keeps ARPACK's default of 20, which always
+# builds all 20 vectors before its first convergence check: with 6, the
+# clustered top of nrc2d's first points took 355-403 matvecs from a random
+# start, not 131.
+WARM_NCV = 6
+
 
 # -- BLAS thread pools ------------------------------------------------------------
 
@@ -267,6 +280,17 @@ def banded_cholesky(matrix: sp.spmatrix):
     return solve
 
 
+def random_start(n: int, seed: int, complex_: bool) -> np.ndarray:
+    """Lanczos start vector drawn from ``seed``: standard normal entries,
+    with a standard normal imaginary part drawn after them when
+    ``complex_``."""
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
+    if complex_:
+        v0 = v0 + 1j * rng.standard_normal(n)
+    return v0
+
+
 @blas_threads(1)
 def lowest_eigenpairs(
     matrix: sp.spmatrix,
@@ -276,19 +300,27 @@ def lowest_eigenpairs(
     tol: float = 0.0,
     dense_threshold: int = 3000,
     maxiter: int | None = None,
+    v0: np.ndarray | None = None,
 ):
     """k lowest eigenpairs of a Hermitian sparse matrix.
 
     Shift-invert Lanczos whose OPinv is the banded Cholesky solve of
     ``matrix - sigma``; dense fallback below ``dense_threshold`` unknowns.
-    Every caller shifts below the spectrum (sigma = 0 on the shifted tube
-    operators and the cross sections; 0.5 lam1(omega) on the segment and
-    large-b tubes, whose floor is lam1(omega) by the diamagnetic
-    inequality), so the factor exists.  By Sylvester's law of inertia it
-    proves that no eigenvalue lies below sigma, which makes the k pairs
-    nearest sigma the k lowest.  A sigma above the bottom of the spectrum
-    raises NotPositiveDefinite.  Deterministic given the seed, and runs on
-    one BLAS thread (see blas_threads).
+    Every caller shifts below the spectrum, so the factor exists: sigma = 0
+    on the shifted tube operators and the cross sections; on the Hardy
+    segment lam1(omega) - (pi / 2R)^2 / 4, a quarter of the first Neumann
+    longitudinal gap below its diamagnetic floor lam1(omega); 0.5
+    lam1(omega) on the large-b tubes, whose floor is not proven (a
+    compactly bent tube has bound states below lam1(omega)).  By
+    Sylvester's law of inertia the factor proves that no eigenvalue lies
+    below sigma, which makes the k pairs nearest sigma the k lowest.  A
+    sigma above the bottom of the spectrum raises NotPositiveDefinite.
+
+    A ``v0`` (say, the fiber ground state at the segment's floor) starts
+    Lanczos with a Krylov dimension of WARM_NCV; without it Lanczos starts
+    from a random vector drawn from ``seed`` with ARPACK's default.
+    Deterministic given the start, and runs on one BLAS thread (see
+    blas_threads).
     """
     n = matrix.shape[0]
     if k >= n:
@@ -305,10 +337,9 @@ def lowest_eigenpairs(
                 f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
                 pivot=exc.pivot,
             ) from exc
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(n)
-        if np.iscomplexobj(matrix):
-            v0 = v0 + 1j * rng.standard_normal(n)
+        ncv = WARM_NCV if v0 is not None else None
+        if v0 is None:
+            v0 = random_start(n, seed, np.iscomplexobj(matrix))
         try:
             vals, vecs = sla.eigsh(
                 matrix,
@@ -316,6 +347,7 @@ def lowest_eigenpairs(
                 sigma=sigma,
                 which="LM",
                 v0=v0,
+                ncv=ncv,
                 tol=tol,
                 maxiter=maxiter,
                 OPinv=sla.LinearOperator(matrix.shape, matvec=solve,

@@ -27,6 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from .assemble import (
+    WARM_NCV,
     AssembledOperator,
     RegimeParams,
     banded_cholesky,
@@ -34,6 +35,7 @@ from .assemble import (
     cov_link_matrix,
     form_term,
     lowest_eigenpairs,
+    random_start,
 )
 from .errors import DeformationTooLarge, ZeroFieldWarning
 from .geometry import (
@@ -129,7 +131,14 @@ def _straight_tube_matrix(section: GridDomain, field, b: float, s_nodes,
 
 def assemble_segment(section: GridDomain, field, b: float, R: float,
                      ds: float = 0.05) -> SegmentProblem:
-    """Magnetic operator on (-R, R) x omega, Dirichlet sides, Neumann ends."""
+    """Magnetic operator on (-R, R) x omega, Dirichlet sides, Neumann ends.
+
+    lam1_dn is its lowest eigenvalue.  The diamagnetic inequality, exact on
+    the link-phase lattice, puts it at or above lam1(omega), which at b = 0
+    it attains with the eigenvector 1 (x) J1.  So the eigensolve shifts a
+    quarter of the first Neumann longitudinal gap (pi / 2R)^2 below that
+    floor and starts from 1 (x) J1.
+    """
     if field is None or field.is_zero() or b == 0.0:
         warnings.warn(
             "field vanishes on the segment: c_R degenerates to 0",
@@ -138,7 +147,7 @@ def assemble_segment(section: GridDomain, field, b: float, R: float,
     n_sub = int(round(2 * R / ds))
     s_nodes = -R + ds * np.arange(n_sub + 1)
     mat = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=True)
-    lam1_omega, _ = transverse_ground(section)
+    lam1_omega, J1 = transverse_ground(section)
     op = AssembledOperator(
         matrix=mat,
         grid={"kind": "segment", "s_nodes": s_nodes, "section": section},
@@ -146,7 +155,9 @@ def assemble_segment(section: GridDomain, field, b: float, R: float,
         regime=RegimeParams(eps=1.0, delta=0.0, b=b),
         meta={"model": "segment", "R": R},
     )
-    vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=0.5 * lam1_omega)
+    sigma = lam1_omega - 0.25 * (np.pi / (2 * R)) ** 2
+    vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=sigma,
+                                   v0=np.tile(J1, len(s_nodes)))
     return SegmentProblem(
         R=R, b=b, section=section, op=op,
         lam1_dn=float(vals[0]), lam1_omega=lam1_omega,
@@ -185,17 +196,26 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
                  dense_check: bool = False) -> HardyCertificate:
     """Certify the weighted bound: mu_min of (H - lam1) psi = mu W psi,
     W = 1/(1+s^2), on the Dirichlet tube (-L, L) x omega; pass iff
-    mu_min >= c_R - tol."""
+    mu_min >= c_R - tol.
+
+    Shift-invert at sigma = 0, whose factor is the banded Cholesky factor
+    of A = H - lam1 itself: A is positive definite (its floor is the
+    longitudinal ground energy), and a failed factor raises
+    NotPositiveDefinite.  At b = 0 the pencil separates into J1 (x) (the 1D
+    weighted Dirichlet pencil), so Lanczos starts from the fiber state
+    cos(pi s / 2L) (x) J1.
+    """
     if L < 4 * R:
         raise ValueError("verify_hardy wants L >= 4 R")
     cert = hardy_constant(section, field, b, R, ds=ds)
     n_sub = int(round(2 * L / ds))
     s_nodes = (-L + ds * np.arange(n_sub + 1))[1:-1]
     H = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=False)
-    lam1_omega, _ = transverse_ground(section)
+    lam1_omega, J1 = transverse_ground(section)
     A = H - lam1_omega * sp.eye(H.shape[0])
     W = sp.diags(np.repeat(1.0 / (1.0 + s_nodes**2), section.n))
-    mu_min = _pencil_smallest(A, W, seed=5)
+    fiber = np.kron(np.cos(np.pi * s_nodes / (2 * L)), J1)
+    mu_min = _generalized_nearest(A, W, 0.0, v0=fiber)
     if dense_check and A.shape[0] <= 6000:
         dense_vals = la.eigh(
             A.toarray(), W.toarray(), eigvals_only=True,
@@ -210,23 +230,8 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
     return cert
 
 
-def _pencil_smallest(A: sp.spmatrix, W: sp.spmatrix, seed: int = 5) -> float:
-    """Smallest eigenvalue of the pencil A psi = mu W psi (A > 0, W > 0).
-
-    Inverse iteration on the pencil: shift-invert at sigma = 0, whose factor
-    is the banded Cholesky factor of A itself.  A = H - lam1 on the
-    Dirichlet tube is positive definite (its floor is the longitudinal
-    ground energy); a failed factor raises NotPositiveDefinite.
-    """
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(A.shape[0])
-    if np.iscomplexobj(A):
-        v0 = v0 + 1j * rng.standard_normal(A.shape[0])
-    return _generalized_nearest(A, W, 0.0, v0)
-
-
 @blas_threads(1)
-def _generalized_nearest(A, M, sigma: float, v0) -> float:
+def _generalized_nearest(A, M, sigma: float, v0=None, seed: int = 5) -> float:
     """Eigenvalue of A psi = mu M psi nearest sigma (shift-invert Lanczos).
 
     OPinv is the banded Cholesky solve of A - sigma M.  The callers shift
@@ -235,15 +240,23 @@ def _generalized_nearest(A, M, sigma: float, v0) -> float:
     near lam1(omega) at the amplitudes the factor admits.  A successful
     factor proves A - sigma M positive definite, so the eigenvalue nearest
     sigma is the lowest; a shift above it raises NotPositiveDefinite.
+
+    The Hardy pencil passes its fiber start ``v0`` and runs at a Krylov
+    dimension of WARM_NCV.  The deformed tube has no start to give: it
+    passes ``seed``, draws a random start from it and keeps ARPACK's
+    default.
     """
     solve = banded_cholesky(A - sigma * M)
     OPinv = sla.LinearOperator(A.shape, matvec=solve, dtype=A.dtype)
+    ncv = WARM_NCV if v0 is not None else None
+    if v0 is None:
+        v0 = random_start(A.shape[0], seed, np.iscomplexobj(A))
     with warnings.catch_warnings():
         # ARPACK's generalized-mode bookkeeping casts the real Ritz values
         # through the complex work arrays
         warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
         vals = sla.eigsh(A, k=1, M=M, sigma=sigma, which="LM", v0=v0,
-                         OPinv=OPinv, return_eigenvectors=False)
+                         ncv=ncv, OPinv=OPinv, return_eigenvectors=False)
     if np.iscomplexobj(A):
         # scipy's complex ARPACK driver holds OPinv, and with it the
         # factor, in a reference cycle; release it now, not whenever the
@@ -404,9 +417,7 @@ def deformation_experiment(section: GridDomain, field, b: float,
     for a in amplitudes:
         H, mass, _ = assemble_deformed_tube(section, field, b, deformation,
                                             a, L, ds=ds)
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(H.shape[0]) + 1j * rng.standard_normal(H.shape[0])
-        lam = _generalized_nearest(H, mass, 0.8 * lam1_omega, v0)
+        lam = _generalized_nearest(H, mass, 0.8 * lam1_omega, seed=seed)
         rows.append({
             "amplitude": a,
             "lam1": lam,

@@ -43,6 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from .assemble import (
+    WARM_NCV,
     AssembledOperator,
     Spectrum,
     banded_cholesky,
@@ -61,13 +62,6 @@ from .xsection import PRINTED_T2_COEFFICIENT, angular_derivative, \
     compute_constants
 
 GRID_BUDGET_3D = 300_000
-# Krylov dimension of a resolvent Lanczos started near its maximizer: from a
-# neighbouring sweep point's maximizer, or from the fiber start of a
-# full/effective pair (see resolvent_distance).  Such a start converges in a
-# handful of matvecs, and each restart of a small basis costs few solves.
-# A random start keeps ARPACK's default of 20: with 6, the clustered top of
-# nrc2d's first points took 355-403 matvecs from a random start, not 131.
-WARM_NCV = 6
 
 
 # -- grids along the axis --------------------------------------------------------

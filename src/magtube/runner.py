@@ -9,6 +9,7 @@ reconstructible from the manifest alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 import warnings
@@ -25,14 +26,24 @@ from .fitting import fit_order
 from .svgplot import LinePlot
 
 
+# Significant digits of every float a CSV prints.
+DIGITS = 12
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "1" if v else "0"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return f"{v:.{DIGITS}g}"
     return str(v)
+
+
+def _at_resolution_of(v: float, ref: float) -> float:
+    """``v`` rounded to the last decimal place that _fmt prints of ``ref``,
+    the absolute resolution of a difference of two values near ``ref``."""
+    return round(v, DIGITS - 1 - math.floor(math.log10(abs(ref))))
 
 
 @dataclass
@@ -347,7 +358,10 @@ def _run_hardy(config, out, seed):
 
     certs = _sweep(list(b_list), point, tables=(table,))
     for cert in certs:
-        table.add(cert.R, cert.b, cert.lam1_dn, cert.cutoff_C, cert.c_R,
+        # c_R is a multiple of lam1_dn - lam1(omega): at small b, digits
+        # below lam1_dn's printed resolution are eigensolver roundoff
+        c_R = _at_resolution_of(cert.c_R, cert.lam1_dn)
+        table.add(cert.R, cert.b, cert.lam1_dn, cert.cutoff_C, c_R,
                   cert.mu_min, cert.margin, cert.passed)
     plot = LinePlot(title="Hardy certification", xlabel="b", ylabel="value")
     bs = [c.b for c in certs]

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
 from magtube import geometry as geo, grids, hardy
 from magtube.assemble import RegimeParams
@@ -99,6 +100,56 @@ def test_mu_min_monotone_in_L(sec2d, field2d):
         cert = hardy.verify_hardy(sec2d, field2d, 1.0, R=2.0, L=L, ds=0.05)
         mus.append(cert.mu_min)
     assert mus[1] <= mus[0] + 1e-10  # larger trial space can only lower it
+
+
+@pytest.fixture
+def band_solves(monkeypatch):
+    """Counts applications of every banded Cholesky solve (each OPinv of a
+    shift-invert eigensolve) made while the test runs."""
+    from magtube import assemble
+
+    count = [0]
+    factor = assemble.banded_cholesky
+
+    def counting(matrix):
+        solve = factor(matrix)
+
+        def counted(rhs):
+            count[0] += 1
+            return solve(rhs)
+
+        return counted
+
+    monkeypatch.setattr(assemble, "banded_cholesky", counting)
+    monkeypatch.setattr(hardy, "banded_cholesky", counting)
+    return count
+
+
+def test_hardy_eigensolves_start_from_the_fiber(sec2d, field2d, band_solves):
+    # a shift just below the diamagnetic floor and a start in the J1 fiber
+    # let a small Krylov basis stop early, where a random start at ARPACK's
+    # default basis takes 21 solves per eigensolve
+    hardy.assemble_segment(sec2d, field2d, 1.0, R=2.0, ds=0.05)
+    assert band_solves[0] <= 12
+    band_solves[0] = 0
+    hardy.verify_hardy(sec2d, field2d, 1.0, R=2.0, L=8.0, ds=0.05)
+    assert band_solves[0] <= 24  # the segment's solves and the pencil's
+
+
+def test_zero_field_pencil_separates(sec2d, field2d):
+    # at b = 0 the pencil is J1 (x) the 1D weighted Dirichlet pencil; the
+    # segment solve inside starts from its exact eigenvector 1 (x) J1
+    from magtube.assemble import dirichlet_second_difference
+
+    L, ds = 8.0, 0.05
+    with pytest.warns(ZeroFieldWarning):
+        cert = hardy.verify_hardy(sec2d, field2d, 0.0, R=2.0, L=L, ds=ds)
+    s = (-L + ds * np.arange(int(round(2 * L / ds)) + 1))[1:-1]
+    D = dirichlet_second_difference(len(s), ds).toarray()
+    mu = la.eigh(D, np.diag(1.0 / (1.0 + s**2)), eigvals_only=True,
+                 subset_by_index=(0, 0))[0]
+    assert abs(cert.mu_min - mu) <= 1e-9 * mu
+    assert cert.c_R == 0.0
 
 
 def test_verify_requires_long_tube(sec2d, field2d):

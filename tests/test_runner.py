@@ -152,6 +152,34 @@ def test_hardy_runner_certifies_b_0(tmp_path):
     assert row["margin"] == cert.margin and row["pass"]
 
 
+def test_hardy_c_R_prints_at_the_resolution_of_lam1_dn(tmp_path, monkeypatch):
+    # at small b, c_R is a multiple of a gap lam1_dn - lam1 ~ 4e-5 of two
+    # eigenvalues near 2.47: gaps 1e-10 apart (relative), far below the
+    # resolution of the printed lam1_dn, print the same c_R
+    from magtube import hardy
+
+    lam1, C = 2.46613301349753, hardy.cutoff_constant()
+
+    def certificate(section, field, b, R, L, ds):
+        gap = 4.1234567e-5 * (1.0 + 1e-10 * b)
+        c_R = gap / (1.0 + C / R**2)
+        return hardy.HardyCertificate(R=R, b=b, lam1_dn=lam1 + gap,
+                                      cutoff_C=C, c_R=c_R, mu_min=0.1,
+                                      margin=0.1 - c_R, passed=True)
+
+    monkeypatch.setattr(hardy, "verify_hardy", certificate)
+    cfg = ExperimentConfig.load(write_config(
+        tmp_path / "hardy.ini",
+        MINI_HARDY.format(out=tmp_path / "out").replace("b = 0 0.5 2",
+                                                        "b = 0 1")))
+    run(cfg, out_dir=str(tmp_path / "out"))
+    csv_path = tmp_path / "out" / "hardy_certificates.csv"
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:3]]
+    assert rows[0]["c_R"] == rows[1]["c_R"] != "0"
+
+
 def test_result_table_formatting(tmp_path):
     t = ResultTable("demo", ["a", "b"])
     t.add(1.0 / 3.0, True)
