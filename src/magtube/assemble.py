@@ -309,9 +309,11 @@ def lowest_eigenpairs(
     Every caller shifts below the spectrum, so the factor exists: sigma = 0
     on the shifted tube operators and the cross sections; on the Hardy
     segment lam1(omega) - (pi / 2R)^2 / 4, a quarter of the first Neumann
-    longitudinal gap below its diamagnetic floor lam1(omega); 0.5
-    lam1(omega) on the large-b tubes, whose floor is not proven (a
-    compactly bent tube has bound states below lam1(omega)).  By
+    longitudinal gap below its diamagnetic floor lam1(omega); on the
+    large-b tubes 0.5 lam1(omega) at b = 0 (a compactly bent tube has
+    bound states below lam1(omega)) and, at every other b, lam1(b = 0) -
+    (pi / 2S)^2 / 4, just below the floor that the diamagnetic inequality
+    puts at the b = 0 ground energy (see hardy.large_b_experiment).  By
     Sylvester's law of inertia the factor proves that no eigenvalue lies
     below sigma, which makes the k pairs nearest sigma the k lowest.  A
     sigma above the bottom of the spectrum raises NotPositiveDefinite.

@@ -42,8 +42,9 @@ def _fmt(v) -> str:
 
 def _at_resolution_of(v: float, ref: float) -> float:
     """``v`` rounded to the last decimal place that _fmt prints of ``ref``,
-    the absolute resolution of a difference of two values near ``ref``."""
-    return round(v, DIGITS - 1 - math.floor(math.log10(abs(ref))))
+    the absolute resolution of a difference of two values near ``ref``.
+    Adding 0.0 turns a rounded -0.0 into 0."""
+    return round(v, DIGITS - 1 - math.floor(math.log10(abs(ref)))) + 0.0
 
 
 @dataclass
@@ -304,8 +305,13 @@ def _run_asymptotics(config, out, seed):
     qm, rows, overlaps = asym.eigenvalue_expansion(
         tube, fieldobj, mode, J, eps_list, frame=frame, series=series)
     gamma_table = ResultTable("gamma_coefficients", ["n", "j", "gamma"])
-    for j, g in qm.gamma_table():
-        gamma_table.add(mode, j, g)
+    gammas = qm.gamma_table()
+    gamma_0 = dict(gammas)[0]
+    for j, g in gammas:
+        # rows past j = 0 print at the absolute resolution of the gamma_0
+        # row, so gamma_1, an exact 0, prints 0 and not its roundoff
+        gamma_table.add(mode, j,
+                        _at_resolution_of(g, gamma_0) if j >= 1 else g)
     gamma_table.footer["fredholm_defect"] = qm.fredholm_defect
     gamma_table.footer["effective_coefficient_source"] = "measured"
     track = ResultTable(

@@ -104,25 +104,28 @@ def test_mu_min_monotone_in_L(sec2d, field2d):
 
 @pytest.fixture
 def band_solves(monkeypatch):
-    """Counts applications of every banded Cholesky solve (each OPinv of a
-    shift-invert eigensolve) made while the test runs."""
+    """Counts applications of the banded Cholesky solves (each OPinv of a
+    shift-invert eigensolve) made while the test runs, one entry per
+    factor in the order of factoring."""
     from magtube import assemble
 
-    count = [0]
+    counts = []
     factor = assemble.banded_cholesky
 
     def counting(matrix):
         solve = factor(matrix)
+        counts.append(0)
+        which = len(counts) - 1
 
         def counted(rhs):
-            count[0] += 1
+            counts[which] += 1
             return solve(rhs)
 
         return counted
 
     monkeypatch.setattr(assemble, "banded_cholesky", counting)
     monkeypatch.setattr(hardy, "banded_cholesky", counting)
-    return count
+    return counts
 
 
 def test_hardy_eigensolves_start_from_the_fiber(sec2d, field2d, band_solves):
@@ -130,10 +133,10 @@ def test_hardy_eigensolves_start_from_the_fiber(sec2d, field2d, band_solves):
     # let a small Krylov basis stop early, where a random start at ARPACK's
     # default basis takes 21 solves per eigensolve
     hardy.assemble_segment(sec2d, field2d, 1.0, R=2.0, ds=0.05)
-    assert band_solves[0] <= 12
-    band_solves[0] = 0
+    assert sum(band_solves) <= 12
+    band_solves.clear()
     hardy.verify_hardy(sec2d, field2d, 1.0, R=2.0, L=8.0, ds=0.05)
-    assert band_solves[0] <= 24  # the segment's solves and the pencil's
+    assert sum(band_solves) <= 24  # the segment's solves and the pencil's
 
 
 def test_zero_field_pencil_separates(sec2d, field2d):
@@ -231,13 +234,27 @@ def test_straight_gauges_one_call_match_per_line_loop(sec2d, field2d,
     assert (H != gauged()).nnz == 0
 
 
-def test_large_b_experiment(sec2d):
+LARGE_B = [0.0, 0.5, 1.0, 2.0, 4.0]
+
+
+@pytest.fixture(scope="module")
+def bent_tube(sec2d):
     # eps = 1 tube: sup|kappa| must stay below 1 for injectivity
     curve = geo.CurveProfile(dim=2, S=20.0, ds=0.08,
                              kappa=geo.Profile.single(0.0, 2.0, 0.85))
     field = geo.AmbientField2D((((0.0, 0.0), 8.0, 1.0),))
     tube = geo.TubeSpec(curve, sec2d, RegimeParams(eps=1.0, delta=0.0, b=0.0))
-    rep = hardy.large_b_experiment(tube, field, [0.0, 0.5, 1.0, 2.0, 4.0])
+    return tube, field
+
+
+@pytest.fixture(scope="module")
+def large_b_report(bent_tube):
+    tube, field = bent_tube
+    return hardy.large_b_experiment(tube, field, LARGE_B)
+
+
+def test_large_b_experiment(large_b_report):
+    rep = large_b_report
     rows = rep["rows"]
     # b = 0: curvature-induced bound state below threshold minus budget
     assert rows[0]["lam1"] < rep["lam1_omega"] - rep["budget"]
@@ -268,6 +285,48 @@ def test_large_b_crossing_needs_an_empty_tail(sec2d, monkeypatch):
         assert [r["empty"] for r in rep["rows"]] == [lam == empty for lam in lams]
         assert rep["crossing_b"] == crossing
         assert rep["conclusive"] == (crossing is not None)
+
+
+def test_large_b_solves_shift_at_the_diamagnetic_floor(bent_tube,
+                                                        band_solves):
+    # the b = 0 tube binds below lam1(omega) and keeps its far shift (51
+    # solves); each b != 0 solve shifts just below lam1(0), the floor that
+    # the diamagnetic inequality proves, and converges in ARPACK's first
+    # basis instead of after 51 solves
+    tube, field = bent_tube
+    hardy.large_b_experiment(tube, field, LARGE_B)
+    assert len(band_solves) == len(LARGE_B)
+    assert band_solves[0] == 51
+    assert max(band_solves[1:]) <= 25
+
+
+def test_large_b_rows_sit_on_the_floor_and_match_far_shifts(bent_tube,
+                                                             large_b_report):
+    from magtube.assemble import lowest_eigenpairs
+    from magtube.operators import assemble_full_2d
+
+    tube, field = bent_tube
+    rows = large_b_report["rows"]
+    assert all(r["lam1"] >= rows[0]["lam1"] for r in rows[1:])
+    frame = geo.integrate_frame(tube.curve)
+    sigma = 0.5 * large_b_report["lam1_omega"]
+    for row in rows:
+        regime = RegimeParams(eps=1.0, delta=0.0, b=row["b"], K=tube.regime.K)
+        op = assemble_full_2d(geo.TubeSpec(tube.curve, tube.section, regime),
+                              field, frame, shifted=False)
+        far = lowest_eigenpairs(op.matrix, k=1, sigma=sigma, seed=7)[0][0]
+        assert abs(row["lam1"] - far) <= 1e-12 * abs(far)
+
+
+def test_large_b_floor_without_b_0_or_field(bent_tube, large_b_report):
+    tube, field = bent_tube
+    # a schedule without b = 0 still solves the floor first
+    rep = hardy.large_b_experiment(tube, field, LARGE_B[1:])
+    assert rep["rows"] == large_b_report["rows"][1:]
+    # without a field every b is the b = 0 tube
+    rep = hardy.large_b_experiment(tube, None, LARGE_B)
+    lam0 = large_b_report["rows"][0]["lam1"]
+    assert all(abs(r["lam1"] - lam0) <= 1e-12 * lam0 for r in rep["rows"])
 
 
 @pytest.mark.parametrize("dim", [2, 3])

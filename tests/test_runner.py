@@ -392,6 +392,32 @@ def test_runner_asymptotics_kind(tmp_path):
     assert os.path.exists(tmp_path / "asym" / "quasimode_residuals.svg")
 
 
+def test_gamma_rows_print_at_the_resolution_of_gamma_0(tmp_path, monkeypatch):
+    # gamma_1 is an exact 0 that the expansion returns as roundoff of either
+    # sign; rows past j = 0 print at the absolute resolution of the gamma_0
+    # row, and a rounded -0 prints as 0
+    from types import SimpleNamespace
+
+    from magtube import asymptotics as asym
+
+    gammas = [(-2, 2.46683744177), (-1, 0.0), (0, -0.0691905487894),
+              (1, -5.26915584648e-15), (2, -0.0295799906878123)]
+    qm = SimpleNamespace(gamma_table=lambda: gammas, fredholm_defect=8e-13,
+                         residual=lambda op, eps: eps**3)
+    eps_list = [0.1, 0.07, 0.05]
+    tracking = [(eps, 1.0, 1.0, eps**3) for eps in eps_list]
+    monkeypatch.setattr(asym, "expand_operator_2d", lambda *a, **kw: None)
+    monkeypatch.setattr(asym, "eigenvalue_expansion", lambda *a, **kw: (
+        qm, tracking, [1.0] * len(eps_list)))
+    cfg = ExperimentConfig.load(write_config(
+        tmp_path / "asym.ini", MINI_ASYM.format(out=tmp_path / "out")))
+    run(cfg, out_dir=str(tmp_path / "out"))
+    lines = (tmp_path / "out" / "gamma_coefficients.csv").read_text()
+    assert lines.splitlines()[1:6] == [
+        "1,-2,2.46683744177", "1,-1,0", "1,0,-0.0691905487894", "1,1,0",
+        "1,2,-0.0295799906878"]
+
+
 MINI_NRC = """
 [experiment]
 version = 1
