@@ -12,8 +12,10 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import gc
 import os
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,24 +303,20 @@ def lowest_eigenpairs(
     dense_threshold: int = 3000,
     maxiter: int | None = None,
     v0: np.ndarray | None = None,
+    M: sp.spmatrix | None = None,
 ):
-    """k lowest eigenpairs of a Hermitian sparse matrix.
+    """k lowest eigenpairs of the Hermitian pencil matrix v = lam M v.
 
+    ``M`` is a positive-definite mass matrix, the identity by default.
     Shift-invert Lanczos whose OPinv is the banded Cholesky solve of
-    ``matrix - sigma``; dense fallback below ``dense_threshold`` unknowns.
-    Every caller shifts below the spectrum, so the factor exists: sigma = 0
-    on the shifted tube operators and the cross sections; on the Hardy
-    segment lam1(omega) - (pi / 2R)^2 / 4, a quarter of the first Neumann
-    longitudinal gap below its diamagnetic floor lam1(omega); on the
-    large-b tubes 0.5 lam1(omega) at b = 0 (a compactly bent tube has
-    bound states below lam1(omega)) and, at every other b, lam1(b = 0) -
-    (pi / 2S)^2 / 4, just below the floor that the diamagnetic inequality
-    puts at the b = 0 ground energy (see hardy.large_b_experiment).  By
-    Sylvester's law of inertia the factor proves that no eigenvalue lies
-    below sigma, which makes the k pairs nearest sigma the k lowest.  A
-    sigma above the bottom of the spectrum raises NotPositiveDefinite.
+    ``matrix - sigma M``; dense fallback below ``dense_threshold`` unknowns.
+    Callers shift below the spectrum, so the factor exists.  By Sylvester's
+    law of inertia it proves that no eigenvalue lies below sigma, which
+    makes the k pairs nearest sigma the k lowest; a sigma above the bottom
+    of the spectrum raises NotPositiveDefinite.  Residuals are
+    ||matrix v - lam M v||.
 
-    A ``v0`` (say, the fiber ground state at the segment's floor) starts
+    A ``v0`` (say, a fiber ground state just above its proven floor) starts
     Lanczos with a Krylov dimension of WARM_NCV; without it Lanczos starts
     from a random vector drawn from ``seed`` with ARPACK's default.
     Deterministic given the start, and runs on one BLAS thread (see
@@ -328,12 +326,21 @@ def lowest_eigenpairs(
     if k >= n:
         raise ValueError("k must be below the matrix dimension")
     if n <= dense_threshold:
-        dense = matrix.toarray()
-        vals, vecs = np.linalg.eigh(dense)
+        # scipy's "evd" solve gives np.linalg.eigh's values, but in Fortran
+        # order, which rounds the callers' later products differently
+        if M is None:
+            vals, vecs = np.linalg.eigh(matrix.toarray())
+        else:
+            vals, vecs = la.eigh(matrix.toarray(), M.toarray())
         vals, vecs = vals[:k], vecs[:, :k]
     else:
+        mass = sp.eye(n, format="csr") if M is None else M
         try:
-            solve = banded_cholesky(matrix - sigma * sp.eye(n, format="csr"))
+            # scipy's complex ARPACK solver can hold OPinv in a reference
+            # cycle, which the cyclic collector frees only when it next runs;
+            # OPinv reads the solve through this list, so emptying it
+            # releases the factor at once
+            held = [banded_cholesky(matrix - sigma * mass)]
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(
                 f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
@@ -343,18 +350,17 @@ def lowest_eigenpairs(
         if v0 is None:
             v0 = random_start(n, seed, np.iscomplexobj(matrix))
         try:
-            vals, vecs = sla.eigsh(
-                matrix,
-                k=k,
-                sigma=sigma,
-                which="LM",
-                v0=v0,
-                ncv=ncv,
-                tol=tol,
-                maxiter=maxiter,
-                OPinv=sla.LinearOperator(matrix.shape, matvec=solve,
-                                         dtype=matrix.dtype),
-            )
+            with warnings.catch_warnings():
+                # ARPACK's generalized-mode bookkeeping casts the real Ritz
+                # values through the complex work arrays
+                warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+                vals, vecs = sla.eigsh(
+                    matrix, k=k, M=M, sigma=sigma, which="LM", v0=v0,
+                    ncv=ncv, tol=tol, maxiter=maxiter,
+                    OPinv=sla.LinearOperator(
+                        matrix.shape, matvec=lambda x: held[0](x),
+                        dtype=matrix.dtype),
+                )
         except ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             raise EigensolverDiverged(
@@ -362,11 +368,19 @@ def lowest_eigenpairs(
                 f"(sigma={sigma}); increase maxiter or adjust the shift",
                 residuals=exc.eigenvalues,
             ) from exc
+        finally:
+            held.clear()
+            if M is not None:
+                # scipy's complex generalized ARPACK mode keeps its workspace
+                # (the n x ncv Lanczos basis) in a reference cycle; collect it
+                # while it is young, or a sweep of pencils piles them up
+                gc.collect(1)
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
+    mvecs = vecs if M is None else M @ vecs
     residuals = np.array(
         [
-            np.linalg.norm(matrix @ vecs[:, j] - vals[j] * vecs[:, j])
+            np.linalg.norm(matrix @ vecs[:, j] - vals[j] * mvecs[:, j])
             for j in range(k)
         ]
     )

@@ -43,6 +43,8 @@ bump families use ``center width amplitude`` triplets joined by ';':
     k = 1 / tol = 1e-3 / R = 2 / L = 10 / ds = 0.05 / J = 2 / mode = 1 /
     coefficient = measured|printed / cache_dir = DIR /
     amplitudes = 0.05 0.1 0.2 / b_deform / shift_center / shift_width
+                                          (hardy / stability: 2 R and 2 L
+                                           are multiples of ds)
 
 Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
 A section or key not listed here is a ConfigError: no code reads it.
@@ -164,6 +166,7 @@ class ExperimentConfig:
         if self.kind in ("hardy", "stability"):
             if not self.get_floats("regime", "b"):
                 raise ConfigError(f"{self.kind} needs a b schedule")
+            self.tube_lengths()
         if self.kind != "xsection" and "curve" not in self.raw:
             if self.kind not in ("hardy",):
                 raise ConfigError(f"{self.kind} needs a [curve] section")
@@ -174,6 +177,24 @@ class ExperimentConfig:
             self.build_curve()
         if "field" in self.raw:
             self.build_field()
+
+    def tube_lengths(self) -> dict:
+        """[solver] ds and the straight tubes' half-lengths r and l (hardy)
+        or l (stability), with their defaults; 2 r and 2 l must be
+        multiples of ds."""
+        hardy = self.kind == "hardy"
+        out = {"ds": self.get_float("solver", "ds", 0.05 if hardy else 0.08),
+               "l": self.get_float("solver", "l", 10.0 if hardy else 16.0)}
+        if hardy:
+            out["r"] = self.get_float("solver", "r", 2.0)
+        for key in sorted(out.keys() - {"ds"}):
+            try:
+                grids._subdivide(2 * out[key], out["ds"])
+            except ValueError as exc:
+                raise ConfigError(f"[solver] ds = {out['ds']:g} does not "
+                                  f"subdivide 2 {key} = {2 * out[key]:g}"
+                                  ) from exc
+        return out
 
     # -- fixture builders ----------------------------------------------------
 

@@ -13,6 +13,11 @@ grid-consistent lam1 of the section, so the b = 0 gap vanishes identically.
 Also runs the stability experiments: small tube deformations in the presence
 of a field keep the spectrum above the free threshold, and for large field
 intensity the discrete spectrum of a compactly bent tube empties.
+
+Every eigenvalue here, of a tube operator or of a pencil A psi = mu M psi
+(the weighted Hardy pencil, the deformed tube with its mass matrix), comes
+from the shift-invert solve :func:`magtube.assemble.lowest_eigenpairs`.
+Straight tubes are grids of ds: 2R and 2L must be multiples of it.
 """
 
 from __future__ import annotations
@@ -21,20 +26,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as sla
 
 from .assemble import (
-    WARM_NCV,
     AssembledOperator,
     RegimeParams,
-    banded_cholesky,
-    blas_threads,
     cov_link_matrix,
     form_term,
     lowest_eigenpairs,
-    random_start,
 )
 from .errors import DeformationTooLarge, ZeroFieldWarning
 from .geometry import (
@@ -44,7 +43,7 @@ from .geometry import (
     _cumint_from_zero,
     integrate_frame,
 )
-from .grids import GridDomain
+from .grids import GridDomain, _subdivide
 from .operators import (
     TubeLattice,
     _tube_matrix,
@@ -143,7 +142,7 @@ def assemble_segment(section: GridDomain, field, b: float, R: float,
             "field vanishes on the segment: c_R degenerates to 0",
             ZeroFieldWarning,
         )
-    n_sub = int(round(2 * R / ds))
+    n_sub = _subdivide(2 * R, ds)
     s_nodes = -R + ds * np.arange(n_sub + 1)
     mat = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=True)
     lam1_omega, J1 = transverse_ground(section)
@@ -191,8 +190,7 @@ def hardy_constant(section: GridDomain, field, b: float, R: float,
 
 
 def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
-                 ds: float = 0.05, tol: float = 1e-9,
-                 dense_check: bool = False) -> HardyCertificate:
+                 ds: float = 0.05, tol: float = 1e-9) -> HardyCertificate:
     """Certify the weighted bound: mu_min of (H - lam1) psi = mu W psi,
     W = 1/(1+s^2), on the Dirichlet tube (-L, L) x omega; pass iff
     mu_min >= c_R - tol.
@@ -206,65 +204,22 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
     """
     if L < 4 * R:
         raise ValueError("verify_hardy wants L >= 4 R")
+    n_sub = _subdivide(2 * L, ds)
     cert = hardy_constant(section, field, b, R, ds=ds)
-    n_sub = int(round(2 * L / ds))
     s_nodes = (-L + ds * np.arange(n_sub + 1))[1:-1]
     H = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=False)
     lam1_omega, J1 = transverse_ground(section)
     A = H - lam1_omega * sp.eye(H.shape[0])
     W = sp.diags(np.repeat(1.0 / (1.0 + s_nodes**2), section.n))
     fiber = np.kron(np.cos(np.pi * s_nodes / (2 * L)), J1)
-    mu_min = _generalized_nearest(A, W, 0.0, v0=fiber)
-    if dense_check and A.shape[0] <= 6000:
-        dense_vals = la.eigh(
-            A.toarray(), W.toarray(), eigvals_only=True,
-            subset_by_index=(0, 0),
-        )
-        cert.meta["mu_min_dense"] = float(dense_vals[0])
-    cert.mu_min = float(mu_min)
-    cert.margin = float(mu_min - cert.c_R)
+    vals, _, _ = lowest_eigenpairs(A, k=1, sigma=0.0, v0=fiber, M=W)
+    mu_min = float(vals[0])
+    cert.mu_min = mu_min
+    cert.margin = mu_min - cert.c_R
     cert.passed = bool(mu_min >= cert.c_R - tol)
     cert.meta["L"] = L
     cert.meta["ds"] = ds
     return cert
-
-
-@blas_threads(1)
-def _generalized_nearest(A, M, sigma: float, v0=None, seed: int = 5) -> float:
-    """Eigenvalue of A psi = mu M psi nearest sigma (shift-invert Lanczos).
-
-    OPinv is the banded Cholesky solve of A - sigma M.  The callers shift
-    below the pencil's spectrum: sigma = 0 on the positive Hardy pencil,
-    0.8 lam1(omega) on the deformed tube, whose lowest eigenvalue stays
-    near lam1(omega) at the amplitudes the factor admits.  A successful
-    factor proves A - sigma M positive definite, so the eigenvalue nearest
-    sigma is the lowest; a shift above it raises NotPositiveDefinite.
-
-    The Hardy pencil passes its fiber start ``v0`` and runs at a Krylov
-    dimension of WARM_NCV.  The deformed tube has no start to give: it
-    passes ``seed``, draws a random start from it and keeps ARPACK's
-    default.
-    """
-    # scipy's complex ARPACK driver holds OPinv in a reference cycle, which
-    # the cyclic collector frees only when it next runs (factors piled up
-    # across a sweep); OPinv reads the solve through this list, so
-    # emptying it releases the factor at once
-    held = [banded_cholesky(A - sigma * M)]
-    OPinv = sla.LinearOperator(A.shape, matvec=lambda x: held[0](x),
-                               dtype=A.dtype)
-    ncv = WARM_NCV if v0 is not None else None
-    if v0 is None:
-        v0 = random_start(A.shape[0], seed, np.iscomplexobj(A))
-    try:
-        with warnings.catch_warnings():
-            # ARPACK's generalized-mode bookkeeping casts the real Ritz
-            # values through the complex work arrays
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            vals = sla.eigsh(A, k=1, M=M, sigma=sigma, which="LM", v0=v0,
-                             ncv=ncv, OPinv=OPinv, return_eigenvectors=False)
-    finally:
-        held.clear()
-    return float(vals[0])
 
 
 # -- deformed straight tubes (Prop. stability under small deformations) -----------
@@ -298,10 +253,11 @@ def assemble_deformed_tube(section: GridDomain, field, b: float,
     2-form det(DPhi) B(Phi) with a transverse gauge.  The diagonal metric
     terms are assembled on lattice edges (covariant differences, no
     averaging, so the form stays coercive); the O(amplitude) off-diagonal
-    W12 term uses cell-centered averaged gradients.  Returns (H, mass,
+    W12 term lives on the lattice's plaquettes (TubeLattice.cells), with
+    each gradient averaged over two parallel links.  Returns (H, mass,
     s_nodes) for the generalized pencil H psi = lam * mass psi.
     """
-    n_sub = int(round(2 * L / ds))
+    n_sub = _subdivide(2 * L, ds)
     s_nodes = (-L + ds * np.arange(n_sub + 1))[1:-1]
     tau = section.node_coords()
     dtau = section.h
@@ -360,40 +316,18 @@ def assemble_deformed_tube(section: GridDomain, field, b: float,
         np.repeat(s_nodes, len(t_mids)), np.tile(t_mids, ns)
     )
     H = H + form_term(Dt, weights=w22_e)
-    # cross term, cell-centered with averaged covariant gradients
-    node_idx = -np.ones((ns + 2, nt + 2), dtype=np.int64)
-    node_idx[1:-1, 1:-1] = np.arange(n).reshape(ns, nt)
-    ncell = (ns + 1) * (nt + 1)
-    ci = np.repeat(np.arange(ns + 1), nt + 1)
-    cj = np.tile(np.arange(nt + 1), ns + 1)
-    ll, rl, lr, rr = (node_idx[ci + di, cj + dj] for di, dj in
-                      ((0, 0), (1, 0), (0, 1), (1, 1)))
-    sc = np.concatenate([[s_nodes[0] - ds], s_nodes]) + ds / 2
-    tc = np.concatenate([[tau[0] - dtau], tau]) + dtau / 2
-    _, _, w12_c, _ = metric(np.repeat(sc, nt + 1), np.tile(tc, ns + 1))
+    # cross term on the (s-link x t-link) plaquettes
+    ll, rl, lr, rr = lat.cells(0)
+    _, _, w12_c, _ = metric(np.repeat(lat.mids, len(t_mids)),
+                            np.tile(t_mids, ns + 1))
     if np.abs(w12_c).max() > 0:
-        if zero_field:
-            eip = np.ones(ncell)
-        else:
-            eip = np.exp(1j * (ds * b * gauge_ref(sc, tc)).ravel())
-
-        def cellgrad(pairs, h, phase):
-            rows, cols, vals = [], [], []
-            for (a_idx, b_idx) in pairs:
-                for idx_arr, coef in ((b_idx, (-1j / h) * 0.5 * phase),
-                                      (a_idx, (1j / h) * 0.5 * np.ones(ncell))):
-                    ok = idx_arr >= 0
-                    rows.append(np.nonzero(ok)[0])
-                    cols.append(idx_arr[ok])
-                    vals.append(np.broadcast_to(coef, (ncell,))[ok])
-            return sp.csr_matrix(
-                (np.concatenate(vals),
-                 (np.concatenate(rows), np.concatenate(cols))),
-                shape=(ncell, n),
-            )
-
-        Gs = cellgrad(((ll, rl), (lr, rr)), ds, eip)
-        Gt = cellgrad(((ll, lr), (rl, rr)), dtau, np.ones(ncell))
+        zeros = np.zeros(len(ll))
+        phi = zeros if zero_field else (
+            ds * b * gauge_ref(lat.mids, t_mids)).ravel()
+        Gs = 0.5 * (cov_link_matrix(n, ll, rl, ds, phi)
+                    + cov_link_matrix(n, lr, rr, ds, phi))
+        Gt = 0.5 * (cov_link_matrix(n, ll, lr, dtau, zeros)
+                    + cov_link_matrix(n, rl, rr, dtau, zeros))
         H = H + (Gs.getH() @ sp.diags(w12_c) @ Gt
                  + Gt.getH() @ sp.diags(w12_c) @ Gs)
     H = H.tocsr()
@@ -412,6 +346,10 @@ def deformation_experiment(section: GridDomain, field, b: float,
     pass per amplitude = no eigenvalue below lam1(omega) - budget with
     budget = 2 (pi / (2L))^2 (the free longitudinal ground energy bounds the
     truncation perturbation).
+
+    The deformed tube has no proven floor: each pencil is solved at the far
+    shift 0.8 lam1(omega), below its lowest eigenvalue at the amplitudes
+    the factor admits, from a random start drawn from ``seed``.
     """
     lam1_omega, _ = transverse_ground(section)
     budget = 2.0 * (np.pi / (2 * L)) ** 2
@@ -419,7 +357,9 @@ def deformation_experiment(section: GridDomain, field, b: float,
     for a in amplitudes:
         H, mass, _ = assemble_deformed_tube(section, field, b, deformation,
                                             a, L, ds=ds)
-        lam = _generalized_nearest(H, mass, 0.8 * lam1_omega, seed=seed)
+        vals, _, _ = lowest_eigenpairs(H, k=1, sigma=0.8 * lam1_omega,
+                                       seed=seed, M=mass)
+        lam = float(vals[0])
         rows.append({
             "amplitude": a,
             "lam1": lam,

@@ -53,6 +53,7 @@ from .assemble import (
     dirichlet_second_difference,
     form_term,
     lowest_eigenpairs,
+    random_start,
 )
 from .errors import GridBudgetError, SupportTruncationError
 from .geometry import FrameTrajectory, PulledField, TubeSpec, gauge_2d, \
@@ -118,25 +119,43 @@ class TubeLattice:
                 self.mids = np.concatenate([[self.nodes[0] - self.ds / 2],
                                             self.nodes + self.ds / 2])
 
+    def _axis_ends(self):
+        """(k_l, k_r): the s-node at each end of every s-link, -1 at a
+        Dirichlet ghost."""
+        if self.neumann_ends:
+            return np.arange(self.ns - 1), np.arange(1, self.ns)
+        return dirichlet_links(self.ns)
+
+    def _lift(self, k, j):
+        """Unknown index of s-node k[a] and section node j[b], row
+        a * len(j) + b; -1 where either is a ghost."""
+        k, j = k[:, None], j[None, :]
+        return np.where((k >= 0) & (j >= 0), k * self.nsec + j, -1).ravel()
+
     def axis_links(self):
         """(idx_l, idx_r) of the s-links; link (k, j) sits at
         (mids[k], section node j) and is row k * nsec + j."""
-        if self.neumann_ends:
-            k_l, k_r = np.arange(self.ns - 1), np.arange(1, self.ns)
-        else:
-            k_l, k_r = dirichlet_links(self.ns)
-        j = np.arange(self.nsec)[None, :]
-        return tuple(np.where(k[:, None] >= 0, k[:, None] * self.nsec + j, -1)
-                     .ravel() for k in (k_l, k_r))
+        j = np.arange(self.nsec)
+        return tuple(self._lift(k, j) for k in self._axis_ends())
 
     def section_links(self, axis: int):
         """(idx_l, idx_r, mids) of the section links along ``axis`` in every
         s-slab; link (k, m) joins section link m at s-node k, sits at
         (nodes[k], mids[m]) and is row k * len(mids) + m."""
         idx_l, idx_r, mids = self.section.links(axis)
-        offs = (np.arange(self.ns) * self.nsec)[:, None]
-        return (np.where(idx_l >= 0, idx_l + offs, -1).ravel(),
-                np.where(idx_r >= 0, idx_r + offs, -1).ravel(), mids)
+        k = np.arange(self.ns)
+        return self._lift(k, idx_l), self._lift(k, idx_r), mids
+
+    def cells(self, axis: int):
+        """(ll, rl, lr, rr): the corners of the plaquettes spanned by an
+        s-link and a section link along ``axis``, the first letter the s
+        end, the second the section end.  Plaquette (k, m) pairs s-link k
+        with section link m, sits at (mids[k], section.links(axis) mid m)
+        and is row k * len(section mids) + m; a ghost corner is -1."""
+        k_l, k_r = self._axis_ends()
+        j_l, j_r, _ = self.section.links(axis)
+        return (self._lift(k_l, j_l), self._lift(k_r, j_l),
+                self._lift(k_l, j_r), self._lift(k_r, j_r))
 
     def axis_factor(self, phases=None) -> sp.csr_matrix:
         """Covariant s-difference on the axis links (phases per link)."""
@@ -582,12 +601,8 @@ def assemble_effective_3d(tube: TubeSpec, field, constants=None,
 
 
 def smallest_eigenpairs(op: AssembledOperator, k: int = 1,
-                        sigma: float | None = None, seed: int = 7) -> Spectrum:
+                        sigma: float = 0.0, seed: int = 7) -> Spectrum:
     """k lowest eigenpairs with shift-invert; dense fallback below 3000."""
-    if sigma is None:
-        sigma = 0.0 if op.shift != 0.0 else None
-        if sigma is None:
-            sigma = -1.0
     vals, vecs, res = lowest_eigenpairs(op.matrix, k=k, sigma=sigma, seed=seed)
     return Spectrum(vals, vecs, res, ess_threshold=op.meta.get("ess_threshold"))
 
@@ -662,7 +677,7 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
 
     lin = sla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
     if v0 is None:
-        v0 = np.random.default_rng(seed).standard_normal(n)
+        v0 = random_start(n, seed, False)
         ncv = None
     else:
         v0 = np.asarray(v0)

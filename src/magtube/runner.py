@@ -347,9 +347,8 @@ def _run_hardy(config, out, seed):
 
     section = config.build_section()
     fieldobj = config.build_field()
-    R = config.get_float("solver", "r", 2.0)
-    L = config.get_float("solver", "l", 10.0)
-    ds = config.get_float("solver", "ds", 0.05)
+    lengths = config.tube_lengths()
+    R, L, ds = lengths["r"], lengths["l"], lengths["ds"]
     b_list = config.get_floats("regime", "b")
     table = ResultTable(
         "hardy_certificates",
@@ -387,8 +386,8 @@ def _run_stability(config, out, seed):
     fieldobj = config.build_field()
     b_list = config.get_floats("regime", "b")
     amplitudes = config.get_floats("solver", "amplitudes", (0.05, 0.1, 0.2))
-    L = config.get_float("solver", "l", 16.0)
-    ds = config.get_float("solver", "ds", 0.08)
+    lengths = config.tube_lengths()
+    L, ds = lengths["l"], lengths["ds"]
     dspec = hardy.DeformationSpec(
         e2=geo.Profile.single(
             config.get_float("solver", "shift_center", 0.0),

@@ -200,6 +200,8 @@ def test_solver_entry_points_run_on_one_thread(planar, fake_pools, monkeypatch):
     monkeypatch.setattr(assemble.la, "cho_solve_banded", record)
     op = _real_2d(planar)
     assemble.lowest_eigenpairs(op.matrix, k=1)
+    mass = sp.diags(np.linspace(1.0, 2.0, op.n))
+    assemble.lowest_eigenpairs(op.matrix, k=1, M=mass)  # a pencil
     ops.resolvent_distance(op, op, tol=1e-2)
     assert seen and all(counts == [1, 1] for counts in seen)
     assert [p.count for p in fake_pools] == [2, 3]

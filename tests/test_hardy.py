@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from magtube import geometry as geo, grids, hardy
 from magtube.assemble import RegimeParams
@@ -83,15 +84,22 @@ def test_small_b_quadratic_law(sec2d, field2d):
 
 
 def test_verify_hardy_certificate(sec2d, field2d):
+    from magtube.operators import transverse_ground
+
     cert = hardy.verify_hardy(sec2d, field2d, 1.0, R=2.0, L=10.0, ds=0.05)
     assert cert.passed
     assert cert.mu_min >= cert.c_R
-    # pencil two-route agreement at coarse resolution
+    # pencil two-route agreement at coarse resolution: the dense generalized
+    # eigenvalue of (H - lam1, W) built here
     coarse = grids.interval(1.0, 0.2)
-    cert_c = hardy.verify_hardy(coarse, field2d, 1.0, R=2.0, L=8.0, ds=0.2,
-                                dense_check=True)
-    assert abs(cert_c.mu_min - cert_c.meta["mu_min_dense"]) < 1e-6 * max(
-        1.0, abs(cert_c.mu_min))
+    L, ds = 8.0, 0.2
+    cert_c = hardy.verify_hardy(coarse, field2d, 1.0, R=2.0, L=L, ds=ds)
+    s = (-L + ds * np.arange(int(round(2 * L / ds)) + 1))[1:-1]
+    H = hardy._straight_tube_matrix(coarse, field2d, 1.0, s, False).toarray()
+    A = H - transverse_ground(coarse)[0] * np.eye(len(H))
+    W = np.diag(np.repeat(1.0 / (1.0 + s**2), coarse.n))
+    mu_dense = la.eigh(A, W, eigvals_only=True, subset_by_index=(0, 0))[0]
+    assert abs(cert_c.mu_min - mu_dense) < 1e-6 * max(1.0, abs(mu_dense))
 
 
 def test_mu_min_monotone_in_L(sec2d, field2d):
@@ -124,7 +132,6 @@ def band_solves(monkeypatch):
         return counted
 
     monkeypatch.setattr(assemble, "banded_cholesky", counting)
-    monkeypatch.setattr(hardy, "banded_cholesky", counting)
     return counts
 
 
@@ -219,6 +226,24 @@ def test_deformation_solve_releases_its_factor(sec2d, field2d):
     assert alive == []
 
 
+def test_pencil_solves_release_their_arpack_workspace(sec2d, field2d):
+    # scipy's complex generalized ARPACK mode keeps its Lanczos basis in a
+    # reference cycle; a sweep of pencils must not pile those up until the
+    # cyclic collector next runs
+    dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0))
+    gc.collect()
+    gc.disable()
+    try:
+        hardy.deformation_experiment(sec2d, field2d, 1.0, dspec, [0.1, 0.2],
+                                     L=6.0, ds=0.1)
+        hardy.verify_hardy(sec2d, field2d, 1.0, R=2.0, L=8.0, ds=0.05)
+        alive = [o for o in gc.get_objects()
+                 if type(o).__name__.endswith("ArpackParams")]
+    finally:
+        gc.enable()
+    assert alive == []
+
+
 def test_straight_gauges_one_call_match_per_line_loop(sec2d, field2d,
                                                        per_line_gauges):
     dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0),
@@ -232,6 +257,117 @@ def test_straight_gauges_one_call_match_per_line_loop(sec2d, field2d,
     H = gauged()
     per_line_gauges()
     assert (H != gauged()).nnz == 0
+
+
+def _cellgrad_deformed_tube(section, field, b, deformation, amplitude, L,
+                            ds):
+    """The deformed tube with its cross term built on a padded node-index
+    grid, one cellgrad loop per gradient: the reference for the plaquette
+    view of TubeLattice."""
+    from magtube.assemble import cov_link_matrix, form_term
+    from magtube.operators import TubeLattice
+
+    s_nodes = (-L + ds * np.arange(int(round(2 * L / ds)) + 1))[1:-1]
+    tau = section.node_coords()
+    dtau = section.h
+    ns, nt = len(s_nodes), len(tau)
+    n = ns * nt
+
+    def metric(s, t):
+        d11, d21 = deformation.map_jacobian(amplitude, s, t)
+        return d11, 1.0 / d11, -d21 / d11, (d11**2 + d21**2) / d11
+
+    zero_field = field is None or field.is_zero() or b == 0.0
+
+    def gauge_ref(s_pts, t_pts):
+        step = dtau / 4
+        lo = min(t_pts.min(), 0.0) - dtau
+        hi = max(t_pts.max(), 0.0) + dtau
+        tf = lo + step * np.arange(int(np.ceil((hi - lo) / step)) + 1)
+        tf = tf - tf[np.argmin(np.abs(tf))]
+        Sg, Tg = np.meshgrid(s_pts, tf, indexing="ij")
+        pos = np.stack([Sg + amplitude * deformation.E1(Sg),
+                        Tg + amplitude * deformation.e2(Sg)], axis=-1)
+        Bref = (1.0 + amplitude * deformation.E1.d1(Sg)) * field.value(pos)
+        A1f = -geo._cumint_from_zero(Bref, tf, axis=1)
+        return A1f[:, np.rint((t_pts - tf[0]) / step).astype(int)]
+
+    lat = TubeLattice(s_nodes, section, ds=ds)
+    phases = None
+    if not zero_field:
+        phases = (ds * b * gauge_ref(lat.mids, tau)).ravel()
+    _, w11_e, _, _ = metric(np.repeat(lat.mids, nt), np.tile(tau, ns + 1))
+    H = form_term(lat.axis_factor(phases), weights=w11_e)
+    il, ir, t_mids = lat.section_links(0)
+    _, _, _, w22_e = metric(np.repeat(s_nodes, len(t_mids)),
+                            np.tile(t_mids, ns))
+    H = H + form_term(cov_link_matrix(n, il, ir, dtau), weights=w22_e)
+    node_idx = -np.ones((ns + 2, nt + 2), dtype=np.int64)
+    node_idx[1:-1, 1:-1] = np.arange(n).reshape(ns, nt)
+    ncell = (ns + 1) * (nt + 1)
+    ci = np.repeat(np.arange(ns + 1), nt + 1)
+    cj = np.tile(np.arange(nt + 1), ns + 1)
+    ll, rl, lr, rr = (node_idx[ci + di, cj + dj] for di, dj in
+                      ((0, 0), (1, 0), (0, 1), (1, 1)))
+    sc = np.concatenate([[s_nodes[0] - ds], s_nodes]) + ds / 2
+    tc = np.concatenate([[tau[0] - dtau], tau]) + dtau / 2
+    _, _, w12_c, _ = metric(np.repeat(sc, nt + 1), np.tile(tc, ns + 1))
+    eip = np.ones(ncell) if zero_field else np.exp(
+        1j * (ds * b * gauge_ref(sc, tc)).ravel())
+
+    def cellgrad(pairs, h, phase):
+        rows, cols, vals = [], [], []
+        for (a_idx, b_idx) in pairs:
+            for idx_arr, coef in ((b_idx, (-1j / h) * 0.5 * phase),
+                                  (a_idx, (1j / h) * 0.5 * np.ones(ncell))):
+                ok = idx_arr >= 0
+                rows.append(np.nonzero(ok)[0])
+                cols.append(idx_arr[ok])
+                vals.append(np.broadcast_to(coef, (ncell,))[ok])
+        return sp.csr_matrix((np.concatenate(vals),
+                              (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(ncell, n))
+
+    Gs = cellgrad(((ll, rl), (lr, rr)), ds, eip)
+    Gt = cellgrad(((ll, lr), (rl, rr)), dtau, np.ones(ncell))
+    H = H + (Gs.getH() @ sp.diags(w12_c) @ Gt
+             + Gt.getH() @ sp.diags(w12_c) @ Gs)
+    d11n, _ = deformation.map_jacobian(amplitude, np.repeat(s_nodes, nt),
+                                       np.tile(tau, ns))
+    return H.tocsr(), d11n
+
+
+@pytest.mark.parametrize("E1", [geo.Profile(), geo.Profile.single(1.0, 2.0, 0.3)],
+                         ids=["E1_zero", "E1_bump"])
+@pytest.mark.parametrize("b", [0.0, 1.0])
+@pytest.mark.parametrize("amplitude", [0.2, 0.4])
+def test_deformed_tube_matches_the_cellgrad_cross_term(sec2d, amplitude, b,
+                                                       E1):
+    field = geo.AmbientField2D((((0.0, 0.0), 8.0, 1.0),))
+    dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0), E1=E1)
+    H, mass, _ = hardy.assemble_deformed_tube(sec2d, field, b, dspec,
+                                              amplitude, L=6.0, ds=0.08)
+    H_ref, d11 = _cellgrad_deformed_tube(sec2d, field, b, dspec, amplitude,
+                                         6.0, 0.08)
+    assert H.dtype == H_ref.dtype
+    assert (H != H_ref).nnz == 0
+    assert np.array_equal(mass.diagonal(), d11)
+
+
+@pytest.mark.parametrize("call, extent", [
+    (lambda sec, f: hardy.assemble_segment(sec, f, 1.0, R=1.03, ds=0.05),
+     "2.06"),
+    (lambda sec, f: hardy.verify_hardy(sec, f, 1.0, R=2.0, L=8.03, ds=0.1),
+     "16.06"),
+    (lambda sec, f: hardy.assemble_deformed_tube(
+        sec, f, 1.0, hardy.DeformationSpec(), 0.1, L=6.03, ds=0.1), "12.06"),
+], ids=["segment", "verify", "deformed"])
+def test_straight_tubes_reject_a_ds_that_does_not_subdivide(sec2d, field2d,
+                                                            call, extent):
+    # the node count is not rounded: a tube (-L, L - ds/3) built with the
+    # truncation budget of L, or an error about the curve's S, is a bug
+    with pytest.raises(ValueError, match=f"does not subdivide extent {extent}"):
+        call(sec2d, field2d)
 
 
 LARGE_B = [0.0, 0.5, 1.0, 2.0, 4.0]

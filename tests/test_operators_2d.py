@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as sla
 
 from magtube import geometry as geo, grids, operators as ops
 from magtube.assemble import RegimeParams, load_triplets, save_triplets
@@ -185,7 +187,7 @@ def _bent_planar_tube():
     frame = geo.integrate_frame(curve)
     field = geo.FrameAlignedField2D(geo.Profile.single(0.0, 1.0, 0.5))
     op = ops.assemble_full_2d(make_tube(curve, sec, 0.2), field, frame)
-    return op.matrix, 0.0
+    return op.matrix, 0.0, None
 
 
 def _square_hardy_segment():
@@ -197,18 +199,36 @@ def _square_hardy_segment():
     field = geo.CurlPotentialField3D(((2, bump, 3.0),))
     seg = hardy.assemble_segment(sec, field, 1.0, R=1.0, ds=0.125)
     assert np.iscomplexobj(seg.op.matrix)
-    return seg.op.matrix, 0.5 * seg.lam1_omega
+    return seg.op.matrix, 0.5 * seg.lam1_omega, None
+
+
+def _coarse_hardy_pencil():
+    # complex weighted Hardy pencil (H - lam1, W) on a coarse Dirichlet tube
+    from magtube import hardy
+
+    sec = grids.interval(1.0, 0.2)
+    field = geo.AmbientField2D((((0.0, 0.0), 6.0, 1.0),))
+    s = (-8.0 + 0.2 * np.arange(81))[1:-1]
+    H = hardy._straight_tube_matrix(sec, field, 1.0, s, neumann_ends=False)
+    A = H - ops.transverse_ground(sec)[0] * sp.eye(H.shape[0])
+    assert np.iscomplexobj(A)
+    return A, 0.0, sp.diags(np.repeat(1.0 / (1.0 + s**2), sec.n))
 
 
 def test_dense_vs_sparse_paths():
     from magtube.assemble import lowest_eigenpairs
 
-    for build in (_bent_planar_tube, _square_hardy_segment):
-        matrix, sigma = build()
-        v_dense, _, _ = lowest_eigenpairs(matrix, k=3, dense_threshold=10**9)
-        v_sparse, _, _ = lowest_eigenpairs(matrix, k=3, sigma=sigma,
-                                           dense_threshold=1)
+    for build in (_bent_planar_tube, _square_hardy_segment,
+                  _coarse_hardy_pencil):
+        matrix, sigma, M = build()
+        v_dense, _, r_dense = lowest_eigenpairs(matrix, k=3, M=M,
+                                                dense_threshold=10**9)
+        v_sparse, _, r_sparse = lowest_eigenpairs(matrix, k=3, sigma=sigma,
+                                                  M=M, dense_threshold=1)
         assert np.abs(v_dense - v_sparse).max() < 1e-10, build.__name__
+        # residuals ||A v - lam M v|| at roundoff of the matrix's size
+        scale = sla.norm(matrix, np.inf)
+        assert max(r_dense.max(), r_sparse.max()) < 1e-12 * scale
 
 
 def test_resolvent_distance_identical_operators(bent_setup, axis_field):

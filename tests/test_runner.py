@@ -108,6 +108,31 @@ def test_config_rejects_keys_no_code_reads(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_config_rejects_a_ds_that_does_not_subdivide_the_tubes(tmp_path,
+                                                               capsys):
+    # [solver] r and l of hardy, l of stability, set or defaulted, must be
+    # multiples of [solver] ds, which is set or defaulted too
+    root = Path(__file__).resolve().parent.parent
+    hardy = MINI_HARDY.format(out=tmp_path / "out")
+    stability = (root / "configs" / "stability2d.ini").read_text()
+    for kind, text, named in (
+        ("hardy", hardy.replace("ds = 0.1", "ds = 0.07"),
+         "ds = 0.07 does not subdivide 2 l = 16"),
+        ("hardy", hardy.replace("l = 8.0", "l = 8.03"), "2 l = 16.06"),
+        ("hardy", hardy.replace("r = 2.0\n", "r = 2.03\n")
+         .replace("ds = 0.1\n", ""), "ds = 0.05 does not subdivide 2 r"),
+        ("stability", stability.replace("l = 16.0", "l = 16.02"),
+         "2 l = 32.04"),
+        ("stability", stability.replace("l = 16.0\nds = 0.08", "ds = 0.07"),
+         "ds = 0.07 does not subdivide 2 l = 32"),
+    ):
+        path = write_config(tmp_path / f"{kind}.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main([kind, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_shipped_configs_load():
     root = Path(__file__).resolve().parent.parent
     paths = sorted((root / "configs").glob("*.ini"))
