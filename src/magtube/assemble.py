@@ -299,9 +299,7 @@ def lowest_eigenpairs(
     k: int = 1,
     sigma: float = 0.0,
     seed: int = 7,
-    tol: float = 0.0,
     dense_threshold: int = 3000,
-    maxiter: int | None = None,
     v0: np.ndarray | None = None,
     M: sp.spmatrix | None = None,
 ):
@@ -356,7 +354,7 @@ def lowest_eigenpairs(
                 warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
                 vals, vecs = sla.eigsh(
                     matrix, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                    ncv=ncv, tol=tol, maxiter=maxiter,
+                    ncv=ncv,
                     OPinv=sla.LinearOperator(
                         matrix.shape, matvec=lambda x: held[0](x),
                         dtype=matrix.dtype),
@@ -365,7 +363,7 @@ def lowest_eigenpairs(
             got = len(exc.eigenvalues)
             raise EigensolverDiverged(
                 f"shift-invert Lanczos converged {got}/{k} pairs "
-                f"(sigma={sigma}); increase maxiter or adjust the shift",
+                f"(sigma={sigma}); adjust the shift",
                 residuals=exc.eigenvalues,
             ) from exc
         finally:

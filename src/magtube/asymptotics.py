@@ -12,6 +12,11 @@ rule, exact up to aliasing).
 They are the discrete counterparts of the expansion terms L_0 = -d2/dtau2,
 L_1 = 0, L_2 = (i d/ds + tau B(s,0))^2 - kappa^2/4, ...
 
+The quasimode is built on the section's own modes: gamma_0 and J1 are
+:func:`magtube.operators.transverse_ground`'s, the transverse block is one
+slab of L_0, and both Fredholm solves are
+:func:`magtube.xsection.deflated_solver`.
+
 Quasimode grading: a quasimode of order J certifies eigenvalue accuracy
 O(eps^(J+1)).  A truncation of the formal series at order J alone leaves an
 O(eps^(J-1)) residual, so the recursion is solved through order J+2 and the
@@ -27,11 +32,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .assemble import (
-    AssembledOperator,
-    RegimeParams,
-    dirichlet_second_difference,
-)
+from .assemble import AssembledOperator, RegimeParams
 from .errors import (
     DegenerateModeError,
     InvalidFormPair,
@@ -43,10 +44,12 @@ from .geometry import FrameTrajectory, TubeSpec, integrate_frame
 from .operators import (
     _tube_parts,
     axis_grid,
-    fiber_embedding,
+    fiber_project,
     smallest_eigenpairs,
     transverse_form,
+    transverse_ground,
 )
+from .xsection import deflated_solver
 
 # The Cauchy contour: CONTOUR_POINTS samples on |eps| = r with
 # r = CONTOUR_RADIUS / max(1, sup|kappa| sup|tau|).  h = 1 - eps kappa tau
@@ -179,12 +182,13 @@ class Quasimode:
 
     gammas[j], psis[j] for j = 0..J+2 (the two extra internal orders make the
     advertised residual order J+1 hold); perps[j] are the transverse
-    corrections orthogonal to the ground fiber; Psi/Gamma evaluate the
-    graded sums.
+    corrections orthogonal to the ground fiber J1, psi_0 = f_0 (x) J1;
+    Psi/Gamma evaluate the graded sums.
     """
 
     order: int
     mode_index: int
+    J1: np.ndarray
     gammas: np.ndarray
     psis: list
     perps: list
@@ -214,31 +218,16 @@ class Quasimode:
         return float(np.linalg.norm(r) / np.linalg.norm(psi))
 
 
-def _lu_solve_c(lu, B):
-    """lu_solve with a complex right-hand side on real LU factors."""
-    if np.iscomplexobj(B):
-        return la.lu_solve(lu, np.real(B)) + 1j * la.lu_solve(lu, np.imag(B))
-    return la.lu_solve(lu, B)
-
-
-def _transverse_ground_dense(Ttau: sp.spmatrix, dtau: float):
-    vals, vecs = la.eigh(Ttau.toarray())
-    j1 = vecs[:, 0]
-    j1 = j1 * np.sign(j1[np.argmax(np.abs(j1))])
-    j1 = j1 / np.sqrt(dtau * np.dot(j1, j1))
-    return float(vals[0]), j1
-
-
 def build_quasimode(series: SeriesOperator, mode_index: int = 1,
                     J: int = 2) -> Quasimode:
     """Two-level Rayleigh-Schroedinger recursion on the discrete series.
 
     Order-m bracket: sum_{k+l=m} (L_k - gamma_k) psi_l = 0.  The transverse
-    Fredholm solve lives on the J1 fiber per s-node (deflated KKT factorable
-    once); the longitudinal solvability equation is the effective-operator
-    eigenproblem at m = 2 (fixing gamma_2 = mu_n and f_0) and a deflated
-    solve fixing f_{m-2}, gamma_m at higher orders, with <f_j, f_0> = 0 for
-    j >= 1.  Recursion runs through order J+2.
+    Fredholm solve lives on the J1 fiber per s-node; the longitudinal
+    solvability equation is the effective-operator eigenproblem at m = 2
+    (fixing gamma_2 = mu_n and f_0) and a deflated solve fixing f_{m-2},
+    gamma_m at higher orders, with <f_j, f_0> = 0 for j >= 1.  Both deflated
+    solves are factored once.  Recursion runs through order J+2.
     """
     j_solve = J + 2
     if j_solve > series.j_max:
@@ -250,13 +239,10 @@ def build_quasimode(series: SeriesOperator, mode_index: int = 1,
     sec = series.grid["section"]
     ntau = series.grid["ntau"]
     ns = ax.ns
-    dtau = sec.h
-    Ttau = dirichlet_second_difference(ntau, dtau)
-    gamma0, J1h = _transverse_ground_dense(Ttau, dtau)
-    E = fiber_embedding(J1h, ns)
+    dvol = sec.h**sec.dim
+    gamma0, J1h = transverse_ground(sec)
     # fiber (effective) operator from L2
-    T2 = dtau * (E.getH() @ (series.term(2) @ E))
-    T2d = T2.toarray()
+    T2d = fiber_project(series.term(2), J1h, ns, dvol).toarray()
     herm = np.abs(T2d - T2d.conj().T).max()
     T2d = np.real(T2d)
     if herm > 1e-10:
@@ -269,10 +255,7 @@ def build_quasimode(series: SeriesOperator, mode_index: int = 1,
             f"cannot expand mode {mode_index}"
         )
     mu = float(mus[mode_index - 1])
-    gaps = []
-    if mode_index - 2 >= 0:
-        gaps.append(mus[mode_index - 1] - mus[mode_index - 2])
-    gaps.append(mus[mode_index] - mus[mode_index - 1])
+    gaps = np.diff(mus[max(mode_index - 2, 0):mode_index + 1])
     if min(gaps) < 1e-6:
         raise DegenerateModeError(
             f"mode {mode_index} gap {min(gaps):.2e} < 1e-6 (simple modes only)"
@@ -281,18 +264,10 @@ def build_quasimode(series: SeriesOperator, mode_index: int = 1,
     f0 = f0 / np.sqrt(ax.ds * np.dot(f0, f0))
     f0 = f0 * np.sign(f0[np.argmax(np.abs(f0))])
 
-    # deflated transverse KKT, factored once (dense: ntau is small)
-    kkt_tau = np.zeros((ntau + 1, ntau + 1))
-    kkt_tau[:ntau, :ntau] = Ttau.toarray() - gamma0 * np.eye(ntau)
-    kkt_tau[:ntau, ntau] = J1h
-    kkt_tau[ntau, :ntau] = dtau * J1h
-    lu_tau = la.lu_factor(kkt_tau)
-    # deflated longitudinal KKT
-    kkt_s = np.zeros((ns + 1, ns + 1))
-    kkt_s[:ns, :ns] = T2d - mu * np.eye(ns)
-    kkt_s[:ns, ns] = f0
-    kkt_s[ns, :ns] = ax.ds * f0
-    lu_s = la.lu_factor(kkt_s)
+    slab = series.term(0)[:ntau, :ntau]
+    solve_tau = deflated_solver(slab - gamma0 * sp.eye(ntau), J1h, dvol * J1h)
+    solve_s = deflated_solver(sp.csr_matrix(T2d) - mu * sp.eye(ns), f0,
+                              ax.ds * f0)
 
     psi0 = np.outer(f0, J1h).astype(complex)
     psis = [psi0]
@@ -304,6 +279,13 @@ def build_quasimode(series: SeriesOperator, mode_index: int = 1,
     def apply_term(k, psi):
         return (series.term(k) @ psi.ravel()).reshape(ns, ntau)
 
+    def transverse(rhs):
+        """The J1-perp solution per s-node; the defect joins fredholm."""
+        nonlocal fredholm
+        x, defect = solve_tau(rhs.T)
+        fredholm = max(fredholm, float(np.abs(defect).max()))
+        return x.T
+
     for m in range(1, j_solve + 1):
         if m == 1:
             psis.append(np.zeros_like(psi0))
@@ -311,11 +293,7 @@ def build_quasimode(series: SeriesOperator, mode_index: int = 1,
             fs.append(np.zeros(ns))
             continue
         if m == 2:
-            rhs2 = gammas[2] * psis[0] - apply_term(2, psis[0])
-            sol = _lu_solve_c(lu_tau, np.vstack([rhs2.T, np.zeros((1, ns),
-                                                                  dtype=complex)]))
-            perp2 = sol[:ntau].T
-            fredholm = max(fredholm, float(np.abs(sol[ntau]).max()))
+            perp2 = transverse(gammas[2] * psis[0] - apply_term(2, psis[0]))
             perp.append(perp2)
             psis.append(perp2.copy())  # f_2 added when solved (order 4)
             fs.append(None)
@@ -325,42 +303,32 @@ def build_quasimode(series: SeriesOperator, mode_index: int = 1,
         known = np.zeros_like(psi0)
         for k in range(2, m + 1):
             l = m - k
-            contrib = np.zeros_like(psi0)
             if k == 2:
                 contrib = gammas[2] * perp[l] - apply_term(2, perp[l])
             else:
-                psi_l = perp[l].copy()
+                psi_l = perp[l]
                 if fs[l] is not None:
                     psi_l = psi_l + np.outer(fs[l], J1h)
                 gk = gammas[k] if k < m else 0.0  # gamma_m unknown
                 contrib = gk * psi_l - apply_term(k, psi_l)
             known += contrib
-        pi_m = dtau * (known @ J1h.conj())
+        pi_m = dvol * (known @ J1h.conj())
         # gamma_m is real for the self-adjoint analytic family; the imaginary
         # part of the projection must cancel (kept as a diagnostic)
         gamma_m = -ax.ds * float(np.real(np.dot(pi_m, f0)))
-        fm2 = _lu_solve_c(
-            lu_s, np.concatenate([gamma_m * f0 + pi_m, [0.0]])
-        )[:ns]
+        fm2, _ = solve_s(gamma_m * f0 + pi_m)
         fs[m - 2] = fm2
         psis[m - 2] = perp[m - 2] + np.outer(fm2, J1h)
         gammas.append(gamma_m)
         rhs = known + gamma_m * psis[0] + (
             gammas[2] * np.outer(fm2, J1h) - apply_term(2, np.outer(fm2, J1h))
         )
-        sol = _lu_solve_c(lu_tau, np.vstack([rhs.T, np.zeros((1, ns),
-                                                             dtype=complex)]))
-        perp_m = sol[:ntau].T
-        fredholm = max(fredholm, float(np.abs(sol[ntau]).max()))
+        perp_m = transverse(rhs)
         perp.append(perp_m)
         psis.append(perp_m.copy())
         fs.append(None)
-    # remaining free longitudinal parts stay zero
-    for j in range(len(psis)):
-        if fs[j] is None:
-            fs[j] = np.zeros(ns)
     return Quasimode(
-        order=J, mode_index=mode_index, gammas=np.array(gammas),
+        order=J, mode_index=mode_index, J1=J1h, gammas=np.array(gammas),
         psis=psis, perps=perp, grid=series.grid, fredholm_defect=fredholm,
         mu_n=mu,
     )

@@ -44,10 +44,12 @@ bump families use ``center width amplitude`` triplets joined by ';':
     coefficient = measured|printed / cache_dir = DIR /
     amplitudes = 0.05 0.1 0.2 / b_deform / shift_center / shift_width
                                           (hardy / stability: 2 R and 2 L
-                                           are multiples of ds)
+                                           are multiples of ds, hardy's
+                                           L >= 4 R)
 
 Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
-A section or key not listed here is a ConfigError: no code reads it.
+KIND_KEYS lists the [regime] and [solver] keys each kind reads.  A section
+or key not listed, for the config's kind, is a ConfigError: no code reads it.
 """
 
 from __future__ import annotations
@@ -65,16 +67,27 @@ KINDS = (
     "asymptotics", "hardy", "stability",
 )
 
-# Every key the builders below and the runners read, per section.
+# Every key the builders below and the runners read, per section; the
+# [regime] and [solver] keys per kind.
 KEYS = {
     "experiment": {"version", "kind", "seed", "out"},
     "section": {"shape", "h", "half_width", "a", "ax", "ay", "radius", "file"},
     "curve": {"dim", "s", "ds", "kappa", "kappa2", "kappa3", "theta_prime"},
     "field": {"kind", "beta", "bumps", "comp", "beta23", "beta13", "beta12"},
-    "regime": {"eps", "delta", "b", "k"},
-    "solver": {"k", "tol", "r", "l", "ds", "j", "mode", "coefficient",
-               "cache_dir", "amplitudes", "b_deform", "shift_center",
-               "shift_width"},
+    "regime": set(),
+    "solver": set(),
+}
+_SPECTRUM = {"regime": {"eps", "delta", "k"}, "solver": {"k"}}
+KIND_KEYS = {
+    "xsection": {"solver": {"cache_dir"}},
+    "full2d": _SPECTRUM,
+    "full3d": _SPECTRUM,
+    "effective": {**_SPECTRUM, "solver": {"k", "coefficient"}},
+    "nrc-sweep": {"regime": {"eps", "delta"}, "solver": {"tol"}},
+    "asymptotics": {"regime": {"eps"}, "solver": {"j", "mode"}},
+    "hardy": {"regime": {"b"}, "solver": {"r", "l", "ds"}},
+    "stability": {"regime": {"b"}, "solver": {
+        "amplitudes", "l", "ds", "b_deform", "shift_center", "shift_width"}},
 }
 
 
@@ -115,13 +128,9 @@ class ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"config parse failure: {exc}") from exc
         raw = {s: dict(parser[s]) for s in parser.sections()}
-        for section, keys in raw.items():
+        for section in raw:
             if section not in KEYS:
                 raise ConfigError(f"unknown section [{section}]")
-            unread = sorted(set(keys) - KEYS[section])
-            if unread:
-                raise ConfigError(f"unknown key(s) in [{section}]: "
-                                  f"{', '.join(unread)}")
         exp = raw.get("experiment", {})
         if exp.get("version", "") != "1":
             raise ConfigError("missing or unsupported schema version "
@@ -130,6 +139,12 @@ class ExperimentConfig:
         if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; "
                               f"expected one of {KINDS}")
+        for section, keys in raw.items():
+            read = KEYS[section] | KIND_KEYS[kind].get(section, set())
+            unread = sorted(set(keys) - read)
+            if unread:
+                raise ConfigError(f"unknown key(s) in [{section}]: "
+                                  f"{', '.join(unread)} (kind {kind})")
         seed = int(exp.get("seed", "7"))
         out = exp.get("out", "out")
         cfg = cls(kind=kind, seed=seed, out_dir=out, raw=raw)
@@ -181,7 +196,7 @@ class ExperimentConfig:
     def tube_lengths(self) -> dict:
         """[solver] ds and the straight tubes' half-lengths r and l (hardy)
         or l (stability), with their defaults; 2 r and 2 l must be
-        multiples of ds."""
+        multiples of ds, and hardy's l at least 4 r."""
         hardy = self.kind == "hardy"
         out = {"ds": self.get_float("solver", "ds", 0.05 if hardy else 0.08),
                "l": self.get_float("solver", "l", 10.0 if hardy else 16.0)}
@@ -194,6 +209,9 @@ class ExperimentConfig:
                 raise ConfigError(f"[solver] ds = {out['ds']:g} does not "
                                   f"subdivide 2 {key} = {2 * out[key]:g}"
                                   ) from exc
+        if hardy and out["l"] < 4 * out["r"]:
+            raise ConfigError(f"[solver] l = {out['l']:g} is below "
+                              f"4 r = {4 * out['r']:g}")
         return out
 
     # -- fixture builders ----------------------------------------------------

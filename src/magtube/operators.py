@@ -609,8 +609,6 @@ def smallest_eigenpairs(op: AssembledOperator, k: int = 1,
 
 @blas_threads(1)
 def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
-                       embedding: sp.spmatrix | None = None,
-                       dvol_ratio: float | None = None,
                        tol: float = 1e-3, seed: int = 11,
                        maxiter: int = 6000, v0: np.ndarray | None = None):
     """Operator norm of A^-1 - E B^-1 E* (both shifted positive definite).
@@ -630,10 +628,9 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     w ~ (sum_alpha tau_alpha) J1 the first-moment direction through which
     curvature and field couple the fiber to the second transverse band.
     The maximizer lies near one of those two states (the resolvent is
-    O(eps^2) on the rest), so the start is free of ``seed``.  Any other
-    pair (a same-space one, or an explicit ``embedding``) starts from a
-    random vector drawn from ``seed``, with ARPACK's default Krylov
-    dimension.
+    O(eps^2) on the rest), so the start is free of ``seed``.  A same-space
+    pair starts from a random vector drawn from ``seed``, with ARPACK's
+    default Krylov dimension.
 
     Returns ``(dist, info)``.  ``info["vector"]`` is the maximizer,
     ``info["matvecs"]`` the number of applications of the difference (the
@@ -648,19 +645,18 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     solve_B = banded_cholesky(opB.matrix.astype(dtype, copy=False))
     n = opA.n
     ncv = WARM_NCV
-    if embedding is None and opB.n != n:
+    embedding = None
+    if opB.n != n:
         J1h = opA.meta["J1h"]
-        ns = opB.n
-        embedding = fiber_embedding(J1h, ns)
+        embedding = fiber_embedding(J1h, opB.n)
+        embedding_h = embedding.getH()
         sec = opA.grid["section"]
-        dvol_ratio = sec.h**sec.dim
+        dvol = sec.h**sec.dim
         if v0 is None:
             uB = lowest_eigenpairs(opB.matrix, k=1)[1][:, 0]
             w = sec.node_coords().reshape(sec.n, -1).sum(axis=1) * J1h
             fiber = J1h / np.linalg.norm(J1h) + w / np.linalg.norm(w)
             v0 = np.kron(uB, fiber)
-    if embedding is not None:
-        embedding_h = embedding.getH()
     matvecs = 0
 
     def matvec(x):
@@ -669,8 +665,7 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
         x = x.astype(dtype)
         out = solve_A(x)
         if embedding is not None:
-            xr = dvol_ratio * (embedding_h @ x)
-            out = out - embedding @ solve_B(xr)
+            out = out - embedding @ solve_B(dvol * (embedding_h @ x))
         else:
             out = out - solve_B(x)
         return out

@@ -127,12 +127,35 @@ def angular_derivative(domain: GridDomain) -> AssembledOperator:
     )
 
 
-def solve_r_omega(domain: GridDomain, modes: ModeSet, rhs=None) -> np.ndarray:
-    """Real reduced R_omega problem via an augmented (deflated) solve.
+def deflated_solver(shifted: sp.spmatrix, col: np.ndarray, row: np.ndarray):
+    """solve(b) -> (x, m) with shifted x + col m = b and <row, x> = 0.
 
-    Solves (-Lap_h - lam1) rho = d_alpha J1 with <rho, J1> = 0 through the
-    KKT system [[A - lam1, J1], [J1^T, 0]]; exact orthogonality, robust to
-    the near-singular block.
+    The bordered matrix [[shifted, col], [row^T, 0]] is indefinite, so it is
+    factored once with SuperLU.  b is a vector or a block of columns; a
+    complex b is solved as its real and imaginary parts.
+    """
+    lu = sla.splu(sp.bmat(
+        [[shifted, sp.csr_matrix(col.reshape(-1, 1))],
+         [sp.csr_matrix(row.reshape(1, -1)), None]],
+        format="csc",
+    ))
+
+    def solve(b):
+        if np.iscomplexobj(b):
+            (xr, mr), (xi, mi) = solve(b.real), solve(b.imag)
+            return xr + 1j * xi, mr + 1j * mi
+        sol = lu.solve(np.concatenate([b, np.zeros((1,) + b.shape[1:])]))
+        return sol[:-1], sol[-1]
+
+    return solve
+
+
+def solve_r_omega(domain: GridDomain, modes: ModeSet, rhs=None) -> np.ndarray:
+    """Real reduced R_omega problem via a deflated solve.
+
+    Solves (-Lap_h - lam1) rho = d_alpha J1 with <rho, J1> = 0 by
+    :func:`deflated_solver`, bordered by h^2 J1; exact orthogonality, robust
+    to the near-singular block.
     """
     if domain.dim != 2:
         raise NotApplicable("R_omega problem needs a 2D cross section")
@@ -146,14 +169,9 @@ def solve_r_omega(domain: GridDomain, modes: ModeSet, rhs=None) -> np.ndarray:
         raise FredholmViolation(
             f"<d_alpha J1, J1> = {defect:.3e} signals a bad discretization"
         )
-    c = (domain.h**2 * J1).reshape(-1, 1)
-    kkt = sp.bmat(
-        [[A - lam1 * sp.eye(domain.n), sp.csr_matrix(c)],
-         [sp.csr_matrix(c.T), None]],
-        format="csc",
-    )
-    sol = sla.spsolve(kkt, np.concatenate([rhs, [0.0]]))
-    return sol[: domain.n]
+    c = domain.h**2 * J1
+    rho, _ = deflated_solver(A - lam1 * sp.eye(domain.n), c, c)(rhs)
+    return rho
 
 
 @dataclass

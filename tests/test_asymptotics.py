@@ -97,14 +97,11 @@ def test_series_order_cap():
 def test_quasimode_leading_coefficients(series5, setup):
     sec, curve, frame, field = setup
     qm = asym.build_quasimode(series5, mode_index=1, J=2)
-    lam1h, _ = ops.transverse_ground(sec)
-    assert abs(qm.gammas[0] - lam1h) < 1e-10          # gamma_0 = pi^2/4 + O(h^2)
-    assert abs(qm.gammas[0] - np.pi**2 / 4) < 1e-3
+    assert abs(qm.gammas[0] - np.pi**2 / 4) < 1e-3    # gamma_0 = pi^2/4 + O(h^2)
     assert qm.gammas[1] == 0.0                        # gamma_1 = 0
     assert qm.fredholm_defect < 1e-8
     # transverse corrections stay orthogonal to the ground fiber
-    Ttau = dirichlet_second_difference(sec.n, sec.h)
-    _, J1h = asym._transverse_ground_dense(Ttau, sec.h)
+    _, J1h = ops.transverse_ground(sec)
     for perp in qm.perps[1:]:
         proj = sec.h * np.abs(perp @ J1h)
         assert proj.max() < 1e-10
@@ -112,6 +109,18 @@ def test_quasimode_leading_coefficients(series5, setup):
     eps = 0.07
     assert np.isclose(qm.Gamma(eps),
                       sum(eps ** (j - 2) * g for j, g in enumerate(qm.gammas)))
+
+
+def test_quasimode_ground_pair_is_the_sections(series5, setup):
+    # gamma_0 and the J1 of psi_0 are transverse_ground's, to the bit: the
+    # quasimode shares the section's one ground pair with the tube operators
+    sec, curve, frame, field = setup
+    qm = asym.build_quasimode(series5, mode_index=1, J=2)
+    lam1h, J1h = ops.transverse_ground(sec)
+    assert qm.gammas[0] == lam1h
+    assert np.array_equal(qm.J1, J1h)
+    f0 = sec.h * (qm.psis[0] @ J1h)
+    assert np.abs(qm.psis[0] - np.outer(f0, J1h)).max() < 1e-14
 
 
 def test_gamma2_matches_independent_effective_eigenvalue(series5, setup):

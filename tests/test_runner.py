@@ -108,6 +108,43 @@ def test_config_rejects_keys_no_code_reads(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_config_rejects_keys_its_kind_never_reads(tmp_path, capsys):
+    # each key is read by some kind, but not by the config's own: the
+    # asymptotics runner always runs at delta = 1, nrc-sweep has no K and
+    # only xsection reads cache_dir
+    root = Path(__file__).resolve().parent.parent
+    asym = (root / "configs" / "asymptotics2d.ini").read_text()
+    nrc = (root / "configs" / "nrc2d.ini").read_text()
+    hardy = MINI_HARDY.format(out=tmp_path / "out")
+    for kind, text, named in (
+        ("asymptotics", asym.replace("[regime]\n", "[regime]\ndelta = 0.5\n"),
+         "[regime]: delta"),
+        ("nrc-sweep", nrc.replace("[regime]\n", "[regime]\nK = 50\n"),
+         "[regime]: k"),
+        ("nrc-sweep", nrc.replace("[solver]\n", "[solver]\nk = 2\n"),
+         "[solver]: k"),
+        ("hardy", hardy.replace("[regime]\n", "[regime]\neps = 0.1 0.05\n"),
+         "[regime]: eps"),
+        ("hardy", hardy.replace("[solver]\n", "[solver]\ncache_dir = c\n"),
+         "[solver]: cache_dir"),
+    ):
+        path = write_config(tmp_path / f"{kind}.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main([kind, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+
+
+def test_config_rejects_a_hardy_tube_shorter_than_4_r(tmp_path, capsys):
+    # verify_hardy wants L >= 4 R; the config says so before the first point
+    text = MINI_HARDY.format(out=tmp_path / "out").replace("l = 8.0", "l = 6.0")
+    path = write_config(tmp_path / "hardy.ini", text)
+    with pytest.raises(ConfigError, match=re.escape("l = 6 is below 4 r = 8")):
+        ExperimentConfig.load(path)
+    assert cli.main(["hardy", "--config", path]) == 2
+    assert "l = 6 is below 4 r = 8" in capsys.readouterr().err
+
+
 def test_config_rejects_a_ds_that_does_not_subdivide_the_tubes(tmp_path,
                                                                capsys):
     # [solver] r and l of hardy, l of stability, set or defaulted, must be

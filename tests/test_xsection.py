@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from magtube import grids, xsection as xs
 from magtube.errors import FredholmViolation, NotApplicable
@@ -118,6 +119,27 @@ def test_r_omega_fredholm_guard():
     bad_rhs = modes.J1.copy()  # maximally non-orthogonal right-hand side
     with pytest.raises(FredholmViolation):
         xs.solve_r_omega(d, modes, rhs=bad_rhs)
+
+
+def test_deflated_solver_complex_block():
+    # the bordered solve of the quasimode: a complex block right-hand side,
+    # part of it along the border column, at the singular shift lam1
+    d = grids.square(1.0, 1 / 12)
+    op = xs.assemble_dirichlet_laplacian(d)
+    modes = xs.lowest_modes(op, 1)
+    shifted = op.matrix - modes.lam1 * sp.eye(d.n)
+    col, row = modes.J1, d.h**2 * modes.J1
+    rng = np.random.default_rng(3)
+    b = rng.standard_normal((d.n, 4)) + 1j * rng.standard_normal((d.n, 4))
+    x, m = xs.deflated_solver(shifted, col, row)(b)
+    assert x.shape == b.shape and m.shape == (4,)
+    assert np.abs(row @ x).max() < 1e-12 * np.abs(x).max()
+    assert np.abs(shifted @ x + np.outer(col, m) - b).max() < 1e-10
+    # m takes up the component of b along J1
+    assert np.allclose(m, row @ b / (row @ col), rtol=0, atol=1e-10)
+    # a column solved alone gives the column of the block
+    x0, m0 = xs.deflated_solver(shifted, col, row)(b[:, 0])
+    assert np.allclose(x0, x[:, 0], rtol=0, atol=1e-12) and np.isclose(m0, m[0])
 
 
 def test_kappa_mag_dense_pseudoinverse_oracle():
