@@ -299,7 +299,6 @@ def lowest_eigenpairs(
     k: int = 1,
     sigma: float = 0.0,
     seed: int = 7,
-    dense_threshold: int = 3000,
     v0: np.ndarray | None = None,
     M: sp.spmatrix | None = None,
 ):
@@ -307,12 +306,11 @@ def lowest_eigenpairs(
 
     ``M`` is a positive-definite mass matrix, the identity by default.
     Shift-invert Lanczos whose OPinv is the banded Cholesky solve of
-    ``matrix - sigma M``; dense fallback below ``dense_threshold`` unknowns.
-    Callers shift below the spectrum, so the factor exists.  By Sylvester's
-    law of inertia it proves that no eigenvalue lies below sigma, which
-    makes the k pairs nearest sigma the k lowest; a sigma above the bottom
-    of the spectrum raises NotPositiveDefinite.  Residuals are
-    ||matrix v - lam M v||.
+    ``matrix - sigma M``, at every size.  Callers shift below the spectrum,
+    so the factor exists.  By Sylvester's law of inertia it proves that no
+    eigenvalue lies below sigma, which makes the k pairs nearest sigma the
+    k lowest; a sigma above the bottom of the spectrum raises
+    NotPositiveDefinite.  Residuals are ||matrix v - lam M v||.
 
     A ``v0`` (say, a fiber ground state just above its proven floor) starts
     Lanczos with a Krylov dimension of WARM_NCV; without it Lanczos starts
@@ -321,60 +319,54 @@ def lowest_eigenpairs(
     blas_threads).
     """
     n = matrix.shape[0]
-    if k >= n:
-        raise ValueError("k must be below the matrix dimension")
-    if n <= dense_threshold:
-        # scipy's "evd" solve gives np.linalg.eigh's values, but in Fortran
-        # order, which rounds the callers' later products differently
-        if M is None:
-            vals, vecs = np.linalg.eigh(matrix.toarray())
-        else:
-            vals, vecs = la.eigh(matrix.toarray(), M.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        mass = sp.eye(n, format="csr") if M is None else M
-        try:
-            # scipy's complex ARPACK solver can hold OPinv in a reference
-            # cycle, which the cyclic collector frees only when it next runs;
-            # OPinv reads the solve through this list, so emptying it
-            # releases the factor at once
-            held = [banded_cholesky(matrix - sigma * mass)]
-        except NotPositiveDefinite as exc:
-            raise NotPositiveDefinite(
-                f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
-                pivot=exc.pivot,
-            ) from exc
-        ncv = WARM_NCV if v0 is not None else None
-        if v0 is None:
-            v0 = random_start(n, seed, np.iscomplexobj(matrix))
-        try:
-            with warnings.catch_warnings():
-                # ARPACK's generalized-mode bookkeeping casts the real Ritz
-                # values through the complex work arrays
-                warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-                vals, vecs = sla.eigsh(
-                    matrix, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                    ncv=ncv,
-                    OPinv=sla.LinearOperator(
-                        matrix.shape, matvec=lambda x: held[0](x),
-                        dtype=matrix.dtype),
-                )
-        except ArpackNoConvergence as exc:
-            got = len(exc.eigenvalues)
-            raise EigensolverDiverged(
-                f"shift-invert Lanczos converged {got}/{k} pairs "
-                f"(sigma={sigma}); adjust the shift",
-                residuals=exc.eigenvalues,
-            ) from exc
-        finally:
-            held.clear()
-            if M is not None:
-                # scipy's complex generalized ARPACK mode keeps its workspace
-                # (the n x ncv Lanczos basis) in a reference cycle; collect it
-                # while it is young, or a sweep of pencils piles them up
-                gc.collect(1)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+    complex_ = np.iscomplexobj(matrix)
+    # ARPACK finds at most n - 1 pairs of a real matrix, n - 2 of a complex one
+    kmax = n - 2 if complex_ else n - 1
+    if k > kmax:
+        raise ValueError(f"k = {k} exceeds {kmax}, ARPACK's limit at n = {n}")
+    mass = sp.eye(n, format="csr") if M is None else M
+    try:
+        # scipy's complex ARPACK solver can hold OPinv in a reference
+        # cycle, which the cyclic collector frees only when it next runs;
+        # OPinv reads the solve through this list, so emptying it
+        # releases the factor at once
+        held = [banded_cholesky(matrix - sigma * mass)]
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(
+            f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
+            pivot=exc.pivot,
+        ) from exc
+    ncv = WARM_NCV if v0 is not None else None
+    if v0 is None:
+        v0 = random_start(n, seed, complex_)
+    try:
+        with warnings.catch_warnings():
+            # ARPACK's generalized-mode bookkeeping casts the real Ritz
+            # values through the complex work arrays
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            vals, vecs = sla.eigsh(
+                matrix, k=k, M=M, sigma=sigma, which="LM", v0=v0,
+                ncv=ncv,
+                OPinv=sla.LinearOperator(
+                    matrix.shape, matvec=lambda x: held[0](x),
+                    dtype=matrix.dtype),
+            )
+    except ArpackNoConvergence as exc:
+        got = len(exc.eigenvalues)
+        raise EigensolverDiverged(
+            f"shift-invert Lanczos converged {got}/{k} pairs "
+            f"(sigma={sigma}); adjust the shift",
+            residuals=exc.eigenvalues,
+        ) from exc
+    finally:
+        held.clear()
+        if M is not None:
+            # scipy's complex generalized ARPACK mode keeps its workspace
+            # (the n x ncv Lanczos basis) in a reference cycle; collect it
+            # while it is young, or a sweep of pencils piles them up
+            gc.collect(1)
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     mvecs = vecs if M is None else M @ vecs
     residuals = np.array(
         [

@@ -8,7 +8,7 @@ comes from the mixed Dirichlet/Neumann segment eigenvalue, C from an explicit
 smooth cutoff pair; the inequality itself is checked as the smallest
 eigenvalue mu_min of the weighted pencil (H - lam1) psi = mu W psi with
 W = 1/(1+s^2) on a long Dirichlet tube.  Discrete comparisons use the
-grid-consistent lam1 of the section, so the b = 0 gap vanishes identically.
+grid-consistent lam1 of the section: the b = 0 gap is 0 by construction.
 
 Also runs the stability experiments: small tube deformations in the presence
 of a field keep the spectrum above the free threshold, and for large field
@@ -132,16 +132,11 @@ def assemble_segment(section: GridDomain, field, b: float, R: float,
     """Magnetic operator on (-R, R) x omega, Dirichlet sides, Neumann ends.
 
     lam1_dn is its lowest eigenvalue.  The diamagnetic inequality, exact on
-    the link-phase lattice, puts it at or above lam1(omega), which at b = 0
-    it attains with the eigenvector 1 (x) J1.  So the eigensolve shifts a
-    quarter of the first Neumann longitudinal gap (pi / 2R)^2 below that
+    the link-phase lattice, puts it at or above lam1(omega), which without a
+    field it attains exactly, with 1 (x) J1.  Otherwise the eigensolve shifts
+    a quarter of the first Neumann longitudinal gap (pi / 2R)^2 below that
     floor and starts from 1 (x) J1.
     """
-    if field is None or field.is_zero() or b == 0.0:
-        warnings.warn(
-            "field vanishes on the segment: c_R degenerates to 0",
-            ZeroFieldWarning,
-        )
     n_sub = _subdivide(2 * R, ds)
     s_nodes = -R + ds * np.arange(n_sub + 1)
     mat = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=True)
@@ -153,12 +148,17 @@ def assemble_segment(section: GridDomain, field, b: float, R: float,
         regime=RegimeParams(eps=1.0, delta=0.0, b=b),
         meta={"model": "segment", "R": R},
     )
-    sigma = lam1_omega - 0.25 * (np.pi / (2 * R)) ** 2
-    vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=sigma,
-                                   v0=np.tile(J1, len(s_nodes)))
+    lam1_dn = lam1_omega
+    if field is None or field.is_zero() or b == 0.0:
+        warnings.warn("field vanishes on the segment: c_R degenerates to 0",
+                      ZeroFieldWarning)
+    else:
+        sigma = lam1_omega - 0.25 * (np.pi / (2 * R)) ** 2
+        lam1_dn = float(lowest_eigenpairs(op.matrix, k=1, sigma=sigma,
+                                          v0=np.tile(J1, len(s_nodes)))[0][0])
     return SegmentProblem(
         R=R, b=b, section=section, op=op,
-        lam1_dn=float(vals[0]), lam1_omega=lam1_omega,
+        lam1_dn=lam1_dn, lam1_omega=lam1_omega,
     )
 
 

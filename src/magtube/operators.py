@@ -602,7 +602,8 @@ def assemble_effective_3d(tube: TubeSpec, field, constants=None,
 
 def smallest_eigenpairs(op: AssembledOperator, k: int = 1,
                         sigma: float = 0.0, seed: int = 7) -> Spectrum:
-    """k lowest eigenpairs with shift-invert; dense fallback below 3000."""
+    """k lowest eigenpairs by the banded shift-invert solve of
+    :func:`magtube.assemble.lowest_eigenpairs`."""
     vals, vecs, res = lowest_eigenpairs(op.matrix, k=k, sigma=sigma, seed=seed)
     return Spectrum(vals, vecs, res, ess_threshold=op.meta.get("ess_threshold"))
 

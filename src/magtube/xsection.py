@@ -22,6 +22,7 @@ uses; both views are reported.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -74,17 +75,15 @@ class ModeSet:
 def lowest_modes(op: AssembledOperator, k: int, seed: int = 7) -> ModeSet:
     """k lowest eigenpairs; first eigenvector sign-fixed positive at its peak."""
     domain: GridDomain = op.grid["domain"]
-    vals, vecs, _ = lowest_eigenpairs(op.matrix, k=k, sigma=0.0, seed=seed)
+    # the residuals of the unit vectors equal ||A v - lam v|| h^(d/2) of the
+    # grid-normalized modes
+    vals, vecs, residuals = lowest_eigenpairs(op.matrix, k=k, seed=seed)
     vecs = np.real_if_close(vecs)
     for j in range(k):
         v = vecs[:, j]
         v = v / domain.norm(v)
         v = v * np.sign(v[np.argmax(np.abs(v))])
         vecs[:, j] = v
-    residuals = np.array(
-        [np.linalg.norm(op.matrix @ vecs[:, j] - vals[j] * vecs[:, j])
-         * domain.h ** (domain.dim / 2) for j in range(k)]
-    )
     return ModeSet(vals, vecs, residuals, domain)
 
 
@@ -344,7 +343,7 @@ def compute_constants(
 # -- persistent constants cache -------------------------------------------------
 #
 # One text file per key under the cache directory.  Schema (v2):
-#   magtube-constants v2
+#   magtube-constants v2 code=<sha256 of grids.py, assemble.py, xsection.py>
 #   key = <descriptor|method>
 #   backend = mask|radial
 #   dim = 1|2
@@ -355,22 +354,27 @@ def compute_constants(
 #   array.J1 = v v v ...          (interior-node order; optional)
 #   array.rho = v v v ...         (optional)
 #   array.r / array.J1r           (radial backend profile; optional)
-# Writes are atomic (temp file + rename): single writer, many readers.
+# Writes are atomic (temp file + rename): single writer, many readers.  An
+# entry whose header names other code is a miss, and is rewritten.
 
 
-_CACHE_SCHEMA = "magtube-constants v2"
+def _cache_header() -> str:
+    """Schema line with the digest of the code that computes the constants."""
+    digest = hashlib.sha256()
+    for name in ("grids.py", "assemble.py", "xsection.py"):
+        with open(os.path.join(os.path.dirname(__file__), name), "rb") as f:
+            digest.update(f.read())
+    return f"magtube-constants v2 code={digest.hexdigest()}"
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
-    import hashlib
-
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     return os.path.join(cache_dir, f"xc_{digest}.txt")
 
 
 def _cache_store(cache_dir: str, key: str, c: XSectionConstants) -> None:
     os.makedirs(cache_dir, exist_ok=True)
-    lines = [_CACHE_SCHEMA, f"key = {key}", f"backend = {c.backend}",
+    lines = [_cache_header(), f"key = {key}", f"backend = {c.backend}",
              f"dim = {c.dim}", f"h = {c.h:.17g}", f"descriptor = {c.descriptor}"]
     for name, val in c.scalar_items().items():
         lines.append(f"{name} = {val:.17g}")
@@ -399,7 +403,7 @@ def _cache_load(cache_dir, key, domain) -> XSectionConstants | None:
     scalars, arrays, text, meta = {}, {}, {}, {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
-        if header != _CACHE_SCHEMA:
+        if header != _cache_header():
             return None
         for line in f:
             name, _, val = line.partition("=")

@@ -83,6 +83,19 @@ def test_lowest_eigenpairs_rejects_a_shift_above_the_spectrum(planar):
     assert 1 <= info.value.pivot <= op.n
 
 
+def test_lowest_eigenpairs_k_guard_follows_arpack():
+    # ARPACK's complex solver finds at most n - 2 pairs, its real one n - 1
+    real = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    vals = assemble.lowest_eigenpairs(real, k=2)[0]
+    assert np.allclose(vals, [1.0, 2.0])
+    with pytest.raises(ValueError, match="k = 3 exceeds 2"):
+        assemble.lowest_eigenpairs(real, k=3)
+    herm = sp.csr_matrix(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.0],
+                                   [0.0, 0.0, 3.0]]))
+    with pytest.raises(ValueError, match="k = 2 exceeds 1"):
+        assemble.lowest_eigenpairs(herm, k=2)
+
+
 def test_non_finite_matrix_rejected():
     mat = sp.diags([2.0, np.nan, 2.0]).tocsr()
     with pytest.raises(ValueError, match="non-finite"):

@@ -42,6 +42,34 @@ def test_segment_zero_field_gap(sec2d, field2d):
     assert abs(seg.gap) < 1e-10  # constant Neumann longitudinal mode
 
 
+def test_zero_field_segment_needs_no_solve(sec2d, field2d, monkeypatch):
+    # 1 (x) J1 is an exact eigenvector of the zero-field segment: the
+    # Neumann s-Laplacian annihilates constants
+    def refuse(*args, **kwargs):
+        raise AssertionError("no eigensolve expected")
+
+    monkeypatch.setattr(hardy, "lowest_eigenpairs", refuse)
+    for b, field in ((0.0, field2d), (1.0, None)):
+        with pytest.warns(ZeroFieldWarning):
+            seg = hardy.assemble_segment(sec2d, field, b, R=2.0, ds=0.05)
+        assert seg.lam1_dn == seg.lam1_omega
+
+
+def test_coarse_segment_avoids_dense_eigensolvers(field2d, monkeypatch):
+    # 41 s-nodes x 39 section nodes = 1,599 unknowns: a dense eigh of the
+    # whole matrix takes seconds here for one eigenvalue, the banded solve
+    # hundredths of a second
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(la, "eigh", refuse)
+    seg = hardy.assemble_segment(grids.interval(1.0, 0.05), field2d, 1.0,
+                                 R=2.0, ds=0.1)
+    assert seg.op.n == 1599
+    assert seg.gap > 1e-3
+
+
 def test_segment_diamagnetic_strictness(sec2d, field2d):
     seg = hardy.assemble_segment(sec2d, field2d, 1.0, R=2.0, ds=0.05)
     assert seg.gap > 1e-3

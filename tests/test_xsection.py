@@ -239,6 +239,26 @@ def test_constants_cache_roundtrip(tmp_path):
     assert xs.cache_clear(cache) == 1
 
 
+def test_cache_entry_from_other_code_is_a_miss(tmp_path):
+    # an entry written by other code (another digest, or none) may hold
+    # other digits: it is recomputed and rewritten, not served
+    cache = str(tmp_path / "cache")
+    d = grids.interval(1.0, 1 / 50)
+    xs._MEMO.clear()
+    xs.compute_constants(d, cache_dir=cache)
+    (name, _), = xs.cache_inspect(cache)
+    path = tmp_path / "cache" / name
+    head, rest = path.read_text().split("\n", 1)
+    assert head.startswith("magtube-constants v2 code=")
+    for stale in ("magtube-constants v2", "magtube-constants v2 code=0"):
+        path.write_text(stale + "\n" + rest)
+        xs._MEMO.clear()
+        assert "cache" not in xs.compute_constants(d, cache_dir=cache).meta
+        assert path.read_text().split("\n", 1)[0] == head
+    xs._MEMO.clear()
+    assert xs.compute_constants(d, cache_dir=cache).meta["cache"] == "hit"
+
+
 def test_warm_cache_writes_the_cold_bytes(tmp_path):
     from magtube.config import ExperimentConfig
     from magtube.runner import run
