@@ -1,4 +1,4 @@
-"""Sparse self-adjoint operators: container, eigensolvers, export format.
+"""Sparse self-adjoint operators: container, banded factor, eigensolvers.
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -38,18 +38,20 @@ BAND_BUDGET_BYTES = 2 * 1024**3
 # Shipped 2D bands have kd 39-79, 3D bands kd 361-399.
 WIDE_BAND = 256
 
-# Krylov dimension of a Lanczos run started near its target vector: a
-# resolvent Lanczos from a neighbouring sweep point's maximizer or from the
-# fiber start of a full/effective pair (see operators.resolvent_distance),
-# and a shift-invert eigensolve from a fiber state at a shift just below a
-# proven floor (the Hardy segment at its diamagnetic floor, the positive
-# Hardy pencil at 0; see hardy.assemble_segment).  Such a start
-# converges in a handful of solves, and each restart of a small basis costs
-# few of them.  A random start keeps ARPACK's default of 20, which always
-# builds all 20 vectors before its first convergence check: with 6, the
-# clustered top of nrc2d's first points took 355-403 matvecs from a random
-# start, not 131.
+# Krylov dimension of a lowest_eigenpairs run started near its target
+# vector: a shift-invert eigensolve from a fiber state at a shift just below
+# a proven floor (the Hardy segment at its diamagnetic floor, the positive
+# Hardy pencil at 0; see hardy.assemble_segment).  Such a start converges in
+# a handful of solves, and each restart of a small basis costs few of them.
+# A random start keeps ARPACK's default of 20, which always builds all 20
+# vectors before its first convergence check.
 WARM_NCV = 6
+
+# Basis rows of largest_eigenpair's Lanczos, ARPACK's default Krylov
+# dimension for one eigenpair.  From four seeded random starts of nrc2d's
+# clustered first point (eps = 0.2, delta = 0), a 6-row basis took 180-290
+# applications, 20 rows 78-137.
+LANCZOS_ROWS = 20
 
 
 # -- BLAS thread pools ------------------------------------------------------------
@@ -137,9 +139,6 @@ class RegimeParams:
             raise ValueError("delta <= 1 required (eps*b >> 1 regime unsupported)")
         if self.b is None:
             self.b = self.eps ** (-self.delta)
-
-    def as_dict(self):
-        return {"eps": self.eps, "delta": self.delta, "b": self.b, "K": self.K}
 
 
 @dataclass
@@ -282,6 +281,66 @@ def banded_cholesky(matrix: sp.spmatrix):
     return solve
 
 
+def largest_eigenpair(apply, start: np.ndarray, product: np.ndarray,
+                      tol: float, maxiter: int):
+    """Largest-magnitude eigenpair of a Hermitian operator by Lanczos.
+
+    ``apply`` maps a vector x to D x; ``start`` is a unit vector and
+    ``product`` its image D start, the first Krylov step.  After each
+    application the largest-magnitude Ritz pair (theta, s) of the
+    tridiagonal matrix T is tested with ARPACK's criterion
+    beta_j |e_j^T s| <= tol |theta|, where beta_j |e_j^T s| is the residual
+    norm ||D y - theta y|| of the Ritz vector y.  The basis holds at most
+    LANCZOS_ROWS rows, fully reorthogonalized (classical Gram-Schmidt,
+    twice); when it is full, Lanczos restarts from y.
+
+    Returns ``(theta, y, applications)``, ``applications`` counting
+    ``product``.  Raises EigensolverDiverged when ``maxiter`` applications
+    do not converge.
+    """
+    basis = np.empty((LANCZOS_ROWS, start.size), dtype=product.dtype)
+    alpha = np.empty(LANCZOS_ROWS)
+    beta = np.empty(LANCZOS_ROWS)
+    basis[0] = start
+    w = product
+    applications, j = 1, 0
+    while True:
+        Q = basis[:j + 1]
+        # Q^H w as conj(Q conj(w)), so the basis is never copied
+        coef = (Q @ w.conj()).conj()
+        alpha[j] = coef[j].real
+        w = w - coef @ Q
+        w -= (Q @ w.conj()).conj() @ Q
+        beta[j] = np.linalg.norm(w)
+        vals, vecs = la.eigh_tridiagonal(alpha[:j + 1], beta[:j])
+        top = np.argmax(np.abs(vals))
+        theta, s = vals[top], vecs[:, top]
+        residual = beta[j] * abs(s[-1])
+        if residual <= tol * abs(theta):
+            y = s @ Q
+            return theta, y / np.linalg.norm(y), applications
+        if applications >= maxiter:
+            raise EigensolverDiverged(
+                f"Lanczos did not converge in {maxiter} applications "
+                f"(residual {residual:.3g}, theta {theta:.6g}, tol {tol:g})",
+                residuals=np.array([residual]),
+            )
+        if j + 1 < LANCZOS_ROWS:
+            j += 1
+            basis[j] = w / beta[j - 1]
+        else:
+            # D y = theta y + beta_j s_j q with q = w / beta_j, so Lanczos
+            # from y has alpha_0 = theta, beta_0 = |beta_j s_j| and
+            # q_1 = sign(s_j) q without a further application
+            y = s @ Q
+            basis[1] = np.sign(s[-1]) * (w / beta[j])
+            basis[0] = y / np.linalg.norm(y)
+            alpha[0], beta[0] = theta, residual
+            j = 1
+        w = apply(basis[j])
+        applications += 1
+
+
 def random_start(n: int, seed: int, complex_: bool) -> np.ndarray:
     """Lanczos start vector drawn from ``seed``: standard normal entries,
     with a standard normal imaginary part drawn after them when
@@ -375,48 +434,3 @@ def lowest_eigenpairs(
         ]
     )
     return vals, vecs, residuals
-
-
-# -- sparse triplet text export ------------------------------------------------
-
-
-def save_triplets(op: AssembledOperator, path) -> None:
-    """Documented text format: header then one 'i j re im' line per entry.
-
-    Header line: ``rows cols nnz shift`` followed by ``key=value`` regime
-    metadata tokens.
-    """
-    coo = op.matrix.tocoo()
-    meta = dict(op.meta)
-    if op.regime is not None:
-        meta.update(op.regime.as_dict())
-    tokens = " ".join(
-        f"{k}={v}" for k, v in sorted(meta.items()) if np.isscalar(v) and v is not None
-    )
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz} {op.shift:.17g} {tokens}\n")
-        data = coo.data.astype(complex)
-        for i, j, v in zip(coo.row, coo.col, data):
-            f.write(f"{i} {j} {v.real:.17g} {v.imag:.17g}\n")
-
-
-def load_triplets(path):
-    """Inverse of :func:`save_triplets`; returns (matrix, shift, meta)."""
-    with open(path, "r", encoding="utf-8") as f:
-        head = f.readline().split()
-        rows, cols, nnz = int(head[0]), int(head[1]), int(head[2])
-        shift = float(head[3])
-        meta = {}
-        for tok in head[4:]:
-            k, _, v = tok.partition("=")
-            meta[k] = v
-        I = np.empty(nnz, dtype=np.int64)
-        J = np.empty(nnz, dtype=np.int64)
-        V = np.empty(nnz, dtype=complex)
-        for m in range(nnz):
-            parts = f.readline().split()
-            I[m], J[m] = int(parts[0]), int(parts[1])
-            V[m] = float(parts[2]) + 1j * float(parts[3])
-    if np.abs(V.imag).max(initial=0.0) == 0.0:
-        V = V.real
-    return sp.csr_matrix((V, (I, J)), shape=(rows, cols)), shift, meta

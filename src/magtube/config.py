@@ -50,6 +50,9 @@ bump families use ``center width amplitude`` triplets joined by ';':
 Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
 KIND_KEYS lists the [regime] and [solver] keys each kind reads.  A section
 or key not listed, for the config's kind, is a ConfigError: no code reads it.
+A [curve] or [field] whose dimension is not the section's plus one is a
+ConfigError, and so is a tube dimension its kind does not run
+(KIND_TUBE_DIM).
 """
 
 from __future__ import annotations
@@ -89,6 +92,8 @@ KIND_KEYS = {
     "stability": {"regime": {"b"}, "solver": {
         "amplitudes", "l", "ds", "b_deform", "shift_center", "shift_width"}},
 }
+# The tube dimension of the kinds that run only one; the others run either.
+KIND_TUBE_DIM = {"full2d": 2, "full3d": 3, "asymptotics": 2, "stability": 2}
 
 
 def _floats(text: str) -> list:
@@ -187,11 +192,18 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.kind} needs a [curve] section")
         if "section" not in self.raw:
             raise ConfigError("missing [section]")
-        self.build_section()
-        if "curve" in self.raw:
-            self.build_curve()
-        if "field" in self.raw:
-            self.build_field()
+        tube_dim = self.build_section().dim + 1
+        for name, build in (("curve", self.build_curve),
+                            ("field", self.build_field)):
+            obj = build() if name in self.raw else None
+            if obj is not None and obj.dim != tube_dim:
+                raise ConfigError(
+                    f"[{name}] is {obj.dim}D but the [section] makes a "
+                    f"{tube_dim}D tube")
+        need = KIND_TUBE_DIM.get(self.kind)
+        if need is not None and tube_dim != need:
+            raise ConfigError(f"kind {self.kind} runs {need}D tubes, not "
+                              f"the {tube_dim}D tube of this [section]")
 
     def tube_lengths(self) -> dict:
         """[solver] ds and the straight tubes' half-lengths r and l (hardy)

@@ -289,14 +289,3 @@ def from_polygon_file(path) -> GridDomain:
     else:
         lo = (-h * (nr - 1) / 2, -h * (nc - 1) / 2)
     return GridDomain(2, h, lo, mask, "polygon-mask", (float(nr), float(nc)))
-
-
-def write_polygon_file(path, domain: GridDomain) -> None:
-    lines = [
-        f"{domain.mask.shape[0]} {domain.mask.shape[1]} {domain.h:.12g} "
-        f"{domain.lo[0]:.12g} {domain.lo[1]:.12g}"
-    ]
-    for row in domain.mask.astype(int):
-        lines.append(" ".join(str(v) for v in row))
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")

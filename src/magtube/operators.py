@@ -40,10 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as sla
 
 from .assemble import (
-    WARM_NCV,
     AssembledOperator,
     Spectrum,
     banded_cholesky,
@@ -52,6 +50,7 @@ from .assemble import (
     dirichlet_links,
     dirichlet_second_difference,
     form_term,
+    largest_eigenpair,
     lowest_eigenpairs,
     random_start,
 )
@@ -623,29 +622,33 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     fails to do so raises NotPositiveDefinite.
 
     A ``v0`` (say, the maximizer of a neighbouring sweep point) is a warm
-    start: Lanczos starts from it with a Krylov dimension of WARM_NCV.
-    Without ``v0``, a pair embedded by the J1 fiber starts, also at
-    WARM_NCV, from u_B (x) (J1 + w): u_B the ground state of B, and
+    start.  Without ``v0``, a pair embedded by the J1 fiber starts from
+    u_B (x) (J1 + w): u_B the ground state of B, and
     w ~ (sum_alpha tau_alpha) J1 the first-moment direction through which
     curvature and field couple the fiber to the second transverse band.
     The maximizer lies near one of those two states (the resolvent is
     O(eps^2) on the rest), so the start is free of ``seed``.  A same-space
-    pair starts from a random vector drawn from ``seed``, with ARPACK's
-    default Krylov dimension.
+    pair starts from a random vector drawn from ``seed``.
+
+    Every start runs the Lanczos of
+    :func:`magtube.assemble.largest_eigenpair`, whose first Krylov step is
+    the probe D start.  It stops at the first application after which the
+    top Ritz pair (theta, y) has ||D y - theta y|| <= tol |theta|, the
+    residual read off the tridiagonal matrix as ARPACK reads it.  A probe
+    of norm below 1e-14 returns at once.  ``maxiter`` bounds the
+    applications of the difference; running out of them raises
+    EigensolverDiverged.
 
     Returns ``(dist, info)``.  ``info["vector"]`` is the maximizer,
     ``info["matvecs"]`` the number of applications of the difference (the
-    probe included).  ``info["converged"]`` is always True: at k = 1 an
-    ARPACK run out of iterations has no partial Ritz pair to give, so
-    ArpackNoConvergence propagates instead.  Runs on one BLAS thread (see
-    blas_threads).
+    probe included).  ``info["converged"]`` is always True: an unconverged
+    Lanczos raises instead.  Runs on one BLAS thread (see blas_threads).
     """
     complex_path = opA.is_complex or opB.is_complex
     dtype = complex if complex_path else float
     solve_A = banded_cholesky(opA.matrix.astype(dtype, copy=False))
     solve_B = banded_cholesky(opB.matrix.astype(dtype, copy=False))
     n = opA.n
-    ncv = WARM_NCV
     embedding = None
     if opB.n != n:
         J1h = opA.meta["J1h"]
@@ -658,12 +661,8 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
             w = sec.node_coords().reshape(sec.n, -1).sum(axis=1) * J1h
             fiber = J1h / np.linalg.norm(J1h) + w / np.linalg.norm(w)
             v0 = np.kron(uB, fiber)
-    matvecs = 0
 
-    def matvec(x):
-        nonlocal matvecs
-        matvecs += 1
-        x = x.astype(dtype)
+    def apply(x):
         out = solve_A(x)
         if embedding is not None:
             out = out - embedding @ solve_B(dvol * (embedding_h @ x))
@@ -671,19 +670,16 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
             out = out - solve_B(x)
         return out
 
-    lin = sla.LinearOperator((n, n), matvec=matvec, dtype=dtype)
     if v0 is None:
         v0 = random_start(n, seed, False)
-        ncv = None
-    else:
-        v0 = np.asarray(v0)
-        v0 = (v0 if complex_path else v0.real).astype(dtype)
+    v0 = np.asarray(v0)
+    v0 = (v0 if complex_path else v0.real).astype(dtype)
     start = v0 / np.linalg.norm(v0)
-    probe = matvec(start)
+    probe = apply(start)
     if np.linalg.norm(probe) < 1e-14:
         return float(np.linalg.norm(probe)), {
-            "converged": True, "vector": start, "matvecs": matvecs}
-    vals, vecs = sla.eigsh(lin, k=1, which="LM", tol=tol, ncv=ncv,
-                           maxiter=maxiter, v0=v0)
-    return float(abs(vals[0])), {"converged": True,
-                                 "vector": vecs[:, 0], "matvecs": matvecs}
+            "converged": True, "vector": start, "matvecs": 1}
+    theta, vector, matvecs = largest_eigenpair(apply, start, probe, tol,
+                                               maxiter)
+    return float(abs(theta)), {"converged": True, "vector": vector,
+                               "matvecs": matvecs}

@@ -34,6 +34,24 @@ def make_tube(curve, section, eps, delta=1.0, b=None, K=None):
 
 
 @pytest.fixture(scope="session")
+def write_polygon_file():
+    """Writer of the polygon mask format that grids.from_polygon_file
+    reads: ``nrows ncols h x0 y0``, then one row of 0/1 per mask row."""
+
+    def write(path, domain):
+        lines = [
+            f"{domain.mask.shape[0]} {domain.mask.shape[1]} {domain.h:.12g} "
+            f"{domain.lo[0]:.12g} {domain.lo[1]:.12g}"
+        ]
+        for row in domain.mask.astype(int):
+            lines.append(" ".join(str(v) for v in row))
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+
+    return write
+
+
+@pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
 

@@ -49,12 +49,12 @@ def test_border_touch_rejected():
         grids.GridDomain(1, 0.1, (0.0,), mask, "interval")
 
 
-def test_polygon_roundtrip(tmp_path):
+def test_polygon_roundtrip(tmp_path, write_polygon_file):
     mask = np.zeros((8, 10), dtype=bool)
     mask[2:6, 3:8] = True
     dom = grids.GridDomain(2, 0.05, (-0.2, -0.25), mask, "polygon-mask")
     path = tmp_path / "poly.txt"
-    grids.write_polygon_file(path, dom)
+    write_polygon_file(path, dom)
     back = grids.from_polygon_file(path)
     assert back.n == dom.n
     assert np.array_equal(back.mask, dom.mask)

@@ -7,7 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from magtube import geometry as geo, grids, operators as ops
-from magtube.assemble import RegimeParams, load_triplets, save_triplets
+from magtube.assemble import RegimeParams
+from magtube.errors import EigensolverDiverged
 
 PI24 = np.pi**2 / 4
 
@@ -314,12 +315,71 @@ def test_cold_resolvent_distance_starts_from_the_fiber(small_pair):
 
 
 def test_resolvent_lanczos_out_of_iterations_raises(small_pair):
-    # at k = 1 an unconverged ARPACK run has no Ritz pair to return
-    from scipy.sparse.linalg import ArpackNoConvergence
-
+    # maxiter = 1 allows only the probe, whose Rayleigh quotient is far from
+    # an eigenvalue at tol = 1e-12
     opA, opB = small_pair(0.1, 1.0)
-    with pytest.raises(ArpackNoConvergence):
+    with pytest.raises(EigensolverDiverged, match="1 applications"):
         ops.resolvent_distance(opA, opB, tol=1e-12, maxiter=1)
+
+
+def _difference(opA, opB):
+    """x -> A^-1 x - E B^-1 E* x by SuperLU, independent of the band
+    factor that resolvent_distance applies."""
+    solve_A, solve_B = (sla.splu(op.matrix.astype(complex).tocsc()).solve
+                        for op in (opA, opB))
+    E = ops.fiber_embedding(opA.meta["J1h"], opB.n)
+    dvol = opA.grid["section"].h
+
+    def apply(x):
+        x = x.astype(complex)
+        return solve_A(x) - E @ solve_B(dvol * (E.getH() @ x))
+
+    return apply
+
+
+def test_resolvent_lanczos_stops_at_a_true_residual_below_tol(small_pair):
+    # ||D y - theta y||, recomputed with one independent application, meets
+    # the stopping rule for a warm, a fiber and a random start
+    tol = 1e-3
+    opA, opB = small_pair(0.1, 0.5)
+    warm = ops.resolvent_distance(*small_pair(0.2, 0.5), tol=tol)[1]["vector"]
+    random = np.random.default_rng(5).standard_normal(opA.n)
+    apply = _difference(opA, opB)
+    for name, v0 in (("warm", warm), ("fiber", None), ("random", random)):
+        dist, info = ops.resolvent_distance(opA, opB, tol=tol, v0=v0)
+        y = info["vector"]
+        assert abs(np.linalg.norm(y) - 1) < 1e-12, name
+        Dy = apply(y)
+        theta = np.copysign(dist, np.vdot(y, Dy).real)
+        assert np.linalg.norm(Dy - theta * y) <= tol * dist, name
+
+
+def test_resolvent_lanczos_from_an_eigenvector_stops_at_once(small_pair):
+    opA, opB = small_pair(0.1, 1.0)
+    ref, info = ops.resolvent_distance(opA, opB, tol=1e-10)
+    dist, again = ops.resolvent_distance(opA, opB, tol=1e-3,
+                                         v0=info["vector"])
+    assert again["matvecs"] <= 2
+    assert abs(dist - ref) <= 1e-10 * ref
+
+
+# Applications of the difference in the sweep below, as measured when the
+# per-step stopping rule went in (ARPACK's eigsh took 174)
+SWEEP_APPLICATIONS = 99
+
+
+def test_resolvent_lanczos_sweep_application_count(small_pair):
+    # the delta x eps sweep in the nrc-sweep runner's start order; each
+    # application is one banded solve pair, so this counts the sweep's cost
+    maximizers, previous, total = {}, None, 0
+    for delta in (0.0, 0.5, 1.0):
+        for eps in (0.2, 0.1, 0.05):
+            opA, opB = small_pair(eps, delta)
+            _, info = ops.resolvent_distance(
+                opA, opB, tol=1e-3, v0=maximizers.get(eps, previous))
+            previous = maximizers[eps] = info["vector"]
+            total += info["matvecs"]
+    assert total <= SWEEP_APPLICATIONS
 
 
 def test_truncation_doubling_stability(bent_setup):
@@ -345,17 +405,6 @@ def test_shift_constant_and_positivity(bent_setup, axis_field):
     assert K >= 2 * curve.sup_kappa() ** 2 / 4
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
     assert spec.eigenvalues[0] > 0.0  # shifted operator positive definite
-
-
-def test_triplet_export_roundtrip(tmp_path, bent_setup, axis_field):
-    sec, curve, frame = bent_setup
-    op = ops.assemble_full_2d(make_tube(curve, sec, 0.2), axis_field, frame)
-    path = tmp_path / "op.txt"
-    save_triplets(op, path)
-    mat, shift, meta = load_triplets(path)
-    assert shift == op.shift
-    assert abs(mat - op.matrix).max() < 1e-15
-    assert meta["eps"] == "0.2"
 
 
 def test_first_approximation_resolvent_decay(bent_setup, axis_field):

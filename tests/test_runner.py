@@ -178,6 +178,68 @@ def test_shipped_configs_load():
         ExperimentConfig.load(str(path))
 
 
+SPATIAL_CURVE = "[curve]\ndim = 3\nS = 8.0\nds = 0.1\nkappa2 = 0.0 2.0 0.5\n"
+DISK_SECTION = "[section]\nshape = disk\nh = 0.125\nradius = 1.0\n"
+CURL3D_FIELD = ("[field]\nkind = curl3d\n"
+                "comp = 2 0.0 0.0 0.0 6.0 6.0 6.0 3.0\n")
+
+
+def _replace_block(text, header, block):
+    """``text`` with its INI block ``[header]`` replaced by ``block``."""
+    return re.sub(rf"\[{header}\]\n(?:[^\[]*\n)?(?=\[|\Z)", block + "\n",
+                  text)
+
+
+FULL2D = """
+[experiment]
+version = 1
+kind = full2d
+out = {out}
+
+[section]
+shape = interval
+h = 0.1
+
+[curve]
+dim = 2
+S = 4.0
+ds = 0.1
+
+[regime]
+eps = 0.2
+"""
+
+
+def test_config_rejects_a_tube_of_another_dimension(tmp_path, capsys):
+    # a stability config with a spatial curve, a disk section and a curl3d
+    # field died in the planar deformation with an IndexError; a full2d
+    # config with a spatial curve failed at its first point with exit 1
+    root = Path(__file__).resolve().parent.parent
+    out = f"out = {tmp_path / 'out'}"
+    stability = (root / "configs" / "stability2d.ini").read_text().replace(
+        "out = out/stab2d", out)
+    full2d = FULL2D.format(out=tmp_path / "out")
+    spatial = _replace_block(_replace_block(
+        _replace_block(stability, "curve", SPATIAL_CURVE), "section",
+        DISK_SECTION), "field", CURL3D_FIELD)
+    for kind, text, named in (
+        ("stability", spatial, "kind stability runs 2D tubes, not the 3D"),
+        ("full2d", _replace_block(_replace_block(full2d, "curve",
+                                                 SPATIAL_CURVE),
+                                  "section", DISK_SECTION),
+         "kind full2d runs 2D tubes, not the 3D"),
+        ("full2d", _replace_block(full2d, "curve", SPATIAL_CURVE),
+         "[curve] is 3D but the [section] makes a 2D tube"),
+        ("stability", _replace_block(stability, "field", CURL3D_FIELD),
+         "[field] is 3D but the [section] makes a 2D tube"),
+    ):
+        path = write_config(tmp_path / f"{kind}.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main([kind, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+
+
 def test_check_targets_reads_the_nrc_order_footers():
     table = ResultTable("nrc_distances", ["delta", "eps", "b", "distance",
                                           "converged"])
@@ -320,14 +382,14 @@ def test_svg_writer_stable():
     assert "<svg" in p1.render() and "polyline" in p1.render()
 
 
-def test_polygon_section_config(tmp_path):
+def test_polygon_section_config(tmp_path, write_polygon_file):
     from magtube import grids
 
     mask = np.zeros((9, 9), dtype=bool)
     mask[2:7, 2:7] = True
     dom = grids.GridDomain(2, 0.1, (-0.4, -0.4), mask, "polygon-mask")
     pfile = tmp_path / "mask.txt"
-    grids.write_polygon_file(pfile, dom)
+    write_polygon_file(pfile, dom)
     cfg_path = write_config(
         tmp_path / "xs.ini",
         "[experiment]\nversion = 1\nkind = xsection\nseed = 3\n"
