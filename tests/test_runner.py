@@ -184,10 +184,12 @@ CURL3D_FIELD = ("[field]\nkind = curl3d\n"
                 "comp = 2 0.0 0.0 0.0 6.0 6.0 6.0 3.0\n")
 
 
-def _replace_block(text, header, block):
-    """``text`` with its INI block ``[header]`` replaced by ``block``."""
-    return re.sub(rf"\[{header}\]\n(?:[^\[]*\n)?(?=\[|\Z)", block + "\n",
-                  text)
+def _with_blocks(text, **blocks):
+    """``text`` with each INI block ``[name]`` replaced by ``blocks[name]``."""
+    for header, block in blocks.items():
+        text = re.sub(rf"\[{header}\]\n(?:[^\[]*\n)?(?=\[|\Z)",
+                      block + "\n", text)
+    return text
 
 
 FULL2D = """
@@ -219,18 +221,16 @@ def test_config_rejects_a_tube_of_another_dimension(tmp_path, capsys):
     stability = (root / "configs" / "stability2d.ini").read_text().replace(
         "out = out/stab2d", out)
     full2d = FULL2D.format(out=tmp_path / "out")
-    spatial = _replace_block(_replace_block(
-        _replace_block(stability, "curve", SPATIAL_CURVE), "section",
-        DISK_SECTION), "field", CURL3D_FIELD)
     for kind, text, named in (
-        ("stability", spatial, "kind stability runs 2D tubes, not the 3D"),
-        ("full2d", _replace_block(_replace_block(full2d, "curve",
-                                                 SPATIAL_CURVE),
-                                  "section", DISK_SECTION),
+        ("stability", _with_blocks(stability, curve=SPATIAL_CURVE,
+                                   section=DISK_SECTION, field=CURL3D_FIELD),
+         "kind stability runs 2D tubes, not the 3D"),
+        ("full2d", _with_blocks(full2d, curve=SPATIAL_CURVE,
+                                section=DISK_SECTION),
          "kind full2d runs 2D tubes, not the 3D"),
-        ("full2d", _replace_block(full2d, "curve", SPATIAL_CURVE),
+        ("full2d", _with_blocks(full2d, curve=SPATIAL_CURVE),
          "[curve] is 3D but the [section] makes a 2D tube"),
-        ("stability", _replace_block(stability, "field", CURL3D_FIELD),
+        ("stability", _with_blocks(stability, field=CURL3D_FIELD),
          "[field] is 3D but the [section] makes a 2D tube"),
     ):
         path = write_config(tmp_path / f"{kind}.ini", text)
