@@ -2,9 +2,12 @@
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
-derivatives use link phases (e^{i h a} on the lattice edge), which makes
-discrete gauge transforms exact unitary conjugations and preserves the
-diamagnetic inequality at the matrix level.
+derivatives use link phases (e^{i h a} on the lattice edge).  On planar and
+untwisted spatial tubes that makes discrete gauge transforms exact unitary
+conjugations and preserves the diamagnetic inequality at the matrix level.
+The twist and R terms of a twisted tube average node values onto the
+s-links without the link phase: a gauge transform moves its spectrum by
+O(ds^2), and its diamagnetic floor is not proven.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from .errors import (
 from .geometry import FrameTrajectory, TubeSpec, integrate_frame
 from .operators import (
     _tube_parts,
+    assemble_full,
     axis_grid,
     fiber_project,
     smallest_eigenpairs,
@@ -339,9 +340,8 @@ def eigenvalue_expansion(tube: TubeSpec, field, mode_index: int, J: int,
                          series: SeriesOperator | None = None):
     """Expansion coefficients plus a verification record against the full
     operator: |lambda_n(eps) - Gamma_J(eps)| over the eps sweep, with mode
-    identity tracked by quasimode overlap."""
-    from .operators import assemble_full_2d
-
+    identity tracked by quasimode overlap.  Also returns the quasimode
+    residual ``qm.residual`` on each of those operators."""
     if frame is None:
         frame = integrate_frame(tube.curve)
     if series is None:
@@ -349,11 +349,12 @@ def eigenvalue_expansion(tube: TubeSpec, field, mode_index: int, J: int,
     qm = build_quasimode(series, mode_index=mode_index, J=J)
     rows = []
     overlaps = []
+    residuals = []
     for eps in eps_list:
         tube_eps = TubeSpec(tube.curve, tube.section,
                             type(tube.regime)(eps=eps, delta=1.0,
                                               K=tube.regime.K))
-        op = assemble_full_2d(tube_eps, field, frame=frame, shifted=True)
+        op = assemble_full(tube_eps, field, frame=frame, shifted=True)
         spec = smallest_eigenpairs(op, k=mode_index + 2, sigma=0.0)
         psi = qm.Psi(eps)
         psi = psi / np.linalg.norm(psi)
@@ -367,7 +368,8 @@ def eigenvalue_expansion(tube: TubeSpec, field, mode_index: int, J: int,
         overlaps.append(float(ovl[pick]))
         lam = float(spec.eigenvalues[pick]) - op.shift
         rows.append((eps, lam, qm.Gamma(eps), abs(lam - qm.Gamma(eps))))
-    return qm, rows, overlaps
+        residuals.append(qm.residual(op, eps))
+    return qm, rows, overlaps, residuals
 
 
 # -- Lemma: form difference controls resolvent difference ---------------------------

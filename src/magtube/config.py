@@ -50,6 +50,8 @@ bump families use ``center width amplitude`` triplets joined by ';':
 Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
 KIND_KEYS lists the [regime] and [solver] keys each kind reads.  A section
 or key not listed, for the config's kind, is a ConfigError: no code reads it.
+So is a section of KIND_UNREAD_SECTIONS: xsection reads no [curve] or
+[field], and hardy, whose tubes are straight, no [curve].
 A [curve] or [field] whose dimension is not the section's plus one is a
 ConfigError, and so is a tube dimension its kind does not run
 (KIND_TUBE_DIM).
@@ -92,6 +94,8 @@ KIND_KEYS = {
     "stability": {"regime": {"b"}, "solver": {
         "amplitudes", "l", "ds", "b_deform", "shift_center", "shift_width"}},
 }
+# The sections a kind never reads, whatever their keys.
+KIND_UNREAD_SECTIONS = {"xsection": {"curve", "field"}, "hardy": {"curve"}}
 # The tube dimension of the kinds that run only one; the others run either.
 KIND_TUBE_DIM = {"full2d": 2, "full3d": 3, "asymptotics": 2, "stability": 2}
 
@@ -144,6 +148,10 @@ class ExperimentConfig:
         if kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}; "
                               f"expected one of {KINDS}")
+        ignored = sorted(raw.keys() & KIND_UNREAD_SECTIONS.get(kind, set()))
+        if ignored:
+            raise ConfigError(f"kind {kind} reads no section "
+                              + ", ".join(f"[{name}]" for name in ignored))
         for section, keys in raw.items():
             read = KEYS[section] | KIND_KEYS[kind].get(section, set())
             unread = sorted(set(keys) - read)
@@ -187,9 +195,8 @@ class ExperimentConfig:
             if not self.get_floats("regime", "b"):
                 raise ConfigError(f"{self.kind} needs a b schedule")
             self.tube_lengths()
-        if self.kind != "xsection" and "curve" not in self.raw:
-            if self.kind not in ("hardy",):
-                raise ConfigError(f"{self.kind} needs a [curve] section")
+        if self.kind not in ("xsection", "hardy") and "curve" not in self.raw:
+            raise ConfigError(f"{self.kind} needs a [curve] section")
         if "section" not in self.raw:
             raise ConfigError("missing [section]")
         tube_dim = self.build_section().dim + 1

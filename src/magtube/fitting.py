@@ -37,16 +37,11 @@ def fit_order(eps, values) -> FitResult:
     A = np.column_stack([x, np.ones(n)])
     coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = coef
-    if n > 2:
-        resid = y - A @ coef
-        s2 = float(resid @ resid) / (n - 2)
-        sxx = float(np.sum((x - x.mean()) ** 2))
-        stderr = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-        tq = stats.t.ppf(0.975, n - 2)
-        ci95 = tq * stderr
-    else:
-        stderr = np.inf
-        ci95 = np.inf
+    resid = y - A @ coef
+    s2 = float(resid @ resid) / (n - 2)
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    stderr = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
+    ci95 = stats.t.ppf(0.975, n - 2) * stderr
     return FitResult(float(slope), float(intercept), float(stderr),
                      float(ci95), n)
 

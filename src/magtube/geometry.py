@@ -26,6 +26,9 @@ from .errors import (
 )
 from .grids import GridDomain
 
+# the largest frame Gram defect integrate_frame accepts
+GRAM_TOL = 1e-7
+
 
 # -- smooth compactly supported profiles ---------------------------------------
 
@@ -251,15 +254,15 @@ class FrameTrajectory:
         return float(res)
 
 
-def integrate_frame(curve: CurveProfile, substeps: int = 8,
-                    gram_tol: float = 1e-7) -> FrameTrajectory:
+def integrate_frame(curve: CurveProfile) -> FrameTrajectory:
     """Integrate the relatively parallel frame along the curve.
 
     2D uses the exact angle representation T = (cos phi, sin phi) with
     phi' = -kappa (so gamma'' = -kappa nu, det(T, nu) = 1 and orthonormality
-    is exact).  3D integrates the frame ODE system with RK4 on ``substeps``
+    is exact).  3D integrates the frame ODE system with RK4 on 8
     sub-intervals per stored half-step.
     """
+    substeps = 8
     half = curve.ds / 2.0
     n_half = int(round(2 * curve.S / half))
     s = -curve.S + half * np.arange(n_half + 1)
@@ -328,9 +331,9 @@ def integrate_frame(curve: CurveProfile, substeps: int = 8,
         theta_fine = _cumint_from_zero(curve.theta_prime(fine), fine)
         theta = theta_fine[::substeps]
         nu = None
-    if gram > gram_tol:
+    if gram > GRAM_TOL:
         raise FrameDriftError(
-            f"frame Gram defect {gram:.2e} exceeds {gram_tol:.1e}; reduce ds",
+            f"frame Gram defect {gram:.2e} exceeds {GRAM_TOL:.1e}; reduce ds",
             defect=gram,
         )
     return FrameTrajectory(curve=curve, s=s, gamma=gamma, T=T, nu=nu,
@@ -561,13 +564,13 @@ class TubeReport:
         return self.status != "fail"
 
 
-def validate_tube(tube: TubeSpec, frame: FrameTrajectory | None = None,
-                  sample_stride: int = 8) -> TubeReport:
+def validate_tube(tube: TubeSpec,
+                  frame: FrameTrajectory | None = None) -> TubeReport:
     """Hard-check the curvature bound; soft-check overlap by sampling.
 
     The curvature inequality eps * sup|tau| * sup|kappa| < 1 is decidable and
-    enforced; global injectivity of Phi is only probed on a coarse lattice
-    (sampling cannot prove it), so near-collisions yield warnings.
+    enforced; global injectivity of Phi is only probed at every 8th frame
+    sample (sampling cannot prove it), so near-collisions yield warnings.
     """
     messages = []
     prod = tube.eps * tube.sup_tau() * tube.curve.sup_kappa()
@@ -581,9 +584,8 @@ def validate_tube(tube: TubeSpec, frame: FrameTrajectory | None = None,
         )
     status = "pass"
     if frame is not None:
-        stride = max(1, sample_stride)
-        pts = frame.gamma[::stride]
-        svals = frame.s[::stride]
+        pts = frame.gamma[::8]
+        svals = frame.s[::8]
         diam = 2 * tube.eps * tube.sup_tau()
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         sdist = np.abs(svals[:, None] - svals[None, :])

@@ -47,9 +47,12 @@ from .grids import GridDomain, _subdivide
 from .operators import (
     TubeLattice,
     _tube_matrix,
-    assemble_full_2d,
+    assemble_full,
     transverse_ground,
 )
+
+# verify_hardy passes when mu_min >= c_R - HARDY_PASS_TOL
+HARDY_PASS_TOL = 1e-9
 
 
 # -- cutoff pair and the explicit constant C -------------------------------------
@@ -79,13 +82,13 @@ def cutoff_pair(s):
     return np.sin(phi), np.cos(phi)
 
 
-def cutoff_constant(samples: int = 200001) -> float:
+def cutoff_constant() -> float:
     """C = sup(|chi0'|^2 + |chi1'|^2), evaluated numerically.
 
     One valid (not optimal) choice; phi' = pi * ramp'(2|s|-1) peaks at
     (3 pi / 2)^2 ~ 22.2.
     """
-    s = np.linspace(0.0, 1.2, samples)
+    s = np.linspace(0.0, 1.2, 200001)
     phid = np.pi * _ramp_d(2 * s - 1.0)
     return float(np.max(phid**2))
 
@@ -176,11 +179,9 @@ class HardyCertificate:
 
 
 def hardy_constant(section: GridDomain, field, b: float, R: float,
-                   ds: float = 0.05,
-                   segment: SegmentProblem | None = None) -> HardyCertificate:
+                   ds: float = 0.05) -> HardyCertificate:
     """c_R(bB) from the segment eigenvalue and the shipped cutoff constant."""
-    if segment is None:
-        segment = assemble_segment(section, field, b, R, ds=ds)
+    segment = assemble_segment(section, field, b, R, ds=ds)
     C = cutoff_constant()
     c_R = (1.0 + C / R**2) ** -1 * min(0.25, max(segment.gap, 0.0))
     return HardyCertificate(
@@ -190,10 +191,10 @@ def hardy_constant(section: GridDomain, field, b: float, R: float,
 
 
 def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
-                 ds: float = 0.05, tol: float = 1e-9) -> HardyCertificate:
+                 ds: float = 0.05) -> HardyCertificate:
     """Certify the weighted bound: mu_min of (H - lam1) psi = mu W psi,
     W = 1/(1+s^2), on the Dirichlet tube (-L, L) x omega; pass iff
-    mu_min >= c_R - tol.
+    mu_min >= c_R - HARDY_PASS_TOL.
 
     Shift-invert at sigma = 0, whose factor is the banded Cholesky factor
     of A = H - lam1 itself: A is positive definite (its floor is the
@@ -216,7 +217,7 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
     mu_min = float(vals[0])
     cert.mu_min = mu_min
     cert.margin = mu_min - cert.c_R
-    cert.passed = bool(mu_min >= cert.c_R - tol)
+    cert.passed = bool(mu_min >= cert.c_R - HARDY_PASS_TOL)
     cert.meta["L"] = L
     cert.meta["ds"] = ds
     return cert
@@ -376,8 +377,9 @@ def deformation_experiment(section: GridDomain, field, b: float,
 
 
 def large_b_experiment(tube: TubeSpec, field, b_schedule,
-                       frame=None, seed: int = 7) -> dict:
-    """Track the ground energy of the eps = 1 bent tube along the b schedule.
+                       seed: int = 7) -> dict:
+    """Track the ground energy of the eps = 1 bent tube, planar or spatial,
+    along the b schedule.
 
     pass = the lowest eigenvalue exceeds lam1(omega) - budget from some b_0
     onward; the crossing intensity is the smallest scheduled b from which
@@ -385,14 +387,15 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
 
     The field-free tube, which binds below lam1(omega), is solved first at
     sigma = 0.5 lam1(omega).  Its ground energy lam1(0) is a floor for
-    every b: the diamagnetic inequality holds exactly on the link-phase
-    lattice (see the assemble module).  So each b != 0 solve shifts a
-    quarter of the free longitudinal ground energy (pi / 2S)^2 below that
-    floor, the margin of the Hardy segment's shift.  A schedule without
-    b = 0 still pays for the floor solve.
+    every b on a planar or untwisted spatial tube, where the diamagnetic
+    inequality holds exactly (see the assemble module).  So each b != 0
+    solve shifts a quarter of the free longitudinal ground energy
+    (pi / 2S)^2 below that floor, the margin of the Hardy segment's shift.
+    On a twisted tube the floor is not proven: a shift above the bottom of
+    the spectrum raises NotPositiveDefinite, never a wrong value.  A
+    schedule without b = 0 still pays for the floor solve.
     """
-    if frame is None:
-        frame = integrate_frame(tube.curve)
+    frame = integrate_frame(tube.curve)
     lam1_omega, _ = transverse_ground(tube.section)
     S = tube.curve.S
     budget = 2.0 * (np.pi / (2 * S)) ** 2
@@ -400,7 +403,7 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
     def ground_energy(b: float, sigma: float) -> float:
         regime = RegimeParams(eps=1.0, delta=0.0, b=b, K=tube.regime.K)
         tube_b = TubeSpec(tube.curve, tube.section, regime)
-        op = assemble_full_2d(tube_b, field, frame, shifted=False)
+        op = assemble_full(tube_b, field, frame, shifted=False)
         vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=sigma, seed=seed)
         return float(vals[0])
 

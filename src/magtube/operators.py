@@ -1,8 +1,8 @@
 """Waveguide operators on the homogenized reference domain.
 
-Full 2D/3D curvilinear operators, the intermediate straight-tube
-approximation, and the effective 1D models for every scaling regime, plus
-resolvent-distance measurement between models.
+The full curvilinear operator of planar and spatial tubes, the
+intermediate straight-tube approximation, and the effective 1D models for
+every scaling regime, plus resolvent-distance measurement between models.
 
 Discretization: every quadratic-form term is F* diag(w) F built from
 first-order covariant difference factors with link phases e^{i h a}; the
@@ -14,7 +14,9 @@ One builder, ``_tube_matrix``, writes the curvilinear tube operator
     transverse covariant Laplacian + h^-1/2 X h^-1 X h^-1/2 - |k|^2/(4 h^2),
 h = 1 - eps <tau, k(s)>, once.  The planar tube is its case with one
 transverse direction (no twist, no R term); the straight Hardy tubes of
-:mod:`magtube.hardy` are its kappa = 0, eps = 1 case.
+:mod:`magtube.hardy` are its kappa = 0, eps = 1 case.  :func:`assemble_full`
+is the public operator of every planar and spatial tube: it reads the
+dimension from the section, validates the tube and adds the shift.
 
 Every tube operator lives on one :class:`TubeLattice`, the product of axis
 nodes and the section's interior nodes.  Unknowns are s-major: node
@@ -328,29 +330,38 @@ def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:
     return (-1j) * sp.diags(tw) @ (lat.link_average() @ Dal)
 
 
-# -- 2D assemblies ----------------------------------------------------------------
+# -- tube assemblies --------------------------------------------------------------
 
 
-def assemble_full_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
-                     shifted: bool = True, gauge_chi=None) -> AssembledOperator:
-    """Homogenized curvilinear operator of a planar tube.
+def assemble_full(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
+                  shifted: bool = True, gauge_chi=None) -> AssembledOperator:
+    """Homogenized curvilinear operator (:func:`_tube_matrix`) of a planar
+    or spatial tube, as the section is 1D or 2D.
 
-    m (i d/ds + b A1) m^2 (i d/ds + b A1) m - eps^-2 d^2/dtau^2 + V with
-    m = (1 - eps tau kappa)^(-1/2), V = -(kappa^2/4)(1 - eps kappa tau)^-2.
+    A spatial tube past GRID_BUDGET_3D unknowns raises GridBudgetError.
     With ``shifted`` the stored matrix is the positive-definite
     L - eps^-2 lam1h + K.  ``gauge_chi`` adds the discrete gradient of a
     lattice gauge function chi(s) to A1 (link phases shift by the exact
-    difference b (chi(s_r) - chi(s_l)); the spectrum must not move).
+    difference b (chi(s_r) - chi(s_l))).  The spectrum does not move on a
+    planar or untwisted spatial tube; on a twisted one it moves by O(ds^2)
+    (see the assemble module).
     """
     _check_support(tube, field)
     if frame is None:
         frame = integrate_frame(tube.curve)
     _validate(tube, frame)
-    if tube.section.dim != 1:
-        raise ValueError("2D tube needs a 1D cross section")
+    sec = tube.section
     ax = axis_grid(tube.curve)
-    mat = _tube_matrix(tube, ax.lattice(tube.section), frame, field, gauge_chi)
-    return _tube_operator(mat, tube, ax, shifted, "full2d")
+    lat = ax.lattice(sec)
+    if sec.dim == 2 and lat.n > GRID_BUDGET_3D:
+        raise GridBudgetError(f"{lat.n} unknowns exceed the 3D budget "
+                              f"{GRID_BUDGET_3D}; coarsen ds or h")
+    mat = _tube_matrix(tube, lat, frame, field, gauge_chi)
+    return _tube_operator(mat, tube, ax, shifted, f"full{sec.dim + 1}d")
+
+
+# The benchmark's names of the one builder.
+assemble_full_2d = assemble_full_3d = assemble_full
 
 
 def _tube_operator(mat, tube: TubeSpec, ax: AxisGrid, shifted: bool,
@@ -422,8 +433,8 @@ def fiber_project(mat2d: sp.spmatrix, J1h: np.ndarray, ns: int,
 def assemble_effective_2d(tube: TubeSpec, field, constants=None,
                           frame: FrameTrajectory | None = None,
                           mode: str = "coefficient",
-                          coefficient_source: str = "measured",
-                          include_K: bool = True) -> AssembledOperator:
+                          coefficient_source: str = "measured"
+                          ) -> AssembledOperator:
     """Effective 1D operator T^[2] (the transverse offset lives in the shift).
 
     delta < 1: -d^2/ds^2 - kappa^2/4.
@@ -434,7 +445,7 @@ def assemble_effective_2d(tube: TubeSpec, field, constants=None,
     """
     ax = axis_grid(tube.curve)
     lam1h, J1h = transverse_ground(tube.section)
-    K = _shift_constant(tube) if include_K else 0.0
+    K = _shift_constant(tube)
     critical = abs(tube.regime.delta - 1.0) < 1e-12
     meta = {"model": "effective2d", "mode": mode, "K": K, "lam1h": lam1h,
             "ess_threshold": K}
@@ -475,31 +486,6 @@ def assemble_effective_2d(tube: TubeSpec, field, constants=None,
 
 
 # -- 3D assemblies ----------------------------------------------------------------
-
-
-def assemble_full_3d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
-                     shifted: bool = True, budget: int = GRID_BUDGET_3D
-                     ) -> AssembledOperator:
-    """Homogenized 3D operator (twist + magnetic field) on s x omega.
-
-    Terms: transverse covariant squares, -kappa^2/(4 h^2), and the
-    longitudinal h^{-1/2} X h^{-1} X h^{-1/2} sandwich with
-    X = -i d/ds + b A1 - i theta' d_alpha + R, R = h3 b A2 + h2 b A3.
-    """
-    _check_support(tube, field)
-    if frame is None:
-        frame = integrate_frame(tube.curve)
-    _validate(tube, frame)
-    if tube.section.dim != 2:
-        raise ValueError("3D tube needs a 2D cross section")
-    ax = axis_grid(tube.curve)
-    lat = ax.lattice(tube.section)
-    if lat.n > budget:
-        raise GridBudgetError(
-            f"{lat.n} unknowns exceed the 3D budget {budget}; coarsen ds or h"
-        )
-    mat = _tube_matrix(tube, lat, frame, field)
-    return _tube_operator(mat, tube, ax, shifted, "full3d")
 
 
 def _app2_longitudinal_3d(tube: TubeSpec, field, frame: FrameTrajectory,

@@ -184,7 +184,7 @@ def _run_spectrum(config, out, seed):
 
     section = config.build_section()
     curve = config.build_curve()
-    fieldobj = config.build_field() if "field" in config.raw else None
+    fieldobj = config.build_field()
     frame = geo.integrate_frame(curve)
     kind = config.kind
     k = config.get_int("solver", "k", 2 if kind == "full3d" else 3)
@@ -192,15 +192,13 @@ def _run_spectrum(config, out, seed):
     eps_list = config.get_floats("regime", "eps")
     delta_list = config.get_floats("regime", "delta", (1.0,))
     source = config.get("solver", "coefficient", "measured")
-    assemble = {
-        "full2d": ops.assemble_full_2d,
-        "full3d": ops.assemble_full_3d,
-        "effective": (ops.assemble_effective_2d if curve.dim == 2
-                      else ops.assemble_effective_3d),
-    }[kind]
+    assemble = ops.assemble_full
     options = {}
-    if kind == "effective" and curve.dim == 2:
-        options["coefficient_source"] = source
+    if kind == "effective":
+        assemble = (ops.assemble_effective_2d if curve.dim == 2
+                    else ops.assemble_effective_3d)
+        if curve.dim == 2:
+            options["coefficient_source"] = source
     table = ResultTable(
         f"spectrum_{kind}",
         ["eps", "delta", "b", "K", "n", "eigenvalue", "residual", "discrete"],
@@ -232,11 +230,13 @@ def _run_nrc_sweep(config, out, seed):
 
     section = config.build_section()
     curve = config.build_curve()
-    fieldobj = config.build_field() if "field" in config.raw else None
+    fieldobj = config.build_field()
     frame = geo.integrate_frame(curve)
     eps_list = config.get_floats("regime", "eps")
     delta_list = config.get_floats("regime", "delta", (1.0,))
     tol = config.get_float("solver", "tol", 1e-3)
+    assemble_effective = (ops.assemble_effective_2d if curve.dim == 2
+                          else ops.assemble_effective_3d)
     table = ResultTable(
         "nrc_distances",
         # converged is always 1: an unconverged Lanczos raises instead
@@ -255,14 +255,8 @@ def _run_nrc_sweep(config, out, seed):
         nonlocal previous
         delta, eps = pt
         tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta))
-        if curve.dim == 2:
-            opA = ops.assemble_full_2d(tube, fieldobj, frame)
-            opB = ops.assemble_effective_2d(tube, fieldobj, frame=frame,
-                                            mode="galerkin")
-        else:
-            opA = ops.assemble_full_3d(tube, fieldobj, frame)
-            opB = ops.assemble_effective_3d(tube, fieldobj, frame=frame,
-                                            mode="galerkin")
+        opA = ops.assemble_full(tube, fieldobj, frame)
+        opB = assemble_effective(tube, fieldobj, frame=frame, mode="galerkin")
         dist, info = ops.resolvent_distance(
             opA, opB, tol=tol, seed=seed, v0=maximizers.get(eps, previous))
         previous = maximizers[eps] = info["vector"]
@@ -295,15 +289,14 @@ def _run_asymptotics(config, out, seed):
 
     section = config.build_section()
     curve = config.build_curve()
-    fieldobj = config.build_field() if "field" in config.raw else None
+    fieldobj = config.build_field()
     frame = geo.integrate_frame(curve)
     J = config.get_int("solver", "j", 2)
     mode = config.get_int("solver", "mode", 1)
     eps_list = config.get_floats("regime", "eps")
     tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps_list[0], delta=1.0))
-    series = asym.expand_operator_2d(tube, fieldobj, j_max=J + 2, frame=frame)
-    qm, rows, overlaps = asym.eigenvalue_expansion(
-        tube, fieldobj, mode, J, eps_list, frame=frame, series=series)
+    qm, rows, overlaps, residuals = asym.eigenvalue_expansion(
+        tube, fieldobj, mode, J, eps_list, frame=frame)
     gamma_table = ResultTable("gamma_coefficients", ["n", "j", "gamma"])
     gammas = qm.gamma_table()
     gamma_0 = dict(gammas)[0]
@@ -323,12 +316,8 @@ def _run_asymptotics(config, out, seed):
     fit = fit_order([r[0] for r in rows], [max(r[3], 1e-300) for r in rows])
     track.footer["fitted_order"] = fit.slope
     res_table = ResultTable("quasimode_residuals", ["eps", "residual"])
-    from . import operators as ops
-
-    for eps in eps_list:
-        t = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=1.0))
-        op = ops.assemble_full_2d(t, fieldobj, frame)
-        res_table.add(eps, qm.residual(op, eps))
+    for eps, res in zip(eps_list, residuals):
+        res_table.add(eps, res)
     fit2 = fit_order([r[0] for r in res_table.rows],
                      [r[1] for r in res_table.rows])
     res_table.footer["fitted_order"] = fit2.slope

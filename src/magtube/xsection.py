@@ -72,12 +72,12 @@ class ModeSet:
         return self.eigenvectors[:, 0]
 
 
-def lowest_modes(op: AssembledOperator, k: int, seed: int = 7) -> ModeSet:
+def lowest_modes(op: AssembledOperator, k: int) -> ModeSet:
     """k lowest eigenpairs; first eigenvector sign-fixed positive at its peak."""
     domain: GridDomain = op.grid["domain"]
     # the residuals of the unit vectors equal ||A v - lam v|| h^(d/2) of the
     # grid-normalized modes
-    vals, vecs, residuals = lowest_eigenpairs(op.matrix, k=k, seed=seed)
+    vals, vecs, residuals = lowest_eigenpairs(op.matrix, k=k)
     vecs = np.real_if_close(vecs)
     for j in range(k):
         v = vecs[:, j]

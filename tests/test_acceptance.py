@@ -29,8 +29,9 @@ warnings.filterwarnings("ignore", category=UserWarning)
 pytestmark = pytest.mark.slow
 
 
-def make_tube(curve, sec, eps, delta=1.0, b=None):
-    return geo.TubeSpec(curve, sec, RegimeParams(eps=eps, delta=delta, b=b))
+def make_tube(curve, sec, eps, delta=1.0, b=None, K=None):
+    return geo.TubeSpec(curve, sec,
+                        RegimeParams(eps=eps, delta=delta, b=b, K=K))
 
 
 def report(criterion, ok, detail):
@@ -152,14 +153,13 @@ def test_criterion_3_eigenvalue_asymptotics(sweep_fixture):
     sec, curve, frame, field = sweep_fixture
     lam1h, _ = ops.transverse_ground(sec)
     assert abs(lam1h - np.pi**2 / 4) / (np.pi**2 / 4) < 1e-3
-    eff = ops.assemble_effective_2d(make_tube(curve, sec, 0.1), field,
-                                    frame=frame, mode="galerkin",
-                                    include_K=False)
+    eff = ops.assemble_effective_2d(make_tube(curve, sec, 0.1, K=0.0), field,
+                                    frame=frame, mode="galerkin")
     mu1 = ops.smallest_eigenpairs(eff, k=1, sigma=-0.3).eigenvalues[0]
     eps_list = [0.2, 0.1, 0.05, 0.025]
     lam = []
     for eps in eps_list:
-        op = ops.assemble_full_2d(make_tube(curve, sec, eps), field, frame)
+        op = ops.assemble_full(make_tube(curve, sec, eps), field, frame)
         spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
         lam.append(spec.eigenvalues[0] - op.shift)
     lam = np.array(lam)
@@ -186,7 +186,7 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
         eps_list = [0.2, 0.1, 0.05, 0.025]
         for eps in eps_list:
             tube = make_tube(curve, sec, eps, delta=delta)
-            opA = ops.assemble_full_2d(tube, field, frame)
+            opA = ops.assemble_full(tube, field, frame)
             opB = ops.assemble_effective_2d(tube, field, frame=frame,
                                             mode="galerkin")
             d, info = ops.resolvent_distance(
@@ -213,7 +213,7 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
         eps_list3 = [0.2, 0.1, 0.05, 0.025]
         for eps in eps_list3:
             tube = make_tube(curve3, sec3, eps, delta=delta)
-            opA = ops.assemble_full_3d(tube, field3, frame3)
+            opA = ops.assemble_full(tube, field3, frame3)
             opB = ops.assemble_effective_3d(tube, field3, frame=frame3,
                                             mode="galerkin")
             d, info = ops.resolvent_distance(
@@ -240,7 +240,7 @@ def test_criterion_5_quasimode_residuals():
     series = asym.expand_operator_2d(tube, field, j_max=5, frame=frame)
     eps_list = [0.1, 0.07, 0.05, 0.035, 0.025]
     ops_cache = {
-        eps: ops.assemble_full_2d(make_tube(curve, sec, eps), field, frame)
+        eps: ops.assemble_full(make_tube(curve, sec, eps), field, frame)
         for eps in eps_list
     }
     slopes = {}
@@ -352,7 +352,7 @@ def test_criterion_9_invariant_suites(sweep_fixture):
     sec, curve, frame, field = sweep_fixture
     checks = {}
     # operator Hermiticity (2D and 3D with field+twist)
-    op2 = ops.assemble_full_2d(make_tube(curve, sec, 0.1), field, frame)
+    op2 = ops.assemble_full(make_tube(curve, sec, 0.1), field, frame)
     curve3 = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
                               kappa2=geo.Profile.single(0.0, 2.0, 0.5),
                               theta_prime=geo.Profile.single(0.2, 2.0, 0.5))
@@ -360,13 +360,13 @@ def test_criterion_9_invariant_suites(sweep_fixture):
     sec3 = grids.square(1.0, 1 / 8)
     bump = geo.TensorBump3((0.0, 0.2, -0.1), (3.0, 3.0, 3.0))
     field3 = geo.CurlPotentialField3D(((2, bump, 1.0),))
-    op3 = ops.assemble_full_3d(make_tube(curve3, sec3, 0.1), field3, frame3)
+    op3 = ops.assemble_full(make_tube(curve3, sec3, 0.1), field3, frame3)
     checks["hermiticity"] = max(op2.hermiticity_defect(),
                                 op3.hermiticity_defect()) <= 1e-12
     # gauge covariance of the 2D spectrum under a discrete gauge transform
     chi = lambda s: 0.4 * np.cos(0.8 * s) + 0.1 * s
-    op2g = ops.assemble_full_2d(make_tube(curve, sec, 0.1), field, frame,
-                                gauge_chi=chi)
+    op2g = ops.assemble_full(make_tube(curve, sec, 0.1), field, frame,
+                             gauge_chi=chi)
     e0 = ops.smallest_eigenpairs(op2, k=2, sigma=0.0).eigenvalues
     e1 = ops.smallest_eigenpairs(op2g, k=2, sigma=0.0).eigenvalues
     checks["gauge_covariance"] = np.abs(e0 - e1).max() <= 1e-6
@@ -375,8 +375,8 @@ def test_criterion_9_invariant_suites(sweep_fixture):
     lams = []
     for b in (0.0, 0.5, 1.0, 2.0, 4.0):
         t = make_tube(curve, sec, 0.1, delta=0.0, b=b)
-        op = ops.assemble_full_2d(t, field if b else None, frame,
-                                  shifted=False)
+        op = ops.assemble_full(t, field if b else None, frame,
+                               shifted=False)
         lams.append(ops.smallest_eigenpairs(
             op, k=1, sigma=0.95 * lam1h / 0.01).eigenvalues[0])
     checks["diamagnetic"] = all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))

@@ -10,8 +10,8 @@ from magtube.errors import DegenerateModeError, InvalidFormPair, NoBoundStateErr
 from magtube.fitting import fit_order
 
 
-def make_tube(curve, sec, eps, delta=1.0):
-    return geo.TubeSpec(curve, sec, RegimeParams(eps=eps, delta=delta))
+def make_tube(curve, sec, eps, delta=1.0, K=None):
+    return geo.TubeSpec(curve, sec, RegimeParams(eps=eps, delta=delta, K=K))
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +75,8 @@ def test_series_truncation_order(setup, series5):
                              (sharp, sharp_frame, sharp_series)):
         diffs = []
         for eps in eps_list:
-            full = ops.assemble_full_2d(make_tube(crv, sec, eps), field, frm,
-                                        shifted=False)
+            full = ops.assemble_full(make_tube(crv, sec, eps), field, frm,
+                                     shifted=False)
             ser4 = sum(eps ** (j - 2) * series.term(j) for j in range(5))
             diffs.append(abs(full.matrix - ser4).max())
         fit = fit_order(eps_list, diffs)
@@ -126,9 +126,8 @@ def test_quasimode_ground_pair_is_the_sections(series5, setup):
 def test_gamma2_matches_independent_effective_eigenvalue(series5, setup):
     sec, curve, frame, field = setup
     qm = asym.build_quasimode(series5, mode_index=1, J=2)
-    tube = make_tube(curve, sec, 0.1)
-    eff = ops.assemble_effective_2d(tube, field, frame=frame, mode="galerkin",
-                                    include_K=False)
+    tube = make_tube(curve, sec, 0.1, K=0.0)
+    eff = ops.assemble_effective_2d(tube, field, frame=frame, mode="galerkin")
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=qm.mu_n - 0.05)
     assert abs(spec.eigenvalues[0] - qm.gammas[2]) < 1e-6
 
@@ -139,7 +138,7 @@ def test_quasimode_residual_order_J2(series5, setup):
     eps_list = [0.1, 0.06, 0.035]
     res = []
     for eps in eps_list:
-        op = ops.assemble_full_2d(make_tube(curve, sec, eps), field, frame)
+        op = ops.assemble_full(make_tube(curve, sec, eps), field, frame)
         res.append(qm.residual(op, eps))
     fit = fit_order(eps_list, res)
     assert fit.slope >= 2.8
@@ -170,7 +169,7 @@ def test_degenerate_gap_guard(series5):
 def test_eigenvalue_expansion_tracking(setup, series5):
     sec, curve, frame, field = setup
     tube = make_tube(curve, sec, 0.1)
-    qm, rows, overlaps = asym.eigenvalue_expansion(
+    qm, rows, overlaps, _ = asym.eigenvalue_expansion(
         tube, field, 1, 2, [0.1, 0.07, 0.05], frame=frame, series=series5)
     assert min(overlaps) > 0.9
     diffs = [r[3] for r in rows]

@@ -25,12 +25,12 @@ def planar():
 
 def _real_2d(planar):
     sec, curve, frame, _ = planar
-    return ops.assemble_full_2d(make_tube(curve, sec, 0.1), None, frame)
+    return ops.assemble_full(make_tube(curve, sec, 0.1), None, frame)
 
 
 def _complex_2d(planar):
     sec, curve, frame, field = planar
-    return ops.assemble_full_2d(make_tube(curve, sec, 0.1), field, frame)
+    return ops.assemble_full(make_tube(curve, sec, 0.1), field, frame)
 
 
 def _complex_3d(planar):
@@ -40,8 +40,8 @@ def _complex_3d(planar):
                              theta_prime=geo.Profile.single(0.2, 2.0, 0.6))
     bump = geo.TensorBump3((0.0, 0.2, -0.1), (3.0, 3.0, 3.0))
     field = geo.CurlPotentialField3D(((2, bump, 1.0),))
-    return ops.assemble_full_3d(make_tube(curve, sec, 0.1), field,
-                                geo.integrate_frame(curve))
+    return ops.assemble_full(make_tube(curve, sec, 0.1), field,
+                             geo.integrate_frame(curve))
 
 
 @pytest.mark.parametrize("build, is_complex", [
@@ -60,7 +60,7 @@ def test_solve_matches_superlu(planar, rng, build, is_complex):
 def test_resolvent_distance_rejects_indefinite_shift(planar):
     sec, curve, frame, field = planar
     tube = make_tube(curve, sec, 0.1)
-    op = ops.assemble_full_2d(tube, field, frame)
+    op = ops.assemble_full(tube, field, frame)
     lam0 = ops.smallest_eigenpairs(op, k=1).eigenvalues[0]
     below = AssembledOperator(
         matrix=(op.matrix - (lam0 + 0.5) * sp.eye(op.n)).tocsr(),

@@ -464,22 +464,41 @@ def test_large_b_solves_shift_at_the_diamagnetic_floor(bent_tube,
     assert max(band_solves[1:]) <= 25
 
 
-def test_large_b_rows_sit_on_the_floor_and_match_far_shifts(bent_tube,
-                                                             large_b_report):
+def _rows_sit_on_the_floor_and_match_far_shifts(tube, field, rep):
     from magtube.assemble import lowest_eigenpairs
-    from magtube.operators import assemble_full_2d
+    from magtube.operators import assemble_full
 
-    tube, field = bent_tube
-    rows = large_b_report["rows"]
+    rows = rep["rows"]
     assert all(r["lam1"] >= rows[0]["lam1"] for r in rows[1:])
     frame = geo.integrate_frame(tube.curve)
-    sigma = 0.5 * large_b_report["lam1_omega"]
+    sigma = 0.5 * rep["lam1_omega"]
     for row in rows:
         regime = RegimeParams(eps=1.0, delta=0.0, b=row["b"], K=tube.regime.K)
-        op = assemble_full_2d(geo.TubeSpec(tube.curve, tube.section, regime),
-                              field, frame, shifted=False)
+        op = assemble_full(geo.TubeSpec(tube.curve, tube.section, regime),
+                           field, frame, shifted=False)
         far = lowest_eigenpairs(op.matrix, k=1, sigma=sigma, seed=7)[0][0]
         assert abs(row["lam1"] - far) <= 1e-12 * abs(far)
+
+
+def test_large_b_rows_sit_on_the_floor_and_match_far_shifts(bent_tube,
+                                                             large_b_report):
+    _rows_sit_on_the_floor_and_match_far_shifts(*bent_tube, large_b_report)
+
+
+def test_spatial_large_b_rows_sit_on_the_floor_and_match_far_shifts():
+    # the same experiment on an untwisted spatial tube, whose diamagnetic
+    # floor is exact like the planar one's
+    curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
+                             kappa2=geo.Profile.single(0.0, 2.0, 0.45))
+    field = geo.CurlPotentialField3D((
+        (2, geo.TensorBump3((0.0, 0.0, 0.0), (3.0, 3.0, 3.0)), 3.0),))
+    tube = geo.TubeSpec(curve, grids.square(1.0, 1 / 4),
+                        RegimeParams(eps=1.0, delta=0.0, b=0.0))
+    rep = hardy.large_b_experiment(tube, field, LARGE_B)
+    lams = [r["lam1"] for r in rep["rows"]]
+    assert 4.89 < lams[0] < lams[-1] < 5.18
+    assert all(b >= a for a, b in zip(lams, lams[1:]))
+    _rows_sit_on_the_floor_and_match_far_shifts(tube, field, rep)
 
 
 def test_large_b_floor_without_b_0_or_field(bent_tube, large_b_report):
@@ -510,8 +529,7 @@ def test_straight_tube_is_the_full_operator_at_eps_1(dim):
         ))
     curve = geo.CurveProfile(dim=dim, S=8.0, ds=0.1)
     tube = geo.TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
-    assemble = ops.assemble_full_2d if dim == 2 else ops.assemble_full_3d
-    full = assemble(tube, field, shifted=False).matrix
+    full = ops.assemble_full(tube, field, shifted=False).matrix
     H = hardy._straight_tube_matrix(section, field, b,
                                     ops.axis_grid(curve).nodes, False)
     assert abs(full - H).max() <= 1e-13 * abs(full).max()

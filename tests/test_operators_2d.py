@@ -34,8 +34,8 @@ def bent_setup(bent_curve, bent_frame):
 def test_free_tube_separable(straight_setup):
     sec, curve, frame = straight_setup
     eps = 0.1
-    op = ops.assemble_full_2d(make_tube(curve, sec, eps), None, frame,
-                              shifted=False)
+    op = ops.assemble_full(make_tube(curve, sec, eps), None, frame,
+                           shifted=False)
     lam1h, _ = ops.transverse_ground(sec)
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.95 * lam1h / eps**2)
     expect = lam1h / eps**2 + (np.pi / (2 * curve.S)) ** 2
@@ -46,7 +46,7 @@ def test_free_tube_separable(straight_setup):
 def test_app_equals_full_free_case(straight_setup):
     sec, curve, frame = straight_setup
     tube = make_tube(curve, sec, 0.1)
-    a = ops.assemble_full_2d(tube, None, frame, shifted=False)
+    a = ops.assemble_full(tube, None, frame, shifted=False)
     b = ops.assemble_app_2d(tube, None, frame, shifted=False)
     assert abs(a.matrix - b.matrix).max() == 0.0
 
@@ -54,7 +54,7 @@ def test_app_equals_full_free_case(straight_setup):
 def test_bent_tube_bound_state(bent_setup):
     sec, curve, frame = bent_setup
     eps = 0.05
-    op = ops.assemble_full_2d(make_tube(curve, sec, eps), None, frame)
+    op = ops.assemble_full(make_tube(curve, sec, eps), None, frame)
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
     # below the essential threshold (curvature-induced bound state)
     assert spec.eigenvalues[0] < op.meta["ess_threshold"]
@@ -67,7 +67,7 @@ def test_eps2_lam1_approaches_transverse_ground(bent_setup, axis_field):
     errs = []
     eps_list = [0.2, 0.1]
     for eps in eps_list:
-        op = ops.assemble_full_2d(make_tube(curve, sec, eps), axis_field, frame)
+        op = ops.assemble_full(make_tube(curve, sec, eps), axis_field, frame)
         spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
         lam = spec.eigenvalues[0] - op.shift
         errs.append(abs(eps**2 * lam - lam1h))
@@ -76,17 +76,32 @@ def test_eps2_lam1_approaches_transverse_ground(bent_setup, axis_field):
 
 def test_hermiticity_exact(bent_setup, axis_field):
     sec, curve, frame = bent_setup
-    for assemble in (ops.assemble_full_2d, ops.assemble_app_2d):
+    for assemble in (ops.assemble_full, ops.assemble_app_2d):
         op = assemble(make_tube(curve, sec, 0.1), axis_field, frame)
         assert op.hermiticity_defect() <= 1e-12
 
 
-def test_gauge_covariance_exact(bent_setup, axis_field):
-    sec, curve, frame = bent_setup
+@pytest.mark.parametrize("dim", [2, 3])
+def test_gauge_covariance_exact(dim, bent_setup, axis_field):
+    # a lattice gauge change is a unitary conjugation on the planar and the
+    # untwisted spatial tube (a twisted one moves by O(ds^2))
+    if dim == 2:
+        sec, curve, frame = bent_setup
+        field = axis_field
+    else:
+        sec = grids.square(1.0, 1 / 4)
+        curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
+                                 kappa2=geo.Profile.single(0.0, 2.0, 0.5))
+        frame = geo.integrate_frame(curve)
+        field = geo.CurlPotentialField3D((
+            (0, geo.TensorBump3((0.5, 0.0, 0.0), (2.5, 2.0, 2.0)), 0.8),
+            (2, geo.TensorBump3((0.0, 0.2, -0.1), (3.0, 3.0, 3.0)), 1.0),
+        ))
     tube = make_tube(curve, sec, 0.1)
-    op = ops.assemble_full_2d(tube, axis_field, frame)
+    op = ops.assemble_full(tube, field, frame)
     chi = lambda s: 0.7 * np.sin(0.6 * s) + 0.2 * s
-    op_g = ops.assemble_full_2d(tube, axis_field, frame, gauge_chi=chi)
+    op_g = ops.assemble_full(tube, field, frame, gauge_chi=chi)
+    assert abs(op_g.matrix - op.matrix).max() > 0.1
     e0 = ops.smallest_eigenpairs(op, k=3, sigma=0.0).eigenvalues
     e1 = ops.smallest_eigenpairs(op_g, k=3, sigma=0.0).eigenvalues
     assert np.abs(e0 - e1).max() <= 1e-6
@@ -97,8 +112,8 @@ def test_diamagnetic_monotonicity(bent_setup, axis_field):
     lam_prev = None
     for b in (0.0, 0.5, 1.0, 2.0, 4.0):
         tube = make_tube(curve, sec, 0.1, delta=0.0, b=b)
-        op = ops.assemble_full_2d(tube, axis_field if b else None, frame,
-                                  shifted=False)
+        op = ops.assemble_full(tube, axis_field if b else None, frame,
+                               shifted=False)
         lam1h, _ = ops.transverse_ground(sec)
         spec = ops.smallest_eigenpairs(op, k=1, sigma=0.9 * lam1h / 0.01)
         lam = spec.eigenvalues[0]
@@ -110,8 +125,8 @@ def test_diamagnetic_monotonicity(bent_setup, axis_field):
 
 def test_effective_reduces_to_curvature_model(bent_setup):
     sec, curve, frame = bent_setup
-    tube = make_tube(curve, sec, 0.1)
-    eff = ops.assemble_effective_2d(tube, None, frame=frame, include_K=False)
+    tube = make_tube(curve, sec, 0.1, K=0.0)
+    eff = ops.assemble_effective_2d(tube, None, frame=frame)
     ax = ops.axis_grid(curve)
     ref = ax.second_difference() + __import__("scipy.sparse", fromlist=["sp"]) \
         .diags(-0.25 * curve.kappa(ax.nodes) ** 2)
@@ -120,15 +135,13 @@ def test_effective_reduces_to_curvature_model(bent_setup):
 
 def test_effective_positive_and_quadratic_scaling(straight_setup, axis_field):
     sec, curve, frame = straight_setup
-    tube = make_tube(curve, sec, 0.1, delta=1.0)
-    eff = ops.assemble_effective_2d(tube, axis_field, frame=frame,
-                                    include_K=False)
+    tube = make_tube(curve, sec, 0.1, delta=1.0, K=0.0)
+    eff = ops.assemble_effective_2d(tube, axis_field, frame=frame)
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=-0.5)
     assert spec.eigenvalues[0] >= 0.0  # kappa = 0: nonnegative potential
     doubled = geo.FrameAlignedField2D(
         geo.Profile((geo.Bump(0.5, 1.5, 1.2),)))
-    eff2 = ops.assemble_effective_2d(tube, doubled, frame=frame,
-                                     include_K=False)
+    eff2 = ops.assemble_effective_2d(tube, doubled, frame=frame)
     diag1 = eff.matrix.diagonal() - ops.axis_grid(curve).second_difference().diagonal()
     diag2 = eff2.matrix.diagonal() - ops.axis_grid(curve).second_difference().diagonal()
     # atol floor: subtracting the 2/ds^2 kinetic diagonal leaves ulp noise
@@ -153,22 +166,22 @@ def test_effective_coefficient_sources(bent_setup, axis_field):
 
 def test_galerkin_fiber_matches_app_projection(bent_setup, axis_field):
     sec, curve, frame = bent_setup
-    tube = make_tube(curve, sec, 0.1)
+    tube = make_tube(curve, sec, 0.1, K=0.0)
     app = ops.assemble_app_2d(tube, axis_field, frame, shifted=False)
     lam1h, J1h = ops.transverse_ground(sec)
     ax = ops.axis_grid(curve)
     fib = ops.fiber_project(app.matrix, J1h, ax.ns, sec.h)
     fib = fib - (lam1h / 0.1**2) * __import__("scipy.sparse", fromlist=["sp"]).eye(ax.ns)
     eff = ops.assemble_effective_2d(tube, axis_field, frame=frame,
-                                    mode="galerkin", include_K=False)
+                                    mode="galerkin")
     assert abs(fib - eff.matrix).max() < 1e-8
 
 
 def test_smallest_eigenpairs_free_1d_box(bent_setup):
     sec, curve, frame = bent_setup
     straight = geo.CurveProfile(dim=2, S=10.0, ds=0.1)
-    tube = make_tube(straight, sec, 0.1)
-    eff = ops.assemble_effective_2d(tube, None, include_K=False)
+    tube = make_tube(straight, sec, 0.1, K=0.0)
+    eff = ops.assemble_effective_2d(tube, None)
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=0.0)
     expect = (np.pi / (2 * straight.S)) ** 2
     assert abs(spec.eigenvalues[0] - expect) / expect < 1e-4
@@ -176,8 +189,8 @@ def test_smallest_eigenpairs_free_1d_box(bent_setup):
 
 def test_effective_bump_has_negative_mode(bent_setup):
     sec, curve, frame = bent_setup
-    tube = make_tube(curve, sec, 0.1)
-    eff = ops.assemble_effective_2d(tube, None, frame=frame, include_K=False)
+    tube = make_tube(curve, sec, 0.1, K=0.0)
+    eff = ops.assemble_effective_2d(tube, None, frame=frame)
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=-0.4)
     assert spec.eigenvalues[0] < 0.0
 
@@ -188,7 +201,7 @@ def _bent_planar_tube():
                              kappa=geo.Profile.single(0.0, 1.0, 0.8))
     frame = geo.integrate_frame(curve)
     field = geo.FrameAlignedField2D(geo.Profile.single(0.0, 1.0, 0.5))
-    op = ops.assemble_full_2d(make_tube(curve, sec, 0.2), field, frame)
+    op = ops.assemble_full(make_tube(curve, sec, 0.2), field, frame)
     return op.matrix, 0.0, None
 
 
@@ -236,7 +249,7 @@ def test_sparse_path_matches_dense_reference():
 def test_resolvent_distance_identical_operators(bent_setup, axis_field):
     sec, curve, frame = bent_setup
     tube = make_tube(curve, sec, 0.2)
-    op = ops.assemble_full_2d(tube, axis_field, frame)
+    op = ops.assemble_full(tube, axis_field, frame)
     d, info = ops.resolvent_distance(op, op)
     assert info["converged"]
     assert d < 1e-10
@@ -247,7 +260,7 @@ def test_resolvent_distance_decays(bent_setup, axis_field):
     dists = []
     for eps in (0.2, 0.1):
         tube = make_tube(curve, sec, eps)
-        opA = ops.assemble_full_2d(tube, axis_field, frame)
+        opA = ops.assemble_full(tube, axis_field, frame)
         opB = ops.assemble_effective_2d(tube, axis_field, frame=frame,
                                         mode="galerkin")
         d, _ = ops.resolvent_distance(opA, opB)
@@ -266,7 +279,7 @@ def small_pair():
 
     def pair(eps, delta):
         tube = make_tube(curve, sec, eps, delta=delta)
-        return (ops.assemble_full_2d(tube, field, frame),
+        return (ops.assemble_full(tube, field, frame),
                 ops.assemble_effective_2d(tube, field, frame=frame,
                                           mode="galerkin"))
 
@@ -391,7 +404,7 @@ def test_truncation_doubling_stability(bent_setup):
     for S in (14.0, 28.0):
         c = geo.CurveProfile(dim=2, S=S, ds=0.05, kappa=curve.kappa)
         f = geo.integrate_frame(c)
-        op = ops.assemble_full_2d(make_tube(c, sec, eps), None, f)
+        op = ops.assemble_full(make_tube(c, sec, eps), None, f)
         spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
         lam[S] = spec.eigenvalues[0] - op.shift
     assert abs(lam[28.0] - lam[14.0]) / abs(lam[14.0]) < 1e-6
@@ -400,7 +413,7 @@ def test_truncation_doubling_stability(bent_setup):
 def test_shift_constant_and_positivity(bent_setup, axis_field):
     sec, curve, frame = bent_setup
     tube = make_tube(curve, sec, 0.1)
-    op = ops.assemble_full_2d(tube, axis_field, frame)
+    op = ops.assemble_full(tube, axis_field, frame)
     K = op.meta["K"]
     assert K >= 2 * curve.sup_kappa() ** 2 / 4
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
@@ -414,7 +427,7 @@ def test_first_approximation_resolvent_decay(bent_setup, axis_field):
     dists = []
     for eps in (0.2, 0.1, 0.05):
         tube = make_tube(curve, sec, eps)
-        opA = ops.assemble_full_2d(tube, axis_field, frame)
+        opA = ops.assemble_full(tube, axis_field, frame)
         opB = ops.assemble_app_2d(tube, axis_field, frame)
         d, info = ops.resolvent_distance(opA, opB)
         assert info["converged"]
@@ -434,5 +447,5 @@ def test_assembly_warns_on_a_sampled_overlap():
     tube = geo.TubeSpec(curve, grids.interval(1.0, 0.1),
                         RegimeParams(eps=0.45))
     with pytest.warns(UserWarning, match="approach"):
-        op = ops.assemble_full_2d(tube, None)
+        op = ops.assemble_full(tube, None)
     assert op.n == 399 * 19

@@ -39,8 +39,8 @@ def test_straight_separable(square_sec):
     curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1)
     frame = geo.integrate_frame(curve)
     eps = 0.1
-    op = ops.assemble_full_3d(make_tube(curve, square_sec, eps), None, frame,
-                              shifted=False)
+    op = ops.assemble_full(make_tube(curve, square_sec, eps), None, frame,
+                           shifted=False)
     lam1h, _ = ops.transverse_ground(square_sec)
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.99 * lam1h / eps**2)
     expect = lam1h / eps**2 + (np.pi / (2 * curve.S)) ** 2
@@ -56,8 +56,8 @@ def test_twist_is_repulsive(square_sec):
             dim=3, S=8.0, ds=0.1,
             theta_prime=geo.Profile.single(0.0, 2.0, amp))
         frame = geo.integrate_frame(curve)
-        op = ops.assemble_full_3d(make_tube(curve, square_sec, eps, delta=0.5),
-                                  None, frame, shifted=False)
+        op = ops.assemble_full(make_tube(curve, square_sec, eps, delta=0.5),
+                               None, frame, shifted=False)
         spec = ops.smallest_eigenpairs(op, k=1, sigma=0.99 * lam1h / eps**2)
         lam[amp] = spec.eigenvalues[0]
     assert lam[1.0] > lam[0.0] + 1e-3
@@ -75,8 +75,8 @@ def test_disk_pure_twist_inert():
             dim=3, S=8.0, ds=0.1,
             theta_prime=geo.Profile.single(0.0, 2.0, amp))
         frame = geo.integrate_frame(curve)
-        op = ops.assemble_full_3d(make_tube(curve, dsk, eps, delta=0.5),
-                                  None, frame, shifted=False)
+        op = ops.assemble_full(make_tube(curve, dsk, eps, delta=0.5),
+                               None, frame, shifted=False)
         spec = ops.smallest_eigenpairs(op, k=1, sigma=0.99 * lam1h / eps**2)
         lam[amp] = spec.eigenvalues[0]
     assert abs(lam[1.0] - lam[0.0]) < 5e-3
@@ -84,8 +84,8 @@ def test_disk_pure_twist_inert():
 
 def test_full3d_hermitian_with_field_and_twist(square_sec, field3d, bent3d):
     curve, frame = bent3d
-    op = ops.assemble_full_3d(make_tube(curve, square_sec, 0.1), field3d,
-                              frame)
+    op = ops.assemble_full(make_tube(curve, square_sec, 0.1), field3d,
+                           frame)
     assert op.is_complex
     assert op.hermiticity_defect() <= 1e-12
 
@@ -102,20 +102,25 @@ def test_one_row_spatial_tube_is_the_planar_tube(eps):
                                             kappa2=kappa),
                            grids.rectangle(1.0, h, h), RegimeParams(eps=eps))
     for shifted in (False, True):
-        A2 = ops.assemble_full_2d(planar, None, shifted=shifted).matrix
-        A3 = ops.assemble_full_3d(spatial, None, shifted=shifted).matrix
+        A2 = ops.assemble_full(planar, None, shifted=shifted).matrix
+        A3 = ops.assemble_full(spatial, None, shifted=shifted).matrix
         if not shifted:
             A3 = A3 - 2 * eps**-2 / h**2 * sp.eye(A3.shape[0])
         assert A3.shape == A2.shape
         assert abs(A3 - A2).max() <= 1e-13 * abs(A2).max()
 
 
-def test_budget_guard(square_sec):
+def test_budget_guard(square_sec, monkeypatch):
     curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1)
     frame = geo.integrate_frame(curve)
-    with pytest.raises(GridBudgetError):
-        ops.assemble_full_3d(make_tube(curve, square_sec, 0.1), None, frame,
-                             budget=100)
+    monkeypatch.setattr(ops, "GRID_BUDGET_3D", 100)
+    with pytest.raises(GridBudgetError, match="exceed the 3D budget 100"):
+        ops.assemble_full(make_tube(curve, square_sec, 0.1), None, frame)
+
+
+def test_benchmark_names_are_the_one_builder():
+    # the benchmark calls the builder by its old planar and spatial names
+    assert ops.assemble_full_2d is ops.assemble_full_3d is ops.assemble_full
 
 
 def test_effective3d_reduces_to_curvature_twist_model(square_sec, bent3d):
@@ -188,7 +193,7 @@ def test_dual_path_effective3d_agreement(square_sec, field3d, bent3d):
 def test_full3d_vs_effective_eigenvalue(square_sec, field3d, bent3d):
     curve, frame = bent3d
     tube = make_tube(curve, square_sec, 0.1)
-    op = ops.assemble_full_3d(tube, field3d, frame)
+    op = ops.assemble_full(tube, field3d, frame)
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
     eff = ops.assemble_effective_3d(tube, field3d, frame=frame,
                                     mode="galerkin")

@@ -111,12 +111,18 @@ def test_config_rejects_keys_no_code_reads(tmp_path, capsys):
 def test_config_rejects_keys_its_kind_never_reads(tmp_path, capsys):
     # each key is read by some kind, but not by the config's own: the
     # asymptotics runner always runs at delta = 1, nrc-sweep has no K and
-    # only xsection reads cache_dir
+    # only xsection reads cache_dir; xsection reads no curve or field, and
+    # hardy's tubes are straight
     root = Path(__file__).resolve().parent.parent
     asym = (root / "configs" / "asymptotics2d.ini").read_text()
     nrc = (root / "configs" / "nrc2d.ini").read_text()
+    disk = (root / "configs" / "xsection_disk.ini").read_text()
     hardy = MINI_HARDY.format(out=tmp_path / "out")
+    curve = "[curve]\ndim = 2\nS = 8.0\nds = 0.1\n"
+    field = "[field]\nkind = frame2d\nbeta = 0.0 1.0 1.0\n"
     for kind, text, named in (
+        ("xsection", disk + curve + field, "[curve], [field]"),
+        ("hardy", hardy + curve, "reads no section [curve]"),
         ("asymptotics", asym.replace("[regime]\n", "[regime]\ndelta = 0.5\n"),
          "[regime]: delta"),
         ("nrc-sweep", nrc.replace("[regime]\n", "[regime]\nK = 50\n"),
@@ -526,13 +532,11 @@ def test_gamma_rows_print_at_the_resolution_of_gamma_0(tmp_path, monkeypatch):
 
     gammas = [(-2, 2.46683744177), (-1, 0.0), (0, -0.0691905487894),
               (1, -5.26915584648e-15), (2, -0.0295799906878123)]
-    qm = SimpleNamespace(gamma_table=lambda: gammas, fredholm_defect=8e-13,
-                         residual=lambda op, eps: eps**3)
+    qm = SimpleNamespace(gamma_table=lambda: gammas, fredholm_defect=8e-13)
     eps_list = [0.1, 0.07, 0.05]
     tracking = [(eps, 1.0, 1.0, eps**3) for eps in eps_list]
-    monkeypatch.setattr(asym, "expand_operator_2d", lambda *a, **kw: None)
     monkeypatch.setattr(asym, "eigenvalue_expansion", lambda *a, **kw: (
-        qm, tracking, [1.0] * len(eps_list)))
+        qm, tracking, [1.0] * len(eps_list), [eps**3 for eps in eps_list]))
     cfg = ExperimentConfig.load(write_config(
         tmp_path / "asym.ini", MINI_ASYM.format(out=tmp_path / "out")))
     run(cfg, out_dir=str(tmp_path / "out"))
