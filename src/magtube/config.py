@@ -54,7 +54,8 @@ So is a section of KIND_UNREAD_SECTIONS: xsection reads no [curve] or
 [field], and hardy, whose tubes are straight, no [curve].
 A [curve] or [field] whose dimension is not the section's plus one is a
 ConfigError, and so is a tube dimension its kind does not run
-(KIND_TUBE_DIM).
+(KIND_TUBE_DIM), and a [solver] coefficient other than measured or printed,
+or printed (the planar T^[2] coefficient) on a spatial tube.
 """
 
 from __future__ import annotations
@@ -211,6 +212,14 @@ class ExperimentConfig:
         if need is not None and tube_dim != need:
             raise ConfigError(f"kind {self.kind} runs {need}D tubes, not "
                               f"the {tube_dim}D tube of this [section]")
+        source = self.get("solver", "coefficient", "measured")
+        if source not in ("measured", "printed"):
+            raise ConfigError(f"[solver] coefficient = {source!r}; expected "
+                              f"measured or printed")
+        if source == "printed" and tube_dim != 2:
+            raise ConfigError("[solver] coefficient = printed is the planar "
+                              "T^[2] coefficient; a spatial tube takes "
+                              "measured")
 
     def tube_lengths(self) -> dict:
         """[solver] ds and the straight tubes' half-lengths r and l (hardy)

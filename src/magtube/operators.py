@@ -29,10 +29,12 @@ keep only the links between unknowns, which leaves the natural (vanishing
 covariant normal derivative) condition.
 
 The 1D <-> 2D/3D comparison uses the isometric J1-fiber embedding (the
-thin-tube ground-mode projection); effective operators come in a
-"coefficient" flavor (the printed 1D model with a configurable transverse
-moment coefficient) and a "galerkin" flavor (exact fiber projection of the
-straight-tube approximation, used for discretization-matched rate sweeps).
+thin-tube ground-mode projection).  :func:`assemble_effective` builds the
+effective models of planar and spatial tubes, as the section is 1D or 2D,
+in a "coefficient" flavor (the printed 1D model, with a configurable
+transverse moment coefficient on planar tubes) and a "galerkin" flavor
+(exact fiber projection of the straight-metric longitudinal factor, used
+for discretization-matched rate sweeps).
 """
 
 from __future__ import annotations
@@ -391,6 +393,33 @@ def _shift_constant(tube: TubeSpec) -> float:
     return 2.0 * tube.curve.sup_kappa() ** 2 / 4.0 + 1.0
 
 
+def _app_longitudinal(tube: TubeSpec, lat: TubeLattice, field,
+                      frame: FrameTrajectory) -> sp.csr_matrix:
+    """X~ = -i d/ds - i theta' d_alpha + <a, tau>, the s-link factor of the
+    straight-metric approximation on ``lat``, with the on-axis potential
+    a = -eps b B(s,0) on a planar tube and a = -(B12, B13)(s,0,0) on a
+    spatial one.  The spatial form holds at eps b = 1 (delta = 1), the only
+    regime in which the effective builder passes a field.
+    """
+    sec = lat.section
+    coords = sec.node_coords().reshape(sec.n, -1)
+    phases = None
+    if field is not None and not field.is_zero():
+        if sec.dim == 1:
+            beta_mid = field.on_axis(frame, lat.mids)
+            phases = (-lat.ds * tube.regime.eps * tube.regime.b
+                      * np.outer(beta_mid, coords[:, 0]))
+        else:
+            _, B13, B12, _ = pullback_field(field, frame, tube).on_axis(lat.mids)
+            phases = lat.ds * -(B12[:, None] * coords[None, :, 0]
+                                + B13[:, None] * coords[None, :, 1])
+        phases = phases.ravel()
+    X = lat.axis_factor(phases)
+    if not tube.curve.theta_prime.is_zero:
+        X = X + _twist_term(lat, tube.curve.theta_prime(lat.mids))
+    return X
+
+
 def assemble_app_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
                     shifted: bool = True) -> AssembledOperator:
     """Straight-metric approximation: (i d/ds + eps b B(s,0) tau)^2 - kappa^2/4
@@ -401,16 +430,9 @@ def assemble_app_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
     ax = axis_grid(tube.curve)
     sec = tube.section
     lat = ax.lattice(sec)
-    tau = sec.node_coords()
-    eps, b = tube.regime.eps, tube.regime.b
-    zero_field = field is None or field.is_zero()
-    phases = None
-    if not zero_field:
-        beta_mid = field.on_axis(frame, ax.mids)
-        phases = (-ax.ds * eps * b * np.outer(beta_mid, tau)).ravel()
-    kin_s = form_term(lat.axis_factor(phases))
+    kin_s = form_term(_app_longitudinal(tube, lat, field, frame))
     V = -0.25 * tube.curve.kappa(ax.nodes)[:, None] ** 2 * np.ones((1, sec.n))
-    mat = kin_s + transverse_form(lat, eps=eps) + sp.diags(V.ravel())
+    mat = kin_s + transverse_form(lat, eps=tube.regime.eps) + sp.diags(V.ravel())
     return _tube_operator(mat, tube, ax, shifted, "app2d")
 
 
@@ -430,156 +452,100 @@ def fiber_project(mat2d: sp.spmatrix, J1h: np.ndarray, ns: int,
     return (dvol * (E.getH() @ (mat2d @ E))).tocsr()
 
 
-def assemble_effective_2d(tube: TubeSpec, field, constants=None,
-                          frame: FrameTrajectory | None = None,
-                          mode: str = "coefficient",
-                          coefficient_source: str = "measured"
-                          ) -> AssembledOperator:
-    """Effective 1D operator T^[2] (the transverse offset lives in the shift).
+def assemble_effective(tube: TubeSpec, field,
+                       frame: FrameTrajectory | None = None,
+                       mode: str = "coefficient",
+                       coefficient_source: str = "measured"
+                       ) -> AssembledOperator:
+    """Effective 1D operator T^[2] or T^[3], as the section is 1D or 2D.
 
-    delta < 1: -d^2/ds^2 - kappa^2/4.
-    delta = 1: -d^2/ds^2 + c_B B(gamma(s))^2 - kappa^2/4 with c_B either the
-    measured ||tau J1||^2 (default) or the printed 1/3 + 2/pi^2; "galerkin"
-    mode instead projects the straight-tube approximation onto the J1 fiber
+    The transverse offset lives in the shift K, and the field enters only
+    at delta = 1.  "coefficient" is the printed closed form:
+      planar:  -d^2/ds^2 - kappa^2/4 + c_B B(gamma(s))^2, with c_B the
+               measured ||tau J1||^2 (``coefficient_source`` "measured") or
+               the printed 1/3 + 2/pi^2 ("printed");
+      spatial: (-i d/ds + a)^2 - a^2 + Q(B12, B13) + B23^2 M(omega)
+               - kappa^2/4 + p theta'^2, with a = -(B12 m2 + B13 m3), Q the
+               second-moment form and M(omega) = ||tau J1||^2/4
+               - <D_alpha R_omega, J1>; valid for reflection-symmetric
+               sections, and "measured" only.
+    "galerkin" projects the straight-metric factor of
+    :func:`_app_longitudinal` onto the J1 fiber, E* X* X E - |k|^2/4, and on
+    a spatial tube adds B23^2 M(omega) from the mask constants
     (discretization-matched; used by rate sweeps).
     """
-    ax = axis_grid(tube.curve)
-    lam1h, J1h = transverse_ground(tube.section)
-    K = _shift_constant(tube)
-    critical = abs(tube.regime.delta - 1.0) < 1e-12
-    meta = {"model": "effective2d", "mode": mode, "K": K, "lam1h": lam1h,
-            "ess_threshold": K}
-    if mode == "galerkin":
-        app = assemble_app_2d(tube, field if critical else None, frame=frame,
-                              shifted=False)
-        mat = fiber_project(app.matrix, J1h, ax.ns, tube.section.h)
-        mat = mat - lam1h * tube.regime.eps**-2 * sp.eye(ax.ns)
-        meta["coefficient_source"] = "galerkin-fiber"
-    else:
-        if frame is None:
-            frame = integrate_frame(tube.curve)
-        pot = -0.25 * tube.curve.kappa(ax.nodes) ** 2
-        if critical and field is not None and not field.is_zero():
-            if constants is None:
-                constants = compute_constants(tube.section)
-            c_B = (
-                constants.moment2
-                if coefficient_source == "measured"
-                else PRINTED_T2_COEFFICIENT
-            )
-            beta = field.on_axis(frame, ax.nodes)
-            pot = pot + c_B * beta**2
-            meta["c_B"] = c_B
-        meta["coefficient_source"] = coefficient_source
-        mat = ax.second_difference() + sp.diags(pot)
-    mat = (mat + K * sp.eye(ax.ns)).tocsr()
-    if not np.iscomplexobj(mat.data):
-        mat = sp.csr_matrix(mat, dtype=float)
-    return AssembledOperator(
-        matrix=mat,
-        grid={"kind": "axis", "axis": ax, "section": tube.section},
-        bc={"s": "dirichlet"},
-        shift=K,
-        regime=tube.regime,
-        meta=meta,
-    )
-
-
-# -- 3D assemblies ----------------------------------------------------------------
-
-
-def _app2_longitudinal_3d(tube: TubeSpec, field, frame: FrameTrajectory,
-                          critical: bool) -> sp.spmatrix:
-    """X~ = -i d/ds - i theta' d_alpha - B12(s,0,0) tau2 - B13(s,0,0) tau3
-    as a link-factor matrix (the longitudinal factor of the straight-tube
-    approximation at delta = 1; field terms dropped when not critical)."""
-    ax = axis_grid(tube.curve)
     sec = tube.section
-    lat = ax.lattice(sec)
-    coords = sec.node_coords()
-    zero_field = field is None or field.is_zero() or not critical
-    phases = None
-    if not zero_field:
-        pulled = pullback_field(field, frame, tube)
-        _, B13ax, B12ax, _ = pulled.on_axis(ax.mids)
-        a_mult = -(B12ax[:, None] * coords[None, :, 0]
-                   + B13ax[:, None] * coords[None, :, 1])
-        phases = (ax.ds * a_mult).ravel()
-    X = lat.axis_factor(phases)
-    if not tube.curve.theta_prime.is_zero:
-        X = X + _twist_term(lat, tube.curve.theta_prime(ax.mids))
-    return X
-
-
-def assemble_effective_3d(tube: TubeSpec, field, constants=None,
-                          frame: FrameTrajectory | None = None,
-                          mode: str = "coefficient") -> AssembledOperator:
-    """Effective 1D operator T^[3].
-
-    delta < 1: -d^2/ds^2 - kappa^2/4 + p theta'^2.
-    delta = 1: J1-fiber projection of the squared longitudinal covariant
-    derivative plus B23(s,0,0)^2 M(omega) - kappa^2/4, with
-    M(omega) = ||tau J1||^2/4 - <D_alpha R_omega, J1>.
-    "galerkin" realizes the projection with the discrete d_alpha and J1
-    (and mask-consistent M); "coefficient" uses the expanded closed form
-    (-i d/ds + a)^2 - a^2 + theta'^2 p + second-moment potential with
-    a = -(B12 m2 + B13 m3), valid for reflection-symmetric sections.
-    """
+    if coefficient_source not in ("measured", "printed"):
+        raise ValueError(f"coefficient_source must be 'measured' or "
+                         f"'printed', not {coefficient_source!r}")
+    if coefficient_source == "printed" and sec.dim == 2:
+        raise ValueError("the printed coefficient belongs to the planar "
+                         "T^[2]; a spatial tube takes 'measured'")
+    _check_support(tube, field)
     if frame is None:
         frame = integrate_frame(tube.curve)
+    critical = abs(tube.regime.delta - 1.0) < 1e-12
+    if not critical or (field is not None and field.is_zero()):
+        field = None
     ax = axis_grid(tube.curve)
-    sec = tube.section
     lam1h, J1h = transverse_ground(sec)
     K = _shift_constant(tube)
-    critical = abs(tube.regime.delta - 1.0) < 1e-12
-    meta = {"model": "effective3d", "mode": mode, "K": K, "lam1h": lam1h,
-            "ess_threshold": K}
-    zero_field = field is None or field.is_zero()
+    meta = {"model": f"effective{sec.dim + 1}d", "mode": mode, "K": K,
+            "lam1h": lam1h, "ess_threshold": K}
+    pot = -0.25 * tube.curve.kappa_mag(ax.nodes) ** 2
     if mode == "galerkin":
-        X = _app2_longitudinal_3d(tube, field, frame, critical)
-        mat = fiber_project(form_term(X), J1h, ax.ns, sec.h**2)
-        if critical and not zero_field:
-            mask_const = constants or compute_constants(sec, method="mask")
+        X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
+        mat = fiber_project(form_term(X), J1h, ax.ns, sec.h**sec.dim)
+        if sec.dim == 2 and field is not None:
+            M_omega = compute_constants(sec, method="mask").M_omega
             B23ax, _, _, _ = pullback_field(field, frame, tube).on_axis(ax.nodes)
-            mat = mat + sp.diags(B23ax**2 * mask_const.M_omega)
-            meta["M_omega"] = mask_const.M_omega
-        mat = mat + sp.diags(-0.25 * tube.curve.kappa_mag(ax.nodes) ** 2)
+            mat = mat + sp.diags(B23ax**2 * M_omega)
+            meta["M_omega"] = M_omega
+        mat = mat + sp.diags(pot)
         meta["coefficient_source"] = "galerkin-fiber"
     else:
-        if constants is None:
-            constants = compute_constants(sec)
-        tp = tube.curve.theta_prime(ax.nodes)
-        pot = -0.25 * tube.curve.kappa_mag(ax.nodes) ** 2 + constants.p * tp**2
+        constants = compute_constants(sec)
         phases = None
-        if critical and not zero_field:
-            pulled = pullback_field(field, frame, tube)
-            B23n, B13n, B12n, _ = pulled.on_axis(ax.nodes)
-            B23m, B13m, B12m, _ = pulled.on_axis(ax.mids)
-            a_mid = -(B12m * constants.m2 + B13m * constants.m3)
-            a_nod = -(B12n * constants.m2 + B13n * constants.m3)
-            Q22, Q23, Q33 = constants.second_moments
-            pot = pot + (
-                B12n**2 * Q22 + 2 * B12n * B13n * Q23 + B13n**2 * Q33
-                - a_nod**2
-                + B23n**2 * constants.M_omega
-            )
-            if np.abs(a_mid).max() > 0:
-                phases = ax.ds * a_mid
-            meta["M_omega"] = constants.M_omega
+        if sec.dim == 1:
+            if field is not None:
+                c_B = (constants.moment2 if coefficient_source == "measured"
+                       else PRINTED_T2_COEFFICIENT)
+                pot = pot + c_B * field.on_axis(frame, ax.nodes) ** 2
+                meta["c_B"] = c_B
+        else:
+            pot = pot + constants.p * tube.curve.theta_prime(ax.nodes) ** 2
+            meta["p"] = constants.p
+            if field is not None:
+                pulled = pullback_field(field, frame, tube)
+                B23n, B13n, B12n, _ = pulled.on_axis(ax.nodes)
+                _, B13m, B12m, _ = pulled.on_axis(ax.mids)
+                a_mid = -(B12m * constants.m2 + B13m * constants.m3)
+                a_nod = -(B12n * constants.m2 + B13n * constants.m3)
+                Q22, Q23, Q33 = constants.second_moments
+                pot = pot + (
+                    B12n**2 * Q22 + 2 * B12n * B13n * Q23 + B13n**2 * Q33
+                    - a_nod**2
+                    + B23n**2 * constants.M_omega
+                )
+                if np.abs(a_mid).max() > 0:
+                    phases = ax.ds * a_mid
+                meta["M_omega"] = constants.M_omega
         D = cov_link_matrix(ax.ns, *dirichlet_links(ax.ns), ax.ds,
                             phases=phases)
         mat = form_term(D) + sp.diags(pot)
-        meta["coefficient_source"] = "coefficient"
-        meta["p"] = constants.p
-    mat = (mat + K * sp.eye(ax.ns)).tocsr()
+        meta["coefficient_source"] = coefficient_source
     return AssembledOperator(
-        matrix=mat,
+        matrix=(mat + K * sp.eye(ax.ns)).tocsr(),
         grid={"kind": "axis", "axis": ax, "section": sec},
         bc={"s": "dirichlet"},
         shift=K,
         regime=tube.regime,
         meta=meta,
     )
+
+
+# The benchmark's names of the one builder.
+assemble_effective_2d = assemble_effective_3d = assemble_effective
 
 
 # -- spectra and resolvent distances ----------------------------------------------

@@ -192,13 +192,6 @@ def _run_spectrum(config, out, seed):
     eps_list = config.get_floats("regime", "eps")
     delta_list = config.get_floats("regime", "delta", (1.0,))
     source = config.get("solver", "coefficient", "measured")
-    assemble = ops.assemble_full
-    options = {}
-    if kind == "effective":
-        assemble = (ops.assemble_effective_2d if curve.dim == 2
-                    else ops.assemble_effective_3d)
-        if curve.dim == 2:
-            options["coefficient_source"] = source
     table = ResultTable(
         f"spectrum_{kind}",
         ["eps", "delta", "b", "K", "n", "eigenvalue", "residual", "discrete"],
@@ -208,7 +201,11 @@ def _run_spectrum(config, out, seed):
         delta, eps = pt
         tube = geo.TubeSpec(curve, section,
                             RegimeParams(eps=eps, delta=delta, K=K))
-        op = assemble(tube, fieldobj, frame=frame, **options)
+        if kind == "effective":
+            op = ops.assemble_effective(tube, fieldobj, frame=frame,
+                                        coefficient_source=source)
+        else:
+            op = ops.assemble_full(tube, fieldobj, frame=frame)
         spec = ops.smallest_eigenpairs(op, k=k, sigma=0.0, seed=seed)
         _spectrum_rows(table, op, spec,
                        (eps, delta, tube.regime.b, op.meta["K"]))
@@ -235,8 +232,6 @@ def _run_nrc_sweep(config, out, seed):
     eps_list = config.get_floats("regime", "eps")
     delta_list = config.get_floats("regime", "delta", (1.0,))
     tol = config.get_float("solver", "tol", 1e-3)
-    assemble_effective = (ops.assemble_effective_2d if curve.dim == 2
-                          else ops.assemble_effective_3d)
     table = ResultTable(
         "nrc_distances",
         # converged is always 1: an unconverged Lanczos raises instead
@@ -256,7 +251,8 @@ def _run_nrc_sweep(config, out, seed):
         delta, eps = pt
         tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta))
         opA = ops.assemble_full(tube, fieldobj, frame)
-        opB = assemble_effective(tube, fieldobj, frame=frame, mode="galerkin")
+        opB = ops.assemble_effective(tube, fieldobj, frame=frame,
+                                     mode="galerkin")
         dist, info = ops.resolvent_distance(
             opA, opB, tol=tol, seed=seed, v0=maximizers.get(eps, previous))
         previous = maximizers[eps] = info["vector"]

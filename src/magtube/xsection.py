@@ -315,12 +315,12 @@ def compute_constants(
 
     method "auto" picks the radial backend for disks (reported constants) and
     the masked-grid backend otherwise; "mask" forces grid-consistent constants
-    for operator-matched comparisons; "radial" forces the disk reduction.
+    for operator-matched comparisons.  Any other method is a ValueError.
     """
+    if method not in ("auto", "mask"):
+        raise ValueError(f"method must be 'auto' or 'mask', not {method!r}")
     if method == "auto":
         method = "radial" if domain.shape_tag == "disk" else "mask"
-    if method == "radial" and domain.shape_tag != "disk":
-        raise NotApplicable("radial backend applies to disk shapes only")
     key = f"{domain.descriptor()}|{method}"
     if key in _MEMO:
         return _MEMO[key]

@@ -153,8 +153,8 @@ def test_criterion_3_eigenvalue_asymptotics(sweep_fixture):
     sec, curve, frame, field = sweep_fixture
     lam1h, _ = ops.transverse_ground(sec)
     assert abs(lam1h - np.pi**2 / 4) / (np.pi**2 / 4) < 1e-3
-    eff = ops.assemble_effective_2d(make_tube(curve, sec, 0.1, K=0.0), field,
-                                    frame=frame, mode="galerkin")
+    eff = ops.assemble_effective(make_tube(curve, sec, 0.1, K=0.0), field,
+                                 frame=frame, mode="galerkin")
     mu1 = ops.smallest_eigenpairs(eff, k=1, sigma=-0.3).eigenvalues[0]
     eps_list = [0.2, 0.1, 0.05, 0.025]
     lam = []
@@ -187,8 +187,8 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
         for eps in eps_list:
             tube = make_tube(curve, sec, eps, delta=delta)
             opA = ops.assemble_full(tube, field, frame)
-            opB = ops.assemble_effective_2d(tube, field, frame=frame,
-                                            mode="galerkin")
+            opB = ops.assemble_effective(tube, field, frame=frame,
+                                         mode="galerkin")
             d, info = ops.resolvent_distance(
                 opA, opB, v0=maximizers.get(eps, previous))
             assert info["converged"]
@@ -214,8 +214,8 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
         for eps in eps_list3:
             tube = make_tube(curve3, sec3, eps, delta=delta)
             opA = ops.assemble_full(tube, field3, frame3)
-            opB = ops.assemble_effective_3d(tube, field3, frame=frame3,
-                                            mode="galerkin")
+            opB = ops.assemble_effective(tube, field3, frame=frame3,
+                                         mode="galerkin")
             d, info = ops.resolvent_distance(
                 opA, opB, v0=maximizers.get(eps, previous))
             previous = maximizers[eps] = info["vector"]
@@ -404,10 +404,10 @@ def test_criterion_9_invariant_suites(sweep_fixture):
     checks["det_dphi"] = worst < 5e-3
     # dual-path effective 3D assembly agreement
     tube3 = make_tube(curve3, sec3, 0.1)
-    eg = ops.assemble_effective_3d(tube3, field3, frame=frame3,
-                                   mode="galerkin")
-    ec = ops.assemble_effective_3d(tube3, field3, frame=frame3,
-                                   mode="coefficient")
+    eg = ops.assemble_effective(tube3, field3, frame=frame3,
+                                mode="galerkin")
+    ec = ops.assemble_effective(tube3, field3, frame=frame3,
+                                mode="coefficient")
     mu_g = ops.smallest_eigenpairs(eg, k=1, sigma=0.0).eigenvalues[0]
     mu_c = ops.smallest_eigenpairs(ec, k=1, sigma=0.0).eigenvalues[0]
     checks["dual_path_T3"] = abs(mu_g - mu_c) < 1e-2

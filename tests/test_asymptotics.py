@@ -127,7 +127,7 @@ def test_gamma2_matches_independent_effective_eigenvalue(series5, setup):
     sec, curve, frame, field = setup
     qm = asym.build_quasimode(series5, mode_index=1, J=2)
     tube = make_tube(curve, sec, 0.1, K=0.0)
-    eff = ops.assemble_effective_2d(tube, field, frame=frame, mode="galerkin")
+    eff = ops.assemble_effective(tube, field, frame=frame, mode="galerkin")
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=qm.mu_n - 0.05)
     assert abs(spec.eigenvalues[0] - qm.gammas[2]) < 1e-6
 

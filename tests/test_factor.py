@@ -66,7 +66,7 @@ def test_resolvent_distance_rejects_indefinite_shift(planar):
         matrix=(op.matrix - (lam0 + 0.5) * sp.eye(op.n)).tocsr(),
         grid=op.grid, bc=op.bc, shift=op.shift - lam0 - 0.5,
         regime=op.regime, meta=op.meta)
-    eff = ops.assemble_effective_2d(tube, field, frame=frame, mode="galerkin")
+    eff = ops.assemble_effective(tube, field, frame=frame, mode="galerkin")
     with pytest.raises(NotPositiveDefinite) as info:
         ops.resolvent_distance(below, eff)
     assert 1 <= info.value.pivot <= op.n

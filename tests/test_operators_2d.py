@@ -1,5 +1,7 @@
 """Full/approximate/effective planar operators, spectra, resolvent distances."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -8,6 +10,7 @@ import scipy.sparse.linalg as sla
 
 from magtube import geometry as geo, grids, operators as ops
 from magtube.assemble import RegimeParams
+from magtube.config import ExperimentConfig
 from magtube.errors import EigensolverDiverged
 
 PI24 = np.pi**2 / 4
@@ -126,7 +129,7 @@ def test_diamagnetic_monotonicity(bent_setup, axis_field):
 def test_effective_reduces_to_curvature_model(bent_setup):
     sec, curve, frame = bent_setup
     tube = make_tube(curve, sec, 0.1, K=0.0)
-    eff = ops.assemble_effective_2d(tube, None, frame=frame)
+    eff = ops.assemble_effective(tube, None, frame=frame)
     ax = ops.axis_grid(curve)
     ref = ax.second_difference() + __import__("scipy.sparse", fromlist=["sp"]) \
         .diags(-0.25 * curve.kappa(ax.nodes) ** 2)
@@ -136,12 +139,12 @@ def test_effective_reduces_to_curvature_model(bent_setup):
 def test_effective_positive_and_quadratic_scaling(straight_setup, axis_field):
     sec, curve, frame = straight_setup
     tube = make_tube(curve, sec, 0.1, delta=1.0, K=0.0)
-    eff = ops.assemble_effective_2d(tube, axis_field, frame=frame)
+    eff = ops.assemble_effective(tube, axis_field, frame=frame)
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=-0.5)
     assert spec.eigenvalues[0] >= 0.0  # kappa = 0: nonnegative potential
     doubled = geo.FrameAlignedField2D(
         geo.Profile((geo.Bump(0.5, 1.5, 1.2),)))
-    eff2 = ops.assemble_effective_2d(tube, doubled, frame=frame)
+    eff2 = ops.assemble_effective(tube, doubled, frame=frame)
     diag1 = eff.matrix.diagonal() - ops.axis_grid(curve).second_difference().diagonal()
     diag2 = eff2.matrix.diagonal() - ops.axis_grid(curve).second_difference().diagonal()
     # atol floor: subtracting the 2/ds^2 kinetic diagonal leaves ulp noise
@@ -154,14 +157,34 @@ def test_effective_coefficient_sources(bent_setup, axis_field):
     sec, curve, frame = bent_setup
     tube = make_tube(curve, sec, 0.1)
     c = compute_constants(sec)
-    e_meas = ops.assemble_effective_2d(tube, axis_field, frame=frame,
-                                       coefficient_source="measured")
-    e_prt = ops.assemble_effective_2d(tube, axis_field, frame=frame,
-                                      coefficient_source="printed")
+    e_meas = ops.assemble_effective(tube, axis_field, frame=frame,
+                                    coefficient_source="measured")
+    e_prt = ops.assemble_effective(tube, axis_field, frame=frame,
+                                   coefficient_source="printed")
     assert np.isclose(e_meas.meta["c_B"], c.moment2)
     assert np.isclose(e_prt.meta["c_B"], PRINTED_T2_COEFFICIENT)
     # the discrepancy is visible in the assembled potentials
     assert abs(e_prt.matrix - e_meas.matrix).max() > 0.05
+    # a misspelled source ran the printed coefficient
+    with pytest.raises(ValueError, match="'measurd'"):
+        ops.assemble_effective(tube, axis_field, frame=frame,
+                               coefficient_source="measurd")
+
+
+def test_galerkin_effective_below_delta_1_does_not_depend_on_eps():
+    # the fiber projection of the whole straight tube carried eps^-2 lam1h
+    # and took it off again, leaving 5.4e-10 of roundoff at eps = 0.025
+    root = Path(__file__).resolve().parent.parent
+    cfg = ExperimentConfig.load(str(root / "configs" / "nrc2d.ini"))
+    sec, curve, field = cfg.build_section(), cfg.build_curve(), cfg.build_field()
+    frame = geo.integrate_frame(curve)
+
+    def galerkin(eps):
+        return ops.assemble_effective(make_tube(curve, sec, eps, delta=0.0),
+                                      field, frame=frame,
+                                      mode="galerkin").matrix
+
+    assert abs(galerkin(0.2) - galerkin(0.025)).max() == 0.0
 
 
 def test_galerkin_fiber_matches_app_projection(bent_setup, axis_field):
@@ -172,8 +195,8 @@ def test_galerkin_fiber_matches_app_projection(bent_setup, axis_field):
     ax = ops.axis_grid(curve)
     fib = ops.fiber_project(app.matrix, J1h, ax.ns, sec.h)
     fib = fib - (lam1h / 0.1**2) * __import__("scipy.sparse", fromlist=["sp"]).eye(ax.ns)
-    eff = ops.assemble_effective_2d(tube, axis_field, frame=frame,
-                                    mode="galerkin")
+    eff = ops.assemble_effective(tube, axis_field, frame=frame,
+                                 mode="galerkin")
     assert abs(fib - eff.matrix).max() < 1e-8
 
 
@@ -181,7 +204,7 @@ def test_smallest_eigenpairs_free_1d_box(bent_setup):
     sec, curve, frame = bent_setup
     straight = geo.CurveProfile(dim=2, S=10.0, ds=0.1)
     tube = make_tube(straight, sec, 0.1, K=0.0)
-    eff = ops.assemble_effective_2d(tube, None)
+    eff = ops.assemble_effective(tube, None)
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=0.0)
     expect = (np.pi / (2 * straight.S)) ** 2
     assert abs(spec.eigenvalues[0] - expect) / expect < 1e-4
@@ -190,7 +213,7 @@ def test_smallest_eigenpairs_free_1d_box(bent_setup):
 def test_effective_bump_has_negative_mode(bent_setup):
     sec, curve, frame = bent_setup
     tube = make_tube(curve, sec, 0.1, K=0.0)
-    eff = ops.assemble_effective_2d(tube, None, frame=frame)
+    eff = ops.assemble_effective(tube, None, frame=frame)
     spec = ops.smallest_eigenpairs(eff, k=1, sigma=-0.4)
     assert spec.eigenvalues[0] < 0.0
 
@@ -261,8 +284,8 @@ def test_resolvent_distance_decays(bent_setup, axis_field):
     for eps in (0.2, 0.1):
         tube = make_tube(curve, sec, eps)
         opA = ops.assemble_full(tube, axis_field, frame)
-        opB = ops.assemble_effective_2d(tube, axis_field, frame=frame,
-                                        mode="galerkin")
+        opB = ops.assemble_effective(tube, axis_field, frame=frame,
+                                     mode="galerkin")
         d, _ = ops.resolvent_distance(opA, opB)
         dists.append(d)
     assert dists[1] < 0.75 * dists[0]
@@ -280,8 +303,8 @@ def small_pair():
     def pair(eps, delta):
         tube = make_tube(curve, sec, eps, delta=delta)
         return (ops.assemble_full(tube, field, frame),
-                ops.assemble_effective_2d(tube, field, frame=frame,
-                                          mode="galerkin"))
+                ops.assemble_effective(tube, field, frame=frame,
+                                       mode="galerkin"))
 
     return pair
 

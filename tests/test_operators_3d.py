@@ -119,8 +119,21 @@ def test_budget_guard(square_sec, monkeypatch):
 
 
 def test_benchmark_names_are_the_one_builder():
-    # the benchmark calls the builder by its old planar and spatial names
+    # the benchmark calls the builders by their old planar and spatial names
     assert ops.assemble_full_2d is ops.assemble_full_3d is ops.assemble_full
+    assert (ops.assemble_effective_2d is ops.assemble_effective_3d
+            is ops.assemble_effective)
+
+
+def test_effective3d_takes_only_the_measured_coefficient(square_sec, bent3d):
+    # the printed 1/3 + 2/pi^2 is the planar T^[2]'s; a spatial tube silently
+    # ran the measured T^[3] under a "printed" label
+    curve, frame = bent3d
+    tube = make_tube(curve, square_sec, 0.1)
+    for source in ("printed", "measurd"):
+        with pytest.raises(ValueError, match="printed"):
+            ops.assemble_effective(tube, None, frame=frame,
+                                   coefficient_source=source)
 
 
 def test_effective3d_reduces_to_curvature_twist_model(square_sec, bent3d):
@@ -128,7 +141,7 @@ def test_effective3d_reduces_to_curvature_twist_model(square_sec, bent3d):
 
     curve, frame = bent3d
     tube = make_tube(curve, square_sec, 0.1, delta=0.5)
-    eff = ops.assemble_effective_3d(tube, None, frame=frame)
+    eff = ops.assemble_effective(tube, None, frame=frame)
     ax = ops.axis_grid(curve)
     c = compute_constants(square_sec)
     import scipy.sparse as sp
@@ -141,7 +154,7 @@ def test_effective3d_reduces_to_curvature_twist_model(square_sec, bent3d):
     straight_tw = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
                                    kappa2=curve.kappa2)
     f2 = geo.integrate_frame(straight_tw)
-    eff2 = ops.assemble_effective_3d(make_tube(straight_tw, square_sec, 0.1,
+    eff2 = ops.assemble_effective(make_tube(straight_tw, square_sec, 0.1,
                                                delta=0.5), None, frame=f2)
     ref2 = ax.second_difference() + sp.diags(
         -0.25 * straight_tw.kappa_mag(ax.nodes) ** 2) \
@@ -162,7 +175,7 @@ def test_effective3d_disk_axis_field_potential():
     bump = geo.TensorBump3((0.0, 1.5, 0.0), (3.0, 2.2, 3.0))
     field = geo.CurlPotentialField3D(((2, bump, 1.0),))  # B mostly along e1
     tube = make_tube(curve, dsk, 0.1, delta=1.0)
-    eff = ops.assemble_effective_3d(tube, field, constants=c, frame=frame)
+    eff = ops.assemble_effective(tube, field, frame=frame)
     ax = ops.axis_grid(curve)
     pulled = geo.pullback_field(field, frame, tube)
     B23, B13, B12, _ = pulled.on_axis(ax.nodes)
@@ -179,10 +192,10 @@ def test_dual_path_effective3d_agreement(square_sec, field3d, bent3d):
     for h in (1 / 8, 1 / 16):
         sec = grids.square(1.0, h)
         tube = make_tube(curve, sec, 0.1)
-        eg = ops.assemble_effective_3d(tube, field3d, frame=frame,
-                                       mode="galerkin")
-        ec = ops.assemble_effective_3d(tube, field3d, frame=frame,
-                                       mode="coefficient")
+        eg = ops.assemble_effective(tube, field3d, frame=frame,
+                                    mode="galerkin")
+        ec = ops.assemble_effective(tube, field3d, frame=frame,
+                                    mode="coefficient")
         sg = ops.smallest_eigenpairs(eg, k=1, sigma=0.0)
         sc = ops.smallest_eigenpairs(ec, k=1, sigma=0.0)
         mus[h] = abs(sg.eigenvalues[0] - sc.eigenvalues[0])
@@ -195,8 +208,8 @@ def test_full3d_vs_effective_eigenvalue(square_sec, field3d, bent3d):
     tube = make_tube(curve, square_sec, 0.1)
     op = ops.assemble_full(tube, field3d, frame)
     spec = ops.smallest_eigenpairs(op, k=1, sigma=0.0)
-    eff = ops.assemble_effective_3d(tube, field3d, frame=frame,
-                                    mode="galerkin")
+    eff = ops.assemble_effective(tube, field3d, frame=frame,
+                                 mode="galerkin")
     se = ops.smallest_eigenpairs(eff, k=1, sigma=0.0)
     mu_full = spec.eigenvalues[0] - op.meta["K"]
     mu_eff = se.eigenvalues[0] - eff.meta["K"]

@@ -246,6 +246,28 @@ def test_config_rejects_a_tube_of_another_dimension(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_config_checks_the_coefficient_source(tmp_path, capsys):
+    # a misspelled source ran the printed coefficient, and a spatial tube ran
+    # the measured T^[3] under a "printed" footer; both exited 0
+    root = Path(__file__).resolve().parent.parent
+    planar = (root / "configs" / "effective2d.ini").read_text().replace(
+        "out = out/effective2d", f"out = {tmp_path / 'out'}")
+    spatial = _with_blocks(planar, curve=SPATIAL_CURVE, section=DISK_SECTION,
+                           field=CURL3D_FIELD)
+    for text, named in (
+        (planar.replace("coefficient = measured", "coefficient = measurd"),
+         "coefficient = 'measurd'; expected measured or printed"),
+        (spatial.replace("coefficient = measured", "coefficient = printed"),
+         "a spatial tube takes measured"),
+    ):
+        path = write_config(tmp_path / "effective.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main(["effective", "--config", path]) == 2
+        assert named in capsys.readouterr().err
+    ExperimentConfig.load(write_config(tmp_path / "effective.ini", spatial))
+
+
 def test_check_targets_reads_the_nrc_order_footers():
     table = ResultTable("nrc_distances", ["delta", "eps", "b", "distance",
                                           "converged"])

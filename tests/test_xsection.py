@@ -178,6 +178,16 @@ def test_interval_constants():
     assert c.meta["effective_coefficient_discrepancy"] > 0.2
 
 
+def test_compute_constants_rejects_an_unknown_method():
+    # "maks" returned mask constants and memoized them under "...|maks"
+    d = grids.square(1.0, 1 / 8)
+    for method in ("maks", "radial"):
+        with pytest.raises(ValueError, match=repr(method)):
+            xs.compute_constants(d, method=method)
+    assert not any(key.endswith(("|maks", "|radial")) for key in xs._MEMO
+                   if key.startswith(d.descriptor()))
+
+
 def test_disk_constants_radial_backend():
     d = grids.disk(1.0, 1 / 40)
     c = xs.compute_constants(d)
