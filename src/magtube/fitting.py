@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .errors import FitDomainError
 
@@ -41,7 +41,7 @@ def fit_order(eps, values) -> FitResult:
     s2 = float(resid @ resid) / (n - 2)
     sxx = float(np.sum((x - x.mean()) ** 2))
     stderr = np.sqrt(s2 / sxx) if sxx > 0 else np.inf
-    ci95 = stats.t.ppf(0.975, n - 2) * stderr
+    ci95 = stdtrit(n - 2, 0.975) * stderr  # Student-t quantile, as stats.t.ppf
     return FitResult(float(slope), float(intercept), float(stderr),
                      float(ci95), n)
 

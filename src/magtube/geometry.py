@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .assemble import RegimeParams
 from .errors import (
@@ -184,6 +183,36 @@ class CurveProfile:
         return bound
 
 
+def _cumulative_simpson(y, x):
+    """Antiderivative of y along its last axis on the increasing grid x,
+    0 at x[0]: the composite Simpson rule for unequal intervals of
+    Cartwright (2017), "Simpson's rule cumulative integration with MS Excel
+    and irregularly-spaced data", eq. (8).  Interval i takes the quadratic
+    through nodes i..i+2 (h1) or, at odd i and the last interval, through
+    nodes i-1..i+1 (h2); two points take the trapezoid.  The operation order
+    is that of SciPy's ``cumulative_simpson(y, x=x, initial=0.0)``, so the
+    two agree bit for bit."""
+    dx = np.diff(x)
+    if len(x) < 3:
+        F = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    else:
+        def h1(f, d):  # over d[i], quadratic through f[i], f[i+1], f[i+2]
+            x21, x32 = d[:-1], d[1:]
+            x21_x31 = x21 / (x21 + x32)
+            q = x21_x31 * (x21 / x32)
+            return x21 / 6 * ((3 - x21_x31) * f[..., :-2]
+                              + (3 + q + x21_x31) * f[..., 1:-1]
+                              + -q * f[..., 2:])
+        h2 = h1(y[..., ::-1], dx[::-1])[..., ::-1]
+        sub = np.empty(y.shape[:-1] + dx.shape)
+        sub[..., :-1:2] = h1(y, dx)[..., ::2]
+        sub[..., 1::2] = h2[..., ::2]
+        sub[..., -1] = h2[..., -1]
+        F = np.cumsum(sub, axis=-1)
+    F += 0.0  # as SciPy adds `initial`: -0.0 becomes 0.0
+    return np.concatenate([np.zeros(y.shape[:-1] + (1,)), F], axis=-1)
+
+
 def _cumint_from_zero(y, x, axis=-1):
     """Antiderivative F(x) = int_0^x y along ``axis`` of y, on a grid x
     containing 0 exactly; every line along that axis in one call."""
@@ -193,11 +222,11 @@ def _cumint_from_zero(y, x, axis=-1):
     y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
     F = np.empty_like(y)
     if i0 < len(x) - 1:
-        F[..., i0:] = cumulative_simpson(y[..., i0:], x=x[i0:], initial=0.0)
+        F[..., i0:] = _cumulative_simpson(y[..., i0:], x[i0:])
     else:
         F[..., i0] = 0.0
     if i0 > 0:
-        back = cumulative_simpson(y[..., i0::-1], x=-x[i0::-1], initial=0.0)
+        back = _cumulative_simpson(y[..., i0::-1], -x[i0::-1])
         F[..., : i0 + 1] = -back[..., ::-1]
     return np.moveaxis(F, -1, axis)
 

@@ -13,7 +13,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DomainEmpty, DomainNotConnected
 
@@ -21,6 +22,20 @@ from .errors import DomainEmpty, DomainNotConnected
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _components4(mask: np.ndarray):
+    """Connected components of the True cells of a 2D mask under 4-neighbour
+    adjacency: their number and the label of each True cell in C order."""
+    idx = np.full(mask.shape, -1, dtype=np.int64)
+    n = int(mask.sum())
+    idx[mask] = np.arange(n)
+    vert = mask[:-1, :] & mask[1:, :]
+    horz = mask[:, :-1] & mask[:, 1:]
+    rows = np.concatenate([idx[:-1, :][vert], idx[:, :-1][horz]])
+    cols = np.concatenate([idx[1:, :][vert], idx[:, 1:][horz]])
+    graph = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
 @dataclass
@@ -71,15 +86,12 @@ class GridDomain:
         border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
         if (self.mask & border).any():
             raise DomainNotConnected("lattice border must stay outside the mask")
-        structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-        _, ncomp = ndimage.label(self.mask, structure=structure)
+        ncomp, _ = _components4(self.mask)
         if ncomp != 1:
             raise DomainNotConnected(f"mask has {ncomp} connected components")
         # a hole is a complement component that does not touch the border
-        comp, ncomp = ndimage.label(~self.mask, structure=structure)
-        border = np.zeros(self.mask.shape, dtype=bool)
-        border[0, :] = border[-1, :] = border[:, 0] = border[:, -1] = True
-        touching = set(np.unique(comp[border])) - {0}
+        ncomp, comp = _components4(~self.mask)
+        touching = np.unique(comp[border[~self.mask]])
         if len(touching) != ncomp:
             raise DomainNotConnected("mask has interior holes (not simply connected)")
 

@@ -475,6 +475,9 @@ def assemble_effective(tube: TubeSpec, field,
     (discretization-matched; used by rate sweeps).
     """
     sec = tube.section
+    if mode not in ("coefficient", "galerkin"):
+        raise ValueError(f"mode must be 'coefficient' or 'galerkin', "
+                         f"not {mode!r}")
     if coefficient_source not in ("measured", "printed"):
         raise ValueError(f"coefficient_source must be 'measured' or "
                          f"'printed', not {coefficient_source!r}")

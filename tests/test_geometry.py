@@ -317,6 +317,44 @@ def test_gauge_3d_properties():
     assert np.abs(err13).max() < 5e-3
 
 
+def _scipy_cumint_from_zero(y, x, axis=-1):
+    """``_cumint_from_zero`` as built on SciPy's cumulative_simpson."""
+    from scipy.integrate import cumulative_simpson
+
+    i0 = int(np.argmin(np.abs(x)))
+    y = np.moveaxis(np.asarray(y, dtype=float), axis, -1)
+    F = np.empty_like(y)
+    if i0 < len(x) - 1:
+        F[..., i0:] = cumulative_simpson(y[..., i0:], x=x[i0:], initial=0.0)
+    else:
+        F[..., i0] = 0.0
+    if i0 > 0:
+        back = cumulative_simpson(y[..., i0::-1], x=-x[i0::-1], initial=0.0)
+        F[..., : i0 + 1] = -back[..., ::-1]
+    return np.moveaxis(F, -1, axis)
+
+
+# (nodes below 0, nodes above 0): 0 at the first, last or an interior node;
+# halves of 2 points (trapezoid), 3 points (one Simpson pair) and more
+@pytest.mark.parametrize("below, above", [
+    (0, 1), (0, 2), (0, 9), (1, 0), (2, 0), (10, 0), (1, 1), (2, 2),
+    (1, 7), (2, 8), (7, 1), (8, 2), (5, 6), (6, 5), (29, 30)])
+def test_cumint_from_zero_is_bitwise_cumulative_simpson(below, above):
+    rng = np.random.default_rng(100 * below + above)
+    x = np.concatenate([-np.cumsum(rng.uniform(0.02, 0.3, below))[::-1],
+                        [0.0], np.cumsum(rng.uniform(0.02, 0.3, above))])
+    uniform = 0.05 * np.arange(-below, above + 1)
+    for grid in (x, uniform):
+        lines = rng.standard_normal((4, len(grid)))
+        lines[0] = -0.0  # SciPy's `initial` turns a -0.0 integral into 0.0
+        for y, axis in ((rng.standard_normal(len(grid)), -1), (lines, 1),
+                        (rng.standard_normal((3, len(grid), 2)), 1)):
+            got = geo._cumint_from_zero(y, grid, axis=axis)
+            want = _scipy_cumint_from_zero(y, grid, axis=axis)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
 def test_gauge_3d_one_call_matches_per_line_loop(per_line_gauges):
     sec = grids.square(1.0, 0.25)
     curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1,

@@ -43,6 +43,57 @@ def test_holes_rejected():
         grids.GridDomain(2, 0.1, (0.0, 0.0), mask, "polygon-mask")
 
 
+def test_squares_touching_at_a_corner_are_two_components():
+    # components are 4-connected: a shared corner does not join two squares
+    mask = np.zeros((7, 7), dtype=bool)
+    mask[1:3, 1:3] = True
+    mask[3:5, 3:5] = True
+    with pytest.raises(DomainNotConnected, match="2 connected components"):
+        grids.GridDomain(2, 0.1, (0.0, 0.0), mask, "polygon-mask")
+
+
+def test_a_cell_open_only_diagonally_is_a_hole():
+    # a 3x3 block without its centre and one corner: the centre's four
+    # neighbours are nodes, and it meets the outside only across a corner
+    mask = np.zeros((7, 7), dtype=bool)
+    mask[2:5, 2:5] = True
+    mask[3, 3] = mask[4, 4] = False
+    with pytest.raises(DomainNotConnected, match="holes"):
+        grids.GridDomain(2, 0.1, (0.0, 0.0), mask, "polygon-mask")
+
+
+def test_mask_validation_matches_ndimage_label():
+    from scipy import ndimage
+
+    rng = np.random.default_rng(7)
+    cross = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    verdicts = set()
+    for _ in range(300):
+        shape = tuple(rng.integers(4, 12, size=2))
+        mask = np.zeros(shape, dtype=bool)
+        mask[1:-1, 1:-1] = rng.random((shape[0] - 2, shape[1] - 2)) < 0.7
+        if not mask.any():
+            continue
+        assert grids._components4(mask)[0] == ndimage.label(mask, cross)[1]
+        assert grids._components4(~mask)[0] == ndimage.label(~mask, cross)[1]
+        comp, ncomp = ndimage.label(~mask, cross)
+        edge = np.concatenate([comp[0], comp[-1], comp[:, 0], comp[:, -1]])
+        if ndimage.label(mask, cross)[1] != 1:
+            want = "components"
+        elif len(set(edge)) != ncomp:
+            want = "holes"
+        else:
+            want = "ok"
+        try:
+            grids.GridDomain(2, 0.1, (0.0, 0.0), mask, "polygon-mask")
+            got = "ok"
+        except DomainNotConnected as exc:
+            got = "components" if "components" in str(exc) else "holes"
+        assert got == want
+        verdicts.add(got)
+    assert verdicts == {"ok", "components", "holes"}
+
+
 def test_border_touch_rejected():
     mask = np.ones(6, dtype=bool)
     with pytest.raises(DomainNotConnected):

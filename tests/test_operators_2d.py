@@ -171,6 +171,14 @@ def test_effective_coefficient_sources(bent_setup, axis_field):
                                coefficient_source="measurd")
 
 
+def test_effective_rejects_an_unknown_mode(bent_setup, axis_field):
+    # a misspelled mode ran the coefficient model and reported the typo
+    sec, curve, frame = bent_setup
+    tube = make_tube(curve, sec, 0.1)
+    with pytest.raises(ValueError, match="'galerkn'"):
+        ops.assemble_effective(tube, axis_field, frame=frame, mode="galerkn")
+
+
 def test_galerkin_effective_below_delta_1_does_not_depend_on_eps():
     # the fiber projection of the whole straight tube carried eps^-2 lam1h
     # and took it off again, leaving 5.4e-10 of roundoff at eps = 0.025

@@ -66,6 +66,33 @@ def test_fit_order_examples():
         fit_order(eps, [1, 2, -3, 4])
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_fit_order_ci95_is_the_student_t_half_width(n):
+    # ci95 reaches the CSV footers, so the Student-t quantile must be the
+    # bits of scipy.stats.t.ppf
+    from scipy import stats
+
+    rng = np.random.default_rng(n)
+    eps = 0.4 * 0.5 ** np.arange(n)
+    fit = fit_order(eps, eps**2 * np.exp(0.1 * rng.standard_normal(n)))
+    assert fit.ci95 == stats.t.ppf(0.975, n - 2) * fit.stderr
+
+
+def test_import_loads_only_the_solver_stack():
+    # scipy.stats, integrate and ndimage once took half of a cold start
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.ndimage",
+             "scipy.optimize", "scipy.interpolate", "scipy.spatial")
+    code = ("import sys; import magtube.cli, magtube.runner, magtube.hardy, "
+            f"magtube.asymptotics; print([m for m in {heavy!r} "
+            "if m in sys.modules])")
+    src = str(Path(magtube.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 def test_config_validation(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig.load(tmp_path / "missing.ini")
