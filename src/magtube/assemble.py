@@ -15,17 +15,13 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import gc
 import os
 import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
-import scipy.sparse.linalg as sla
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 
@@ -41,19 +37,9 @@ BAND_BUDGET_BYTES = 2 * 1024**3
 # Shipped 2D bands have kd 39-79, 3D bands kd 361-399.
 WIDE_BAND = 256
 
-# Krylov dimension of a lowest_eigenpairs run started near its target
-# vector: a shift-invert eigensolve from a fiber state at a shift just below
-# a proven floor (the Hardy segment at its diamagnetic floor, the positive
-# Hardy pencil at 0; see hardy.assemble_segment).  Such a start converges in
-# a handful of solves, and each restart of a small basis costs few of them.
-# A random start keeps ARPACK's default of 20, which always builds all 20
-# vectors before its first convergence check.
-WARM_NCV = 6
-
-# Basis rows of largest_eigenpair's Lanczos, ARPACK's default Krylov
-# dimension for one eigenpair.  From four seeded random starts of nrc2d's
-# clustered first point (eps = 0.2, delta = 0), a 6-row basis took 180-290
-# applications, 20 rows 78-137.
+# Basis rows of every Lanczos run (lanczos), ARPACK's default Krylov
+# dimension.  A full basis restarts from its LANCZOS_ROWS // 2 largest Ritz
+# vectors, so one run finds at most that many pairs.
 LANCZOS_ROWS = 20
 
 
@@ -284,26 +270,36 @@ def banded_cholesky(matrix: sp.spmatrix):
     return solve
 
 
-def largest_eigenpair(apply, start: np.ndarray, product: np.ndarray,
-                      tol: float, maxiter: int):
-    """Largest-magnitude eigenpair of a Hermitian operator by Lanczos.
+def lanczos(apply, start: np.ndarray, product: np.ndarray, k: int,
+            tol: float, maxiter: int):
+    """The k <= LANCZOS_ROWS // 2 largest-magnitude eigenpairs of a
+    Hermitian operator D.
 
     ``apply`` maps a vector x to D x; ``start`` is a unit vector and
-    ``product`` its image D start, the first Krylov step.  After each
-    application the largest-magnitude Ritz pair (theta, s) of the
-    tridiagonal matrix T is tested with ARPACK's criterion
-    beta_j |e_j^T s| <= tol |theta|, where beta_j |e_j^T s| is the residual
-    norm ||D y - theta y|| of the Ritz vector y.  The basis holds at most
-    LANCZOS_ROWS rows, fully reorthogonalized (classical Gram-Schmidt,
-    twice); when it is full, Lanczos restarts from y.
+    ``product`` its image D start, the first Krylov step.  The basis of at
+    most LANCZOS_ROWS rows is fully reorthogonalized (classical
+    Gram-Schmidt, twice).  After each application the k largest-magnitude
+    Ritz pairs (theta_i, s_i) of the projected matrix T are tested with
+    ARPACK's criterion beta_j |e_j^T s_i| <= tol |theta_i|, the left side
+    being the residual norm ||D y_i - theta_i y_i|| of the Ritz vector y_i.
+    A basis that spans an invariant subspace (beta_j = 0, or all n
+    dimensions) holds exact pairs.
 
-    Returns ``(theta, y, applications)``, ``applications`` counting
-    ``product``.  Raises EigensolverDiverged when ``maxiter`` applications
-    do not converge.
+    A full basis restarts thick (Wu & Simon 2000) from its LANCZOS_ROWS // 2
+    largest-magnitude Ritz vectors and q = w / beta_j: as
+    D y_i = theta_i y_i + beta_j (e_j^T s_i) q, T becomes diag(theta)
+    bordered by the arrow beta_j e_j^T s_i, solved by a small dense eigh.
+
+    Returns ``(theta, Y, applications)``: the k Ritz values by decreasing
+    magnitude, the unit Ritz vectors as rows of Y, and the applications of
+    D, ``product`` included.  Raises EigensolverDiverged, carrying the k
+    residual norms, when ``maxiter`` applications do not converge or the
+    Krylov space of the start has fewer than k dimensions.
     """
-    basis = np.empty((LANCZOS_ROWS, start.size), dtype=product.dtype)
-    alpha = np.empty(LANCZOS_ROWS)
-    beta = np.empty(LANCZOS_ROWS)
+    n = start.size
+    keep = LANCZOS_ROWS // 2
+    basis = np.empty((LANCZOS_ROWS, n), dtype=product.dtype)
+    T = np.zeros((LANCZOS_ROWS, LANCZOS_ROWS))
     basis[0] = start
     w = product
     applications, j = 1, 0
@@ -311,35 +307,44 @@ def largest_eigenpair(apply, start: np.ndarray, product: np.ndarray,
         Q = basis[:j + 1]
         # Q^H w as conj(Q conj(w)), so the basis is never copied
         coef = (Q @ w.conj()).conj()
-        alpha[j] = coef[j].real
+        T[j, j] = coef[j].real
         w = w - coef @ Q
         w -= (Q @ w.conj()).conj() @ Q
-        beta[j] = np.linalg.norm(w)
-        vals, vecs = la.eigh_tridiagonal(alpha[:j + 1], beta[:j])
-        top = np.argmax(np.abs(vals))
-        theta, s = vals[top], vecs[:, top]
-        residual = beta[j] * abs(s[-1])
-        if residual <= tol * abs(theta):
-            y = s @ Q
-            return theta, y / np.linalg.norm(y), applications
+        beta = np.linalg.norm(w)
+        vals, vecs = np.linalg.eigh(T[:j + 1, :j + 1])
+        order = np.argsort(-np.abs(vals))
+        top = order[:k]
+        residuals = beta * np.abs(vecs[j, top])
+        if j + 1 == n:
+            residuals[:] = 0.0  # w is roundoff: the basis spans the space
+        if j + 1 >= k and (residuals <= tol * np.abs(vals[top])).all():
+            Y = vecs[:, top].T @ Q
+            Y /= np.linalg.norm(Y, axis=1)[:, None]
+            return vals[top], Y, applications
+        if beta == 0.0:
+            raise EigensolverDiverged(
+                f"the Krylov space of the start has {j + 1} < k = {k} "
+                "dimensions", residuals=residuals)
         if applications >= maxiter:
             raise EigensolverDiverged(
                 f"Lanczos did not converge in {maxiter} applications "
-                f"(residual {residual:.3g}, theta {theta:.6g}, tol {tol:g})",
-                residuals=np.array([residual]),
+                f"(residuals {residuals}, theta {vals[top]}, tol {tol:g})",
+                residuals=residuals,
             )
         if j + 1 < LANCZOS_ROWS:
             j += 1
-            basis[j] = w / beta[j - 1]
+            T[j, j - 1] = T[j - 1, j] = beta
         else:
-            # D y = theta y + beta_j s_j q with q = w / beta_j, so Lanczos
-            # from y has alpha_0 = theta, beta_0 = |beta_j s_j| and
-            # q_1 = sign(s_j) q without a further application
-            y = s @ Q
-            basis[1] = np.sign(s[-1]) * (w / beta[j])
-            basis[0] = y / np.linalg.norm(y)
-            alpha[0], beta[0] = theta, residual
-            j = 1
+            S = vecs[:, order[:keep]]
+            # Y = S^T Q in place, by column blocks: no second basis in memory
+            for c in range(0, n, 4096):
+                block = basis[:, c:c + 4096]
+                block[:keep] = S.T @ block
+            T[:] = 0.0
+            T[:keep, :keep] = np.diag(vals[order[:keep]])
+            T[keep, :keep] = T[:keep, keep] = beta * S[-1]
+            j = keep
+        basis[j] = w / beta
         w = apply(basis[j])
         applications += 1
 
@@ -366,74 +371,57 @@ def lowest_eigenpairs(
 ):
     """k lowest eigenpairs of the Hermitian pencil matrix v = lam M v.
 
-    ``M`` is a positive-definite mass matrix, the identity by default.
-    Shift-invert Lanczos whose OPinv is the banded Cholesky solve of
-    ``matrix - sigma M``, at every size.  Callers shift below the spectrum,
-    so the factor exists.  By Sylvester's law of inertia it proves that no
-    eigenvalue lies below sigma, which makes the k pairs nearest sigma the
-    k lowest; a sigma above the bottom of the spectrum raises
-    NotPositiveDefinite.  Residuals are ||matrix v - lam M v||.
+    ``M`` is a diagonal positive mass matrix D, the identity by default;
+    any other ``M`` raises ValueError.  Shift-invert Lanczos (lanczos) on
+    y -> D^1/2 solve(D^1/2 y), where solve is the banded Cholesky solve of
+    ``matrix - sigma M``, at every size; its pairs give
+    (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
+    spectrum, so the factor exists.  By Sylvester's law of inertia it proves
+    that no eigenvalue lies below sigma, which makes the k pairs nearest
+    sigma the k lowest; a sigma above the bottom of the spectrum raises
+    NotPositiveDefinite.  Lanczos runs at machine epsilon, ARPACK's default
+    tolerance, for at most 10 n applications.  Returns the eigenvalues
+    (ascending), the eigenvectors as columns and the residuals
+    ||matrix v - lam M v||.
 
-    A ``v0`` (say, a fiber ground state just above its proven floor) starts
-    Lanczos with a Krylov dimension of WARM_NCV; without it Lanczos starts
-    from a random vector drawn from ``seed`` with ARPACK's default.
-    Deterministic given the start, and runs on one BLAS thread (see
-    blas_threads).
+    Lanczos starts from ``v0`` (say, a fiber ground state just above its
+    proven floor) or else from a random vector drawn from ``seed``;
+    1 <= k <= min(n, LANCZOS_ROWS // 2).  Deterministic given the start, and
+    runs on one BLAS thread (see blas_threads).
     """
     n = matrix.shape[0]
-    complex_ = np.iscomplexobj(matrix)
-    # ARPACK finds at most n - 1 pairs of a real matrix, n - 2 of a complex one
-    kmax = n - 2 if complex_ else n - 1
-    if k > kmax:
-        raise ValueError(f"k = {k} exceeds {kmax}, ARPACK's limit at n = {n}")
+    kmax = min(n, LANCZOS_ROWS // 2)
+    if not 1 <= k <= kmax:
+        raise ValueError(f"k = {k} is outside 1..{kmax}: at most "
+                         f"min(n, LANCZOS_ROWS // 2) = {kmax} pairs at n = {n}")
     mass = sp.eye(n, format="csr") if M is None else M
+    diag = mass.diagonal()
+    if (mass != sp.diags(diag)).nnz or not (diag > 0).all():
+        raise ValueError("the mass matrix M must be diagonal and positive")
+    d = np.sqrt(diag)
     try:
-        # scipy's complex ARPACK solver can hold OPinv in a reference
-        # cycle, which the cyclic collector frees only when it next runs;
-        # OPinv reads the solve through this list, so emptying it
-        # releases the factor at once
-        held = [banded_cholesky(matrix - sigma * mass)]
+        solve = banded_cholesky(matrix - sigma * mass)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
             pivot=exc.pivot,
         ) from exc
-    ncv = WARM_NCV if v0 is not None else None
     if v0 is None:
-        v0 = random_start(n, seed, complex_)
-    try:
-        with warnings.catch_warnings():
-            # ARPACK's generalized-mode bookkeeping casts the real Ritz
-            # values through the complex work arrays
-            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
-            vals, vecs = sla.eigsh(
-                matrix, k=k, M=M, sigma=sigma, which="LM", v0=v0,
-                ncv=ncv,
-                OPinv=sla.LinearOperator(
-                    matrix.shape, matvec=lambda x: held[0](x),
-                    dtype=matrix.dtype),
-            )
-    except ArpackNoConvergence as exc:
-        got = len(exc.eigenvalues)
-        raise EigensolverDiverged(
-            f"shift-invert Lanczos converged {got}/{k} pairs "
-            f"(sigma={sigma}); adjust the shift",
-            residuals=exc.eigenvalues,
-        ) from exc
-    finally:
-        held.clear()
-        if M is not None:
-            # scipy's complex generalized ARPACK mode keeps its workspace
-            # (the n x ncv Lanczos basis) in a reference cycle; collect it
-            # while it is young, or a sweep of pencils piles them up
-            gc.collect(1)
+        v0 = random_start(n, seed, np.iscomplexobj(matrix))
+    start = d * v0
+    start = start / np.linalg.norm(start)
+
+    def apply(y):
+        return d * solve(d * y)
+
+    theta, Y, _ = lanczos(apply, start, apply(start), k,
+                          np.finfo(float).eps, 10 * n)
+    vals = sigma + 1.0 / theta
     order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    mvecs = vecs if M is None else M @ vecs
-    residuals = np.array(
-        [
-            np.linalg.norm(matrix @ vecs[:, j] - vals[j] * mvecs[:, j])
-            for j in range(k)
-        ]
-    )
+    vals, vecs = vals[order], (Y[order] / d).T
+    mvecs = mass @ vecs
+    residuals = np.array([
+        np.linalg.norm(matrix @ vecs[:, j] - vals[j] * mvecs[:, j])
+        for j in range(k)
+    ])
     return vals, vecs, residuals

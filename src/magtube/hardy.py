@@ -15,8 +15,11 @@ of a field keep the spectrum above the free threshold, and for large field
 intensity the discrete spectrum of a compactly bent tube empties.
 
 Every eigenvalue here, of a tube operator or of a pencil A psi = mu M psi
-(the weighted Hardy pencil, the deformed tube with its mass matrix), comes
-from the shift-invert solve :func:`magtube.assemble.lowest_eigenpairs`.
+(the weighted Hardy pencil, the deformed tube with its diagonal mass
+matrix), comes from the shift-invert solve
+:func:`magtube.assemble.lowest_eigenpairs`, whose Lanczos tests for
+convergence after every banded solve, so a start near the ground state
+stops early.
 Straight tubes are grids of ds: 2R and 2L must be multiples of it.
 """
 

@@ -54,7 +54,7 @@ from .assemble import (
     dirichlet_links,
     dirichlet_second_difference,
     form_term,
-    largest_eigenpair,
+    lanczos,
     lowest_eigenpairs,
     random_start,
 )
@@ -585,11 +585,11 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     O(eps^2) on the rest), so the start is free of ``seed``.  A same-space
     pair starts from a random vector drawn from ``seed``.
 
-    Every start runs the Lanczos of
-    :func:`magtube.assemble.largest_eigenpair`, whose first Krylov step is
-    the probe D start.  It stops at the first application after which the
-    top Ritz pair (theta, y) has ||D y - theta y|| <= tol |theta|, the
-    residual read off the tridiagonal matrix as ARPACK reads it.  A probe
+    Every start runs the Lanczos of :func:`magtube.assemble.lanczos` for
+    one pair, whose first Krylov step is the probe D start.  It stops at the
+    first application after which the top Ritz pair (theta, y) has
+    ||D y - theta y|| <= tol |theta|, the residual read off the projected
+    matrix as beta_j |e_j^T s|.  A probe
     of norm below 1e-14 returns at once.  ``maxiter`` bounds the
     applications of the difference; running out of them raises
     EigensolverDiverged.
@@ -634,7 +634,6 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     if np.linalg.norm(probe) < 1e-14:
         return float(np.linalg.norm(probe)), {
             "converged": True, "vector": start, "matvecs": 1}
-    theta, vector, matvecs = largest_eigenpair(apply, start, probe, tol,
-                                               maxiter)
-    return float(abs(theta)), {"converged": True, "vector": vector,
-                               "matvecs": matvecs}
+    theta, Y, matvecs = lanczos(apply, start, probe, 1, tol, maxiter)
+    return float(abs(theta[0])), {"converged": True, "vector": Y[0],
+                                  "matvecs": matvecs}

@@ -178,6 +178,31 @@ def test_eigenvalue_expansion_tracking(setup, series5):
     assert fit.slope >= 2.5  # |lambda - Gamma_2| = O(eps^3)
 
 
+def test_expansion_eigensolve_band_solves(setup, monkeypatch):
+    # one k = 3 eigensolve of eigenvalue_expansion's eps sweep on the
+    # asymptotics2d grid, at eps = 0.1: 35 band solves (55 with ARPACK)
+    from magtube import assemble
+
+    sec, curve, frame, field = setup
+    op = ops.assemble_full(make_tube(curve, sec, 0.1), field, frame=frame,
+                           shifted=True)
+    solves = []
+    factor = assemble.banded_cholesky
+
+    def counting(matrix):
+        solve = factor(matrix)
+
+        def counted(rhs):
+            solves.append(1)
+            return solve(rhs)
+
+        return counted
+
+    monkeypatch.setattr(assemble, "banded_cholesky", counting)
+    ops.smallest_eigenpairs(op, k=3, sigma=0.0)
+    assert len(solves) <= 40
+
+
 # -- Lemma: form difference controls the resolvent difference ---------------------
 
 

@@ -7,7 +7,8 @@ import scipy.sparse.linalg as sla
 
 from magtube import assemble, geometry as geo, grids, operators as ops
 from magtube.assemble import AssembledOperator, RegimeParams, banded_cholesky
-from magtube.errors import GridBudgetError, NotPositiveDefinite
+from magtube.errors import (EigensolverDiverged, GridBudgetError,
+                            NotPositiveDefinite)
 
 
 def make_tube(curve, section, eps, delta=1.0):
@@ -82,17 +83,66 @@ def test_lowest_eigenpairs_rejects_a_shift_above_the_spectrum(planar):
     assert 1 <= info.value.pivot <= op.n
 
 
-def test_lowest_eigenpairs_k_guard_follows_arpack():
-    # ARPACK's complex solver finds at most n - 2 pairs, its real one n - 1
+def test_lowest_eigenpairs_k_guard_names_its_limit():
+    # at most min(n, LANCZOS_ROWS // 2) pairs: a thick restart keeps
+    # LANCZOS_ROWS // 2 Ritz vectors
     real = sp.diags([1.0, 2.0, 3.0]).tocsr()
-    vals = assemble.lowest_eigenpairs(real, k=2)[0]
-    assert np.allclose(vals, [1.0, 2.0])
-    with pytest.raises(ValueError, match="k = 3 exceeds 2"):
-        assemble.lowest_eigenpairs(real, k=3)
+    with pytest.raises(ValueError, match=r"k = 4 is outside 1\.\.3"):
+        assemble.lowest_eigenpairs(real, k=4)
+    with pytest.raises(ValueError, match=r"k = 0 is outside 1\.\.3"):
+        assemble.lowest_eigenpairs(real, k=0)
+    kmax = assemble.LANCZOS_ROWS // 2
+    spread = sp.diags(np.arange(1.0, 3 * kmax + 1)).tocsr()
+    vals = assemble.lowest_eigenpairs(spread, k=kmax)[0]
+    assert np.abs(vals - np.arange(1.0, kmax + 1)).max() < 1e-12
+    with pytest.raises(ValueError, match=f"LANCZOS_ROWS // 2\\) = {kmax}"):
+        assemble.lowest_eigenpairs(spread, k=kmax + 1)
+
+
+def test_exhausted_krylov_space_gives_exact_pairs():
+    # n = 3: the third basis vector spans the space, whose Ritz pairs are
+    # the eigenpairs; a start in an invariant subspace stops at beta = 0
+    # without a division by it
+    real = sp.diags([1.0, 2.0, 3.0]).tocsr()
     herm = sp.csr_matrix(np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.0],
-                                   [0.0, 0.0, 3.0]]))
-    with pytest.raises(ValueError, match="k = 2 exceeds 1"):
-        assemble.lowest_eigenpairs(herm, k=2)
+                                   [0.0, 0.0, 4.0]]))
+    with np.errstate(all="raise"):
+        for matrix, want in ((real, [1.0, 2.0, 3.0]), (herm, [1.0, 3.0, 4.0])):
+            vals, vecs, res = assemble.lowest_eigenpairs(matrix, k=3)
+            assert np.abs(vals - want).max() < 1e-14
+            assert np.abs(vecs.conj().T @ vecs - np.eye(3)).max() < 1e-14
+            assert res.max() < 1e-14
+        e1 = np.array([1.0, 0.0, 0.0])
+        vals, vecs, _ = assemble.lowest_eigenpairs(real, k=1, v0=e1)
+        assert vals[0] == 1.0 and np.array_equal(np.abs(vecs[:, 0]), e1)
+        with pytest.raises(EigensolverDiverged, match="has 1 < k = 2"):
+            assemble.lowest_eigenpairs(real, k=2, v0=e1)
+
+
+def test_lowest_eigenpairs_rejects_a_mass_matrix_that_is_not_diagonal():
+    matrix = sp.diags([2.0, 3.0, 4.0, 5.0]).tocsr()
+    coupled = (sp.eye(4) + 0.1 * sp.eye(4, k=1) + 0.1 * sp.eye(4, k=-1))
+    for M in (coupled.tocsr(), sp.diags([1.0, -1.0, 1.0, 1.0])):
+        with pytest.raises(ValueError, match="diagonal and positive"):
+            assemble.lowest_eigenpairs(matrix, k=1, M=M)
+
+
+def test_lanczos_out_of_applications_reports_residual_norms():
+    # after 5 applications the basis spans K_5(D, v); the error carries the
+    # residual norms ||D y - theta y|| of its three largest Ritz pairs, as
+    # a dense Rayleigh-Ritz on that space gives them
+    D = np.diag(np.linspace(1.0, 2.0, 40))
+    v = np.random.default_rng(3).standard_normal(40)
+    v /= np.linalg.norm(v)
+    with pytest.raises(EigensolverDiverged, match="in 5 applications") as info:
+        assemble.lanczos(lambda x: D @ x, v, D @ v, 3, 1e-12, 5)
+    K = np.linalg.qr(np.column_stack(
+        [np.linalg.matrix_power(D, p) @ v for p in range(5)]))[0]
+    theta, S = np.linalg.eigh(K.T @ D @ K)
+    top = np.argsort(-np.abs(theta))[:3]
+    Y = K @ S[:, top]
+    want = np.linalg.norm(D @ Y - Y * theta[top], axis=0)
+    assert np.abs(info.value.residuals - want).max() <= 1e-8 * want.max()
 
 
 def test_non_finite_matrix_rejected():

@@ -58,12 +58,20 @@ def test_zero_field_segment_needs_no_solve(sec2d, field2d, monkeypatch):
 def test_coarse_segment_avoids_dense_eigensolvers(field2d, monkeypatch):
     # 41 s-nodes x 39 section nodes = 1,599 unknowns: a dense eigh of the
     # whole matrix takes seconds here for one eigenvalue, the banded solve
-    # hundredths of a second
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense eigensolver called")
+    # hundredths of a second.  Lanczos solves its projected matrix, of at
+    # most LANCZOS_ROWS rows, densely.
+    from magtube.assemble import LANCZOS_ROWS
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(la, "eigh", refuse)
+    def refusing(eigh):
+        def refuse(a, *args, **kwargs):
+            if len(a) > LANCZOS_ROWS:
+                raise AssertionError("dense eigensolver called")
+            return eigh(a, *args, **kwargs)
+
+        return refuse
+
+    monkeypatch.setattr(np.linalg, "eigh", refusing(np.linalg.eigh))
+    monkeypatch.setattr(la, "eigh", refusing(la.eigh))
     seg = hardy.assemble_segment(grids.interval(1.0, 0.05), field2d, 1.0,
                                  R=2.0, ds=0.1)
     assert seg.op.n == 1599
@@ -139,12 +147,16 @@ def test_mu_min_monotone_in_L(sec2d, field2d):
 
 
 @pytest.fixture
-def band_solves(monkeypatch):
-    """Counts applications of the banded Cholesky solves (each OPinv of a
-    shift-invert eigensolve) made while the test runs, one entry per
-    factor in the order of factoring."""
+def band_solves(monkeypatch, sec2d):
+    """Counts applications of the banded Cholesky solves (each application
+    of a shift-invert eigensolve) made while the test runs, one entry per
+    factor in the order of factoring.  The ground pair of ``sec2d`` is
+    computed first, so its own eigensolve is not counted, whatever ran
+    before."""
     from magtube import assemble
+    from magtube.operators import transverse_ground
 
+    transverse_ground(sec2d)
     counts = []
     factor = assemble.banded_cholesky
 
@@ -165,8 +177,8 @@ def band_solves(monkeypatch):
 
 def test_hardy_eigensolves_start_from_the_fiber(sec2d, field2d, band_solves):
     # a shift just below the diamagnetic floor and a start in the J1 fiber
-    # let a small Krylov basis stop early, where a random start at ARPACK's
-    # default basis takes 21 solves per eigensolve
+    # let Lanczos stop after 8-9 solves per eigensolve, where ARPACK from a
+    # random start took 21
     hardy.assemble_segment(sec2d, field2d, 1.0, R=2.0, ds=0.05)
     assert sum(band_solves) <= 12
     band_solves.clear()
@@ -237,9 +249,8 @@ def test_pure_reparametrization_is_inert(sec2d, field2d):
 
 
 def test_deformation_solve_releases_its_factor(sec2d, field2d):
-    # complex generalized shift-invert: scipy's ARPACK driver keeps OPinv,
-    # whose closure holds the band factor, in a reference cycle, which must
-    # not outlive the call
+    # complex generalized shift-invert: the band factor, held by the solve's
+    # closure, must not outlive the call, say in a reference cycle
     dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0))
     gc.collect()
     gc.disable()
@@ -249,24 +260,6 @@ def test_deformation_solve_releases_its_factor(sec2d, field2d):
         alive = [o for o in gc.get_objects()
                  if getattr(o, "__qualname__", None)
                  == "banded_cholesky.<locals>.solve"]
-    finally:
-        gc.enable()
-    assert alive == []
-
-
-def test_pencil_solves_release_their_arpack_workspace(sec2d, field2d):
-    # scipy's complex generalized ARPACK mode keeps its Lanczos basis in a
-    # reference cycle; a sweep of pencils must not pile those up until the
-    # cyclic collector next runs
-    dspec = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0))
-    gc.collect()
-    gc.disable()
-    try:
-        hardy.deformation_experiment(sec2d, field2d, 1.0, dspec, [0.1, 0.2],
-                                     L=6.0, ds=0.1)
-        hardy.verify_hardy(sec2d, field2d, 1.0, R=2.0, L=8.0, ds=0.05)
-        alive = [o for o in gc.get_objects()
-                 if type(o).__name__.endswith("ArpackParams")]
     finally:
         gc.enable()
     assert alive == []
@@ -453,15 +446,17 @@ def test_large_b_crossing_needs_an_empty_tail(sec2d, monkeypatch):
 
 def test_large_b_solves_shift_at_the_diamagnetic_floor(bent_tube,
                                                         band_solves):
-    # the b = 0 tube binds below lam1(omega) and keeps its far shift (51
-    # solves); each b != 0 solve shifts just below lam1(0), the floor that
-    # the diamagnetic inequality proves, and converges in ARPACK's first
-    # basis instead of after 51 solves
+    # the b = 0 tube binds below lam1(omega) and keeps its far shift (43
+    # solves, 51 with ARPACK); each b != 0 solve shifts just below lam1(0),
+    # the floor that the diamagnetic inequality proves, and converges within
+    # one basis of LANCZOS_ROWS vectors (14-20 solves)
+    from magtube.assemble import LANCZOS_ROWS
+
     tube, field = bent_tube
     hardy.large_b_experiment(tube, field, LARGE_B)
     assert len(band_solves) == len(LARGE_B)
-    assert band_solves[0] == 51
-    assert max(band_solves[1:]) <= 25
+    assert band_solves[0] <= 45
+    assert max(band_solves[1:]) <= LANCZOS_ROWS
 
 
 def _rows_sit_on_the_floor_and_match_far_shifts(tube, field, rep):

@@ -261,17 +261,37 @@ def _coarse_hardy_pencil():
     return A, 0.0, sp.diags(np.repeat(1.0 / (1.0 + s**2), sec.n))
 
 
-def test_sparse_path_matches_dense_reference():
-    from magtube.assemble import lowest_eigenpairs
+def _far_shifted_hardy_pencil():
+    # the coarse Hardy pencil shifted far below its spectrum, where three
+    # pairs take more applications than one Lanczos basis holds
+    A, _, M = _coarse_hardy_pencil()
+    return A, -4.0, M
 
-    for build in (_bent_planar_tube, _square_hardy_segment,
-                  _coarse_hardy_pencil):
+
+def test_sparse_path_matches_dense_reference(monkeypatch):
+    from magtube import assemble
+
+    applications = []
+    body = assemble.lanczos
+
+    def counted(*args):
+        theta, Y, used = body(*args)
+        applications.append(used)
+        return theta, Y, used
+
+    monkeypatch.setattr(assemble, "lanczos", counted)
+    for build, restarts in ((_bent_planar_tube, False),
+                            (_square_hardy_segment, True),
+                            (_coarse_hardy_pencil, False),
+                            (_far_shifted_hardy_pencil, True)):
         matrix, sigma, M = build()
         v_dense = la.eigh(matrix.toarray(), None if M is None else M.toarray(),
                           eigvals_only=True, subset_by_index=[0, 2])
-        v_sparse, _, r_sparse = lowest_eigenpairs(matrix, k=3, sigma=sigma,
-                                                  M=M)
+        v_sparse, _, r_sparse = assemble.lowest_eigenpairs(
+            matrix, k=3, sigma=sigma, M=M)
         assert np.abs(v_dense - v_sparse).max() < 1e-10, build.__name__
+        # a thick restart ran when the applications outnumber the basis rows
+        assert (applications[-1] > assemble.LANCZOS_ROWS) == restarts
         # residuals ||A v - lam M v|| at roundoff of the matrix's size
         scale = sla.norm(matrix, np.inf)
         assert r_sparse.max() < 1e-12 * scale
