@@ -177,8 +177,8 @@ def band_solves(monkeypatch, sec2d):
 
 def test_hardy_eigensolves_start_from_the_fiber(sec2d, field2d, band_solves):
     # a shift just below the diamagnetic floor and a start in the J1 fiber
-    # let Lanczos stop after 8-9 solves per eigensolve, where ARPACK from a
-    # random start took 21
+    # let Lanczos stop after 8-9 solves per eigensolve (ARPACK from a random
+    # start took 21)
     hardy.assemble_segment(sec2d, field2d, 1.0, R=2.0, ds=0.05)
     assert sum(band_solves) <= 12
     band_solves.clear()
