@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands mirror the experiment kinds plus cache maintenance:
+Subcommands mirror the experiment kinds:
 
     magtube xsection   --config cfg.ini [--out DIR] [--seed S] [--check]
     magtube full2d     ...
@@ -10,7 +10,6 @@ Subcommands mirror the experiment kinds plus cache maintenance:
     magtube asymptotics ...
     magtube hardy      ...
     magtube stability  ...
-    magtube cache inspect|clear --dir CACHEDIR
 
 Exit codes: 0 pass, 1 computation error, 2 config error, 3 acceptance-check
 failure (a sweep whose fitted order or certificate misses its target, or a
@@ -39,9 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--check", action="store_true",
                        help="exit 3 when a footer target is missed")
-    pc = sub.add_parser("cache", help="inspect or clear the constants cache")
-    pc.add_argument("action", choices=("inspect", "clear"))
-    pc.add_argument("--dir", required=True, help="cache directory")
     return parser
 
 
@@ -70,16 +66,6 @@ def _check_targets(tables) -> bool:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cache":
-        from .xsection import cache_clear, cache_inspect
-
-        if args.action == "inspect":
-            for name, key in cache_inspect(args.dir):
-                print(f"{name}  {key}")
-        else:
-            n = cache_clear(args.dir)
-            print(f"removed {n} cached entries")
-        return 0
     try:
         config = ExperimentConfig.load(args.config)
         if config.kind != args.command:

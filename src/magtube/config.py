@@ -41,7 +41,7 @@ bump families use ``center width amplitude`` triplets joined by ';':
 
     [solver]
     k = 1 / tol = 1e-3 / R = 2 / L = 10 / ds = 0.05 / J = 2 / mode = 1 /
-    coefficient = measured|printed / cache_dir = DIR /
+    coefficient = measured|printed /
     amplitudes = 0.05 0.1 0.2 / b_deform / shift_center / shift_width
                                           (hardy / stability: 2 R and 2 L
                                            are multiples of ds, hardy's
@@ -85,7 +85,7 @@ KEYS = {
 }
 _SPECTRUM = {"regime": {"eps", "delta", "k"}, "solver": {"k"}}
 KIND_KEYS = {
-    "xsection": {"solver": {"cache_dir"}},
+    "xsection": {},
     "full2d": _SPECTRUM,
     "full3d": _SPECTRUM,
     "effective": {**_SPECTRUM, "solver": {"k", "coefficient"}},

@@ -156,8 +156,7 @@ def _run_xsection(config, out, seed):
     from . import xsection as xs
 
     section = config.build_section()
-    cache_dir = config.get("solver", "cache_dir")
-    consts = xs.compute_constants(section, cache_dir=cache_dir)
+    consts = xs.compute_constants(section)
     table = ResultTable(
         "xsection_constants",
         ["descriptor", "backend", "name", "value"],

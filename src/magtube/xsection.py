@@ -22,10 +22,6 @@ uses; both views are reported.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,9 +305,8 @@ _MEMO: dict = {}
 def compute_constants(
     domain: GridDomain,
     method: str = "auto",
-    cache_dir: str | None = None,
 ) -> XSectionConstants:
-    """All cross-sectional constants, cached by shape descriptor + spacing.
+    """All cross-sectional constants, memoized in _MEMO by descriptor|method.
 
     method "auto" picks the radial backend for disks (reported constants) and
     the masked-grid backend otherwise; "mask" forces grid-consistent constants
@@ -324,10 +319,6 @@ def compute_constants(
     key = f"{domain.descriptor()}|{method}"
     if key in _MEMO:
         return _MEMO[key]
-    cached = _cache_load(cache_dir, key, domain) if cache_dir else None
-    if cached is not None:
-        _MEMO[key] = cached
-        return cached
     if domain.dim == 1:
         out = _interval_constants(domain)
     elif method == "radial":
@@ -335,126 +326,4 @@ def compute_constants(
     else:
         out = _mask_constants_2d(domain)
     _MEMO[key] = out
-    if cache_dir:
-        _cache_store(cache_dir, key, out)
     return out
-
-
-# -- persistent constants cache -------------------------------------------------
-#
-# One text file per key under the cache directory.  Schema (v2):
-#   magtube-constants v2 code=<sha256 of grids.py, assemble.py, xsection.py>
-#   key = <descriptor|method>
-#   backend = mask|radial
-#   dim = 1|2
-#   h = <float>
-#   <scalar> = <float>            (lam1, lam2, moment2, m2, m3, Q22, Q23, Q33,
-#                                  p, kappa_mag, M_omega)
-#   meta.<name> = <JSON value>    (the constants' meta: footers and note)
-#   array.J1 = v v v ...          (interior-node order; optional)
-#   array.rho = v v v ...         (optional)
-#   array.r / array.J1r           (radial backend profile; optional)
-# Writes are atomic (temp file + rename): single writer, many readers.  An
-# entry whose header names other code is a miss, and is rewritten.
-
-
-def _cache_header() -> str:
-    """Schema line with the digest of the code that computes the constants."""
-    digest = hashlib.sha256()
-    for name in ("grids.py", "assemble.py", "xsection.py"):
-        with open(os.path.join(os.path.dirname(__file__), name), "rb") as f:
-            digest.update(f.read())
-    return f"magtube-constants v2 code={digest.hexdigest()}"
-
-
-def _cache_path(cache_dir: str, key: str) -> str:
-    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    return os.path.join(cache_dir, f"xc_{digest}.txt")
-
-
-def _cache_store(cache_dir: str, key: str, c: XSectionConstants) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
-    lines = [_cache_header(), f"key = {key}", f"backend = {c.backend}",
-             f"dim = {c.dim}", f"h = {c.h:.17g}", f"descriptor = {c.descriptor}"]
-    for name, val in c.scalar_items().items():
-        lines.append(f"{name} = {val:.17g}")
-    for name, val in c.meta.items():
-        lines.append(f"meta.{name} = {json.dumps(val)}")
-    def arr(name, a):
-        lines.append(f"array.{name} = " + " ".join(f"{v:.17g}" for v in a))
-    if c.J1 is not None:
-        arr("J1", c.J1)
-    if c.rho is not None:
-        arr("rho", c.rho)
-    if c.radial_profile is not None:
-        arr("r", c.radial_profile[0])
-        arr("J1r", c.radial_profile[1])
-    path = _cache_path(cache_dir, key)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def _cache_load(cache_dir, key, domain) -> XSectionConstants | None:
-    path = _cache_path(cache_dir, key)
-    if not os.path.exists(path):
-        return None
-    scalars, arrays, text, meta = {}, {}, {}, {}
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().strip()
-        if header != _cache_header():
-            return None
-        for line in f:
-            name, _, val = line.partition("=")
-            name, val = name.strip(), val.strip()
-            if name.startswith("array."):
-                arrays[name[6:]] = np.array(val.split(), dtype=float)
-            elif name.startswith("meta."):
-                meta[name[5:]] = json.loads(val)
-            elif name in ("key", "backend", "descriptor"):
-                text[name] = val
-            elif name in ("dim",):
-                text[name] = int(val)
-            else:
-                scalars[name] = float(val)
-    if text.get("key") != key:
-        return None
-    prof = None
-    if "r" in arrays and "J1r" in arrays:
-        prof = (arrays["r"], arrays["J1r"])
-    return XSectionConstants(
-        descriptor=text["descriptor"], h=scalars["h"], dim=text["dim"],
-        backend=text["backend"], lam1=scalars["lam1"], lam2=scalars["lam2"],
-        moment2=scalars["moment2"], m2=scalars["m2"], m3=scalars["m3"],
-        second_moments=(scalars["Q22"], scalars["Q23"], scalars["Q33"]),
-        p=scalars["p"], kappa_mag=scalars["kappa_mag"],
-        M_omega=scalars["M_omega"], J1=arrays.get("J1"), rho=arrays.get("rho"),
-        radial_profile=prof, meta={**meta, "cache": "hit"},
-    )
-
-
-def cache_inspect(cache_dir: str) -> list:
-    """List cached entries as (file, key) pairs."""
-    out = []
-    if not os.path.isdir(cache_dir):
-        return out
-    for name in sorted(os.listdir(cache_dir)):
-        if not name.startswith("xc_"):
-            continue
-        with open(os.path.join(cache_dir, name), "r", encoding="utf-8") as f:
-            f.readline()
-            key = f.readline().partition("=")[2].strip()
-        out.append((name, key))
-    return out
-
-
-def cache_clear(cache_dir: str) -> int:
-    n = 0
-    if os.path.isdir(cache_dir):
-        for name in os.listdir(cache_dir):
-            if name.startswith("xc_"):
-                os.remove(os.path.join(cache_dir, name))
-                n += 1
-    _MEMO.clear()
-    return n

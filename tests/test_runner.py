@@ -119,27 +119,34 @@ def test_config_validation(tmp_path):
 
 
 def test_config_rejects_keys_no_code_reads(tmp_path, capsys):
-    # [regime] k_shift is the key the spectrum runner read before K
+    # [regime] k_shift is the key the spectrum runner read before K, and
+    # [solver] cache_dir the directory of a constants cache on disk that
+    # no longer exists
+    root = Path(__file__).resolve().parent.parent
     good = MINI_HARDY.format(out=tmp_path / "out")
-    for text, named in (
-        (good.replace("[regime]\n", "[regime]\nk_shift = 50\n"),
+    disk = (root / "configs" / "xsection_disk.ini").read_text()
+    for kind, text, named in (
+        ("hardy", good.replace("[regime]\n", "[regime]\nk_shift = 50\n"),
          "[regime]: k_shift"),
-        (good.replace("[solver]\n", "[solver]\nmode_kind = galerkin\n"),
+        ("hardy",
+         good.replace("[solver]\n", "[solver]\nmode_kind = galerkin\n"),
          "[solver]: mode_kind"),
-        (good + "[solvers]\ntol = 1e-3\n", "[solvers]"),
+        ("hardy", good + "[solvers]\ntol = 1e-3\n", "[solvers]"),
+        ("xsection", disk + "[solver]\ncache_dir = c\n",
+         "[solver]: cache_dir"),
     ):
         path = write_config(tmp_path / "extra.ini", text)
         with pytest.raises(ConfigError, match=re.escape(named)):
             ExperimentConfig.load(path)
-        assert cli.main(["hardy", "--config", path]) == 2
+        assert cli.main([kind, "--config", path]) == 2
         assert named in capsys.readouterr().err
 
 
 def test_config_rejects_keys_its_kind_never_reads(tmp_path, capsys):
     # each key is read by some kind, but not by the config's own: the
     # asymptotics runner always runs at delta = 1, nrc-sweep has no K and
-    # only xsection reads cache_dir; xsection reads no curve or field, and
-    # hardy's tubes are straight
+    # hardy no eps; xsection reads no curve or field, and hardy's tubes are
+    # straight
     root = Path(__file__).resolve().parent.parent
     asym = (root / "configs" / "asymptotics2d.ini").read_text()
     nrc = (root / "configs" / "nrc2d.ini").read_text()
@@ -158,8 +165,6 @@ def test_config_rejects_keys_its_kind_never_reads(tmp_path, capsys):
          "[solver]: k"),
         ("hardy", hardy.replace("[regime]\n", "[regime]\neps = 0.1 0.05\n"),
          "[regime]: eps"),
-        ("hardy", hardy.replace("[solver]\n", "[solver]\ncache_dir = c\n"),
-         "[solver]: cache_dir"),
     ):
         path = write_config(tmp_path / f"{kind}.ini", text)
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -413,19 +418,6 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert rc == 2  # kind mismatch is a config error
     rc = cli.main(["hardy", "--config", str(tmp_path / "nope.ini")])
     assert rc == 2
-
-
-def test_cli_cache_commands(tmp_path, capsys):
-    from magtube import grids, xsection as xs
-
-    cache = str(tmp_path / "cache")
-    xs._MEMO.clear()
-    xs.compute_constants(grids.interval(1.0, 0.05), cache_dir=cache)
-    assert cli.main(["cache", "inspect", "--dir", cache]) == 0
-    out = capsys.readouterr().out
-    assert "interval" in out
-    assert cli.main(["cache", "clear", "--dir", cache]) == 0
-    assert xs.cache_inspect(cache) == []
 
 
 def test_svg_writer_stable():

@@ -233,42 +233,6 @@ def test_domain_monotonicity_nested_masks():
     assert lam_big <= lam_small + 1e-12
 
 
-def test_constants_cache_roundtrip(tmp_path):
-    cache = str(tmp_path / "cache")
-    d = grids.interval(1.0, 1 / 50)
-    xs._MEMO.clear()
-    c1 = xs.compute_constants(d, cache_dir=cache)
-    xs._MEMO.clear()
-    c2 = xs.compute_constants(d, cache_dir=cache)
-    assert c2.meta.get("cache") == "hit"
-    for k, v in c1.scalar_items().items():
-        assert np.isclose(c2.scalar_items()[k], v, rtol=0, atol=0)
-    assert np.allclose(c2.J1, c1.J1)
-    entries = xs.cache_inspect(cache)
-    assert len(entries) == 1
-    assert xs.cache_clear(cache) == 1
-
-
-def test_cache_entry_from_other_code_is_a_miss(tmp_path):
-    # an entry written by other code (another digest, or none) may hold
-    # other digits: it is recomputed and rewritten, not served
-    cache = str(tmp_path / "cache")
-    d = grids.interval(1.0, 1 / 50)
-    xs._MEMO.clear()
-    xs.compute_constants(d, cache_dir=cache)
-    (name, _), = xs.cache_inspect(cache)
-    path = tmp_path / "cache" / name
-    head, rest = path.read_text().split("\n", 1)
-    assert head.startswith("magtube-constants v2 code=")
-    for stale in ("magtube-constants v2", "magtube-constants v2 code=0"):
-        path.write_text(stale + "\n" + rest)
-        xs._MEMO.clear()
-        assert "cache" not in xs.compute_constants(d, cache_dir=cache).meta
-        assert path.read_text().split("\n", 1)[0] == head
-    xs._MEMO.clear()
-    assert xs.compute_constants(d, cache_dir=cache).meta["cache"] == "hit"
-
-
 def test_warm_cache_writes_the_cold_bytes(tmp_path):
     from magtube.config import ExperimentConfig
     from magtube.runner import run
@@ -276,13 +240,15 @@ def test_warm_cache_writes_the_cold_bytes(tmp_path):
     path = tmp_path / "xs.ini"
     path.write_text(
         "[experiment]\nversion = 1\nkind = xsection\nseed = 7\n"
-        "[section]\nshape = interval\nh = 0.05\nhalf_width = 1.0\n"
-        f"[solver]\ncache_dir = {tmp_path / 'cache'}\n")
+        "[section]\nshape = interval\nh = 0.05\nhalf_width = 1.0\n")
     cfg = ExperimentConfig.load(str(path))
+    xs._MEMO.clear()
     csv = []
-    for name in ("cold", "warm"):
-        xs._MEMO.clear()  # a fresh process: only the disk cache persists
+    for name in ("cold", "warm"):  # the warm run is served from _MEMO
         run(cfg, out_dir=str(tmp_path / name))
         csv.append((tmp_path / name / "xsection_constants.csv").read_bytes())
     assert b"effective_coefficient_measured" in csv[0]
     assert csv[1] == csv[0]
+    assert len(xs._MEMO) == 1
+    section = cfg.build_section()
+    assert xs.compute_constants(section) is xs.compute_constants(section)
