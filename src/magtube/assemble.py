@@ -1,5 +1,9 @@
 """Sparse self-adjoint operators: container, banded factor, eigensolvers.
 
+The banded factor works on real ends, complex middle: a field or twist with
+compact support leaves the rows outside it real, and those are factored and
+swept in real arithmetic (see banded_cholesky).
+
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
 derivatives use link phases (e^{i h a} on the lattice edge).  On planar and
@@ -21,12 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+import scipy.linalg.blas as blas
 import scipy.sparse as sp
 
 from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 
-# Band storage n (kd + 1) of one Cholesky factor.  The largest shipped case,
-# the 3D criterion-4 tube (n = 57,399, kd = 399, complex), needs 367 MB.
+# Band storage (kd + 1) per row of one Cholesky factor, 8 bytes per entry on
+# its real ends and 16 on a complex middle.  The largest shipped case, the
+# full3d tube (n = 57,399, kd = 399; a complex middle of 25,620 rows), needs
+# 266 MB (367 MB all complex).
 BAND_BUDGET_BYTES = 2 * 1024**3
 
 # Bandwidth from which a complex ?pbtrf gains from a second BLAS thread.  On
@@ -101,9 +108,9 @@ def blas_threads(n: int | None):
 
 
 def blas_report() -> dict:
-    """Each OpenBLAS pool found, with the thread count that complex band
-    factors of kd >= WIDE_BAND get from it; all other solver work runs on
-    one thread."""
+    """Each OpenBLAS pool found, with the thread count that the complex
+    middles of band factors of kd >= WIDE_BAND get from it; all other
+    solver work runs on one thread."""
     pools = _blas_pools()
     ambient = _SAVED_COUNTS[0] if _SAVED_COUNTS else [g() for _, g, _ in pools]
     return {"pools": {name: k for (name, _, _), k in zip(pools, ambient)},
@@ -224,48 +231,158 @@ def dirichlet_second_difference(n_nodes: int, h: float) -> sp.csr_matrix:
     return form_term(D)
 
 
+def _band(kd: int, width: int, rows, cols, values) -> np.ndarray:
+    """Upper band storage (kd + 1) x width, Fortran-ordered, of the entries
+    (rows, cols, values), rows <= cols."""
+    ab = np.zeros((kd + 1, width), dtype=values.dtype, order="F")
+    ab[kd + rows - cols, cols] = values
+    return ab
+
+
+def _factor(ab: np.ndarray, threads: int | None, row_of, n: int):
+    """?pbtrf of the band ``ab``, in place, on ``threads`` BLAS threads.
+    ``row_of`` maps LAPACK's 1-based pivot to a row of the n-row matrix."""
+    try:
+        with blas_threads(threads):
+            return la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except la.LinAlgError as exc:
+        pivot = row_of(int(re.match(r"\d+", str(exc)).group()))
+        raise NotPositiveDefinite(
+            f"the minor ending at row {pivot} (of {n}) is not positive; "
+            "the operator is not positive definite",
+            pivot=pivot,
+        ) from exc
+
+
+@blas_threads(1)
+def _real_end(kd: int, n: int, width: int, band, coupling, row_of):
+    """Factor U of a real end of ``width`` rows, numbered toward the
+    middle, and W = T^-T C: T the trailing t x t triangle of U, t =
+    min(kd, width), and C (t x kd) the end's coupling to the kd middle rows
+    next to it.  ``band`` and ``coupling`` are (rows, cols, values) in those
+    numberings; coupling rows count from the end's first row."""
+    cb = _factor(_band(kd, width, *band), 1, row_of, n)
+    t = min(kd, width)
+    rows, cols, vals = coupling
+    C = np.zeros((t, kd))
+    C[rows - (width - t), cols] = vals
+    i, j = np.triu_indices(t)
+    T = np.zeros((t, t))
+    T[i, j] = cb[kd + i - j, width - t + j]
+    return cb, la.solve_triangular(T, C, trans="T", check_finite=False)
+
+
+def _cho_solve(cb: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """?pbtrs with the band factor ``cb``; a complex x on a real factor is
+    solved as its real and imaginary parts."""
+    if np.iscomplexobj(x) and not np.iscomplexobj(cb):
+        return _cho_solve(cb, x.real) + 1j * _cho_solve(cb, x.imag)
+    return la.cho_solve_banded((cb, False), x, check_finite=False)
+
+
+def _sweep(cb: np.ndarray, y: np.ndarray, trans: int) -> None:
+    """y <- U^-T y (trans = 1) or U^-1 y (trans = 0) in place by ?tbsv, U
+    the real band factor ``cb`` and y contiguous; a complex y is swept as
+    its real and its imaginary part, read in place with stride 2."""
+    kd = cb.shape[0] - 1
+    if np.iscomplexobj(y):
+        for part in (0, 1):
+            blas.dtbsv(kd, cb, y.view(np.float64), offx=part, incx=2,
+                       trans=trans, overwrite_x=1)
+    else:
+        blas.dtbsv(kd, cb, y, trans=trans, overwrite_x=1)
+
+
 def banded_cholesky(matrix: sp.spmatrix):
     """Factor a Hermitian positive-definite sparse matrix; return its solve.
 
     LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix.
     Tube operators in s-major order have kd = section size, so the band
     holds n (kd + 1) entries where SuperLU's fill is several times larger.
-    The band array is Fortran-ordered and factored in place.  Finiteness is
-    checked once here, not on every solve.  Raises NotPositiveDefinite when
-    a leading minor is not positive and GridBudgetError when the band would
-    exceed BAND_BUDGET_BYTES.
+    Finiteness is checked once here, not on every solve.
 
-    A complex band of kd >= WIDE_BAND is factored with the thread counts in
+    Real ends, complex middle.  A field or twist with compact support makes
+    only the rows [lo, hi) complex: lo the first row and hi - 1 the last
+    column of an entry with a nonzero imaginary part, widened to kd rows so
+    that the two ends never couple.  The real ends L = [0, lo) and
+    R = [hi, n), R in reverse order, are factored as real bands and
+    eliminated toward the middle.  With T the trailing triangle of an end's
+    factor and C its coupling to the middle, the Schur term W^T W,
+    W = T^-T C, comes off the middle's leading or trailing kd x kd corner;
+    only the middle is factored in the matrix dtype.  A matrix without a
+    complex entry is one real band, one with complex entries in its first
+    and last rows one complex band.  The block elimination is a congruence,
+    so (Sylvester's law of inertia) positive pivots in all three factors
+    prove the matrix positive definite.  A solve sweeps the real ends with
+    ?tbsv, on the real and the imaginary part of a complex right-hand side.
+
+    Raises NotPositiveDefinite, whose ``pivot`` is the 1-based row of the
+    matrix at which a minor is not positive, and GridBudgetError when the
+    bands (8 bytes per real entry) would exceed BAND_BUDGET_BYTES.  A
+    complex middle of kd >= WIDE_BAND is factored with the thread counts in
     force outside every blas_threads block, every other band on one BLAS
     thread.
     """
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
     upper = sp.triu(matrix, format="csr").tocoo()
+    row, col, data = upper.row, upper.col, upper.data
     n = matrix.shape[0]
-    kd = int((upper.col - upper.row).max(initial=0))
-    nbytes = n * (kd + 1) * upper.dtype.itemsize
+    kd = int((col - row).max(initial=0))
+    lo, hi = 0, n
+    if np.iscomplexobj(data) and data.imag.any():
+        lo = int(row[data.imag != 0].min())
+        hi = int(col[data.imag != 0].max()) + 1
+        if hi - lo < kd:
+            lo = min(max((lo + hi - kd) // 2, 0), n - kd)
+            hi = lo + kd
+    else:
+        data = data.real
+    m = hi - lo
+    nbytes = (kd + 1) * (8 * (n - m) + data.itemsize * m)
     if nbytes > BAND_BUDGET_BYTES:
         raise GridBudgetError(
             f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
             f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
         )
-    ab = np.zeros((kd + 1, n), dtype=upper.dtype, order="F")
-    ab[kd + upper.row - upper.col, upper.col] = upper.data
+    # (middle corner, view of a vector on the end, factor, W) per real end
+    ends = []
+    if lo > 0:
+        inner, cross = col < lo, (row < lo) & (col >= lo)
+        ends.append((slice(0, kd), lambda x: x[:lo], *_real_end(
+            kd, n, lo, (row[inner], col[inner], data.real[inner]),
+            (row[cross], col[cross] - lo, data.real[cross]), lambda p: p)))
+    if hi < n:
+        inner, cross = row >= hi, (row < hi) & (col >= hi)
+        ends.append((slice(m - kd, m), lambda x: x[::-1][:n - hi], *_real_end(
+            kd, n, n - hi,
+            (n - 1 - col[inner], n - 1 - row[inner], data.real[inner]),
+            (n - 1 - col[cross], row[cross] - (hi - kd), data.real[cross]),
+            lambda p: n + 1 - p)))
+    if ends:
+        inner = (row >= lo) & (col < hi)
+        row, col, data = row[inner] - lo, col[inner] - lo, data[inner]
+    ab = _band(kd, m, row, col, data)
+    for corner, _, _, W in ends:
+        i, j = np.triu_indices(kd)
+        ab[kd + i - j, corner.start + j] -= (W.T @ W)[i, j]
     wide = kd >= WIDE_BAND and np.iscomplexobj(ab)
-    try:
-        with blas_threads(None if wide else 1):
-            cb = la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    except la.LinAlgError as exc:
-        pivot = int(re.match(r"\d+", str(exc)).group())
-        raise NotPositiveDefinite(
-            f"leading minor of order {pivot} (of {n}) is not positive; "
-            "the operator is not positive definite",
-            pivot=pivot,
-        ) from exc
+    cb = _factor(ab, None if wide else 1, lambda p: lo + p, n)
 
     def solve(rhs):
-        return la.cho_solve_banded((cb, False), rhs, check_finite=False)
+        if not ends:
+            return _cho_solve(cb, rhs)
+        x = np.array(rhs, dtype=np.result_type(rhs, cb))
+        ys = [view(x).copy() for _, view, _, _ in ends]
+        for (corner, _, cb_end, W), y in zip(ends, ys):
+            _sweep(cb_end, y, 1)
+            x[lo:hi][corner] -= W.T @ y[len(y) - len(W):]
+        x[lo:hi] = _cho_solve(cb, x[lo:hi])
+        for (corner, view, cb_end, W), y in zip(ends, ys):
+            y[len(y) - len(W):] -= W @ x[lo:hi][corner]
+            _sweep(cb_end, y, 0)
+            view(x)[:] = y
+        return x
 
     return solve
 
@@ -376,8 +493,9 @@ def lowest_eigenpairs(
     y -> D^1/2 solve(D^1/2 y), where solve is the banded Cholesky solve of
     ``matrix - sigma M``, at every size; its pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
-    spectrum, so the factor exists.  By Sylvester's law of inertia it proves
-    that no eigenvalue lies below sigma, which makes the k pairs nearest
+    spectrum, so the factor exists.  By Sylvester's law of inertia its
+    positive pivots (real ends, complex middle: every band's) prove that no
+    eigenvalue lies below sigma, which makes the k pairs nearest
     sigma the k lowest; a sigma above the bottom of the spectrum raises
     NotPositiveDefinite.  Lanczos runs at machine epsilon, ARPACK's default
     tolerance, for at most 10 n applications.  Returns the eigenvalues

@@ -58,9 +58,11 @@ class GridBudgetError(MagtubeError):
 
 
 class NotPositiveDefinite(MagtubeError):
-    """Cholesky factorization met a leading minor that is not positive.
+    """Cholesky factorization met a minor that is not positive.
 
-    ``pivot`` is LAPACK's 1-based order of that minor.
+    ``pivot`` is the 1-based row of the factored matrix at which that minor
+    ends, in the matrix's own numbering, whichever band (real end or complex
+    middle) failed.
     """
 
     def __init__(self, msg, pivot=None):

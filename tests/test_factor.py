@@ -1,5 +1,9 @@
 """Banded Cholesky factor of the positive-definite tube operators."""
 
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,6 +11,7 @@ import scipy.sparse.linalg as sla
 
 from magtube import assemble, geometry as geo, grids, operators as ops
 from magtube.assemble import AssembledOperator, RegimeParams, banded_cholesky
+from magtube.config import ExperimentConfig
 from magtube.errors import (EigensolverDiverged, GridBudgetError,
                             NotPositiveDefinite)
 
@@ -45,17 +50,167 @@ def _complex_3d(planar):
                              geo.integrate_frame(curve))
 
 
+def _phased(planar, offset, lo, hi):
+    """The real planar operator with the phase e^{0.3 i} on its upper
+    entries (r, r + offset), lo <= r < hi.  Those entries are negative
+    (s-links at offset kd, section links at offset 1), so the diamagnetic
+    inequality keeps the matrix positive definite."""
+    op = _real_2d(planar)
+    upper = sp.triu(op.matrix, k=1).tocoo()
+    on = (upper.col - upper.row == offset) & (upper.row >= lo) & (upper.row < hi)
+    phase = np.where(on, np.exp(0.3j), 1.0)
+    upper = sp.coo_matrix((upper.data * phase, (upper.row, upper.col)),
+                          shape=upper.shape)
+    matrix = (upper + upper.getH() + sp.diags(op.matrix.diagonal())).tocsr()
+    return AssembledOperator(matrix=matrix, grid=op.grid, bc=op.bc)
+
+
+def _complex_start(planar):
+    return _phased(planar, planar[0].n, 0, 40)
+
+
+def _complex_end(planar):
+    n, kd = _real_2d(planar).n, planar[0].n
+    return _phased(planar, kd, n - kd - 40, n)
+
+
+def _complex_narrow(planar):
+    # rows n/2 .. n/2 + 5: fewer than kd, so the middle is widened to kd
+    n = _real_2d(planar).n
+    return _phased(planar, 1, n // 2, n // 2 + 5)
+
+
+def _complex_every_row(planar):
+    return _phased(planar, planar[0].n, 0, _real_2d(planar).n)
+
+
+def _complex_dtype_real(planar):
+    op = _real_2d(planar)
+    return AssembledOperator(matrix=op.matrix.astype(complex), grid=op.grid,
+                             bc=op.bc)
+
+
+def _complex_span(matrix):
+    """(lo, hi): first row and last column + 1 of the upper entries with a
+    nonzero imaginary part."""
+    upper = sp.triu(matrix).tocoo()
+    imag = upper.data.imag != 0
+    return upper.row[imag].min(), upper.col[imag].max() + 1
+
+
 @pytest.mark.parametrize("build, is_complex", [
-    (_real_2d, False), (_complex_2d, True), (_complex_3d, True)])
+    (_real_2d, False), (_complex_2d, True), (_complex_3d, True),
+    (_complex_start, True), (_complex_end, True), (_complex_narrow, True),
+    (_complex_every_row, True), (_complex_dtype_real, True)])
 def test_solve_matches_superlu(planar, rng, build, is_complex):
     op = build(planar)
     assert op.is_complex == is_complex
-    rhs = rng.standard_normal(op.n).astype(op.matrix.dtype)
-    if is_complex:
-        rhs = rhs + 1j * rng.standard_normal(op.n)
-    want = sla.splu(op.matrix.tocsc()).solve(rhs)
-    got = banded_cholesky(op.matrix)(rhs)
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    lu = sla.splu(op.matrix.tocsc())
+    solve = banded_cholesky(op.matrix)
+    for rhs in (rng.standard_normal(op.n),
+                rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)):
+        want = lu.solve(rhs) if is_complex or rhs.dtype == float else (
+            lu.solve(rhs.real) + 1j * lu.solve(rhs.imag))
+        got = solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_complex_layouts_take_the_intended_split(planar):
+    # the layouts above reach every shape of the split: no left end, no
+    # right end, a middle widened to kd rows, one complex band
+    n, kd = _real_2d(planar).n, planar[0].n
+    assert _complex_span(_complex_start(planar).matrix) == (0, 40 + kd)
+    assert _complex_span(_complex_end(planar).matrix) == (n - kd - 40, n)
+    lo, hi = _complex_span(_complex_narrow(planar).matrix)
+    assert 0 < lo and hi - lo < kd and hi < n
+    assert _complex_span(_complex_every_row(planar).matrix) == (0, n)
+
+
+@pytest.mark.parametrize("build", [_real_2d, _complex_every_row,
+                                   _complex_dtype_real])
+def test_one_band_without_a_real_end(planar, monkeypatch, build):
+    # a real matrix and one complex in its first and last rows factor as a
+    # single band of n columns, in the matrix dtype (real when no entry has
+    # an imaginary part)
+    bands = []
+    factor = assemble.la.cholesky_banded
+
+    def record(ab, **kwargs):
+        bands.append((ab.shape, ab.dtype))
+        return factor(ab, **kwargs)
+
+    monkeypatch.setattr(assemble.la, "cholesky_banded", record)
+    op = build(planar)
+    banded_cholesky(op.matrix)
+    dtype = complex if build is _complex_every_row else float
+    assert bands == [((planar[0].n + 1, op.n), dtype)]
+
+
+@pytest.mark.parametrize("build", [_real_2d, _complex_2d, _complex_every_row])
+def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
+    # reference counting frees every band factor once its solve is dropped;
+    # a reference cycle through the solve would hold the bands (86 MB each
+    # on the 3D Hardy segment) until the cycle collector runs
+    factors = []
+    factor = assemble.la.cholesky_banded
+
+    def record(ab, **kwargs):
+        factors.append(weakref.ref(factor(ab, **kwargs)))
+        return factors[-1]()
+
+    monkeypatch.setattr(assemble.la, "cholesky_banded", record)
+    op = build(planar)
+    gc.collect()
+    gc.disable()
+    try:
+        solve = banded_cholesky(op.matrix)
+        solve(np.ones(op.n, dtype=op.matrix.dtype))
+        del solve
+        alive = [ref for ref in factors if ref() is not None]
+    finally:
+        gc.enable()
+    assert factors and alive == []
+
+
+def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch):
+    # nrc2d at eps = 0.025, delta = 1: one complex band carried the field's
+    # imaginary part through the straight stretch after it, where it decayed
+    # into 60,143 subnormal entries; the real ends never see it
+    root = Path(__file__).resolve().parent.parent
+    cfg = ExperimentConfig.load(str(root / "configs" / "nrc2d.ini"))
+    curve = cfg.build_curve()
+    tube = geo.TubeSpec(curve, cfg.build_section(),
+                        RegimeParams(eps=0.025, delta=1.0))
+    op = ops.assemble_full(tube, cfg.build_field(), geo.integrate_frame(curve))
+    factors = []
+    factor = assemble.la.cholesky_banded
+
+    def record(ab, **kwargs):
+        factors.append(factor(ab, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(assemble.la, "cholesky_banded", record)
+    banded_cholesky(op.matrix)
+    tiny = np.finfo(float).tiny
+    parts = [p for cb in factors for p in (cb.real, cb.imag)]
+    assert sum(int(((p != 0) & (abs(p) < tiny)).sum()) for p in parts) == 0
+    complex_rows = sum(cb.shape[1] for cb in factors if np.iscomplexobj(cb))
+    assert 0 < complex_rows <= 0.15 * op.n
+
+
+def test_pivot_is_a_row_of_the_matrix(planar):
+    # a negative diagonal entry in the left end, the middle or the reversed
+    # right end fails the factor at exactly that row
+    op = _complex_2d(planar)
+    lo, hi = _complex_span(op.matrix)
+    assert 0 < lo < hi < op.n
+    for row in (lo // 2, (lo + hi) // 2, (hi + op.n) // 2):
+        spike = sp.csr_matrix(([op.matrix[row, row].real + 1.0], ([row], [row])),
+                              shape=op.matrix.shape)
+        with pytest.raises(NotPositiveDefinite,
+                           match=f"ending at row {row + 1} \\(of {op.n}\\)") as info:
+            banded_cholesky(op.matrix - spike)
+        assert info.value.pivot == row + 1
 
 
 def test_resolvent_distance_rejects_indefinite_shift(planar):
@@ -152,11 +307,18 @@ def test_non_finite_matrix_rejected():
 
 
 def test_band_memory_budget(planar, monkeypatch):
+    # the budget counts the bands allocated: 16 bytes per entry of the
+    # complex middle, 8 per entry of the real ends
     op = _complex_2d(planar)
-    ntau = planar[0].n
-    need = op.n * (ntau + 1) * 16  # kd = section size, complex entries
+    kd = planar[0].n  # kd = section size
+    lo, hi = _complex_span(op.matrix)
+    need = (kd + 1) * (8 * (op.n - (hi - lo)) + 16 * (hi - lo))
+    all_complex = op.n * (kd + 1) * 16
+    assert need < all_complex - 1
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", all_complex - 1)
+    banded_cholesky(op.matrix)
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
-    with pytest.raises(GridBudgetError, match=f"{need} bytes"):
+    with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
         banded_cholesky(op.matrix)
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
     banded_cholesky(op.matrix)
@@ -231,23 +393,31 @@ def test_blas_threads_sets_the_loaded_pools():
 def test_band_factor_threads_follow_the_bandwidth(fake_pools, monkeypatch):
     # a narrow band and a real wide band factor on one thread, a complex
     # wide one with the counts in force outside every blas_threads block,
-    # also from inside one
+    # also from inside one; a partially complex wide band factors its real
+    # ends on one thread and its complex middle with those counts
     seen = []
     factor = assemble.la.cholesky_banded
 
-    def record(*args, **kwargs):
-        seen.append([p.count for p in fake_pools])
-        return factor(*args, **kwargs)
+    def record(ab, **kwargs):
+        seen.append((ab.dtype.kind, [p.count for p in fake_pools]))
+        return factor(ab, **kwargs)
 
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
-    for kd, off in ((assemble.WIDE_BAND - 1, 1j), (assemble.WIDE_BAND, 1.0),
-                    (assemble.WIDE_BAND, 1j)):
-        mat = (4.0 * sp.eye(kd + 2) + off * sp.eye(kd + 2, k=kd)
-               + np.conj(off) * sp.eye(kd + 2, k=-kd)).tocsr()
+    wide = assemble.WIDE_BAND
+    partial = np.ones(4 * wide, dtype=complex)
+    partial[2 * wide] = 1j
+    for kd, n, off in ((wide - 1, wide + 1, np.full(2, 1j)),
+                       (wide, wide + 2, np.ones(2)),
+                       (wide, wide + 2, np.full(2, 1j)),
+                       (wide, 5 * wide, partial)):
+        mat = (4.0 * sp.eye(n) + sp.diags(off, kd, shape=(n, n))
+               + sp.diags(np.conj(off), -kd, shape=(n, n))).tocsr()
         banded_cholesky(mat)
         with assemble.blas_threads(1):
             banded_cholesky(mat)
-    assert seen == [[1, 1], [1, 1], [1, 1], [1, 1], [2, 3], [2, 3]]
+    one, ambient = [1, 1], [2, 3]
+    assert seen == [("c", one)] * 2 + [("f", one)] * 2 + [("c", ambient)] * 2 \
+        + [("f", one), ("f", one), ("c", ambient)] * 2
     assert [p.count for p in fake_pools] == [2, 3]
 
 
