@@ -1,8 +1,11 @@
 """Sparse self-adjoint operators: container, banded factor, eigensolvers.
 
-The banded factor works on real ends, complex middle: a field or twist with
-compact support leaves the rows outside it real, and those are factored and
-swept in real arithmetic (see banded_cholesky).
+The banded factor works on straight ends, banded rest: the straight,
+field-free slices at either end of a tube are eliminated exactly, one
+tridiagonal per mode of their section block, and the rest is factored on
+real ends, complex middle: a field or twist with compact support leaves the
+rows outside it real, and those are factored and swept in real arithmetic
+(see banded_cholesky).
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -30,10 +33,12 @@ import scipy.sparse as sp
 
 from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 
-# Band storage (kd + 1) per row of one Cholesky factor, 8 bytes per entry on
-# its real ends and 16 on a complex middle.  The largest shipped case, the
-# full3d tube (n = 57,399, kd = 399; a complex middle of 25,620 rows), needs
-# 266 MB (367 MB all complex).
+# Bytes held by one factor: band storage (kd + 1) per row of the banded
+# rest, 8 bytes per entry on its real ends and 16 on a complex middle, plus
+# V, W and the kd = 1 mode band of each straight end.  The largest shipped
+# case, the full3d tube (n = 57,399, kd = 399; 44 straight slices of 361
+# rows at each end, a complex middle of 25,620 rows), holds 168 MB (266 MB
+# as one band with real ends, 367 MB all complex).
 BAND_BUDGET_BYTES = 2 * 1024**3
 
 # Bandwidth from which a complex ?pbtrf gains from a second BLAS thread.  On
@@ -110,7 +115,9 @@ def blas_threads(n: int | None):
 def blas_report() -> dict:
     """Each OpenBLAS pool found, with the thread count that the complex
     middles of band factors of kd >= WIDE_BAND get from it; all other
-    solver work runs on one thread."""
+    solver work, the straight ends and real ends of every factor included
+    (straight ends, banded rest: see banded_cholesky), runs on one
+    thread."""
     pools = _blas_pools()
     ambient = _SAVED_COUNTS[0] if _SAVED_COUNTS else [g() for _, g, _ in pools]
     return {"pools": {name: k for (name, _, _), k in zip(pools, ambient)},
@@ -293,72 +300,149 @@ def _sweep(cb: np.ndarray, y: np.ndarray, trans: int) -> None:
         blas.dtbsv(kd, cb, y, trans=trans, overwrite_x=1)
 
 
-def banded_cholesky(matrix: sp.spmatrix):
-    """Factor a Hermitian positive-definite sparse matrix; return its solve.
+def _straight_run(ptr, idx, data, m: int, order) -> int:
+    """Length of the straight run of slices (m lines each) that starts at
+    slice ``order[0]`` and goes on along ``order``.
 
-    LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix.
-    Tube operators in s-major order have kd = section size, so the band
-    holds n (kd + 1) entries where SuperLU's fill is several times larger.
-    Finiteness is checked once here, not on every solve.
+    ``ptr``, ``idx`` and ``data`` compress the upper triangle by lines: by
+    rows for a leading run, by columns for a trailing one.  The first slice
+    qualifies when its entries are real and those outside its own block are
+    c I, one per line at distance m.  Each slice after it belongs to the run
+    while its lines hold the first slice's entries bitwise, shifted by m per
+    slice; so a perturbed entry ends the run there."""
+    ref = order[0]
+    lines = ptr[ref * m:(ref + 1) * m + 1]
+    ref_idx, ref_data = idx[lines[0]:lines[-1]], data[lines[0]:lines[-1]]
+    line = np.repeat(np.arange(ref * m, (ref + 1) * m), np.diff(lines))
+    out = (ref_idx < ref * m) | (ref_idx >= (ref + 1) * m)
+    coupling = ref_data[out].view(np.uint64).reshape(out.sum(), -1)
+    if (np.iscomplexobj(ref_data) and ref_data.imag.any()) or out.sum() != m \
+            or (np.abs(ref_idx[out] - line[out]) != m).any() \
+            or (coupling != coupling[0]).any():
+        return 0
+    counts = np.diff(ptr[::m])
+    later = np.asarray(order[1:])
+    same = counts[later] == len(ref_idx)
+    ks = later[:len(later) if same.all() else int(np.argmin(same))]
+    per_line = np.diff(ptr)[ks[:, None] * m + np.arange(m)] == np.diff(lines)
+    at = ptr[ks * m][:, None] + np.arange(len(ref_idx))
+    ok = (per_line.all(axis=1)
+          & (idx[at] - ((ks - ref) * m)[:, None] == ref_idx).all(axis=1)
+          & (data[at].view(np.uint64) == ref_data.view(np.uint64)).all(axis=1))
+    return 1 + (len(ks) if ok.all() else int(np.argmin(ok)))
 
-    Real ends, complex middle.  A field or twist with compact support makes
-    only the rows [lo, hi) complex: lo the first row and hi - 1 the last
-    column of an entry with a nonzero imaginary part, widened to kd rows so
-    that the two ends never couple.  The real ends L = [0, lo) and
-    R = [hi, n), R in reverse order, are factored as real bands and
-    eliminated toward the middle.  With T the trailing triangle of an end's
-    factor and C its coupling to the middle, the Schur term W^T W,
-    W = T^-T C, comes off the middle's leading or trailing kd x kd corner;
-    only the middle is factored in the matrix dtype.  A matrix without a
-    complex entry is one real band, one with complex entries in its first
-    and last rows one complex band.  The block elimination is a congruence,
-    so (Sylvester's law of inertia) positive pivots in all three factors
-    prove the matrix positive definite.  A solve sweeps the real ends with
-    ?tbsv, on the real and the imaginary part of a complex right-hand side.
 
-    Raises NotPositiveDefinite, whose ``pivot`` is the 1-based row of the
-    matrix at which a minor is not positive, and GridBudgetError when the
-    bands (8 bytes per real entry) would exceed BAND_BUDGET_BYTES.  A
-    complex middle of kd >= WIDE_BAND is factored with the thread counts in
-    force outside every blas_threads block, every other band on one BLAS
-    thread.
-    """
-    if not np.isfinite(matrix.data).all():
-        raise ValueError("matrix has non-finite entries")
-    upper = sp.triu(matrix, format="csr").tocoo()
-    row, col, data = upper.row, upper.col, upper.data
-    n = matrix.shape[0]
-    kd = int((col - row).max(initial=0))
-    lo, hi = 0, n
-    if np.iscomplexobj(data) and data.imag.any():
-        lo = int(row[data.imag != 0].min())
-        hi = int(col[data.imag != 0].max()) + 1
-        if hi - lo < kd:
-            lo = min(max((lo + hi - kd) // 2, 0), n - kd)
-            hi = lo + kd
-    else:
-        data = data.real
+def _straight_runs(upper: sp.csr_matrix, m: int) -> tuple:
+    """(lead, trail): the slices of the leading and the trailing straight
+    run of the upper triangle ``upper`` with slices of m rows, at most
+    n / m - 1 together.  A straight slice repeats the first (last) slice of
+    its run bitwise: a real block, and c I coupling it to the next slice
+    (to the previous one in a trailing run)."""
+    n = upper.shape[0]
+    slices = n // m
+    if slices < 2 or n % m:
+        return 0, 0
+    if not upper.has_sorted_indices:
+        upper.sort_indices()
+    order = np.arange(slices)
+    lead = _straight_run(upper.indptr, upper.indices, upper.data, m, order)
+    # the trailing run needs a real last slice and a real coupling to it
+    # before it pays for the column-compressed copy
+    tail = upper.indptr[n - 2 * m]
+    last = upper.data[tail:][upper.indices[tail:] >= n - m]
+    if lead == slices - 1 or (np.iscomplexobj(last) and last.imag.any()):
+        return lead, 0
+    columns = upper.tocsc()
+    trail = _straight_run(columns.indptr, columns.indices, columns.data, m,
+                          order[::-1])
+    return lead, min(trail, slices - 1 - lead)
+
+
+@blas_threads(1)
+def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
+                  eig=None):
+    """Factor of a straight end: ``slices`` slices of the real block T0
+    (upper triangle ``block``), coupled by c I, numbered toward the rest.
+
+    With T0 = V diag(lam) V^T (``eig`` = (lam, V) when already known) the
+    end is the congruence (I (x) V) of the tridiagonals tridiag(c, lam_j, c)
+    of the modes j, one per mode.  They are factored as one real band of
+    kd = 1, mode-major with the interface slice last in each mode.  W = c
+    diag(1/u) V^T, u the last pivot of each mode, gives the Schur term W^T W
+    of the end on the interface block of the rest.  Returns (lam, V), the
+    mode band's factor and W; ``row_of`` maps a failed pivot's slice (0
+    first) to a row of the n-row matrix.
+
+    lam_j is the Rayleigh quotient of V's column j, summed in extended
+    precision.  eigh's eigenvalues err by up to ~eps ||T0|| (2.7e-9 on
+    nrc2d's thinnest tube, ||T0|| = 1e7), and a mode repeats its error on
+    every slice, where the errors of a band factor's pivots partly cancel:
+    it made a straight end's solve 13 times less accurate than the band's.
+    The quotients are exact to 1e-12 there."""
+    if eig is None:
+        _, V = la.eigh(block, lower=False, check_finite=False)
+        i, j = np.nonzero(block)
+        Vx = V.astype(np.longdouble)
+        terms = block[i, j].astype(np.longdouble)[:, None] * Vx[i] * Vx[j]
+        lam = (terms.sum(axis=0) + terms[i != j].sum(axis=0)) \
+            / (Vx * Vx).sum(axis=0)
+        eig = lam.astype(np.float64), V
+    lam, V = eig
+    ab = np.empty((2, len(lam) * slices), order="F")
+    ab[0] = c
+    ab[0, ::slices] = 0.0
+    ab[1] = np.repeat(lam, slices)
+    cb = _factor(ab, 1, lambda p: row_of((p - 1) % slices), n)
+    W = (c / cb[1, slices - 1::slices])[:, None] * V.T
+    return (lam, V), cb, W
+
+
+def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A X for a real A and a C-contiguous X; a complex X in one real
+    product on its float view."""
+    if np.iscomplexobj(X):
+        return (A @ X.view(np.float64)).view(X.dtype)
+    return A @ X
+
+
+def _fold(row, col, data, start: int, S: np.ndarray):
+    """The upper entries (row, col, data) with the m x m diagonal block at
+    ``start`` less S: the block's entries give way to all m (m + 1) / 2
+    entries of its upper triangle."""
+    m = len(S)
+    block = (row >= start) & (col < start + m)
+    D = np.zeros((m, m), dtype=data.dtype)
+    D[row[block] - start, col[block] - start] = data[block]
+    D -= S
+    i, j = np.triu_indices(m)
+    keep = ~block
+    return (np.concatenate([row[keep], start + i]),
+            np.concatenate([col[keep], start + j]),
+            np.concatenate([data[keep], D[i, j]]))
+
+
+def _band_solve(row, col, data, n: int, kd: int, lo: int, hi: int,
+                offset: int, n_total: int):
+    """Factor of the upper entries (row, col, data) of an n-row band, real
+    ends, complex middle [lo, hi) (see banded_cholesky); its solve.  The
+    band is rows offset .. offset + n of an n_total-row matrix, to which
+    failed pivots are mapped."""
     m = hi - lo
-    nbytes = (kd + 1) * (8 * (n - m) + data.itemsize * m)
-    if nbytes > BAND_BUDGET_BYTES:
-        raise GridBudgetError(
-            f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
-            f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
-        )
     # (middle corner, view of a vector on the end, factor, W) per real end
     ends = []
     if lo > 0:
         inner, cross = col < lo, (row < lo) & (col >= lo)
         ends.append((slice(0, kd), lambda x: x[:lo], *_real_end(
-            kd, n, lo, (row[inner], col[inner], data.real[inner]),
-            (row[cross], col[cross] - lo, data.real[cross]), lambda p: p)))
+            kd, n_total, lo, (row[inner], col[inner], data.real[inner]),
+            (row[cross], col[cross] - lo, data.real[cross]),
+            lambda p: offset + p)))
     if hi < n:
         inner, cross = row >= hi, (row < hi) & (col >= hi)
         ends.append((slice(m - kd, m), lambda x: x[::-1][:n - hi], *_real_end(
-            kd, n, n - hi,
+            kd, n_total, n - hi,
             (n - 1 - col[inner], n - 1 - row[inner], data.real[inner]),
             (n - 1 - col[cross], row[cross] - (hi - kd), data.real[cross]),
-            lambda p: n + 1 - p)))
+            lambda p: offset + n + 1 - p)))
     if ends:
         inner = (row >= lo) & (col < hi)
         row, col, data = row[inner] - lo, col[inner] - lo, data[inner]
@@ -367,7 +451,7 @@ def banded_cholesky(matrix: sp.spmatrix):
         i, j = np.triu_indices(kd)
         ab[kd + i - j, corner.start + j] -= (W.T @ W)[i, j]
     wide = kd >= WIDE_BAND and np.iscomplexobj(ab)
-    cb = _factor(ab, None if wide else 1, lambda p: lo + p, n)
+    cb = _factor(ab, None if wide else 1, lambda p: offset + lo + p, n_total)
 
     def solve(rhs):
         if not ends:
@@ -382,6 +466,137 @@ def banded_cholesky(matrix: sp.spmatrix):
             y[len(y) - len(W):] -= W @ x[lo:hi][corner]
             _sweep(cb_end, y, 0)
             view(x)[:] = y
+        return x
+
+    return solve
+
+
+def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
+    """Factor a Hermitian positive-definite sparse matrix; return its solve.
+
+    LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix.
+    Tube operators in s-major order have kd = section size, so the band
+    holds n (kd + 1) entries where SuperLU's fill is several times larger.
+    Finiteness is checked once here, not on every solve.  ``solve`` takes
+    one right-hand side, real or complex.
+
+    Straight ends, banded rest.  ``slice_size`` is the section size m of an
+    s-major tube lattice, passed by the code that built it; without it the
+    whole matrix is the rest.  Curvature, twist and field act through bumps
+    with compact support, so a tube is straight and free of field in its
+    leading and trailing runs of slices: slices whose upper-triangle rows
+    (columns, at the trailing end) repeat those of the run's first (last)
+    slice bitwise, a real block T0 coupled to the next slice by c I.  A run
+    of p slices is I_p (x) T0 + c (shift) (x) I; in the eigenbasis V of T0
+    (one eigh, shared when both ends hold the same block) it is one
+    tridiagonal tridiag(c, lam_j, c) per mode, factored as one real band
+    of kd = 1.  Its Schur term c^2 V diag(1/u^2) V^T, u the last pivot of
+    each mode, comes off the adjacent m x m block of the rest.  A solve
+    takes an end's right-hand side to modes, z = V^T X^T, and back in one
+    real product each and sweeps the mode band with ?tbsv.  The detection compares
+    bits: a perturbed entry ends a run there, so it can miss a run, never
+    produce a wrong factor.
+
+    Real ends, complex middle.  A field or twist with compact support makes
+    only the rows [lo, hi) of the rest complex: lo the first row and hi - 1
+    the last column of an entry with a nonzero imaginary part, widened to
+    kd rows so that the two ends never couple.  The real ends L = [0, lo)
+    and R = [hi, n), R in reverse order, are factored as real bands and
+    eliminated toward the middle.  With T the trailing triangle of an end's
+    factor and C its coupling to the middle, the Schur term W^T W,
+    W = T^-T C, comes off the middle's leading or trailing kd x kd corner;
+    only the middle is factored in the matrix dtype.  A rest without a
+    complex entry is one real band, one with complex entries in its first
+    and last rows one complex band.  A solve sweeps the real ends with
+    ?tbsv, on the real and the imaginary part of a complex right-hand side.
+
+    V acts slice by slice, and every elimination above is a congruence; so
+    (Sylvester's law of inertia) positive pivots in the mode bands and in
+    all three bands of the rest prove the matrix positive definite.
+
+    Raises NotPositiveDefinite, whose ``pivot`` is the 1-based row of the
+    matrix at which a minor is not positive (in a straight end, the last
+    row of the slice whose mode failed; at the trailing end rows count from
+    the last, as n + 1 - p), and GridBudgetError when the arrays held (8
+    bytes per real and 16 per complex band entry, V, the mode bands and
+    their W) would exceed BAND_BUDGET_BYTES.  A complex middle of
+    kd >= WIDE_BAND is factored with the thread counts in force outside
+    every blas_threads block, every other band on one BLAS thread.
+    """
+    if not np.isfinite(matrix.data).all():
+        raise ValueError("matrix has non-finite entries")
+    upper = sp.triu(matrix, format="csr")
+    n, m = matrix.shape[0], slice_size or 0
+    lead, trail = _straight_runs(upper, m) if m else (0, 0)
+    a, b = lead * m, n - trail * m
+    # (slices, block T0, c, view of a vector on the end, first row of the
+    # interface block in the rest, row of a failed slice) per straight end,
+    # its slices numbered toward the rest
+    straight = []
+    if lead:
+        straight.append((lead, upper[:m, :m].toarray().real, upper[0, m].real,
+                         lambda x: x[:a].reshape(lead, m), 0,
+                         lambda k: (k + 1) * m))
+    if trail:
+        straight.append((trail, upper[n - m:, n - m:].toarray().real,
+                         upper[n - 2 * m, n - m].real,
+                         lambda x: x[b:].reshape(trail, m)[::-1], b - a - m,
+                         lambda k: n + 1 - (k + 1) * m))
+    upper = upper.tocoo()
+    row, col, data = upper.row, upper.col, upper.data
+    del upper
+    if straight:
+        inside = (row >= a) & (col < b)
+        row, col, data = row[inside] - a, col[inside] - a, data[inside]
+    # the Schur terms of straight ends fill the m x m blocks they fold into
+    kd = int((col - row).max(initial=m - 1 if straight else 0))
+    nr = b - a
+    lo, hi = 0, nr
+    if np.iscomplexobj(data) and data.imag.any():
+        lo = int(row[data.imag != 0].min())
+        hi = int(col[data.imag != 0].max()) + 1
+        if hi - lo < kd:
+            lo = min(max((lo + hi - kd) // 2, 0), nr - kd)
+            hi = lo + kd
+    else:
+        data = data.real
+    nbytes = (kd + 1) * (8 * (nr - (hi - lo)) + data.itemsize * (hi - lo))
+    if straight:
+        # one V serves both ends when they hold the same block bitwise
+        shared = len(straight) == 2 and \
+            straight[0][1].tobytes() == straight[1][1].tobytes()
+        nbytes += 8 * (2 * (a + n - b) + m * m * (2 * len(straight) - shared))
+    if nbytes > BAND_BUDGET_BYTES:
+        raise GridBudgetError(
+            f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
+            f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
+        )
+    if not straight:
+        return _band_solve(row, col, data, n, kd, lo, hi, 0, n)
+    # (view of a vector on the end, interface corner of the rest, V, mode
+    # band factor, W) per straight end; their Schur terms fold into the rest
+    ends, eig, dtype = [], None, data.dtype
+    for slices, block, c, view, start, row_of in straight:
+        eig, cb_end, W = _straight_end(block, c, slices, row_of, n,
+                                       eig if shared else None)
+        row, col, data = _fold(row, col, data, start, W.T @ W)
+        ends.append((view, slice(start, start + m), eig[1], cb_end, W))
+    rest = _band_solve(row, col, data, nr, kd, lo, hi, a, n)
+
+    def solve(rhs):
+        x = np.array(rhs, dtype=np.result_type(rhs, dtype))
+        xr = x[a:b]
+        zs = []
+        for view, corner, V, cb_end, W in ends:
+            z = _real_matmul(V.T, np.ascontiguousarray(view(x).T))
+            _sweep(cb_end, z.reshape(-1), 1)
+            xr[corner] -= W.T @ z[:, -1]
+            zs.append(z)
+        xr[:] = rest(xr)
+        for (view, corner, V, cb_end, W), z in zip(ends, zs):
+            z[:, -1] -= W @ xr[corner]
+            _sweep(cb_end, z.reshape(-1), 0)
+            view(x)[:] = _real_matmul(V, z).T
         return x
 
     return solve
@@ -485,6 +700,7 @@ def lowest_eigenpairs(
     seed: int = 7,
     v0: np.ndarray | None = None,
     M: sp.spmatrix | None = None,
+    slice_size: int | None = None,
 ):
     """k lowest eigenpairs of the Hermitian pencil matrix v = lam M v.
 
@@ -494,13 +710,18 @@ def lowest_eigenpairs(
     ``matrix - sigma M``, at every size; its pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
     spectrum, so the factor exists.  By Sylvester's law of inertia its
-    positive pivots (real ends, complex middle: every band's) prove that no
-    eigenvalue lies below sigma, which makes the k pairs nearest
+    positive pivots (straight ends, banded rest: every mode band's and
+    every band's) prove that no eigenvalue lies below sigma, which makes
+    the k pairs nearest
     sigma the k lowest; a sigma above the bottom of the spectrum raises
     NotPositiveDefinite.  Lanczos runs at machine epsilon, ARPACK's default
     tolerance, for at most 10 n applications.  Returns the eigenvalues
     (ascending), the eigenvectors as columns and the residuals
     ||matrix v - lam M v||.
+
+    ``slice_size``, the section size of a tube lattice from the code that
+    built it, lets banded_cholesky eliminate the tube's straight ends;
+    sections and 1D operators pass none.
 
     Lanczos starts from ``v0`` (say, a fiber ground state just above its
     proven floor) or else from a random vector drawn from ``seed``;
@@ -518,7 +739,8 @@ def lowest_eigenpairs(
         raise ValueError("the mass matrix M must be diagonal and positive")
     d = np.sqrt(diag)
     try:
-        solve = banded_cholesky(matrix - sigma * mass)
+        solve = banded_cholesky(matrix - sigma * mass,
+                                slice_size=slice_size)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",

@@ -189,8 +189,8 @@ def test_expansion_eigensolve_band_solves(setup, monkeypatch):
     solves = []
     factor = assemble.banded_cholesky
 
-    def counting(matrix):
-        solve = factor(matrix)
+    def counting(matrix, **kwargs):
+        solve = factor(matrix, **kwargs)
 
         def counted(rhs):
             solves.append(1)

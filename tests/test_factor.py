@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
@@ -90,12 +91,72 @@ def _complex_dtype_real(planar):
                              bc=op.bc)
 
 
+def _nudged(op, entries):
+    """``op`` with its entries (i, j) and (j, i) of ``entries`` scaled by
+    1 + 1e-9: their bits change, the operator barely."""
+    rows, cols = np.array(entries).T
+    vals = 1e-9 * np.asarray(op.matrix[rows, cols]).ravel()
+    off = rows != cols
+    bump = sp.csr_matrix((np.concatenate([vals, vals[off].conj()]),
+                          (np.concatenate([rows, cols[off]]),
+                           np.concatenate([cols, rows[off]]))),
+                         shape=op.matrix.shape)
+    return AssembledOperator(matrix=(op.matrix + bump).tocsr(), grid=op.grid,
+                             bc=op.bc)
+
+
+def _runs_0_1(planar):
+    # slice 0 couples to slice 1 by something other than c I, and slice
+    # n/m - 2 differs from the last one
+    n, m = _real_2d(planar).n, planar[0].n
+    return _nudged(_real_2d(planar), [(0, m), (n - 2 * m, n - 2 * m)])
+
+
+def _lead_0(planar):
+    return _nudged(_real_2d(planar), [(0, planar[0].n)])
+
+
+def _runs_2_2(planar):
+    n, m = _real_2d(planar).n, planar[0].n
+    return _nudged(_real_2d(planar), [(2 * m, 2 * m), (n - 3 * m, n - 3 * m)])
+
+
+def _straight_tube(planar):
+    # no curvature, no field: every slice but the last repeats slice 0
+    sec = planar[0]
+    curve = geo.CurveProfile(dim=2, S=14.0, ds=0.05)
+    return ops.assemble_full(make_tube(curve, sec, 0.1), None,
+                             geo.integrate_frame(curve))
+
+
+def _nudged_in_its_end(planar):
+    m = planar[0].n
+    return _nudged(_complex_2d(planar), [(50 * m + 3, 50 * m + 3)])
+
+
+def _runs(op):
+    """(lead, trail) straight slices of a tube operator."""
+    m = op.grid["section"].n
+    return assemble._straight_runs(sp.triu(op.matrix, format="csr"), m)
+
+
 def _complex_span(matrix):
     """(lo, hi): first row and last column + 1 of the upper entries with a
     nonzero imaginary part."""
     upper = sp.triu(matrix).tocoo()
     imag = upper.data.imag != 0
     return upper.row[imag].min(), upper.col[imag].max() + 1
+
+
+def _check_against_superlu(op, rng, is_complex, slice_size=None):
+    lu = sla.splu(op.matrix.tocsc())
+    solve = banded_cholesky(op.matrix, slice_size=slice_size)
+    for rhs in (rng.standard_normal(op.n),
+                rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)):
+        want = lu.solve(rhs) if is_complex or rhs.dtype == float else (
+            lu.solve(rhs.real) + 1j * lu.solve(rhs.imag))
+        got = solve(rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("build, is_complex", [
@@ -105,14 +166,20 @@ def _complex_span(matrix):
 def test_solve_matches_superlu(planar, rng, build, is_complex):
     op = build(planar)
     assert op.is_complex == is_complex
-    lu = sla.splu(op.matrix.tocsc())
-    solve = banded_cholesky(op.matrix)
-    for rhs in (rng.standard_normal(op.n),
-                rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)):
-        want = lu.solve(rhs) if is_complex or rhs.dtype == float else (
-            lu.solve(rhs.real) + 1j * lu.solve(rhs.imag))
-        got = solve(rhs)
-        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    _check_against_superlu(op, rng, is_complex)
+
+
+@pytest.mark.parametrize("build, is_complex, runs", [
+    (_complex_2d, True, (239, 239)), (_complex_3d, True, (44, 44)),
+    (_runs_0_1, False, (0, 1)), (_runs_2_2, False, (2, 2)),
+    (_straight_tube, False, (558, 0)), (_nudged_in_its_end, True, (50, 239))])
+def test_straight_end_solve_matches_superlu(planar, rng, build, is_complex,
+                                            runs):
+    # the straight ends of each layout are (lead, trail) slices long
+    op = build(planar)
+    assert op.is_complex == is_complex
+    assert _runs(op) == runs
+    _check_against_superlu(op, rng, is_complex, op.grid["section"].n)
 
 
 def test_complex_layouts_take_the_intended_split(planar):
@@ -146,24 +213,59 @@ def test_one_band_without_a_real_end(planar, monkeypatch, build):
     assert bands == [((planar[0].n + 1, op.n), dtype)]
 
 
-@pytest.mark.parametrize("build", [_real_2d, _complex_2d, _complex_every_row])
+def test_fully_complex_tube_takes_one_band(planar, monkeypatch, rng):
+    # no slice of a tube complex in every slice is straight: with its slice
+    # size it still factors as one complex band of n columns, and solves
+    # to the same bits
+    bands = []
+    factor = assemble.la.cholesky_banded
+
+    def record(ab, **kwargs):
+        bands.append((ab.shape, ab.dtype))
+        return factor(ab, **kwargs)
+
+    op = _complex_every_row(planar)
+    assert _runs(op) == (0, 0)
+    rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    want = banded_cholesky(op.matrix)(rhs)
+    monkeypatch.setattr(assemble.la, "cholesky_banded", record)
+    got = banded_cholesky(op.matrix, slice_size=planar[0].n)(rhs)
+    assert bands == [((planar[0].n + 1, op.n), complex)]
+    assert np.array_equal(got, want)
+
+
+def _complex_2d_straight_ends(planar):
+    return _complex_2d(planar)
+
+
+@pytest.mark.parametrize("build", [_real_2d, _complex_2d, _complex_every_row,
+                                   _complex_2d_straight_ends])
 def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
-    # reference counting frees every band factor once its solve is dropped;
-    # a reference cycle through the solve would hold the bands (86 MB each
-    # on the 3D Hardy segment) until the cycle collector runs
+    # reference counting frees every band factor (and a straight end's V
+    # and W) once its solve is dropped; a reference cycle through the solve
+    # would hold the bands (86 MB each on the 3D Hardy segment) until the
+    # cycle collector runs
     factors = []
     factor = assemble.la.cholesky_banded
+    straight_end = assemble._straight_end
 
     def record(ab, **kwargs):
         factors.append(weakref.ref(factor(ab, **kwargs)))
         return factors[-1]()
 
+    def record_end(*args):
+        (lam, V), cb, W = straight_end(*args)
+        factors.extend([weakref.ref(V), weakref.ref(W)])
+        return (lam, V), cb, W
+
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
+    monkeypatch.setattr(assemble, "_straight_end", record_end)
     op = build(planar)
+    slice_size = planar[0].n if build is _complex_2d_straight_ends else None
     gc.collect()
     gc.disable()
     try:
-        solve = banded_cholesky(op.matrix)
+        solve = banded_cholesky(op.matrix, slice_size=slice_size)
         solve(np.ones(op.n, dtype=op.matrix.dtype))
         del solve
         alive = [ref for ref in factors if ref() is not None]
@@ -172,30 +274,64 @@ def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
     assert factors and alive == []
 
 
-def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch):
-    # nrc2d at eps = 0.025, delta = 1: one complex band carried the field's
-    # imaginary part through the straight stretch after it, where it decayed
-    # into 60,143 subnormal entries; the real ends never see it
+@pytest.fixture(scope="module")
+def thin_nrc2d():
+    """nrc2d's operator at eps = 0.025, delta = 1."""
     root = Path(__file__).resolve().parent.parent
     cfg = ExperimentConfig.load(str(root / "configs" / "nrc2d.ini"))
     curve = cfg.build_curve()
     tube = geo.TubeSpec(curve, cfg.build_section(),
                         RegimeParams(eps=0.025, delta=1.0))
-    op = ops.assemble_full(tube, cfg.build_field(), geo.integrate_frame(curve))
-    factors = []
+    return ops.assemble_full(tube, cfg.build_field(),
+                             geo.integrate_frame(curve))
+
+
+def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
+                                                         thin_nrc2d):
+    # nrc2d at eps = 0.025, delta = 1: one complex band carried the field's
+    # imaginary part through the straight stretch after it, where it decayed
+    # into 60,143 subnormal entries; the real ends never see it
+    op = thin_nrc2d
     factor = assemble.la.cholesky_banded
+    straight_end = assemble._straight_end
 
     def record(ab, **kwargs):
         factors.append(factor(ab, **kwargs))
         return factors[-1]
 
+    def record_end(*args):
+        (lam, V), cb, W = straight_end(*args)
+        factors.extend([V, W])  # the mode band is recorded as a band
+        return (lam, V), cb, W
+
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
-    banded_cholesky(op.matrix)
+    monkeypatch.setattr(assemble, "_straight_end", record_end)
     tiny = np.finfo(float).tiny
-    parts = [p for cb in factors for p in (cb.real, cb.imag)]
-    assert sum(int(((p != 0) & (abs(p) < tiny)).sum()) for p in parts) == 0
-    complex_rows = sum(cb.shape[1] for cb in factors if np.iscomplexobj(cb))
-    assert 0 < complex_rows <= 0.15 * op.n
+    # the whole band (real ends, complex middle) and the straight ends
+    # with the band of the rest
+    for slice_size, arrays in ((None, 3), (op.grid["section"].n, 8)):
+        factors = []
+        banded_cholesky(op.matrix, slice_size=slice_size)
+        assert len(factors) == arrays
+        parts = [p for cb in factors for p in (cb.real, cb.imag)]
+        assert sum(int(((p != 0) & (abs(p) < tiny)).sum())
+                   for p in parts) == 0
+        complex_rows = sum(cb.shape[1] for cb in factors
+                           if np.iscomplexobj(cb))
+        assert 0 < complex_rows <= 0.15 * op.n
+
+
+def test_straight_ends_solve_as_accurately_as_the_band(thin_nrc2d, rng):
+    # eigh's eigenvalues of the slice block (||T0|| = 1e7 here) err by up to
+    # 2.7e-9, alike on every slice of a mode; taken as they come they made
+    # the straight-end solve 13 times less accurate than the band's
+    op = thin_nrc2d
+    rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    want = sla.splu(op.matrix.tocsc()).solve(rhs)
+    band, straight = (
+        np.linalg.norm(banded_cholesky(op.matrix, slice_size=m)(rhs) - want)
+        for m in (None, op.grid["section"].n))
+    assert straight <= 2 * band
 
 
 def test_pivot_is_a_row_of_the_matrix(planar):
@@ -211,6 +347,28 @@ def test_pivot_is_a_row_of_the_matrix(planar):
                            match=f"ending at row {row + 1} \\(of {op.n}\\)") as info:
             banded_cholesky(op.matrix - spike)
         assert info.value.pivot == row + 1
+
+
+@pytest.mark.parametrize("build", [_real_2d, _lead_0])
+def test_pivot_of_a_straight_end_lies_in_its_rows(planar, build):
+    # a shift above the bottom of the straight tube fails the lowest mode's
+    # tridiagonal of the first straight end factored; its pivot is the last
+    # row of the failing slice, at the trailing end counted from the last
+    op = build(planar)
+    n, m = op.n, planar[0].n
+    lead, trail = _runs(op)
+    assert trail == 239 and lead in (0, 239)
+    upper = sp.triu(op.matrix, format="csr")
+    c = upper[n - 2 * m, n - m]
+    bottom = la.eigvalsh(upper[-m:, -m:].toarray(), lower=False)[0] + 2 * c
+    shifted = (op.matrix - (bottom + 1e-3 * abs(c)) * sp.eye(n)).tocsr()
+    with pytest.raises(NotPositiveDefinite, match=f"\\(of {n}\\)") as info:
+        banded_cholesky(shifted, slice_size=m)
+    pivot = info.value.pivot
+    if lead:
+        assert pivot % m == 0 and m <= pivot <= lead * m
+    else:
+        assert (pivot - 1) % m == 0 and n - trail * m < pivot <= n + 1 - m
 
 
 def test_resolvent_distance_rejects_indefinite_shift(planar):
@@ -322,6 +480,29 @@ def test_band_memory_budget(planar, monkeypatch):
         banded_cholesky(op.matrix)
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
     banded_cholesky(op.matrix)
+
+
+def test_band_memory_budget_counts_the_straight_ends(planar, monkeypatch):
+    # with straight ends the budget counts the bands of the rest, one V
+    # (both ends hold the same block), each end's W and its kd = 1 mode
+    # band (16 bytes per row), well under the whole band's bytes
+    op = _complex_2d(planar)
+    m = kd = planar[0].n
+    lead, trail = _runs(op)
+    lo, hi = _complex_span(op.matrix)
+    rest = op.n - (lead + trail) * m
+    assert lead * m < lo and hi - lo >= kd and hi <= op.n - trail * m
+    need = (kd + 1) * (8 * (rest - (hi - lo)) + 16 * (hi - lo)) \
+        + 16 * (lead + trail) * m + 3 * 8 * m * m
+    whole = (kd + 1) * (8 * (op.n - (hi - lo)) + 16 * (hi - lo))
+    assert need < whole - 1
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", whole - 1)
+    banded_cholesky(op.matrix, slice_size=m)
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
+    with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
+        banded_cholesky(op.matrix, slice_size=m)
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
+    banded_cholesky(op.matrix, slice_size=m)
 
 
 def test_lowest_eigenpairs_respects_the_band_budget(planar, monkeypatch):

@@ -160,8 +160,8 @@ def band_solves(monkeypatch, sec2d):
     counts = []
     factor = assemble.banded_cholesky
 
-    def counting(matrix):
-        solve = factor(matrix)
+    def counting(matrix, **kwargs):
+        solve = factor(matrix, **kwargs)
         counts.append(0)
         which = len(counts) - 1
 
