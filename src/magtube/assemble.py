@@ -2,10 +2,8 @@
 
 The banded factor works on straight ends, banded rest: the straight,
 field-free slices at either end of a tube are eliminated exactly, one
-tridiagonal per mode of their section block, and the rest is factored on
-real ends, complex middle: a field or twist with compact support leaves the
-rows outside it real, and those are factored and swept in real arithmetic
-(see banded_cholesky).
+tridiagonal per mode of their section block, and the rest is factored as
+one band in the matrix dtype (see banded_cholesky).
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -34,20 +32,12 @@ import scipy.sparse as sp
 from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 
 # Bytes held by one factor: band storage (kd + 1) per row of the banded
-# rest, 8 bytes per entry on its real ends and 16 on a complex middle, plus
-# V, W and the kd = 1 mode band of each straight end.  The largest shipped
-# case, the full3d tube (n = 57,399, kd = 399; 44 straight slices of 361
-# rows at each end, a complex middle of 25,620 rows), holds 168 MB (266 MB
-# as one band with real ends, 367 MB all complex).
+# rest, 8 bytes per entry of a real band and 16 of a complex one, plus V, W
+# and the kd = 1 mode band of each straight end.  The largest shipped case,
+# the full3d tube (n = 57,399, kd = 399; 44 straight slices of 361 rows at
+# each end, a complex rest of 25,631 rows), holds 168 MB (367 MB as one
+# complex band).
 BAND_BUDGET_BYTES = 2 * 1024**3
-
-# Bandwidth from which a complex ?pbtrf gains from a second BLAS thread.  On
-# 2 cores (n = 15,000, complex) 2 threads take 3.6x the one-thread time at
-# kd = 39, 1.05x at kd = 192, 0.85x at kd = 256 and 0.66-0.74x at
-# kd = 361-399.  Real bands gain at no width: 2 threads take 1.07-1.34x
-# the one-thread time at kd = 320-399.
-# Shipped 2D bands have kd 39-79, 3D bands kd 361-399.
-WIDE_BAND = 256
 
 # Basis rows of every Lanczos run (lanczos), ARPACK's default Krylov
 # dimension.  A full basis restarts from its LANCZOS_ROWS // 2 largest Ritz
@@ -56,10 +46,6 @@ LANCZOS_ROWS = 20
 
 
 # -- BLAS thread pools ------------------------------------------------------------
-
-# Counts each open blas_threads block found on entry; the first entry holds
-# the counts in force outside every block.  OpenBLAS pools are per process.
-_SAVED_COUNTS: list = []
 
 
 @functools.cache
@@ -88,40 +74,26 @@ def _blas_pools() -> tuple:
 
 
 @contextlib.contextmanager
-def blas_threads(n: int | None):
+def blas_threads(n: int):
     """Run the block with every OpenBLAS pool at ``n`` threads, restoring
-    the previous counts on exit.  ``n = None`` selects the counts in force
-    outside the outermost open block (``OPENBLAS_NUM_THREADS`` unless a
-    caller set them).  Re-entrant and usable as a decorator; a no-op without
-    an OpenBLAS pool.  Not safe across Python threads: the pools are
-    process-wide."""
+    the previous counts on exit.  Re-entrant and usable as a decorator; a
+    no-op without an OpenBLAS pool.  Not safe across Python threads: the
+    pools are process-wide."""
     pools = _blas_pools()
     saved = [get() for _, get, _ in pools]
-    if n is None:
-        target = _SAVED_COUNTS[0] if _SAVED_COUNTS else saved
-    else:
-        target = [n] * len(pools)
-    _SAVED_COUNTS.append(saved)
     try:
-        for (_, _, set_), k in zip(pools, target):
-            set_(k)
+        for _, _, set_ in pools:
+            set_(n)
         yield
     finally:
-        _SAVED_COUNTS.pop()
         for (_, _, set_), k in zip(pools, saved):
             set_(k)
 
 
 def blas_report() -> dict:
-    """Each OpenBLAS pool found, with the thread count that the complex
-    middles of band factors of kd >= WIDE_BAND get from it; all other
-    solver work, the straight ends and real ends of every factor included
-    (straight ends, banded rest: see banded_cholesky), runs on one
-    thread."""
-    pools = _blas_pools()
-    ambient = _SAVED_COUNTS[0] if _SAVED_COUNTS else [g() for _, g, _ in pools]
-    return {"pools": {name: k for (name, _, _), k in zip(pools, ambient)},
-            "wide_band": WIDE_BAND}
+    """Each OpenBLAS pool found, with its thread count in force: 1 inside a
+    run, which holds every pool there (see blas_threads)."""
+    return {"pools": {name: get() for name, get, _ in _blas_pools()}}
 
 
 @dataclass
@@ -246,12 +218,11 @@ def _band(kd: int, width: int, rows, cols, values) -> np.ndarray:
     return ab
 
 
-def _factor(ab: np.ndarray, threads: int | None, row_of, n: int):
-    """?pbtrf of the band ``ab``, in place, on ``threads`` BLAS threads.
-    ``row_of`` maps LAPACK's 1-based pivot to a row of the n-row matrix."""
+def _factor(ab: np.ndarray, row_of, n: int):
+    """?pbtrf of the band ``ab``, in place.  ``row_of`` maps LAPACK's
+    1-based pivot to a row of the n-row matrix."""
     try:
-        with blas_threads(threads):
-            return la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+        return la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except la.LinAlgError as exc:
         pivot = row_of(int(re.match(r"\d+", str(exc)).group()))
         raise NotPositiveDefinite(
@@ -259,24 +230,6 @@ def _factor(ab: np.ndarray, threads: int | None, row_of, n: int):
             "the operator is not positive definite",
             pivot=pivot,
         ) from exc
-
-
-@blas_threads(1)
-def _real_end(kd: int, n: int, width: int, band, coupling, row_of):
-    """Factor U of a real end of ``width`` rows, numbered toward the
-    middle, and W = T^-T C: T the trailing t x t triangle of U, t =
-    min(kd, width), and C (t x kd) the end's coupling to the kd middle rows
-    next to it.  ``band`` and ``coupling`` are (rows, cols, values) in those
-    numberings; coupling rows count from the end's first row."""
-    cb = _factor(_band(kd, width, *band), 1, row_of, n)
-    t = min(kd, width)
-    rows, cols, vals = coupling
-    C = np.zeros((t, kd))
-    C[rows - (width - t), cols] = vals
-    i, j = np.triu_indices(t)
-    T = np.zeros((t, t))
-    T[i, j] = cb[kd + i - j, width - t + j]
-    return cb, la.solve_triangular(T, C, trans="T", check_finite=False)
 
 
 def _cho_solve(cb: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -358,7 +311,6 @@ def _straight_runs(upper: sp.csr_matrix, m: int) -> tuple:
     return lead, min(trail, slices - 1 - lead)
 
 
-@blas_threads(1)
 def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
                   eig=None):
     """Factor of a straight end: ``slices`` slices of the real block T0
@@ -392,7 +344,7 @@ def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
     ab[0] = c
     ab[0, ::slices] = 0.0
     ab[1] = np.repeat(lam, slices)
-    cb = _factor(ab, 1, lambda p: row_of((p - 1) % slices), n)
+    cb = _factor(ab, lambda p: row_of((p - 1) % slices), n)
     W = (c / cb[1, slices - 1::slices])[:, None] * V.T
     return (lam, V), cb, W
 
@@ -421,56 +373,7 @@ def _fold(row, col, data, start: int, S: np.ndarray):
             np.concatenate([data[keep], D[i, j]]))
 
 
-def _band_solve(row, col, data, n: int, kd: int, lo: int, hi: int,
-                offset: int, n_total: int):
-    """Factor of the upper entries (row, col, data) of an n-row band, real
-    ends, complex middle [lo, hi) (see banded_cholesky); its solve.  The
-    band is rows offset .. offset + n of an n_total-row matrix, to which
-    failed pivots are mapped."""
-    m = hi - lo
-    # (middle corner, view of a vector on the end, factor, W) per real end
-    ends = []
-    if lo > 0:
-        inner, cross = col < lo, (row < lo) & (col >= lo)
-        ends.append((slice(0, kd), lambda x: x[:lo], *_real_end(
-            kd, n_total, lo, (row[inner], col[inner], data.real[inner]),
-            (row[cross], col[cross] - lo, data.real[cross]),
-            lambda p: offset + p)))
-    if hi < n:
-        inner, cross = row >= hi, (row < hi) & (col >= hi)
-        ends.append((slice(m - kd, m), lambda x: x[::-1][:n - hi], *_real_end(
-            kd, n_total, n - hi,
-            (n - 1 - col[inner], n - 1 - row[inner], data.real[inner]),
-            (n - 1 - col[cross], row[cross] - (hi - kd), data.real[cross]),
-            lambda p: offset + n + 1 - p)))
-    if ends:
-        inner = (row >= lo) & (col < hi)
-        row, col, data = row[inner] - lo, col[inner] - lo, data[inner]
-    ab = _band(kd, m, row, col, data)
-    for corner, _, _, W in ends:
-        i, j = np.triu_indices(kd)
-        ab[kd + i - j, corner.start + j] -= (W.T @ W)[i, j]
-    wide = kd >= WIDE_BAND and np.iscomplexobj(ab)
-    cb = _factor(ab, None if wide else 1, lambda p: offset + lo + p, n_total)
-
-    def solve(rhs):
-        if not ends:
-            return _cho_solve(cb, rhs)
-        x = np.array(rhs, dtype=np.result_type(rhs, cb))
-        ys = [view(x).copy() for _, view, _, _ in ends]
-        for (corner, _, cb_end, W), y in zip(ends, ys):
-            _sweep(cb_end, y, 1)
-            x[lo:hi][corner] -= W.T @ y[len(y) - len(W):]
-        x[lo:hi] = _cho_solve(cb, x[lo:hi])
-        for (corner, view, cb_end, W), y in zip(ends, ys):
-            y[len(y) - len(W):] -= W @ x[lo:hi][corner]
-            _sweep(cb_end, y, 0)
-            view(x)[:] = y
-        return x
-
-    return solve
-
-
+@blas_threads(1)
 def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     """Factor a Hermitian positive-definite sparse matrix; return its solve.
 
@@ -493,35 +396,22 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     of kd = 1.  Its Schur term c^2 V diag(1/u^2) V^T, u the last pivot of
     each mode, comes off the adjacent m x m block of the rest.  A solve
     takes an end's right-hand side to modes, z = V^T X^T, and back in one
-    real product each and sweeps the mode band with ?tbsv.  The detection compares
-    bits: a perturbed entry ends a run there, so it can miss a run, never
-    produce a wrong factor.
+    real product each and sweeps the mode band with ?tbsv.  The detection
+    compares bits: a perturbed entry ends a run there, so it can miss a
+    run, never produce a wrong factor.  The rest is one band in the matrix
+    dtype, real when no entry has a nonzero imaginary part.
 
-    Real ends, complex middle.  A field or twist with compact support makes
-    only the rows [lo, hi) of the rest complex: lo the first row and hi - 1
-    the last column of an entry with a nonzero imaginary part, widened to
-    kd rows so that the two ends never couple.  The real ends L = [0, lo)
-    and R = [hi, n), R in reverse order, are factored as real bands and
-    eliminated toward the middle.  With T the trailing triangle of an end's
-    factor and C its coupling to the middle, the Schur term W^T W,
-    W = T^-T C, comes off the middle's leading or trailing kd x kd corner;
-    only the middle is factored in the matrix dtype.  A rest without a
-    complex entry is one real band, one with complex entries in its first
-    and last rows one complex band.  A solve sweeps the real ends with
-    ?tbsv, on the real and the imaginary part of a complex right-hand side.
-
-    V acts slice by slice, and every elimination above is a congruence; so
-    (Sylvester's law of inertia) positive pivots in the mode bands and in
-    all three bands of the rest prove the matrix positive definite.
+    V acts slice by slice, and the elimination of the ends is a congruence;
+    so (Sylvester's law of inertia) positive pivots in the mode bands and
+    in the band of the rest prove the matrix positive definite.
 
     Raises NotPositiveDefinite, whose ``pivot`` is the 1-based row of the
     matrix at which a minor is not positive (in a straight end, the last
     row of the slice whose mode failed; at the trailing end rows count from
     the last, as n + 1 - p), and GridBudgetError when the arrays held (8
     bytes per real and 16 per complex band entry, V, the mode bands and
-    their W) would exceed BAND_BUDGET_BYTES.  A complex middle of
-    kd >= WIDE_BAND is factored with the thread counts in force outside
-    every blas_threads block, every other band on one BLAS thread.
+    their W) would exceed BAND_BUDGET_BYTES.  Factors on one BLAS thread
+    (see blas_threads).
     """
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
@@ -550,41 +440,32 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
         row, col, data = row[inside] - a, col[inside] - a, data[inside]
     # the Schur terms of straight ends fill the m x m blocks they fold into
     kd = int((col - row).max(initial=m - 1 if straight else 0))
-    nr = b - a
-    lo, hi = 0, nr
-    if np.iscomplexobj(data) and data.imag.any():
-        lo = int(row[data.imag != 0].min())
-        hi = int(col[data.imag != 0].max()) + 1
-        if hi - lo < kd:
-            lo = min(max((lo + hi - kd) // 2, 0), nr - kd)
-            hi = lo + kd
-    else:
+    if not (np.iscomplexobj(data) and data.imag.any()):
         data = data.real
-    nbytes = (kd + 1) * (8 * (nr - (hi - lo)) + data.itemsize * (hi - lo))
-    if straight:
-        # one V serves both ends when they hold the same block bitwise
-        shared = len(straight) == 2 and \
-            straight[0][1].tobytes() == straight[1][1].tobytes()
-        nbytes += 8 * (2 * (a + n - b) + m * m * (2 * len(straight) - shared))
+    # one V serves both ends when they hold the same block bitwise
+    shared = len(straight) == 2 and \
+        straight[0][1].tobytes() == straight[1][1].tobytes()
+    nbytes = (kd + 1) * (b - a) * data.itemsize \
+        + 8 * (2 * (a + n - b) + m * m * (2 * len(straight) - shared))
     if nbytes > BAND_BUDGET_BYTES:
         raise GridBudgetError(
             f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
             f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
         )
-    if not straight:
-        return _band_solve(row, col, data, n, kd, lo, hi, 0, n)
     # (view of a vector on the end, interface corner of the rest, V, mode
     # band factor, W) per straight end; their Schur terms fold into the rest
-    ends, eig, dtype = [], None, data.dtype
+    ends, eig = [], None
     for slices, block, c, view, start, row_of in straight:
         eig, cb_end, W = _straight_end(block, c, slices, row_of, n,
                                        eig if shared else None)
         row, col, data = _fold(row, col, data, start, W.T @ W)
         ends.append((view, slice(start, start + m), eig[1], cb_end, W))
-    rest = _band_solve(row, col, data, nr, kd, lo, hi, a, n)
+    cb = _factor(_band(kd, b - a, row, col, data), lambda p: a + p, n)
 
     def solve(rhs):
-        x = np.array(rhs, dtype=np.result_type(rhs, dtype))
+        if not ends:
+            return _cho_solve(cb, rhs)
+        x = np.array(rhs, dtype=np.result_type(rhs, cb))
         xr = x[a:b]
         zs = []
         for view, corner, V, cb_end, W in ends:
@@ -592,7 +473,7 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
             _sweep(cb_end, z.reshape(-1), 1)
             xr[corner] -= W.T @ z[:, -1]
             zs.append(z)
-        xr[:] = rest(xr)
+        xr[:] = _cho_solve(cb, xr)
         for (view, corner, V, cb_end, W), z in zip(ends, zs):
             z[:, -1] -= W @ xr[corner]
             _sweep(cb_end, z.reshape(-1), 0)
@@ -710,13 +591,12 @@ def lowest_eigenpairs(
     ``matrix - sigma M``, at every size; its pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
     spectrum, so the factor exists.  By Sylvester's law of inertia its
-    positive pivots (straight ends, banded rest: every mode band's and
-    every band's) prove that no eigenvalue lies below sigma, which makes
-    the k pairs nearest
-    sigma the k lowest; a sigma above the bottom of the spectrum raises
-    NotPositiveDefinite.  Lanczos runs at machine epsilon, ARPACK's default
-    tolerance, for at most 10 n applications.  Returns the eigenvalues
-    (ascending), the eigenvectors as columns and the residuals
+    positive pivots (straight ends, banded rest: every mode band's and the
+    rest's) prove that no eigenvalue lies below sigma, which makes the k
+    pairs nearest sigma the k lowest; a sigma above the bottom of the
+    spectrum raises NotPositiveDefinite.  Lanczos runs at machine epsilon,
+    ARPACK's default tolerance, for at most 10 n applications.  Returns the
+    eigenvalues (ascending), the eigenvectors as columns and the residuals
     ||matrix v - lam M v||.
 
     ``slice_size``, the section size of a tube lattice from the code that

@@ -61,8 +61,8 @@ class NotPositiveDefinite(MagtubeError):
     """Cholesky factorization met a minor that is not positive.
 
     ``pivot`` is the 1-based row of the factored matrix at which that minor
-    ends, in the matrix's own numbering, whichever band (real end or complex
-    middle) failed.
+    ends, in the matrix's own numbering, whichever band (a straight end's
+    mode band or the band of the rest) failed.
     """
 
     def __init__(self, msg, pivot=None):

@@ -100,10 +100,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None,
     """Execute one experiment; returns {tables, artifacts, elapsed}.
 
     The run holds every BLAS pool at one thread, so its CSV bytes do not
-    depend on OPENBLAS_NUM_THREADS; only the complex middle of a band factor
-    of kd >= WIDE_BAND (3D tubes) uses the ambient count, its straight ends
-    and real ends one thread (straight ends, banded rest: see
-    assemble.banded_cholesky)."""
+    depend on OPENBLAS_NUM_THREADS."""
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
     seed = seed if seed is not None else config.seed

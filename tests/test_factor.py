@@ -76,7 +76,7 @@ def _complex_end(planar):
 
 
 def _complex_narrow(planar):
-    # rows n/2 .. n/2 + 5: fewer than kd, so the middle is widened to kd
+    # rows n/2 .. n/2 + 5: a complex stretch narrower than kd
     n = _real_2d(planar).n
     return _phased(planar, 1, n // 2, n // 2 + 5)
 
@@ -140,14 +140,6 @@ def _runs(op):
     return assemble._straight_runs(sp.triu(op.matrix, format="csr"), m)
 
 
-def _complex_span(matrix):
-    """(lo, hi): first row and last column + 1 of the upper entries with a
-    nonzero imaginary part."""
-    upper = sp.triu(matrix).tocoo()
-    imag = upper.data.imag != 0
-    return upper.row[imag].min(), upper.col[imag].max() + 1
-
-
 def _check_against_superlu(op, rng, is_complex, slice_size=None):
     lu = sla.splu(op.matrix.tocsc())
     solve = banded_cholesky(op.matrix, slice_size=slice_size)
@@ -182,23 +174,14 @@ def test_straight_end_solve_matches_superlu(planar, rng, build, is_complex,
     _check_against_superlu(op, rng, is_complex, op.grid["section"].n)
 
 
-def test_complex_layouts_take_the_intended_split(planar):
-    # the layouts above reach every shape of the split: no left end, no
-    # right end, a middle widened to kd rows, one complex band
-    n, kd = _real_2d(planar).n, planar[0].n
-    assert _complex_span(_complex_start(planar).matrix) == (0, 40 + kd)
-    assert _complex_span(_complex_end(planar).matrix) == (n - kd - 40, n)
-    lo, hi = _complex_span(_complex_narrow(planar).matrix)
-    assert 0 < lo and hi - lo < kd and hi < n
-    assert _complex_span(_complex_every_row(planar).matrix) == (0, n)
-
-
-@pytest.mark.parametrize("build", [_real_2d, _complex_every_row,
-                                   _complex_dtype_real])
+@pytest.mark.parametrize("build", [
+    _real_2d, _complex_2d, _complex_start, _complex_end, _complex_narrow,
+    _complex_every_row, _complex_dtype_real])
 def test_one_band_without_a_real_end(planar, monkeypatch, build):
-    # a real matrix and one complex in its first and last rows factor as a
-    # single band of n columns, in the matrix dtype (real when no entry has
-    # an imaginary part)
+    # without a slice size the whole matrix, with it the rows between the
+    # straight ends, factor as a single band of kd = section size, in the
+    # matrix dtype (real when no entry has an imaginary part), after the
+    # real kd = 1 mode band of each straight end
     bands = []
     factor = assemble.la.cholesky_banded
 
@@ -208,9 +191,15 @@ def test_one_band_without_a_real_end(planar, monkeypatch, build):
 
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
     op = build(planar)
-    banded_cholesky(op.matrix)
-    dtype = complex if build is _complex_every_row else float
-    assert bands == [((planar[0].n + 1, op.n), dtype)]
+    m = kd = planar[0].n
+    dtype = complex if op.matrix.data.imag.any() else float
+    lead, trail = _runs(op)
+    for slice_size, ends in ((None, []), (m, [p for p in (lead, trail) if p])):
+        bands.clear()
+        banded_cholesky(op.matrix, slice_size=slice_size)
+        rows = op.n - sum(ends) * m
+        assert bands == [((2, p * m), float) for p in ends] \
+            + [((kd + 1, rows), dtype)]
 
 
 def test_fully_complex_tube_takes_one_band(planar, monkeypatch, rng):
@@ -288,9 +277,10 @@ def thin_nrc2d():
 
 def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
                                                          thin_nrc2d):
-    # nrc2d at eps = 0.025, delta = 1: one complex band carried the field's
-    # imaginary part through the straight stretch after it, where it decayed
-    # into 60,143 subnormal entries; the real ends never see it
+    # nrc2d at eps = 0.025, delta = 1: one complex band of the whole matrix
+    # carries the field's imaginary part through the straight stretch after
+    # it, where it decays into 60,143 subnormal entries; with its slice size
+    # the straight ends take that stretch out of the band
     op = thin_nrc2d
     factor = assemble.la.cholesky_banded
     straight_end = assemble._straight_end
@@ -307,18 +297,16 @@ def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
     monkeypatch.setattr(assemble, "_straight_end", record_end)
     tiny = np.finfo(float).tiny
-    # the whole band (real ends, complex middle) and the straight ends
-    # with the band of the rest
-    for slice_size, arrays in ((None, 3), (op.grid["section"].n, 8)):
-        factors = []
-        banded_cholesky(op.matrix, slice_size=slice_size)
-        assert len(factors) == arrays
-        parts = [p for cb in factors for p in (cb.real, cb.imag)]
-        assert sum(int(((p != 0) & (abs(p) < tiny)).sum())
-                   for p in parts) == 0
-        complex_rows = sum(cb.shape[1] for cb in factors
-                           if np.iscomplexobj(cb))
-        assert 0 < complex_rows <= 0.15 * op.n
+    m = op.grid["section"].n
+    lead, trail = _runs(op)
+    # V and W and the mode band of each straight end, the band of the rest
+    factors = []
+    banded_cholesky(op.matrix, slice_size=m)
+    assert len(factors) == 7
+    parts = [p for cb in factors for p in (cb.real, cb.imag)]
+    assert sum(int(((p != 0) & (abs(p) < tiny)).sum()) for p in parts) == 0
+    complex_rows = sum(cb.shape[1] for cb in factors if np.iscomplexobj(cb))
+    assert complex_rows == op.n - (lead + trail) * m <= 0.15 * op.n
 
 
 def test_straight_ends_solve_as_accurately_as_the_band(thin_nrc2d, rng):
@@ -335,12 +323,10 @@ def test_straight_ends_solve_as_accurately_as_the_band(thin_nrc2d, rng):
 
 
 def test_pivot_is_a_row_of_the_matrix(planar):
-    # a negative diagonal entry in the left end, the middle or the reversed
-    # right end fails the factor at exactly that row
+    # a negative diagonal entry before the field (complex in rows 15,281 to
+    # 18,879), inside it or after it fails the band at exactly that row
     op = _complex_2d(planar)
-    lo, hi = _complex_span(op.matrix)
-    assert 0 < lo < hi < op.n
-    for row in (lo // 2, (lo + hi) // 2, (hi + op.n) // 2):
+    for row in (7640, 17080, 25930):
         spike = sp.csr_matrix(([op.matrix[row, row].real + 1.0], ([row], [row])),
                               shape=op.matrix.shape)
         with pytest.raises(NotPositiveDefinite,
@@ -465,16 +451,11 @@ def test_non_finite_matrix_rejected():
 
 
 def test_band_memory_budget(planar, monkeypatch):
-    # the budget counts the bands allocated: 16 bytes per entry of the
-    # complex middle, 8 per entry of the real ends
+    # the budget counts the band allocated: (kd + 1) entries per row, 16
+    # bytes each in a complex band
     op = _complex_2d(planar)
     kd = planar[0].n  # kd = section size
-    lo, hi = _complex_span(op.matrix)
-    need = (kd + 1) * (8 * (op.n - (hi - lo)) + 16 * (hi - lo))
-    all_complex = op.n * (kd + 1) * 16
-    assert need < all_complex - 1
-    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", all_complex - 1)
-    banded_cholesky(op.matrix)
+    need = (kd + 1) * op.n * 16
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
     with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
         banded_cholesky(op.matrix)
@@ -489,12 +470,9 @@ def test_band_memory_budget_counts_the_straight_ends(planar, monkeypatch):
     op = _complex_2d(planar)
     m = kd = planar[0].n
     lead, trail = _runs(op)
-    lo, hi = _complex_span(op.matrix)
     rest = op.n - (lead + trail) * m
-    assert lead * m < lo and hi - lo >= kd and hi <= op.n - trail * m
-    need = (kd + 1) * (8 * (rest - (hi - lo)) + 16 * (hi - lo)) \
-        + 16 * (lead + trail) * m + 3 * 8 * m * m
-    whole = (kd + 1) * (8 * (op.n - (hi - lo)) + 16 * (hi - lo))
+    need = (kd + 1) * rest * 16 + 16 * (lead + trail) * m + 3 * 8 * m * m
+    whole = (kd + 1) * op.n * 16
     assert need < whole - 1
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", whole - 1)
     banded_cholesky(op.matrix, slice_size=m)
@@ -540,9 +518,6 @@ def test_blas_threads_nests_and_restores(fake_pools):
         assert [p.count for p in fake_pools] == [1, 1]
         with assemble.blas_threads(4):
             assert [p.count for p in fake_pools] == [4, 4]
-            with assemble.blas_threads(None):  # the counts outside every block
-                assert [p.count for p in fake_pools] == [2, 3]
-            assert [p.count for p in fake_pools] == [4, 4]
         assert [p.count for p in fake_pools] == [1, 1]
     assert [p.count for p in fake_pools] == [2, 3]
     assert assemble.blas_report()["pools"] == {"numpy": 2, "scipy": 3}
@@ -553,12 +528,11 @@ def test_blas_threads_restores_on_error(fake_pools):
         with assemble.blas_threads(1):
             raise RuntimeError
     assert [p.count for p in fake_pools] == [2, 3]
-    assert assemble._SAVED_COUNTS == []
 
 
 def test_blas_threads_without_a_pool_is_a_noop(monkeypatch):
     monkeypatch.setattr(assemble, "_blas_pools", lambda: ())
-    with assemble.blas_threads(1), assemble.blas_threads(None):
+    with assemble.blas_threads(1), assemble.blas_threads(4):
         pass
     assert assemble.blas_report()["pools"] == {}
 
@@ -571,34 +545,30 @@ def test_blas_threads_sets_the_loaded_pools():
     assert [get() for _, get, _ in pools] == before
 
 
-def test_band_factor_threads_follow_the_bandwidth(fake_pools, monkeypatch):
-    # a narrow band and a real wide band factor on one thread, a complex
-    # wide one with the counts in force outside every blas_threads block,
-    # also from inside one; a partially complex wide band factors its real
-    # ends on one thread and its complex middle with those counts
+def test_every_band_factor_runs_on_one_thread(planar, fake_pools,
+                                             monkeypatch):
+    # narrow and wide (kd >= 256) bands, real, complex and complex in part,
+    # and the mode bands of straight ends all factor on one thread, called
+    # from outside every blas_threads block or inside one of 4 threads
     seen = []
     factor = assemble.la.cholesky_banded
 
     def record(ab, **kwargs):
-        seen.append((ab.dtype.kind, [p.count for p in fake_pools]))
+        seen.append([p.count for p in fake_pools])
         return factor(ab, **kwargs)
 
     monkeypatch.setattr(assemble.la, "cholesky_banded", record)
-    wide = assemble.WIDE_BAND
-    partial = np.ones(4 * wide, dtype=complex)
-    partial[2 * wide] = 1j
-    for kd, n, off in ((wide - 1, wide + 1, np.full(2, 1j)),
-                       (wide, wide + 2, np.ones(2)),
-                       (wide, wide + 2, np.full(2, 1j)),
-                       (wide, 5 * wide, partial)):
+    partial = np.ones(4 * 256, dtype=complex)
+    partial[2 * 256] = 1j
+    for kd, n, off in ((255, 257, np.full(2, 1j)), (256, 258, np.ones(2)),
+                       (256, 258, np.full(2, 1j)), (256, 1280, partial)):
         mat = (4.0 * sp.eye(n) + sp.diags(off, kd, shape=(n, n))
                + sp.diags(np.conj(off), -kd, shape=(n, n))).tocsr()
         banded_cholesky(mat)
-        with assemble.blas_threads(1):
+        with assemble.blas_threads(4):
             banded_cholesky(mat)
-    one, ambient = [1, 1], [2, 3]
-    assert seen == [("c", one)] * 2 + [("f", one)] * 2 + [("c", ambient)] * 2 \
-        + [("f", one), ("f", one), ("c", ambient)] * 2
+    banded_cholesky(_complex_2d(planar).matrix, slice_size=planar[0].n)
+    assert len(seen) == 11 and all(counts == [1, 1] for counts in seen)
     assert [p.count for p in fake_pools] == [2, 3]
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import magtube
 from magtube import cli
-from magtube.assemble import WIDE_BAND, _blas_pools
+from magtube.assemble import _blas_pools
 from magtube.config import ExperimentConfig
 from magtube.errors import ConfigError, FitDomainError, ZeroFieldWarning
 from magtube.fitting import fit_order
@@ -401,11 +401,9 @@ def test_manifest_echoes_config(tmp_path):
     assert any(line.startswith("regime.b") for line in manifest["config"])
     assert "hardy_certificates.csv" in manifest["outputs"]
     assert manifest["versions"]["magtube"]
-    # the BLAS pools found, each with the thread count of wide-band factors
-    blas = manifest["blas"]
-    assert blas["wide_band"] == WIDE_BAND
-    assert sorted(blas["pools"]) == sorted(name for name, _, _ in _blas_pools())
-    assert all(k >= 1 for k in blas["pools"].values())
+    # the BLAS pools found, each at the one thread the run holds it at
+    assert manifest["blas"] == {
+        "pools": {name: 1 for name, _, _ in _blas_pools()}}
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -673,14 +671,48 @@ def test_nrc_sweep_bytes_do_not_depend_on_the_seed(tmp_path):
     assert a == (tmp_path / "s8" / "nrc_distances.csv").read_bytes()
 
 
+MINI_FULL3D = """
+[experiment]
+version = 1
+kind = full3d
+seed = 7
+out = {out}
+
+[section]
+shape = square
+h = 0.1
+a = 0.85
+
+[curve]
+dim = 3
+S = 1.5
+ds = 0.1
+kappa2 = 0.0 0.5 0.5
+theta_prime = 0.2 0.5 0.5
+
+[field]
+kind = curl3d
+comp = 2 0.0 0.2 -0.1 0.5 0.5 0.5 1.0
+
+[regime]
+eps = 0.1
+delta = 1
+
+[solver]
+k = 1
+"""
+
+
 def test_nrc_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OPENBLAS_NUM_THREADS = 1 and 2 set the ambient pools of two fresh
-    # processes; the run pins its 2D solves to one thread, so the bytes agree
+    # processes; the run pins every solve to one thread, so the bytes agree
     # (the asymptotics run adds the eps-expansion's contour sums and sparse
-    # products)
+    # products, the full3d run a complex band of kd = 288 >= 256 on a field
+    # and a twist)
     configs = {
         "nrc-sweep": MINI_NRC.format(out=tmp_path / "o", delta="0 1"),
         "asymptotics": MINI_ASYM.format(out=tmp_path / "o"),
+        "full3d": MINI_FULL3D.format(out=tmp_path / "o"),
     }
     src = str(Path(magtube.__file__).resolve().parent.parent)
     for kind, text in configs.items():
