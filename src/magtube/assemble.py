@@ -1,9 +1,11 @@
 """Sparse self-adjoint operators: container, banded factor, eigensolvers.
 
-The banded factor works on straight ends, banded rest: the straight,
+The banded factor works on straight ends, split rest: the straight,
 field-free slices at either end of a tube are eliminated exactly, one
 tridiagonal per mode of their section block, and the rest is factored as
-one band in the matrix dtype (see banded_cholesky).
+one band in the matrix dtype, or, when that band is wide, as two halves
+factored and swept at the same time on two threads, each on one BLAS
+thread, and a separator between them (see banded_cholesky).
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -17,6 +19,7 @@ O(ds^2), and its diamagnetic floor is not proven.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import ctypes
 import functools
@@ -31,13 +34,24 @@ import scipy.sparse as sp
 
 from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 
-# Bytes held by one factor: band storage (kd + 1) per row of the banded
-# rest, 8 bytes per entry of a real band and 16 of a complex one, plus V, W
-# and the kd = 1 mode band of each straight end.  The largest shipped case,
-# the full3d tube (n = 57,399, kd = 399; 44 straight slices of 361 rows at
-# each end, a complex rest of 25,631 rows), holds 168 MB (367 MB as one
-# complex band).
+# Bytes held by one factor: band storage (kd + 1) per row of the rest, 8
+# bytes per entry of a real band and 16 of a complex one (a split rest: its
+# two bands of nr - kd rows together, plus W_L, W_R and S', kd x kd each),
+# plus V, W and the kd = 1 mode band of each straight end.  The largest
+# shipped case, the full3d tube (n = 57,399, kd = 399; 44 straight slices
+# of 361 rows at each end, a complex rest of 25,631 rows, split), holds
+# 173 MB (168 MB with the rest as one band, 367 MB as one complex band).
 BAND_BUDGET_BYTES = 2 * 1024**3
+
+# A rest whose band holds more bytes than this splits in two halves that are
+# factored and swept at the same time (see _split_rest).  Complex tube-like
+# bands on one BLAS thread per half, 2-core x86-64, medians of 7 (one band
+# -> split): 8.3 MB (kd 80, 6,399 rows, nrc2d's largest rest) factor 17.1
+# -> 11.4 ms and solve 0.95 -> 0.78 ms, for 27% more CPU per solve; 32.4 MB
+# (kd 361, 5,600 rows) factor 102 -> 104 ms, the dense separator eating the
+# gain; 86 MB (kd 361, 14,801 rows, a 3D Hardy segment) factor 275 -> 221
+# ms and solve 18.8 -> 12.4 ms.  So 2D rests stay one band, 3D ones split.
+SPLIT_BAND_BYTES = 32 * 1024**2
 
 # Basis rows of every Lanczos run (lanczos), ARPACK's default Krylov
 # dimension.  A full basis restarts from its LANCZOS_ROWS // 2 largest Ritz
@@ -49,18 +63,25 @@ LANCZOS_ROWS = 20
 
 
 @functools.cache
-def _blas_pools() -> tuple:
-    """(name, get, set) of every OpenBLAS pool mapped into the process:
-    numpy's libscipy_openblas64_, scipy's libscipy_openblas and a system
+def _openblas_libs() -> tuple:
+    """(name, library) of every OpenBLAS mapped into the process: numpy's
+    libscipy_openblas64_, scipy's libscipy_openblas and a system
     libopenblas.  Empty when there is none (MKL, Accelerate, no procfs)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
             paths = {line.split()[-1] for line in f if "openblas" in line}
     except OSError:
         return ()
+    return tuple((os.path.basename(path), ctypes.CDLL(path))
+                 for path in sorted(p for p in paths if os.path.isfile(p)))
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """(name, get, set) of every OpenBLAS pool mapped into the process (see
+    _openblas_libs)."""
     pools = []
-    for path in sorted(p for p in paths if os.path.isfile(p)):
-        lib = ctypes.CDLL(path)
+    for name, lib in _openblas_libs():
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                                ("openblas", "64_"), ("openblas", "")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
@@ -68,7 +89,7 @@ def _blas_pools() -> tuple:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                pools.append((os.path.basename(path), get, set_))
+                pools.append((name, get, set_))
                 break
     return tuple(pools)
 
@@ -218,6 +239,14 @@ def _band(kd: int, width: int, rows, cols, values) -> np.ndarray:
     return ab
 
 
+def _not_positive(pivot: int, n: int) -> NotPositiveDefinite:
+    return NotPositiveDefinite(
+        f"the minor ending at row {pivot} (of {n}) is not positive; "
+        "the operator is not positive definite",
+        pivot=pivot,
+    )
+
+
 def _factor(ab: np.ndarray, row_of, n: int):
     """?pbtrf of the band ``ab``, in place.  ``row_of`` maps LAPACK's
     1-based pivot to a row of the n-row matrix."""
@@ -225,11 +254,7 @@ def _factor(ab: np.ndarray, row_of, n: int):
         return la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
     except la.LinAlgError as exc:
         pivot = row_of(int(re.match(r"\d+", str(exc)).group()))
-        raise NotPositiveDefinite(
-            f"the minor ending at row {pivot} (of {n}) is not positive; "
-            "the operator is not positive definite",
-            pivot=pivot,
-        ) from exc
+        raise _not_positive(pivot, n) from exc
 
 
 def _cho_solve(cb: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -241,16 +266,182 @@ def _cho_solve(cb: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _sweep(cb: np.ndarray, y: np.ndarray, trans: int) -> None:
-    """y <- U^-T y (trans = 1) or U^-1 y (trans = 0) in place by ?tbsv, U
-    the real band factor ``cb`` and y contiguous; a complex y is swept as
-    its real and its imaginary part, read in place with stride 2."""
+    """y <- U^-T y (trans = 1), U^-H y (trans = 2) or U^-1 y (trans = 0) in
+    place by ?tbsv, U the band factor ``cb`` and y contiguous; a complex y
+    on a real factor is swept as its real and its imaginary part, read in
+    place with stride 2."""
     kd = cb.shape[0] - 1
-    if np.iscomplexobj(y):
+    if np.iscomplexobj(cb):
+        blas.ztbsv(kd, cb, y, trans=trans, overwrite_x=1)
+    elif np.iscomplexobj(y):
         for part in (0, 1):
             blas.dtbsv(kd, cb, y.view(np.float64), offx=part, incx=2,
                        trans=trans, overwrite_x=1)
     else:
         blas.dtbsv(kd, cb, y, trans=trans, overwrite_x=1)
+
+
+# -- the two halves of a wide rest -------------------------------------------------
+
+# cblas enumerations: column-major, upper, no transpose (+ 1: transpose, + 2:
+# conjugate transpose), non-unit diagonal
+_COL_MAJOR, _UPPER, _NO_TRANS, _NON_UNIT = 102, 121, 111, 131
+
+
+@functools.cache
+def _gil_free():
+    """(factor, sweep), _factor's and _sweep's twins on LAPACKE_?pbtrf and
+    cblas_?tbsv of an OpenBLAS in the process, bound by ctypes, which
+    releases the GIL for the length of the call (scipy's wrappers hold it);
+    None when no library exports them.  An LP64 library (scipy's) is bound
+    before an ILP64 one (numpy's): scipy's cholesky_banded and ?tbsv call
+    the same kernels there, so both pairs give the same bytes."""
+    for suffix, int_ in (("", ctypes.c_int), ("64_", ctypes.c_int64)):
+        for _, lib in _openblas_libs():
+            for prefix in ("scipy_", ""):
+                try:
+                    kernels = {
+                        t: (getattr(lib, f"{prefix}LAPACKE_{t}pbtrf{suffix}"),
+                            getattr(lib, f"{prefix}cblas_{t}tbsv{suffix}"))
+                        for t in "dz"}
+                except AttributeError:
+                    continue
+                for pbtrf, tbsv in kernels.values():
+                    pbtrf.argtypes = [ctypes.c_int, ctypes.c_char, int_, int_,
+                                      ctypes.c_void_p, int_]
+                    pbtrf.restype = int_
+                    tbsv.argtypes = [ctypes.c_int] * 4 + [
+                        int_, int_, ctypes.c_void_p, int_, ctypes.c_void_p, int_]
+                    tbsv.restype = None
+                return _bound(kernels)
+    return None
+
+
+def _bound(kernels: dict) -> tuple:
+    """(factor, sweep) on the bound ?pbtrf and ?tbsv by type, "d" or "z"."""
+
+    def factor(ab, row_of, n):
+        kd = ab.shape[0] - 1
+        pbtrf = kernels["z" if np.iscomplexobj(ab) else "d"][0]
+        info = pbtrf(_COL_MAJOR, b"U", ab.shape[1], kd, ab.ctypes.data, kd + 1)
+        if info > 0:
+            raise _not_positive(row_of(int(info)), n)
+        return ab
+
+    def sweep(cb, y, trans):
+        kd = cb.shape[0] - 1
+        tbsv = kernels["z" if np.iscomplexobj(cb) else "d"][1]
+        by_parts = np.iscomplexobj(y) and not np.iscomplexobj(cb)
+        for offset in (0, 8) if by_parts else (0,):
+            tbsv(_COL_MAJOR, _UPPER, _NO_TRANS + trans, _NON_UNIT, y.size, kd,
+                 cb.ctypes.data, kd + 1, y.ctypes.data + offset,
+                 2 if by_parts else 1)
+
+    return factor, sweep
+
+
+@functools.cache
+def _worker() -> concurrent.futures.ThreadPoolExecutor:
+    """The thread that runs the left half of every split rest."""
+    return concurrent.futures.ThreadPoolExecutor(
+        1, thread_name_prefix="magtube-half")
+
+
+def _halves(left, right) -> tuple:
+    """(left(), right()): left on the worker thread while right runs on
+    this one when the band kernels release the GIL (_gil_free), else one
+    after the other.  A left half that the worker has not started when
+    right is done runs here, so a busy machine that keeps the worker off a
+    core never stalls the pair.  left's exception is raised before right's,
+    as when they run in turn."""
+    if _gil_free() is None:
+        return left(), right()
+    future = _worker().submit(left)
+
+    def left_result():
+        return left() if future.cancel() else future.result()
+
+    try:
+        got = right()
+    except BaseException:
+        left_result()
+        raise
+    return left_result(), got
+
+
+def _schur_factor(cb: np.ndarray, rows, cols, values) -> np.ndarray:
+    """W = T^-H C, T the trailing kd x kd triangle of the band factor ``cb``
+    and C the kd x kd coupling of entries (rows, cols, values)."""
+    kd = cb.shape[0] - 1
+    i, j = np.triu_indices(kd)
+    T = np.zeros((kd, kd), dtype=cb.dtype, order="F")
+    T[i, j] = cb[kd + i - j, cb.shape[1] - kd + j]
+    C = np.zeros_like(T)
+    C[rows, cols] = values
+    return la.solve_triangular(T, C, trans=2, overwrite_b=True,
+                               check_finite=False)
+
+
+def _split_rest(row, col, data, kd: int, nr: int, a: int, n: int):
+    """Factor of a rest of nr rows and half-width kd split at a separator;
+    returns its solve.  (row, col, data) are the rest's upper entries, and
+    its row 0 is row a of the n-row matrix.
+
+    With p = (nr - kd) // 2 the left part L holds rows [0, p), the
+    separator S rows [p, p + kd) and the right part R rows [p + kd, nr),
+    numbered from its last row.  L and R do not touch: each is a band of
+    width kd, built and factored U^H U by ?pbtrf at the same time as the
+    other (_halves).  T the trailing kd x kd triangle of a part's factor and
+    C the part's coupling to S, W = T^-H C gives its Schur term W^H W on S,
+    and S' = A_SS - W_L^H W_L - W_R^H W_R is factored densely.  A solve
+    sweeps L and R forward at once, solves S', takes W x_S off the last kd
+    rows of each part and sweeps them back at once.  A failed pivot raises
+    NotPositiveDefinite at its row of the matrix."""
+    p = (nr - kd) // 2
+    q = p + kd
+    factor, sweep = _gil_free() or (_factor, _sweep)
+    on_l, on_r = col < p, row >= q
+    ab_l = _band(kd, p, row[on_l], col[on_l], data[on_l])
+    # the right part numbered from its last row: upper entry (r, c) of R
+    # lies at (nr - 1 - c, nr - 1 - r), conjugated
+    cb_l, cb_r = _halves(
+        lambda: factor(ab_l, lambda k: a + k, n),
+        lambda: factor(_band(kd, nr - q, nr - 1 - col[on_r],
+                             nr - 1 - row[on_r], data[on_r].conj()),
+                       lambda k: a + nr + 1 - k, n))
+    # C by rows among the part's last kd, numbered along the part
+    on_l, on_r = (row < p) & (col >= p), (row < q) & (col >= q)
+    W_l = _schur_factor(cb_l, row[on_l] - (p - kd), col[on_l] - p, data[on_l])
+    W_r = _schur_factor(cb_r, q + kd - 1 - col[on_r], row[on_r] - p,
+                        data[on_r].conj())
+    on = (row >= p) & (col < q)
+    S = np.zeros((kd, kd), dtype=data.dtype, order="F")
+    S[row[on] - p, col[on] - p] = data[on]
+    # S' in place on its upper triangle: S <- S - W^H W by ?herk (?syrk)
+    herk, trans = ("herk", 2) if np.iscomplexobj(S) else ("syrk", 1)
+    rank_k = la.get_blas_funcs(herk, (S,))
+    for W in (W_l, W_r):
+        S = rank_k(-1.0, W, beta=1.0, c=S, trans=trans, overwrite_c=1)
+    cs, info = la.get_lapack_funcs("potrf", (S,))(S, lower=False, clean=True,
+                                                   overwrite_a=True)
+    if info > 0:
+        raise _not_positive(a + p + info, n)
+
+    def solve(rhs):
+        x = np.array(rhs, dtype=np.result_type(rhs, cs))
+        x_l, x_r = x[:p], x[q:][::-1].copy()
+        _halves(lambda: sweep(cb_l, x_l, 2), lambda: sweep(cb_r, x_r, 2))
+        # W^H y as conj(conj(y) W), so W is not copied
+        x_s = x[p:q] - (x_l[-kd:].conj() @ W_l
+                        + x_r[-kd:].conj() @ W_r).conj()
+        x[p:q] = x_s = la.cho_solve((cs, False), x_s, check_finite=False)
+        x_l[-kd:] -= W_l @ x_s
+        x_r[-kd:] -= W_r @ x_s
+        _halves(lambda: sweep(cb_l, x_l, 0), lambda: sweep(cb_r, x_r, 0))
+        x[q:] = x_r[::-1]
+        return x
+
+    return solve
 
 
 def _straight_run(ptr, idx, data, m: int, order) -> int:
@@ -398,20 +589,30 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     takes an end's right-hand side to modes, z = V^T X^T, and back in one
     real product each and sweeps the mode band with ?tbsv.  The detection
     compares bits: a perturbed entry ends a run there, so it can miss a
-    run, never produce a wrong factor.  The rest is one band in the matrix
-    dtype, real when no entry has a nonzero imaginary part.
+    run, never produce a wrong factor.  The rest is a band in the matrix
+    dtype, real when no entry has a nonzero imaginary part.  When that band
+    holds more than SPLIT_BAND_BYTES (every 3D tube, no 2D one) and at
+    least 3 kd rows, it splits at a separator of kd rows into two halves,
+    factored and swept at the same time on two threads (see _split_rest);
+    otherwise it is one band.
 
     V acts slice by slice, and the elimination of the ends is a congruence;
-    so (Sylvester's law of inertia) positive pivots in the mode bands and
-    in the band of the rest prove the matrix positive definite.
+    the split's order is a permutation followed by a congruence.  So
+    (Sylvester's law of inertia) positive pivots in the mode bands, in the
+    band of the rest, or in both halves' bands and the separator's S',
+    prove the matrix positive definite.
 
     Raises NotPositiveDefinite, whose ``pivot`` is the 1-based row of the
     matrix at which a minor is not positive (in a straight end, the last
     row of the slice whose mode failed; at the trailing end rows count from
-    the last, as n + 1 - p), and GridBudgetError when the arrays held (8
-    bytes per real and 16 per complex band entry, V, the mode bands and
-    their W) would exceed BAND_BUDGET_BYTES.  Factors on one BLAS thread
-    (see blas_threads).
+    the last, as n + 1 - p; in a split rest the row of the failed pivot in
+    whichever block it lies, the right half counted from its last row), and
+    GridBudgetError when the arrays held (8 bytes per real and 16 per
+    complex band entry, a split rest's W_L, W_R and S', V, the mode bands
+    and their W) would exceed BAND_BUDGET_BYTES.  Every kernel runs on one
+    BLAS thread (see blas_threads); the two halves of a split rest run on
+    this thread and on one worker thread, and give the same bytes as in
+    turn.
     """
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
@@ -445,7 +646,11 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     # one V serves both ends when they hold the same block bitwise
     shared = len(straight) == 2 and \
         straight[0][1].tobytes() == straight[1][1].tobytes()
-    nbytes = (kd + 1) * (b - a) * data.itemsize \
+    nr = b - a
+    split = (kd + 1) * nr * data.itemsize > SPLIT_BAND_BYTES and nr >= 3 * kd
+    # a split rest holds two bands of nr - kd rows together, W_L, W_R and S'
+    rest = ((kd + 1) * (nr - kd) + 3 * kd * kd if split else (kd + 1) * nr)
+    nbytes = rest * data.itemsize \
         + 8 * (2 * (a + n - b) + m * m * (2 * len(straight) - shared))
     if nbytes > BAND_BUDGET_BYTES:
         raise GridBudgetError(
@@ -460,12 +665,18 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
                                        eig if shared else None)
         row, col, data = _fold(row, col, data, start, W.T @ W)
         ends.append((view, slice(start, start + m), eig[1], cb_end, W))
-    cb = _factor(_band(kd, b - a, row, col, data), lambda p: a + p, n)
+    if split:
+        rest = _split_rest(row, col, data, kd, nr, a, n)
+    else:
+        rest = functools.partial(_cho_solve, _factor(
+            _band(kd, nr, row, col, data), lambda p: a + p, n))
+    dtype = data.dtype
+    del row, col, data
 
     def solve(rhs):
         if not ends:
-            return _cho_solve(cb, rhs)
-        x = np.array(rhs, dtype=np.result_type(rhs, cb))
+            return rest(rhs)
+        x = np.array(rhs, dtype=np.result_type(rhs, dtype))
         xr = x[a:b]
         zs = []
         for view, corner, V, cb_end, W in ends:
@@ -473,7 +684,7 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
             _sweep(cb_end, z.reshape(-1), 1)
             xr[corner] -= W.T @ z[:, -1]
             zs.append(z)
-        xr[:] = _cho_solve(cb, xr)
+        xr[:] = rest(xr)
         for (view, corner, V, cb_end, W), z in zip(ends, zs):
             z[:, -1] -= W @ xr[corner]
             _sweep(cb_end, z.reshape(-1), 0)
@@ -591,8 +802,9 @@ def lowest_eigenpairs(
     ``matrix - sigma M``, at every size; its pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
     spectrum, so the factor exists.  By Sylvester's law of inertia its
-    positive pivots (straight ends, banded rest: every mode band's and the
-    rest's) prove that no eigenvalue lies below sigma, which makes the k
+    positive pivots (straight ends, split rest: every mode band's, and the
+    rest's band or its halves' bands and separator's) prove that no
+    eigenvalue lies below sigma, which makes the k
     pairs nearest sigma the k lowest; a sigma above the bottom of the
     spectrum raises NotPositiveDefinite.  Lanczos runs at machine epsilon,
     ARPACK's default tolerance, for at most 10 n applications.  Returns the
@@ -606,7 +818,8 @@ def lowest_eigenpairs(
     Lanczos starts from ``v0`` (say, a fiber ground state just above its
     proven floor) or else from a random vector drawn from ``seed``;
     1 <= k <= min(n, LANCZOS_ROWS // 2).  Deterministic given the start, and
-    runs on one BLAS thread (see blas_threads).
+    runs on one BLAS thread (see blas_threads); the solves of a split rest
+    sweep its halves on two threads, one BLAS thread each.
     """
     n = matrix.shape[0]
     kmax = min(n, LANCZOS_ROWS // 2)

@@ -52,7 +52,6 @@ from .assemble import (
     blas_threads,
     cov_link_matrix,
     dirichlet_links,
-    dirichlet_second_difference,
     form_term,
     lanczos,
     lowest_eigenpairs,
@@ -83,9 +82,6 @@ class AxisGrid:
         self.nodes = -self.S + self.ds * np.arange(1, n_sub)
         self.mids = -self.S + self.ds * (np.arange(n_sub) + 0.5)
         self.ns = len(self.nodes)
-
-    def second_difference(self) -> sp.csr_matrix:
-        return dirichlet_second_difference(self.ns, self.ds)
 
     def lattice(self, section: GridDomain) -> "TubeLattice":
         return TubeLattice(self.nodes, section, ds=self.ds, mids=self.mids)
@@ -498,7 +494,8 @@ def assemble_effective(tube: TubeSpec, field,
     pot = -0.25 * tube.curve.kappa_mag(ax.nodes) ** 2
     if mode == "galerkin":
         X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
-        mat = fiber_project(form_term(X), J1h, ax.ns, sec.h**sec.dim)
+        E = fiber_embedding(J1h, ax.ns)
+        mat = sec.h**sec.dim * form_term(X @ E)
         if sec.dim == 2 and field is not None:
             M_omega = compute_constants(sec, method="mask").M_omega
             B23ax, _, _, _ = pullback_field(field, frame, tube).on_axis(ax.nodes)

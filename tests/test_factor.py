@@ -1,6 +1,7 @@
 """Banded Cholesky factor of the positive-definite tube operators."""
 
 import gc
+import threading
 import weakref
 from pathlib import Path
 
@@ -48,6 +49,15 @@ def _complex_3d(planar):
     bump = geo.TensorBump3((0.0, 0.2, -0.1), (3.0, 3.0, 3.0))
     field = geo.CurlPotentialField3D(((2, bump, 1.0),))
     return ops.assemble_full(make_tube(curve, sec, 0.1), field,
+                             geo.integrate_frame(curve))
+
+
+def _real_3d(planar):
+    # the curve of _complex_3d without its twist and field: a real band
+    sec = grids.square(1.0, 0.2)
+    curve = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
+                             kappa2=geo.Profile.single(0.0, 2.0, 0.5))
+    return ops.assemble_full(make_tube(curve, sec, 0.1), None,
                              geo.integrate_frame(curve))
 
 
@@ -355,6 +365,199 @@ def test_pivot_of_a_straight_end_lies_in_its_rows(planar, build):
         assert pivot % m == 0 and m <= pivot <= lead * m
     else:
         assert (pivot - 1) % m == 0 and n - trail * m < pivot <= n + 1 - m
+
+
+@pytest.fixture
+def split_rests(monkeypatch):
+    """Every rest splits, however narrow its band; records (kd, nr, a) of
+    each split and whether its band is complex."""
+    splits = []
+    split_rest = assemble._split_rest
+
+    def record(row, col, data, kd, nr, a, n):
+        splits.append((kd, nr, a, np.iscomplexobj(data)))
+        return split_rest(row, col, data, kd, nr, a, n)
+
+    monkeypatch.setattr(assemble, "SPLIT_BAND_BYTES", 0)
+    monkeypatch.setattr(assemble, "_split_rest", record)
+    return splits
+
+
+@pytest.mark.parametrize("build, is_complex, kd, runs", [
+    (_complex_3d, True, 99, (44, 44)), (_real_3d, False, 81, (59, 59))])
+@pytest.mark.parametrize("straight_ends", [False, True])
+def test_split_rest_solve_matches_superlu(planar, rng, split_rests, build,
+                                          is_complex, kd, runs,
+                                          straight_ends):
+    # a complex (twisted, with field) and a real 3D band, whole and between
+    # its straight ends, in two halves and a separator of kd rows (the
+    # twist couples a node to the diagonal neighbours of the next slice,
+    # so kd = 81 + 18 there); a real band sweeps a complex right-hand side
+    # by its real and imaginary parts
+    op = build(planar)
+    split_rests.clear()
+    assert op.matrix.data.imag.any() == is_complex
+    m = op.grid["section"].n
+    lead, trail = runs if straight_ends else (0, 0)
+    assert _runs(op) == runs
+    _check_against_superlu(op, rng, is_complex, m if straight_ends else None)
+    rest = op.n - (lead + trail) * m
+    assert split_rests == [(kd, rest, lead * m, is_complex)]
+
+
+def test_rest_splits_above_the_split_bytes(planar, monkeypatch):
+    # the band of the rest, (kd + 1) rows of 16 bytes per row of the
+    # complex 3D tube, splits when it holds more than SPLIT_BAND_BYTES; the
+    # shipped constant keeps the largest 2D rest (6,399 x 80 x 16 bytes)
+    # one band and splits the smallest 3D one (14,801 x 362 x 16 bytes)
+    assert 6399 * 80 * 16 <= assemble.SPLIT_BAND_BYTES < 14801 * 362 * 16
+    splits = []
+    split_rest = assemble._split_rest
+
+    def record(*args):
+        splits.append(args[3:5])
+        return split_rest(*args)
+
+    monkeypatch.setattr(assemble, "_split_rest", record)
+    op = _complex_3d(planar)
+    kd = op.grid["section"].n + 18
+    band = (kd + 1) * op.n * 16
+    monkeypatch.setattr(assemble, "SPLIT_BAND_BYTES", band)
+    banded_cholesky(op.matrix)
+    assert splits == []
+    monkeypatch.setattr(assemble, "SPLIT_BAND_BYTES", band - 1)
+    banded_cholesky(op.matrix)
+    assert splits == [(kd, op.n)]
+
+
+@pytest.mark.parametrize("straight_ends", [False, True])
+def test_pivot_of_a_split_rest_is_a_row_of_the_matrix(planar, split_rests,
+                                                      straight_ends):
+    # a negative diagonal entry in the left part (rows before 6,390), the
+    # separator (6,390 to 6,488) or the right part, eliminated from the
+    # last row, fails the split at exactly that row, also when the rest
+    # starts after a straight end of 44 slices of 81 rows
+    op = _complex_3d(planar)
+    split_rests.clear()
+    m = op.grid["section"].n
+    for row in (5000, 6389, 6390, 6420, 6488, 6489, 8000):
+        spike = sp.csr_matrix(([op.matrix[row, row].real + 1.0], ([row], [row])),
+                              shape=op.matrix.shape)
+        with pytest.raises(NotPositiveDefinite,
+                           match=f"ending at row {row + 1} \\(of {op.n}\\)") as info:
+            banded_cholesky(op.matrix - spike,
+                            slice_size=m if straight_ends else None)
+        assert info.value.pivot == row + 1
+    kd, nr, a, _ = split_rests[0]
+    assert (a + (nr - kd) // 2, kd) == (6390, 99)
+
+
+def test_split_band_memory_budget(planar, split_rests, monkeypatch):
+    # a split rest counts its two bands (nr - kd rows of kd + 1 entries
+    # together), W_L, W_R and S' (kd x kd each), besides the straight ends
+    op = _complex_3d(planar)
+    split_rests.clear()
+    m = op.grid["section"].n
+    kd = m + 18
+    lead, trail = _runs(op)
+    rest = op.n - (lead + trail) * m
+    need = ((kd + 1) * (rest - kd) + 3 * kd * kd) * 16 \
+        + 16 * (lead + trail) * m + 3 * 8 * m * m
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
+    with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
+        banded_cholesky(op.matrix, slice_size=m)
+    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
+    banded_cholesky(op.matrix, slice_size=m)
+    assert len(split_rests) == 1
+
+
+@pytest.mark.parametrize("build", [_complex_3d, _real_3d])
+def test_split_solve_bytes_do_not_depend_on_the_worker(planar, rng,
+                                                      split_rests,
+                                                      monkeypatch, build):
+    # the halves through the worker thread, run inline, and on scipy's
+    # wrappers of the same kernels give the same bits
+    op = build(planar)
+    split_rests.clear()
+    m = op.grid["section"].n
+    rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    got = []
+    for patch in (None, "inline", "scipy"):
+        if patch == "inline":
+            monkeypatch.setattr(assemble, "_halves",
+                                lambda left, right: (left(), right()))
+        if patch == "scipy":
+            monkeypatch.setattr(assemble, "_gil_free", lambda: None)
+        solve = banded_cholesky(op.matrix, slice_size=m)
+        got.append((solve(rhs), solve(rhs.real)))
+    assert len(split_rests) == 3
+    for x, y in got[1:]:
+        assert np.array_equal(x, got[0][0]) and np.array_equal(y, got[0][1])
+
+
+def test_split_factors_die_with_their_solve(planar, split_rests,
+                                           monkeypatch):
+    # the halves' bands and their W go with the solve: neither the worker
+    # thread nor a closure of the split keeps them
+    refs = []
+
+    def recorded(build):
+        def record(*args):
+            built = build(*args)
+            refs.append(weakref.ref(built))
+            return built
+        return record
+
+    monkeypatch.setattr(assemble, "_band", recorded(assemble._band))
+    monkeypatch.setattr(assemble, "_schur_factor",
+                        recorded(assemble._schur_factor))
+    op = _complex_3d(planar)
+    refs.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        solve = banded_cholesky(op.matrix, slice_size=op.grid["section"].n)
+        solve(np.ones(op.n, dtype=complex))
+        del solve
+        alive = [ref for ref in refs if ref() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) == 4 and alive == []
+
+
+def test_split_halves_run_on_two_threads_without_the_gil():
+    # the GIL-free binding of ?pbtrf and ?tbsv resolves on the installed
+    # OpenBLAS, so a split rest never falls back to its halves in turn
+    if not assemble._blas_pools():
+        pytest.skip("no OpenBLAS pool is loaded")
+    assert assemble._gil_free() is not None
+    started = threading.Event()
+
+    def left():
+        started.set()
+        return threading.get_ident()
+
+    def right():
+        assert started.wait(60)  # the worker has taken the left half
+        return threading.get_ident()
+
+    assert assemble._halves(left, right)[0] != threading.get_ident()
+
+
+def test_split_halves_raise_the_left_error_first():
+    # as when the halves run in turn, the left half's error wins
+
+    def fail(exc):
+        def run():
+            raise exc
+        return run
+
+    with pytest.raises(KeyError):
+        assemble._halves(fail(KeyError()), fail(IndexError()))
+    with pytest.raises(IndexError):
+        assemble._halves(lambda: None, fail(IndexError()))
+    with pytest.raises(KeyError):
+        assemble._halves(fail(KeyError()), lambda: None)
 
 
 def test_resolvent_distance_rejects_indefinite_shift(planar):

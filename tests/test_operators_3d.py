@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from magtube import geometry as geo, grids, operators as ops
-from magtube.assemble import RegimeParams
+from magtube.assemble import RegimeParams, dirichlet_second_difference
 from magtube.errors import GridBudgetError
 
 pytestmark = pytest.mark.slow
@@ -148,7 +148,8 @@ def test_effective3d_reduces_to_curvature_twist_model(square_sec, bent3d):
 
     pot = (-0.25 * curve.kappa_mag(ax.nodes) ** 2
            + c.p * curve.theta_prime(ax.nodes) ** 2)
-    ref = ax.second_difference() + sp.diags(pot) + eff.meta["K"] * sp.eye(ax.ns)
+    kinetic = dirichlet_second_difference(ax.ns, ax.ds)
+    ref = kinetic + sp.diags(pot) + eff.meta["K"] * sp.eye(ax.ns)
     assert abs(eff.matrix - ref).max() < 1e-12
     # theta' = 0 and B = 0: exactly the curvature model
     straight_tw = geo.CurveProfile(dim=3, S=8.0, ds=0.1,
@@ -156,7 +157,7 @@ def test_effective3d_reduces_to_curvature_twist_model(square_sec, bent3d):
     f2 = geo.integrate_frame(straight_tw)
     eff2 = ops.assemble_effective(make_tube(straight_tw, square_sec, 0.1,
                                                delta=0.5), None, frame=f2)
-    ref2 = ax.second_difference() + sp.diags(
+    ref2 = kinetic + sp.diags(
         -0.25 * straight_tw.kappa_mag(ax.nodes) ** 2) \
         + eff2.meta["K"] * sp.eye(ax.ns)
     assert abs(eff2.matrix - ref2).max() < 1e-12
@@ -179,7 +180,8 @@ def test_effective3d_disk_axis_field_potential():
     ax = ops.axis_grid(curve)
     pulled = geo.pullback_field(field, frame, tube)
     B23, B13, B12, _ = pulled.on_axis(ax.nodes)
-    diag_pot = (eff.matrix.diagonal() - ax.second_difference().diagonal()
+    kinetic = dirichlet_second_difference(ax.ns, ax.ds)
+    diag_pot = (eff.matrix.diagonal() - kinetic.diagonal()
                 - eff.meta["K"])
     expect = (B23**2 * c.moment2 / 4
               + B12**2 * c.second_moments[0] + B13**2 * c.second_moments[2])

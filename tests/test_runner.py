@@ -707,22 +707,26 @@ def test_nrc_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OPENBLAS_NUM_THREADS = 1 and 2 set the ambient pools of two fresh
     # processes; the run pins every solve to one thread, so the bytes agree
     # (the asymptotics run adds the eps-expansion's contour sums and sparse
-    # products, the full3d run a complex band of kd = 288 >= 256 on a field
-    # and a twist)
+    # products, the full3d runs a complex band of kd = 288 on a field and a
+    # twist: one band of 3,328 rows between the straight ends, and a longer
+    # field whose rest of 7,936 rows splits in two halves on two threads)
     configs = {
         "nrc-sweep": MINI_NRC.format(out=tmp_path / "o", delta="0 1"),
         "asymptotics": MINI_ASYM.format(out=tmp_path / "o"),
         "full3d": MINI_FULL3D.format(out=tmp_path / "o"),
+        "full3d-split": MINI_FULL3D.format(out=tmp_path / "o").replace(
+            "S = 1.5", "S = 3.0").replace("-0.1 0.5", "-0.1 1.5"),
     }
     src = str(Path(magtube.__file__).resolve().parent.parent)
-    for kind, text in configs.items():
-        cfg_path = write_config(tmp_path / f"{kind}.ini", text)
+    for name, text in configs.items():
+        kind = name.split("-split")[0]
+        cfg_path = write_config(tmp_path / f"{name}.ini", text)
         csv = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(
                            filter(None, [src, os.environ.get("PYTHONPATH")])))
-            out = tmp_path / f"{kind}-t{threads}"
+            out = tmp_path / f"{name}-t{threads}"
             subprocess.run([sys.executable, "-m", "magtube.cli", kind,
                             "--config", cfg_path, "--out", str(out)],
                            env=env, check=True, capture_output=True,
