@@ -519,6 +519,9 @@ def test_split_factors_die_with_their_solve(planar, split_rests,
         solve = banded_cholesky(op.matrix, slice_size=op.grid["section"].n)
         solve(np.ones(op.n, dtype=complex))
         del solve
+        # the worker drops its last task (and the result it returned) just
+        # after handing the result over; one more task waits for that
+        assemble._worker().submit(lambda: None).result()
         alive = [ref for ref in refs if ref() is not None]
     finally:
         gc.enable()
