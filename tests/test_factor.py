@@ -406,7 +406,7 @@ def test_split_rest_solve_matches_superlu(planar, rng, split_rests, build,
 
 
 def test_rest_splits_above_the_split_bytes(planar, monkeypatch):
-    # the band of the rest, (kd + 1) rows of 16 bytes per row of the
+    # the band of the rest, kd + 1 entries of 16 bytes per row of the
     # complex 3D tube, splits when it holds more than SPLIT_BAND_BYTES; the
     # shipped constant keeps the largest 2D rest (6,399 x 80 x 16 bytes)
     # one band and splits the smallest 3D one (14,801 x 362 x 16 bytes)
