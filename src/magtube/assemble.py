@@ -5,7 +5,9 @@ field-free slices at either end of a tube are eliminated exactly, one
 tridiagonal per mode of their section block, and the rest is factored as
 one band in the matrix dtype, or, when that band is wide, as two halves
 factored and swept at the same time on two threads, each on one BLAS
-thread, and a separator between them (see banded_cholesky).
+thread, and a separator between them (see banded_cholesky).  Every band,
+the mode bands included, is factored by ?pbtrf and swept by ?tbsv through
+one binding (_factor, _sweep) of the entry points scipy exports to Cython.
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -24,13 +26,12 @@ import contextlib
 import ctypes
 import functools
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
-import scipy.linalg.blas as blas
 import scipy.sparse as sp
+from scipy.linalg import cython_blas, cython_lapack
 
 from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 
@@ -63,25 +64,18 @@ LANCZOS_ROWS = 20
 
 
 @functools.cache
-def _openblas_libs() -> tuple:
-    """(name, library) of every OpenBLAS mapped into the process: numpy's
-    libscipy_openblas64_, scipy's libscipy_openblas and a system
-    libopenblas.  Empty when there is none (MKL, Accelerate, no procfs)."""
+def _blas_pools() -> tuple:
+    """(name, get, set) of every OpenBLAS pool mapped into the process:
+    numpy's libscipy_openblas64_, scipy's libscipy_openblas and a system
+    libopenblas; empty when there is none (MKL, Accelerate, no procfs)."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
             paths = {line.split()[-1] for line in f if "openblas" in line}
     except OSError:
         return ()
-    return tuple((os.path.basename(path), ctypes.CDLL(path))
-                 for path in sorted(p for p in paths if os.path.isfile(p)))
-
-
-@functools.cache
-def _blas_pools() -> tuple:
-    """(name, get, set) of every OpenBLAS pool mapped into the process (see
-    _openblas_libs)."""
     pools = []
-    for name, lib in _openblas_libs():
+    for path in sorted(p for p in paths if os.path.isfile(p)):
+        lib = ctypes.CDLL(path)
         for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                                ("openblas", "64_"), ("openblas", "")):
             get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
@@ -89,7 +83,7 @@ def _blas_pools() -> tuple:
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                pools.append((name, get, set_))
+                pools.append((os.path.basename(path), get, set_))
                 break
     return tuple(pools)
 
@@ -247,97 +241,70 @@ def _not_positive(pivot: int, n: int) -> NotPositiveDefinite:
     )
 
 
-def _factor(ab: np.ndarray, row_of, n: int):
-    """?pbtrf of the band ``ab``, in place.  ``row_of`` maps LAPACK's
-    1-based pivot to a row of the n-row matrix."""
-    try:
-        return la.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    except la.LinAlgError as exc:
-        pivot = row_of(int(re.match(r"\d+", str(exc)).group()))
-        raise _not_positive(pivot, n) from exc
+@functools.cache
+def _kernels(t: str) -> tuple:
+    """(?pbtrf, ?tbsv) of type t, "d" or "z": the routines that scipy's own
+    wrappers call, read from the C entry points scipy exports to Cython
+    (scipy.linalg.cython_lapack and cython_blas) and called through ctypes,
+    which releases the GIL for the length of the call.  They take every
+    argument by pointer, as in Fortran: c a char, i an int, p an array."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    c, i, p = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+
+    def bind(module, routine, *argtypes):
+        capsule = module.__pyx_capi__[routine]
+        return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, name(capsule)))
+
+    return (bind(cython_lapack, f"{t}pbtrf", c, i, i, p, i, i),
+            bind(cython_blas, f"{t}tbsv", c, c, c, i, i, p, i, p, i))
 
 
-def _cho_solve(cb: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """?pbtrs with the band factor ``cb``; a complex x on a real factor is
-    solved as its real and imaginary parts."""
-    if np.iscomplexobj(x) and not np.iscomplexobj(cb):
-        return _cho_solve(cb, x.real) + 1j * _cho_solve(cb, x.imag)
-    return la.cho_solve_banded((cb, False), x, check_finite=False)
+def _kernel_type(a: np.ndarray, layout: str) -> str:
+    """"d" or "z", the kernel type of ``a``.  The kernels read and write its
+    memory raw, so anything but a writable float64 or complex128 array in
+    ``layout`` ("F_CONTIGUOUS" or "C_CONTIGUOUS") raises ValueError."""
+    if a.dtype not in (np.float64, np.complex128) or not a.flags[layout] \
+            or not a.flags.writeable:
+        raise ValueError(f"the band kernels take a writable {layout} float64 "
+                         f"or complex128 array, not this {a.dtype} one")
+    return "z" if a.dtype == np.complex128 else "d"
+
+
+def _factor(ab: np.ndarray, row_of, n: int) -> np.ndarray:
+    """?pbtrf of the upper band ``ab`` (Fortran-ordered) in place; returns
+    ``ab``.  ``row_of`` maps LAPACK's 1-based pivot to a row of the n-row
+    matrix."""
+    pbtrf = _kernels(_kernel_type(ab, "F_CONTIGUOUS"))[0]
+    kd, info = ab.shape[0] - 1, ctypes.c_int()
+    pbtrf(b"U", ctypes.c_int(ab.shape[1]), ctypes.c_int(kd), ab.ctypes.data,
+          ctypes.c_int(kd + 1), info)
+    if info.value > 0:
+        raise _not_positive(row_of(info.value), n)
+    return ab
 
 
 def _sweep(cb: np.ndarray, y: np.ndarray, trans: int) -> None:
-    """y <- U^-T y (trans = 1), U^-H y (trans = 2) or U^-1 y (trans = 0) in
-    place by ?tbsv, U the band factor ``cb`` and y contiguous; a complex y
-    on a real factor is swept as its real and its imaginary part, read in
-    place with stride 2."""
-    kd = cb.shape[0] - 1
-    if np.iscomplexobj(cb):
-        blas.ztbsv(kd, cb, y, trans=trans, overwrite_x=1)
-    elif np.iscomplexobj(y):
-        for part in (0, 1):
-            blas.dtbsv(kd, cb, y.view(np.float64), offx=part, incx=2,
-                       trans=trans, overwrite_x=1)
-    else:
-        blas.dtbsv(kd, cb, y, trans=trans, overwrite_x=1)
+    """y <- U^-T y (trans = 1), U^-H y (2) or U^-1 y (0) in place by ?tbsv,
+    U the band factor ``cb`` and y a contiguous vector of its length; a
+    complex y on a real factor is swept as its real and its imaginary part,
+    read in place with stride 2."""
+    tbsv = _kernels(_kernel_type(cb, "F_CONTIGUOUS"))[1]
+    _kernel_type(y, "C_CONTIGUOUS")
+    if y.size != cb.shape[1] or np.promote_types(cb.dtype, y.dtype) != y.dtype:
+        raise ValueError(f"a {y.dtype} vector of {y.size} entries does not "
+                         f"fit a {cb.dtype} band of {cb.shape[1]} columns")
+    by_parts = y.dtype != cb.dtype
+    n, kd, ld, inc = (ctypes.c_int(v) for v in (
+        y.size, cb.shape[0] - 1, cb.shape[0], 1 + by_parts))
+    for offset in (0, 8) if by_parts else (0,):
+        tbsv(b"U", b"NTC"[trans:trans + 1], b"N", n, kd, cb.ctypes.data, ld,
+             y.ctypes.data + offset, inc)
 
 
 # -- the two halves of a wide rest -------------------------------------------------
-
-# cblas enumerations: column-major, upper, no transpose (+ 1: transpose, + 2:
-# conjugate transpose), non-unit diagonal
-_COL_MAJOR, _UPPER, _NO_TRANS, _NON_UNIT = 102, 121, 111, 131
-
-
-@functools.cache
-def _gil_free():
-    """(factor, sweep), _factor's and _sweep's twins on LAPACKE_?pbtrf and
-    cblas_?tbsv of an OpenBLAS in the process, bound by ctypes, which
-    releases the GIL for the length of the call (scipy's wrappers hold it);
-    None when no library exports them.  An LP64 library (scipy's) is bound
-    before an ILP64 one (numpy's): scipy's cholesky_banded and ?tbsv call
-    the same kernels there, so both pairs give the same bytes."""
-    for suffix, int_ in (("", ctypes.c_int), ("64_", ctypes.c_int64)):
-        for _, lib in _openblas_libs():
-            for prefix in ("scipy_", ""):
-                try:
-                    kernels = {
-                        t: (getattr(lib, f"{prefix}LAPACKE_{t}pbtrf{suffix}"),
-                            getattr(lib, f"{prefix}cblas_{t}tbsv{suffix}"))
-                        for t in "dz"}
-                except AttributeError:
-                    continue
-                for pbtrf, tbsv in kernels.values():
-                    pbtrf.argtypes = [ctypes.c_int, ctypes.c_char, int_, int_,
-                                      ctypes.c_void_p, int_]
-                    pbtrf.restype = int_
-                    tbsv.argtypes = [ctypes.c_int] * 4 + [
-                        int_, int_, ctypes.c_void_p, int_, ctypes.c_void_p, int_]
-                    tbsv.restype = None
-                return _bound(kernels)
-    return None
-
-
-def _bound(kernels: dict) -> tuple:
-    """(factor, sweep) on the bound ?pbtrf and ?tbsv by type, "d" or "z"."""
-
-    def factor(ab, row_of, n):
-        kd = ab.shape[0] - 1
-        pbtrf = kernels["z" if np.iscomplexobj(ab) else "d"][0]
-        info = pbtrf(_COL_MAJOR, b"U", ab.shape[1], kd, ab.ctypes.data, kd + 1)
-        if info > 0:
-            raise _not_positive(row_of(int(info)), n)
-        return ab
-
-    def sweep(cb, y, trans):
-        kd = cb.shape[0] - 1
-        tbsv = kernels["z" if np.iscomplexobj(cb) else "d"][1]
-        by_parts = np.iscomplexobj(y) and not np.iscomplexobj(cb)
-        for offset in (0, 8) if by_parts else (0,):
-            tbsv(_COL_MAJOR, _UPPER, _NO_TRANS + trans, _NON_UNIT, y.size, kd,
-                 cb.ctypes.data, kd + 1, y.ctypes.data + offset,
-                 2 if by_parts else 1)
-
-    return factor, sweep
 
 
 @functools.cache
@@ -349,13 +316,10 @@ def _worker() -> concurrent.futures.ThreadPoolExecutor:
 
 def _halves(left, right) -> tuple:
     """(left(), right()): left on the worker thread while right runs on
-    this one when the band kernels release the GIL (_gil_free), else one
-    after the other.  A left half that the worker has not started when
-    right is done runs here, so a busy machine that keeps the worker off a
-    core never stalls the pair.  left's exception is raised before right's,
-    as when they run in turn."""
-    if _gil_free() is None:
-        return left(), right()
+    this one, the band kernels releasing the GIL (_kernels).  A left half
+    that the worker has not started when right is done runs here, so a busy
+    machine that keeps the worker off a core never stalls the pair.  left's
+    exception is raised before right's, as when they run in turn."""
     future = _worker().submit(left)
 
     def left_result():
@@ -384,8 +348,9 @@ def _schur_factor(cb: np.ndarray, rows, cols, values) -> np.ndarray:
 
 def _split_rest(row, col, data, kd: int, nr: int, a: int, n: int):
     """Factor of a rest of nr rows and half-width kd split at a separator;
-    returns its solve.  (row, col, data) are the rest's upper entries, and
-    its row 0 is row a of the n-row matrix.
+    returns its solve, in place on a contiguous vector of the rest's dtype
+    or complex.  (row, col, data) are the rest's upper entries, and its row
+    0 is row a of the n-row matrix.
 
     With p = (nr - kd) // 2 the left part L holds rows [0, p), the
     separator S rows [p, p + kd) and the right part R rows [p + kd, nr),
@@ -399,16 +364,15 @@ def _split_rest(row, col, data, kd: int, nr: int, a: int, n: int):
     NotPositiveDefinite at its row of the matrix."""
     p = (nr - kd) // 2
     q = p + kd
-    factor, sweep = _gil_free() or (_factor, _sweep)
     on_l, on_r = col < p, row >= q
     ab_l = _band(kd, p, row[on_l], col[on_l], data[on_l])
     # the right part numbered from its last row: upper entry (r, c) of R
     # lies at (nr - 1 - c, nr - 1 - r), conjugated
     cb_l, cb_r = _halves(
-        lambda: factor(ab_l, lambda k: a + k, n),
-        lambda: factor(_band(kd, nr - q, nr - 1 - col[on_r],
-                             nr - 1 - row[on_r], data[on_r].conj()),
-                       lambda k: a + nr + 1 - k, n))
+        lambda: _factor(ab_l, lambda k: a + k, n),
+        lambda: _factor(_band(kd, nr - q, nr - 1 - col[on_r],
+                              nr - 1 - row[on_r], data[on_r].conj()),
+                        lambda k: a + nr + 1 - k, n))
     # C by rows among the part's last kd, numbered along the part
     on_l, on_r = (row < p) & (col >= p), (row < q) & (col >= q)
     W_l = _schur_factor(cb_l, row[on_l] - (p - kd), col[on_l] - p, data[on_l])
@@ -427,19 +391,17 @@ def _split_rest(row, col, data, kd: int, nr: int, a: int, n: int):
     if info > 0:
         raise _not_positive(a + p + info, n)
 
-    def solve(rhs):
-        x = np.array(rhs, dtype=np.result_type(rhs, cs))
+    def solve(x):
         x_l, x_r = x[:p], x[q:][::-1].copy()
-        _halves(lambda: sweep(cb_l, x_l, 2), lambda: sweep(cb_r, x_r, 2))
+        _halves(lambda: _sweep(cb_l, x_l, 2), lambda: _sweep(cb_r, x_r, 2))
         # W^H y as conj(conj(y) W), so W is not copied
         x_s = x[p:q] - (x_l[-kd:].conj() @ W_l
                         + x_r[-kd:].conj() @ W_r).conj()
         x[p:q] = x_s = la.cho_solve((cs, False), x_s, check_finite=False)
         x_l[-kd:] -= W_l @ x_s
         x_r[-kd:] -= W_r @ x_s
-        _halves(lambda: sweep(cb_l, x_l, 0), lambda: sweep(cb_r, x_r, 0))
+        _halves(lambda: _sweep(cb_l, x_l, 0), lambda: _sweep(cb_r, x_r, 0))
         x[q:] = x_r[::-1]
-        return x
 
     return solve
 
@@ -568,7 +530,9 @@ def _fold(row, col, data, start: int, S: np.ndarray):
 def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     """Factor a Hermitian positive-definite sparse matrix; return its solve.
 
-    LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix.
+    LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix,
+    and per solve ?pbtrs's two ?tbsv sweeps, U^-H then U^-1; every band is
+    factored by _factor and swept by _sweep, scipy's own kernels (_kernels).
     Tube operators in s-major order have kd = section size, so the band
     holds n (kd + 1) entries where SuperLU's fill is several times larger.
     Finiteness is checked once here, not on every solve.  ``solve`` takes
@@ -611,8 +575,8 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     complex band entry, a split rest's W_L, W_R and S', V, the mode bands
     and their W) would exceed BAND_BUDGET_BYTES.  Every kernel runs on one
     BLAS thread (see blas_threads); the two halves of a split rest run on
-    this thread and on one worker thread, and give the same bytes as in
-    turn.
+    this thread and on one worker thread, whose kernels release the GIL,
+    and give the same bytes as in turn.
     """
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
@@ -668,14 +632,15 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     if split:
         rest = _split_rest(row, col, data, kd, nr, a, n)
     else:
-        rest = functools.partial(_cho_solve, _factor(
-            _band(kd, nr, row, col, data), lambda p: a + p, n))
+        cb = _factor(_band(kd, nr, row, col, data), lambda p: a + p, n)
+
+        def rest(x):  # ?pbtrs's two sweeps
+            _sweep(cb, x, 2)
+            _sweep(cb, x, 0)
     dtype = data.dtype
     del row, col, data
 
     def solve(rhs):
-        if not ends:
-            return rest(rhs)
         x = np.array(rhs, dtype=np.result_type(rhs, dtype))
         xr = x[a:b]
         zs = []
@@ -684,7 +649,7 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
             _sweep(cb_end, z.reshape(-1), 1)
             xr[corner] -= W.T @ z[:, -1]
             zs.append(z)
-        xr[:] = rest(xr)
+        rest(xr)
         for (view, corner, V, cb_end, W), z in zip(ends, zs):
             z[:, -1] -= W @ xr[corner]
             _sweep(cb_end, z.reshape(-1), 0)
