@@ -5,9 +5,10 @@ field-free slices at either end of a tube are eliminated exactly, one
 tridiagonal per mode of their section block, and the rest is factored as
 one band in the matrix dtype, or, when that band is wide, as two halves
 factored and swept at the same time on two threads, each on one BLAS
-thread, and a separator between them (see banded_cholesky).  Every band,
-the mode bands included, is factored by ?pbtrf and swept by ?tbsv through
-one binding (_factor, _sweep) of the entry points scipy exports to Cython.
+thread, and a separator between them (see banded_cholesky).  The mode
+tridiagonals are factored by dpttrf and solved by ?pttrs (_tridiagonal,
+_tridiagonal_solve), every band by ?pbtrf and ?tbsv (_factor, _sweep), all
+through one binding (_kernel) of the entry points scipy exports to Cython.
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -38,10 +39,13 @@ from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 # Bytes held by one factor: band storage (kd + 1) per row of the rest, 8
 # bytes per entry of a real band and 16 of a complex one (a split rest: its
 # two bands of nr - kd rows together, plus W_L, W_R and S', kd x kd each),
-# plus V, W and the kd = 1 mode band of each straight end.  The largest
+# plus each straight end's V (m x m) and, per row, 8 bytes for each of its
+# tridiagonal factor's d and e and its interface column g and 16 for the
+# complex copy of e that a complex matrix solves with; two ends of the same
+# block share V, and of the same slices also d, e and g.  The largest
 # shipped case, the full3d tube (n = 57,399, kd = 399; 44 straight slices
 # of 361 rows at each end, a complex rest of 25,631 rows, split), holds
-# 173 MB (168 MB with the rest as one band, 367 MB as one complex band).
+# 171 MB (166 MB with the rest as one band, 367 MB as one complex band).
 BAND_BUDGET_BYTES = 2 * 1024**3
 
 # A rest whose band holds more bytes than this splits in two halves that are
@@ -241,25 +245,31 @@ def _not_positive(pivot: int, n: int) -> NotPositiveDefinite:
     )
 
 
+# The arguments of each bound kernel, every one by pointer as in Fortran: c a
+# char, i an int, p an array.
+_KERNEL_ARGUMENTS = {
+    "dpbtrf": "ciipii", "zpbtrf": "ciipii",
+    "dtbsv": "ccciipipi", "ztbsv": "ccciipipi",
+    "dpttrf": "ippi", "dpttrs": "iipppii", "zpttrs": "ciipppii",
+}
+
+
 @functools.cache
-def _kernels(t: str) -> tuple:
-    """(?pbtrf, ?tbsv) of type t, "d" or "z": the routines that scipy's own
-    wrappers call, read from the C entry points scipy exports to Cython
-    (scipy.linalg.cython_lapack and cython_blas) and called through ctypes,
-    which releases the GIL for the length of the call.  They take every
-    argument by pointer, as in Fortran: c a char, i an int, p an array."""
+def _kernel(routine: str):
+    """The BLAS or LAPACK ``routine`` (a key of _KERNEL_ARGUMENTS) that
+    scipy's own wrappers call, read from the C entry points scipy exports to
+    Cython (scipy.linalg.cython_blas and cython_lapack) and called through
+    ctypes, which releases the GIL for the length of the call."""
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    c, i, p = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-
-    def bind(module, routine, *argtypes):
-        capsule = module.__pyx_capi__[routine]
-        return ctypes.CFUNCTYPE(None, *argtypes)(pointer(capsule, name(capsule)))
-
-    return (bind(cython_lapack, f"{t}pbtrf", c, i, i, p, i, i),
-            bind(cython_blas, f"{t}tbsv", c, c, c, i, i, p, i, p, i))
+    types = {"c": ctypes.c_char_p, "i": ctypes.POINTER(ctypes.c_int),
+             "p": ctypes.c_void_p}
+    module = cython_blas if routine.endswith("tbsv") else cython_lapack
+    capsule = module.__pyx_capi__[routine]
+    return ctypes.CFUNCTYPE(None, *(types[k] for k in _KERNEL_ARGUMENTS[routine]))(
+        pointer(capsule, name(capsule)))
 
 
 def _kernel_type(a: np.ndarray, layout: str) -> str:
@@ -268,7 +278,7 @@ def _kernel_type(a: np.ndarray, layout: str) -> str:
     ``layout`` ("F_CONTIGUOUS" or "C_CONTIGUOUS") raises ValueError."""
     if a.dtype not in (np.float64, np.complex128) or not a.flags[layout] \
             or not a.flags.writeable:
-        raise ValueError(f"the band kernels take a writable {layout} float64 "
+        raise ValueError(f"the kernels take a writable {layout} float64 "
                          f"or complex128 array, not this {a.dtype} one")
     return "z" if a.dtype == np.complex128 else "d"
 
@@ -277,7 +287,7 @@ def _factor(ab: np.ndarray, row_of, n: int) -> np.ndarray:
     """?pbtrf of the upper band ``ab`` (Fortran-ordered) in place; returns
     ``ab``.  ``row_of`` maps LAPACK's 1-based pivot to a row of the n-row
     matrix."""
-    pbtrf = _kernels(_kernel_type(ab, "F_CONTIGUOUS"))[0]
+    pbtrf = _kernel(_kernel_type(ab, "F_CONTIGUOUS") + "pbtrf")
     kd, info = ab.shape[0] - 1, ctypes.c_int()
     pbtrf(b"U", ctypes.c_int(ab.shape[1]), ctypes.c_int(kd), ab.ctypes.data,
           ctypes.c_int(kd + 1), info)
@@ -286,12 +296,51 @@ def _factor(ab: np.ndarray, row_of, n: int) -> np.ndarray:
     return ab
 
 
+def _tridiagonal_args(t: str, d: np.ndarray, *vectors) -> None:
+    """Refuse, by ValueError, a diagonal ``d`` that is not a writable
+    contiguous float64 vector, or any of ``vectors`` (the off-diagonal, a
+    right-hand side) that is not one of d's length in the kernel type t."""
+    if _kernel_type(d, "C_CONTIGUOUS") != "d" or d.ndim != 1 or any(
+            _kernel_type(v, "C_CONTIGUOUS") != t or v.shape != d.shape
+            for v in vectors):
+        raise ValueError(f"a tridiagonal of {d.dtype} {d.shape} takes "
+                         f"{t} vectors of its length, not "
+                         f"{[(v.dtype.name, v.shape) for v in vectors]}")
+
+
+def _tridiagonal(d: np.ndarray, e: np.ndarray, row_of, n: int) -> None:
+    """dpttrf of the real tridiagonal with diagonal ``d`` and off-diagonal
+    ``e`` (e[k] joins rows k and k + 1; its last entry is not read) in
+    place: L diag(d) L^T, e holding L's subdiagonal.  ``row_of`` maps
+    LAPACK's 1-based pivot to a row of the n-row matrix."""
+    _tridiagonal_args("d", d, e)
+    info = ctypes.c_int()
+    _kernel("dpttrf")(ctypes.c_int(d.size), d.ctypes.data, e.ctypes.data, info)
+    if info.value > 0:
+        raise _not_positive(row_of(info.value), n)
+
+
+def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, y: np.ndarray) -> None:
+    """y <- T^-1 y in place by one dpttrs or zpttrs call, T = L diag(d) L^H
+    the factor (d, e) of _tridiagonal, y a contiguous vector of its length
+    and e in y's dtype."""
+    t = _kernel_type(y, "C_CONTIGUOUS")
+    _tridiagonal_args(t, d, e, y)
+    n, info = ctypes.c_int(y.size), ctypes.c_int()
+    args = (n, ctypes.c_int(1), d.ctypes.data, e.ctypes.data, y.ctypes.data,
+            n, info)
+    if t == "z":
+        _kernel("zpttrs")(b"L", *args)
+    else:
+        _kernel("dpttrs")(*args)
+
+
 def _sweep(cb: np.ndarray, y: np.ndarray, trans: int) -> None:
     """y <- U^-T y (trans = 1), U^-H y (2) or U^-1 y (0) in place by ?tbsv,
     U the band factor ``cb`` and y a contiguous vector of its length; a
     complex y on a real factor is swept as its real and its imaginary part,
     read in place with stride 2."""
-    tbsv = _kernels(_kernel_type(cb, "F_CONTIGUOUS"))[1]
+    tbsv = _kernel(_kernel_type(cb, "F_CONTIGUOUS") + "tbsv")
     _kernel_type(y, "C_CONTIGUOUS")
     if y.size != cb.shape[1] or np.promote_types(cb.dtype, y.dtype) != y.dtype:
         raise ValueError(f"a {y.dtype} vector of {y.size} entries does not "
@@ -316,7 +365,7 @@ def _worker() -> concurrent.futures.ThreadPoolExecutor:
 
 def _halves(left, right) -> tuple:
     """(left(), right()): left on the worker thread while right runs on
-    this one, the band kernels releasing the GIL (_kernels).  A left half
+    this one, the band kernels releasing the GIL (_kernel).  A left half
     that the worker has not started when right is done runs here, so a busy
     machine that keeps the worker off a core never stalls the pair.  left's
     exception is raised before right's, as when they run in turn."""
@@ -465,18 +514,21 @@ def _straight_runs(upper: sp.csr_matrix, m: int) -> tuple:
 
 
 def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
-                  eig=None):
+                  complex_: bool, eig=None):
     """Factor of a straight end: ``slices`` slices of the real block T0
     (upper triangle ``block``), coupled by c I, numbered toward the rest.
 
     With T0 = V diag(lam) V^T (``eig`` = (lam, V) when already known) the
-    end is the congruence (I (x) V) of the tridiagonals tridiag(c, lam_j, c)
-    of the modes j, one per mode.  They are factored as one real band of
-    kd = 1, mode-major with the interface slice last in each mode.  W = c
-    diag(1/u) V^T, u the last pivot of each mode, gives the Schur term W^T W
-    of the end on the interface block of the rest.  Returns (lam, V), the
-    mode band's factor and W; ``row_of`` maps a failed pivot's slice (0
-    first) to a row of the n-row matrix.
+    end is the congruence (I (x) V) of the tridiagonals T_j = tridiag(c,
+    lam_j, c) of the modes j, one per mode.  They are factored by one
+    dpttrf call (_tridiagonal), mode-major with the interface slice last in
+    each mode and e = 0 between modes.  g_j = T_j^-1 e_last, one dpttrs
+    call for all modes, is the interface column: the end's Schur term on
+    the interface block of the rest is c^2 V diag(g_last) V^T.  Returns
+    (lam, V) and (d, e, e_z, g): the factor, e_z the complex copy of e that
+    zpttrs takes when ``complex_`` (else None), and g by modes, m x slices.
+    ``row_of`` maps a failed pivot's slice (0 first) to a row of the n-row
+    matrix.
 
     lam_j is the Rayleigh quotient of V's column j, summed in extended
     precision.  eigh's eigenvalues err by up to ~eps ||T0|| (2.7e-9 on
@@ -493,13 +545,20 @@ def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
             / (Vx * Vx).sum(axis=0)
         eig = lam.astype(np.float64), V
     lam, V = eig
-    ab = np.empty((2, len(lam) * slices), order="F")
-    ab[0] = c
-    ab[0, ::slices] = 0.0
-    ab[1] = np.repeat(lam, slices)
-    cb = _factor(ab, lambda p: row_of((p - 1) % slices), n)
-    W = (c / cb[1, slices - 1::slices])[:, None] * V.T
-    return (lam, V), cb, W
+    d = np.repeat(lam, slices)
+    e = np.full(d.size, c)
+    e[slices - 1::slices] = 0.0
+    _tridiagonal(d, e, lambda p: row_of((p - 1) % slices), n)
+    g = np.zeros(d.size)
+    g[slices - 1::slices] = 1.0
+    _tridiagonal_solve(d, e, g)
+    # g decays geometrically away from the interface, into 330 subnormal
+    # entries on nrc2d's thinnest tube.  Flushed to zero they keep subnormal
+    # arithmetic out of every solve; each moves its entry of the end's
+    # solution by less than tiny |c V^T x_corner|.
+    g[np.abs(g) < np.finfo(float).tiny] = 0.0
+    return (lam, V), (d, e, e.astype(complex) if complex_ else None,
+                      g.reshape(-1, slices))
 
 
 def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -532,7 +591,7 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
 
     LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix,
     and per solve ?pbtrs's two ?tbsv sweeps, U^-H then U^-1; every band is
-    factored by _factor and swept by _sweep, scipy's own kernels (_kernels).
+    factored by _factor and swept by _sweep, scipy's own kernels (_kernel).
     Tube operators in s-major order have kd = section size, so the band
     holds n (kd + 1) entries where SuperLU's fill is several times larger.
     Finiteness is checked once here, not on every solve.  ``solve`` takes
@@ -547,11 +606,15 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     slice bitwise, a real block T0 coupled to the next slice by c I.  A run
     of p slices is I_p (x) T0 + c (shift) (x) I; in the eigenbasis V of T0
     (one eigh, shared when both ends hold the same block) it is one
-    tridiagonal tridiag(c, lam_j, c) per mode, factored as one real band
-    of kd = 1.  Its Schur term c^2 V diag(1/u^2) V^T, u the last pivot of
-    each mode, comes off the adjacent m x m block of the rest.  A solve
-    takes an end's right-hand side to modes, z = V^T X^T, and back in one
-    real product each and sweeps the mode band with ?tbsv.  The detection
+    tridiagonal T_j = tridiag(c, lam_j, c) per mode, all factored by one
+    dpttrf call (one factor for both ends when they also hold the same c
+    and slice count).  The end is eliminated as a block with an interface
+    column g_j = T_j^-1 e_last: its Schur term c^2 V diag(g_last) V^T comes
+    off the adjacent m x m block of the rest.  A solve takes an end's
+    right-hand side to modes, y = T^-1 V^T X^T by one dpttrs or zpttrs
+    call, subtracts c V y_last from the rest's right-hand side, solves the
+    rest, and sets the end to V (y - g (c V^T x_corner)), each product with
+    V in one real product.  The detection
     compares bits: a perturbed entry ends a run there, so it can miss a
     run, never produce a wrong factor.  The rest is a band in the matrix
     dtype, real when no entry has a nonzero imaginary part.  When that band
@@ -562,9 +625,10 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
 
     V acts slice by slice, and the elimination of the ends is a congruence;
     the split's order is a permutation followed by a congruence.  So
-    (Sylvester's law of inertia) positive pivots in the mode bands, in the
-    band of the rest, or in both halves' bands and the separator's S',
-    prove the matrix positive definite.
+    (Sylvester's law of inertia) positive dpttrf pivots of the mode
+    tridiagonals and positive pivots in the band of the rest, or in both
+    halves' bands and the separator's S', prove the matrix positive
+    definite.
 
     Raises NotPositiveDefinite, whose ``pivot`` is the 1-based row of the
     matrix at which a minor is not positive (in a straight end, the last
@@ -572,8 +636,9 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     the last, as n + 1 - p; in a split rest the row of the failed pivot in
     whichever block it lies, the right half counted from its last row), and
     GridBudgetError when the arrays held (8 bytes per real and 16 per
-    complex band entry, a split rest's W_L, W_R and S', V, the mode bands
-    and their W) would exceed BAND_BUDGET_BYTES.  Every kernel runs on one
+    complex band entry, a split rest's W_L, W_R and S', and each straight
+    end's V, d, e, g and complex copy of e; see BAND_BUDGET_BYTES) would
+    exceed BAND_BUDGET_BYTES.  Every kernel runs on one
     BLAS thread (see blas_threads); the two halves of a split rest run on
     this thread and on one worker thread, whose kernels release the GIL,
     and give the same bytes as in turn.
@@ -607,28 +672,38 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     kd = int((col - row).max(initial=m - 1 if straight else 0))
     if not (np.iscomplexobj(data) and data.imag.any()):
         data = data.real
-    # one V serves both ends when they hold the same block bitwise
+    # one V serves both ends when they hold the same block bitwise, and one
+    # tridiagonal factor when they also hold the same c and slice count
     shared = len(straight) == 2 and \
         straight[0][1].tobytes() == straight[1][1].tobytes()
+    same = shared and straight[0][0] == straight[1][0] \
+        and straight[0][2] == straight[1][2]
     nr = b - a
     split = (kd + 1) * nr * data.itemsize > SPLIT_BAND_BYTES and nr >= 3 * kd
-    # a split rest holds two bands of nr - kd rows together, W_L, W_R and S'
+    # a split rest holds two bands of nr - kd rows together, W_L, W_R and S';
+    # a straight end V, and 8 bytes per row for each of d, e and g, 16 for
+    # the complex copy of e
     rest = ((kd + 1) * (nr - kd) + 3 * kd * kd if split else (kd + 1) * nr)
-    nbytes = rest * data.itemsize \
-        + 8 * (2 * (a + n - b) + m * m * (2 * len(straight) - shared))
+    complex_ = np.iscomplexobj(matrix)
+    nbytes = rest * data.itemsize + 8 * m * m * (len(straight) - shared) \
+        + (24 + 16 * complex_) * (n - nr - same * a)
     if nbytes > BAND_BUDGET_BYTES:
         raise GridBudgetError(
             f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
             f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
         )
-    # (view of a vector on the end, interface corner of the rest, V, mode
-    # band factor, W) per straight end; their Schur terms fold into the rest
-    ends, eig = [], None
+    # (view of a vector on the end, interface corner of the rest, c, V, its
+    # tridiagonal factor) per straight end; their Schur terms fold into the
+    # rest
+    ends, eig, factor = [], None, None
     for slices, block, c, view, start, row_of in straight:
-        eig, cb_end, W = _straight_end(block, c, slices, row_of, n,
-                                       eig if shared else None)
-        row, col, data = _fold(row, col, data, start, W.T @ W)
-        ends.append((view, slice(start, start + m), eig[1], cb_end, W))
+        if not (same and ends):
+            eig, factor = _straight_end(block, c, slices, row_of, n, complex_,
+                                        eig if shared else None)
+            V, g = eig[1], factor[-1]
+            schur = (V * (c * c * g[:, -1])) @ V.T
+        row, col, data = _fold(row, col, data, start, schur)
+        ends.append((view, slice(start, start + m), c, V, factor))
     if split:
         rest = _split_rest(row, col, data, kd, nr, a, n)
     else:
@@ -643,17 +718,19 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     def solve(rhs):
         x = np.array(rhs, dtype=np.result_type(rhs, dtype))
         xr = x[a:b]
-        zs = []
-        for view, corner, V, cb_end, W in ends:
-            z = _real_matmul(V.T, np.ascontiguousarray(view(x).T))
-            _sweep(cb_end, z.reshape(-1), 1)
-            xr[corner] -= W.T @ z[:, -1]
-            zs.append(z)
+        ys = []
+        for view, corner, c, V, (d, e, e_z, _) in ends:
+            # y = T^-1 V^T x_end by modes, and its coupling off the rest
+            y = _real_matmul(V.T, np.ascontiguousarray(view(x).T))
+            if np.iscomplexobj(y):
+                e = e.astype(complex) if e_z is None else e_z
+            _tridiagonal_solve(d, e, y.reshape(-1))
+            xr[corner] -= c * _real_matmul(V, y[:, -1:].copy())[:, 0]
+            ys.append(y)
         rest(xr)
-        for (view, corner, V, cb_end, W), z in zip(ends, zs):
-            z[:, -1] -= W @ xr[corner]
-            _sweep(cb_end, z.reshape(-1), 0)
-            view(x)[:] = _real_matmul(V, z).T
+        for (view, corner, c, V, (*_, g)), y in zip(ends, ys):
+            y -= g * (c * _real_matmul(V.T, xr[corner].reshape(-1, 1)))
+            view(x)[:] = _real_matmul(V, y).T
         return x
 
     return solve
@@ -767,8 +844,8 @@ def lowest_eigenpairs(
     ``matrix - sigma M``, at every size; its pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
     spectrum, so the factor exists.  By Sylvester's law of inertia its
-    positive pivots (straight ends, split rest: every mode band's, and the
-    rest's band or its halves' bands and separator's) prove that no
+    positive pivots (straight ends, split rest: every mode tridiagonal's,
+    and the rest's band or its halves' bands and separator's) prove that no
     eigenvalue lies below sigma, which makes the k
     pairs nearest sigma the k lowest; a sigma above the bottom of the
     spectrum raises NotPositiveDefinite.  Lanczos runs at machine epsilon,

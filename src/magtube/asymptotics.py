@@ -83,16 +83,6 @@ class SeriesOperator:
         n = self.grid["n"]
         return sp.csr_matrix((n, n), dtype=complex) if t is None else t
 
-    def hermiticity_defects(self) -> list:
-        out = []
-        for t in self.terms:
-            if t is None:
-                out.append(0.0)
-            else:
-                d = t - t.getH()
-                out.append(float(abs(d).max()) if d.nnz else 0.0)
-        return out
-
 
 def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
                        frame: FrameTrajectory | None = None) -> SeriesOperator:

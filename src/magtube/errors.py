@@ -62,8 +62,8 @@ class NotPositiveDefinite(MagtubeError):
 
     ``pivot`` is the 1-based row of the factored matrix at which that minor
     ends, in the matrix's own numbering, whichever block failed: a straight
-    end's mode band, the band of the rest, one of the two halves' bands of
-    a split rest, or that split's separator S'.
+    end's mode tridiagonals (dpttrf), the band of the rest, one of the two
+    halves' bands of a split rest, or that split's separator S'.
     """
 
     def __init__(self, msg, pivot=None):

@@ -265,23 +265,6 @@ class FrameTrajectory:
                 out[name] = arr[idx]
         return out
 
-    def tang_residual(self) -> float:
-        """Max finite-difference defect of the frame ODE over the lattice."""
-        ds = self.s[1] - self.s[0]
-        dT = (self.T[2:] - self.T[:-2]) / (2 * ds)
-        if self.curve.dim == 2:
-            rhs = -self.curve.kappa(self.s)[1:-1, None] * self.nu[1:-1]
-            # gamma'' = -kappa nu and T' = gamma''
-            return float(np.abs(dT - rhs).max())
-        k2 = self.curve.kappa2(self.s)[1:-1, None]
-        k3 = self.curve.kappa3(self.s)[1:-1, None]
-        res = np.abs(dT - (k2 * self.M2[1:-1] + k3 * self.M3[1:-1])).max()
-        dM2 = (self.M2[2:] - self.M2[:-2]) / (2 * ds)
-        res = max(res, np.abs(dM2 + k2 * self.T[1:-1]).max())
-        dM3 = (self.M3[2:] - self.M3[:-2]) / (2 * ds)
-        res = max(res, np.abs(dM3 + k3 * self.T[1:-1]).max())
-        return float(res)
-
 
 def integrate_frame(curve: CurveProfile) -> FrameTrajectory:
     """Integrate the relatively parallel frame along the curve.
@@ -448,11 +431,17 @@ class TensorBump3:
         u = self._u(x)
         return _bump_g(u[0]) * _bump_g(u[1]) * _bump_g(u[2])
 
-    def partial(self, x, axis):
+    def partials(self, x, axes):
+        """The first partials along each of ``axes``, from one set of
+        factors b(u_i)."""
         u = self._u(x)
-        fs = [_bump_g(u[i]) for i in range(3)]
-        fs[axis] = _bump_g1(u[axis]) / self.width[axis]
-        return fs[0] * fs[1] * fs[2]
+        gs = [_bump_g(u[i]) for i in range(3)]
+        out = []
+        for axis in axes:
+            fs = list(gs)
+            fs[axis] = _bump_g1(u[axis]) / self.width[axis]
+            out.append(fs[0] * fs[1] * fs[2])
+        return out
 
     def second(self, x, ax1, ax2):
         u = self._u(x)
@@ -485,8 +474,9 @@ class CurlPotentialField3D:
         for axis, bump, amp in self.components:
             # curl of P = amp * bump * e_axis
             i, j = (axis + 1) % 3, (axis + 2) % 3
-            B[..., i] += amp * bump.partial(x, j)
-            B[..., j] -= amp * bump.partial(x, i)
+            d_i, d_j = bump.partials(x, (i, j))
+            B[..., i] += amp * d_j
+            B[..., j] -= amp * d_i
         return B
 
     def jacobian(self, x):

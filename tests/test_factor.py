@@ -191,15 +191,21 @@ def test_one_band_without_a_real_end(planar, monkeypatch, build):
     # without a slice size the whole matrix, with it the rows between the
     # straight ends, factor as a single band of kd = section size, in the
     # matrix dtype (real when no entry has an imaginary part), after the
-    # real kd = 1 mode band of each straight end
+    # real mode tridiagonals of each straight end (one factor for both ends
+    # when they hold the same slices)
     bands = []
-    factor = assemble._factor
+    factor, tridiagonal = assemble._factor, assemble._tridiagonal
 
     def record(ab, *args):
         bands.append((ab.shape, ab.dtype))
         return factor(ab, *args)
 
+    def record_tridiagonal(d, e, *args):
+        bands.append((d.shape, e.dtype))
+        return tridiagonal(d, e, *args)
+
     monkeypatch.setattr(assemble, "_factor", record)
+    monkeypatch.setattr(assemble, "_tridiagonal", record_tridiagonal)
     op = build(planar)
     m = kd = planar[0].n
     dtype = complex if op.matrix.data.imag.any() else float
@@ -208,7 +214,8 @@ def test_one_band_without_a_real_end(planar, monkeypatch, build):
         bands.clear()
         banded_cholesky(op.matrix, slice_size=slice_size)
         rows = op.n - sum(ends) * m
-        assert bands == [((2, p * m), float) for p in ends] \
+        shared = ends[1:] == ends[:1]
+        assert bands == [((p * m,), float) for p in ends[shared:]] \
             + [((kd + 1, rows), dtype)]
 
 
@@ -241,9 +248,9 @@ def _complex_2d_straight_ends(planar):
                                    _complex_2d_straight_ends])
 def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
     # reference counting frees every band factor (and a straight end's V
-    # and W) once its solve is dropped; a reference cycle through the solve
-    # would hold the bands (86 MB each on the 3D Hardy segment) until the
-    # cycle collector runs
+    # and tridiagonal factor) once its solve is dropped; a reference cycle
+    # through the solve would hold the bands (86 MB each on the 3D Hardy
+    # segment) until the cycle collector runs
     factors = []
     factor = assemble._factor
     straight_end = assemble._straight_end
@@ -253,9 +260,10 @@ def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
         return factors[-1]()
 
     def record_end(*args):
-        (lam, V), cb, W = straight_end(*args)
-        factors.extend([weakref.ref(V), weakref.ref(W)])
-        return (lam, V), cb, W
+        (lam, V), tridiagonal = straight_end(*args)
+        factors.extend(weakref.ref(a) for a in (V, *tridiagonal)
+                       if a is not None)
+        return (lam, V), tridiagonal
 
     monkeypatch.setattr(assemble, "_factor", record)
     monkeypatch.setattr(assemble, "_straight_end", record_end)
@@ -296,27 +304,28 @@ def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
     straight_end = assemble._straight_end
 
     def record(ab, *args):
-        factors.append(factor(ab, *args))
-        return factors[-1]
+        bands.append(factor(ab, *args))
+        return bands[-1]
 
     def record_end(*args):
-        (lam, V), cb, W = straight_end(*args)
-        factors.extend([V, W])  # the mode band is recorded as a band
-        return (lam, V), cb, W
+        (lam, V), tridiagonal = straight_end(*args)
+        ends.append((V, *tridiagonal))
+        return (lam, V), tridiagonal
 
     monkeypatch.setattr(assemble, "_factor", record)
     monkeypatch.setattr(assemble, "_straight_end", record_end)
     tiny = np.finfo(float).tiny
     m = op.grid["section"].n
     lead, trail = _runs(op)
-    # V and W and the mode band of each straight end, the band of the rest
-    factors = []
+    # V and the factor d, e, its complex copy and g of the straight ends
+    # (one for both: they hold the same slices), the band of the rest
+    bands, ends = [], []
     banded_cholesky(op.matrix, slice_size=m)
-    assert len(factors) == 7
-    parts = [p for cb in factors for p in (cb.real, cb.imag)]
+    assert len(ends) == 1 and len(bands) == 1
+    parts = [p for a in bands + list(ends[0]) for p in (a.real, a.imag)]
     assert sum(int(((p != 0) & (abs(p) < tiny)).sum()) for p in parts) == 0
-    complex_rows = sum(cb.shape[1] for cb in factors if np.iscomplexobj(cb))
-    assert complex_rows == op.n - (lead + trail) * m <= 0.15 * op.n
+    assert np.iscomplexobj(bands[0])
+    assert bands[0].shape[1] == op.n - (lead + trail) * m <= 0.15 * op.n
 
 
 def test_straight_ends_solve_as_accurately_as_the_band(thin_nrc2d, rng):
@@ -455,14 +464,16 @@ def test_pivot_of_a_split_rest_is_a_row_of_the_matrix(planar, split_rests,
 def test_split_band_memory_budget(planar, split_rests, monkeypatch):
     # a split rest counts its two bands (nr - kd rows of kd + 1 entries
     # together), W_L, W_R and S' (kd x kd each), besides the straight ends
+    # (the two ends hold the same slices: one V, one d, e, g and complex e)
     op = _complex_3d(planar)
     split_rests.clear()
     m = op.grid["section"].n
     kd = m + 18
     lead, trail = _runs(op)
+    assert lead == trail
     rest = op.n - (lead + trail) * m
     need = ((kd + 1) * (rest - kd) + 3 * kd * kd) * 16 \
-        + 16 * (lead + trail) * m + 3 * 8 * m * m
+        + (8 + 8 + 16 + 8) * lead * m + 8 * m * m
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
     with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
         banded_cholesky(op.matrix, slice_size=m)
@@ -527,9 +538,9 @@ def test_split_factors_die_with_their_solve(planar, split_rests,
 
 
 def test_split_halves_run_on_two_threads_without_the_gil():
-    # the GIL-free binding of ?pbtrf and ?tbsv resolves from scipy's own
-    # entry points wherever scipy runs, so the halves always run at once
-    assert all(callable(kernel) for t in "dz" for kernel in assemble._kernels(t))
+    # the GIL-free binding of every kernel resolves from scipy's own entry
+    # points wherever scipy runs, so the halves always run at once
+    assert all(callable(assemble._kernel(r)) for r in assemble._KERNEL_ARGUMENTS)
     started = threading.Event()
 
     def left():
@@ -627,6 +638,71 @@ def test_band_kernels_reject_what_they_cannot_read(rng):
             assemble._sweep(cb, bad, 0)
     with pytest.raises(ValueError):
         assemble._sweep(np.ascontiguousarray(cb), np.ones(40, dtype=complex), 0)
+
+
+def _random_tridiagonals(rng, modes, slices):
+    """Diagonal and off-diagonal (its last entry unused) of ``modes``
+    positive-definite (diagonally dominant) tridiagonals of ``slices`` rows,
+    uncoupled, in one."""
+    d = 2.5 + rng.random(modes * slices)
+    e = rng.uniform(-1.0, 1.0, modes * slices)
+    e[slices - 1::slices] = 0.0
+    return d, e
+
+
+def test_tridiagonal_kernels_match_scipys_wrappers(rng):
+    # the binding's dpttrf, dpttrs and zpttrs give the bits of scipy's
+    # lapack.dpttrf, dpttrs and zpttrs, on a real and a complex right-hand
+    # side; a tridiagonal that is not positive fails at the same pivot
+    d, e = _random_tridiagonals(rng, 7, 30)
+    want_d, want_e, info = la.lapack.dpttrf(d, e[:-1])
+    assert info == 0
+    assemble._tridiagonal(d, e, lambda p: p, d.size)
+    assert np.array_equal(d, want_d) and np.array_equal(e[:-1], want_e)
+    e_z = e.astype(complex)
+    for rhs in (rng.standard_normal(d.size),
+                rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)):
+        x = rhs.copy()
+        if np.iscomplexobj(rhs):
+            assemble._tridiagonal_solve(d, e_z, x)
+            want, info = la.lapack.zpttrs(want_d, want_e.astype(complex), rhs,
+                                          lower=1)
+        else:
+            assemble._tridiagonal_solve(d, e, x)
+            want, info = la.lapack.dpttrs(want_d, want_e, rhs)
+        assert info == 0 and np.array_equal(x, want)
+    d, e = _random_tridiagonals(rng, 7, 30)
+    row = 100
+    d[row] = -1.0
+    info = la.lapack.dpttrf(d, e[:-1])[2]
+    with pytest.raises(NotPositiveDefinite) as failed:
+        assemble._tridiagonal(d, e, lambda p: p, d.size)
+    assert failed.value.pivot == info == row + 1
+
+
+def test_tridiagonal_kernels_reject_what_they_cannot_read(rng):
+    # a strided, read-only or wrongly typed diagonal, off-diagonal or
+    # vector, or one of another length, is refused, not misread
+    d, e = _random_tridiagonals(rng, 3, 10)
+    read_only = d.copy()
+    read_only.flags.writeable = False
+    for bad_d, bad_e in ((np.repeat(d, 2)[::2], e), (read_only, e),
+                         (d.astype(np.float32), e), (d.astype(complex), e),
+                         (d, np.repeat(e, 2)[::2]), (d, e.astype(np.float32)),
+                         (d, e.astype(complex)), (d, e[:-1]),
+                         (d.reshape(3, 10), e.reshape(3, 10))):
+        with pytest.raises(ValueError):
+            assemble._tridiagonal(bad_d, bad_e, lambda p: p, 30)
+    assemble._tridiagonal(d, e, lambda p: p, 30)
+    y = np.ones(30)
+    read_only = y.copy()
+    read_only.flags.writeable = False
+    for bad_e, bad_y in ((e, np.ones(60)[::2]), (e, read_only),
+                         (e, np.ones(30, dtype=np.float32)), (e, np.ones(29)),
+                         (e, np.ones(30, dtype=complex)),
+                         (e.astype(complex), y)):
+        with pytest.raises(ValueError):
+            assemble._tridiagonal_solve(d, bad_e, bad_y)
 
 
 def test_resolvent_distance_rejects_indefinite_shift(planar):
@@ -736,23 +812,31 @@ def test_band_memory_budget(planar, monkeypatch):
 
 
 def test_band_memory_budget_counts_the_straight_ends(planar, monkeypatch):
-    # with straight ends the budget counts the bands of the rest, one V
-    # (both ends hold the same block), each end's W and its kd = 1 mode
-    # band (16 bytes per row), well under the whole band's bytes
-    op = _complex_2d(planar)
+    # with straight ends the budget counts the band of the rest, one V
+    # (both ends hold the same block) and, per row of a straight end, 8
+    # bytes for each of d, e and g and 16 for the complex copy of e that a
+    # complex matrix solves with; ends of the same slice count share them.
+    # That is well under the whole band's bytes
     m = kd = planar[0].n
-    lead, trail = _runs(op)
-    rest = op.n - (lead + trail) * m
-    need = (kd + 1) * rest * 16 + 16 * (lead + trail) * m + 3 * 8 * m * m
-    whole = (kd + 1) * op.n * 16
-    assert need < whole - 1
-    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", whole - 1)
-    banded_cholesky(op.matrix, slice_size=m)
-    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
-    with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
+    for build, per_row, same in ((_complex_2d, 40, True),
+                                 (_nudged_in_its_end, 40, False),
+                                 (_runs_2_2, 24, True)):
+        op = build(planar)
+        lead, trail = _runs(op)
+        assert (lead == trail) == same
+        rest = op.n - (lead + trail) * m
+        entry = 16 if per_row == 40 else 8
+        need = (kd + 1) * rest * entry + 8 * m * m \
+            + per_row * (lead if same else lead + trail) * m
+        whole = (kd + 1) * op.n * entry
+        assert need < whole - 1
+        monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", whole - 1)
         banded_cholesky(op.matrix, slice_size=m)
-    monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
-    banded_cholesky(op.matrix, slice_size=m)
+        monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
+        with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
+            banded_cholesky(op.matrix, slice_size=m)
+        monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
+        banded_cholesky(op.matrix, slice_size=m)
 
 
 def test_lowest_eigenpairs_respects_the_band_budget(planar, monkeypatch):
@@ -820,16 +904,19 @@ def test_blas_threads_sets_the_loaded_pools():
 def test_every_band_factor_runs_on_one_thread(planar, fake_pools,
                                              monkeypatch):
     # narrow and wide (kd >= 256) bands, real, complex and complex in part,
-    # and the mode bands of straight ends all factor on one thread, called
-    # from outside every blas_threads block or inside one of 4 threads
+    # and the mode tridiagonals of straight ends all factor on one thread,
+    # called from outside every blas_threads block or inside one of 4
+    # threads
     seen = []
-    factor = assemble._factor
 
-    def record(*args):
-        seen.append([p.count for p in fake_pools])
-        return factor(*args)
+    def recorded(factor):
+        def record(*args):
+            seen.append([p.count for p in fake_pools])
+            return factor(*args)
+        return record
 
-    monkeypatch.setattr(assemble, "_factor", record)
+    for name in ("_factor", "_tridiagonal"):
+        monkeypatch.setattr(assemble, name, recorded(getattr(assemble, name)))
     partial = np.ones(4 * 256, dtype=complex)
     partial[2 * 256] = 1j
     for kd, n, off in ((255, 257, np.full(2, 1j)), (256, 258, np.ones(2)),
@@ -839,8 +926,9 @@ def test_every_band_factor_runs_on_one_thread(planar, fake_pools,
         banded_cholesky(mat)
         with assemble.blas_threads(4):
             banded_cholesky(mat)
+    # the rest and one tridiagonal factor for both straight ends
     banded_cholesky(_complex_2d(planar).matrix, slice_size=planar[0].n)
-    assert len(seen) == 11 and all(counts == [1, 1] for counts in seen)
+    assert len(seen) == 10 and all(counts == [1, 1] for counts in seen)
     assert [p.count for p in fake_pools] == [2, 3]
 
 
