@@ -1,12 +1,12 @@
 """Sparse self-adjoint operators: container, banded factor, eigensolvers.
 
 The banded factor works on straight ends, split rest: the straight,
-field-free slices at either end of a tube are eliminated exactly, one
-tridiagonal per mode of their section block, and the rest is factored as
-one band in the matrix dtype, or, when that band is wide, as two halves
-factored and swept at the same time on two threads, each on one BLAS
-thread, and a separator between them (see banded_cholesky).  The mode
-tridiagonals are factored by dpttrf and solved by ?pttrs (_tridiagonal,
+field-free slices at either end of a tube, their size read off the matrix,
+are eliminated exactly, one tridiagonal per mode of their section block, and
+the rest is factored as one band in the matrix dtype, or, when that band is
+wide, as two halves factored and swept at the same time on two threads, each
+on one BLAS thread, and a separator between them (see banded_cholesky).  The
+mode tridiagonals are factored by dpttrf and solved by ?pttrs (_tridiagonal,
 _tridiagonal_solve), every band by ?pbtrf and ?tbsv (_factor, _sweep), all
 through one binding (_kernel) of the entry points scipy exports to Cython.
 
@@ -586,7 +586,7 @@ def _fold(row, col, data, start: int, S: np.ndarray):
 
 
 @blas_threads(1)
-def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
+def banded_cholesky(matrix: sp.spmatrix):
     """Factor a Hermitian positive-definite sparse matrix; return its solve.
 
     LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix,
@@ -597,31 +597,33 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     Finiteness is checked once here, not on every solve.  ``solve`` takes
     one right-hand side, real or complex.
 
-    Straight ends, banded rest.  ``slice_size`` is the section size m of an
-    s-major tube lattice, passed by the code that built it; without it the
-    whole matrix is the rest.  Curvature, twist and field act through bumps
-    with compact support, so a tube is straight and free of field in its
-    leading and trailing runs of slices: slices whose upper-triangle rows
-    (columns, at the trailing end) repeat those of the run's first (last)
-    slice bitwise, a real block T0 coupled to the next slice by c I.  A run
-    of p slices is I_p (x) T0 + c (shift) (x) I; in the eigenbasis V of T0
-    (one eigh, shared when both ends hold the same block) it is one
+    Straight ends, banded rest.  The slice size m of an s-major tube lattice
+    is read off the matrix: the largest column of row 0's upper entries, the
+    coupling of the first node to its copy in the next slice.  Only m > 1 is
+    looked at, so a tridiagonal matrix (a 1D operator or an interval
+    section) is the rest alone.  Curvature, twist and field act through
+    bumps with compact support, so a tube is straight and free of field in
+    its leading and trailing runs of slices: slices whose upper-triangle
+    rows (columns, at the trailing end) repeat those of the run's first
+    (last) slice bitwise, a real block T0 coupled to the next slice by c I.
+    A run of p slices is I_p (x) T0 + c (shift) (x) I; in the eigenbasis V
+    of T0 (one eigh, shared when both ends hold the same block) it is one
     tridiagonal T_j = tridiag(c, lam_j, c) per mode, all factored by one
-    dpttrf call (one factor for both ends when they also hold the same c
-    and slice count).  The end is eliminated as a block with an interface
-    column g_j = T_j^-1 e_last: its Schur term c^2 V diag(g_last) V^T comes
-    off the adjacent m x m block of the rest.  A solve takes an end's
-    right-hand side to modes, y = T^-1 V^T X^T by one dpttrs or zpttrs
-    call, subtracts c V y_last from the rest's right-hand side, solves the
-    rest, and sets the end to V (y - g (c V^T x_corner)), each product with
-    V in one real product.  The detection
-    compares bits: a perturbed entry ends a run there, so it can miss a
-    run, never produce a wrong factor.  The rest is a band in the matrix
-    dtype, real when no entry has a nonzero imaginary part.  When that band
-    holds more than SPLIT_BAND_BYTES (every 3D tube, no 2D one) and at
-    least 3 kd rows, it splits at a separator of kd rows into two halves,
-    factored and swept at the same time on two threads (see _split_rest);
-    otherwise it is one band.
+    dpttrf call (one factor for both ends when they also hold the same c and
+    slice count).  The end is eliminated as a block with an interface column
+    g_j = T_j^-1 e_last: its Schur term c^2 V diag(g_last) V^T comes off the
+    adjacent m x m block of the rest.  A solve takes an end's right-hand
+    side to modes, y = T^-1 V^T X^T by one dpttrs or zpttrs call, subtracts
+    c V y_last from the rest's right-hand side, solves the rest, and sets
+    the end to V (y - g (c V^T x_corner)), each product with V in one real
+    product.  The detection compares bits: a perturbed entry ends a run
+    there, and a wrong m finds no coupling c I at that distance, so it can
+    miss a run, never produce a wrong factor.  The rest is a band in the
+    matrix dtype, real when no entry has a nonzero imaginary part.  When
+    that band holds more than SPLIT_BAND_BYTES (every 3D tube, no 2D one)
+    and at least 3 kd rows, it splits at a separator of kd rows into two
+    halves, factored and swept at the same time on two threads (see
+    _split_rest); otherwise it is one band.
 
     V acts slice by slice, and the elimination of the ends is a congruence;
     the split's order is a permutation followed by a congruence.  So
@@ -646,8 +648,9 @@ def banded_cholesky(matrix: sp.spmatrix, slice_size: int | None = None):
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
     upper = sp.triu(matrix, format="csr")
-    n, m = matrix.shape[0], slice_size or 0
-    lead, trail = _straight_runs(upper, m) if m else (0, 0)
+    n = matrix.shape[0]
+    m = int(upper.indices[:upper.indptr[1]].max(initial=0))
+    lead, trail = _straight_runs(upper, m) if m > 1 else (0, 0)
     a, b = lead * m, n - trail * m
     # (slices, block T0, c, view of a vector on the end, first row of the
     # interface block in the rest, row of a failed slice) per straight end,
@@ -834,14 +837,14 @@ def lowest_eigenpairs(
     seed: int = 7,
     v0: np.ndarray | None = None,
     M: sp.spmatrix | None = None,
-    slice_size: int | None = None,
 ):
     """k lowest eigenpairs of the Hermitian pencil matrix v = lam M v.
 
     ``M`` is a diagonal positive mass matrix D, the identity by default;
     any other ``M`` raises ValueError.  Shift-invert Lanczos (lanczos) on
     y -> D^1/2 solve(D^1/2 y), where solve is the banded Cholesky solve of
-    ``matrix - sigma M``, at every size; its pairs give
+    ``matrix - sigma M`` (which finds a tube's straight ends in the matrix
+    itself), at every size; its pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
     spectrum, so the factor exists.  By Sylvester's law of inertia its
     positive pivots (straight ends, split rest: every mode tridiagonal's,
@@ -852,10 +855,6 @@ def lowest_eigenpairs(
     ARPACK's default tolerance, for at most 10 n applications.  Returns the
     eigenvalues (ascending), the eigenvectors as columns and the residuals
     ||matrix v - lam M v||.
-
-    ``slice_size``, the section size of a tube lattice from the code that
-    built it, lets banded_cholesky eliminate the tube's straight ends;
-    sections and 1D operators pass none.
 
     Lanczos starts from ``v0`` (say, a fiber ground state just above its
     proven floor) or else from a random vector drawn from ``seed``;
@@ -874,8 +873,7 @@ def lowest_eigenpairs(
         raise ValueError("the mass matrix M must be diagonal and positive")
     d = np.sqrt(diag)
     try:
-        solve = banded_cholesky(matrix - sigma * mass,
-                                slice_size=slice_size)
+        solve = banded_cholesky(matrix - sigma * mass)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",

@@ -190,6 +190,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.kind} needs an eps list (>= 3 points)")
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise ConfigError("eps list must be strictly decreasing")
+        if self.kind == "nrc-sweep":
+            delta = self.get_floats("regime", "delta", (1.0,))
+            if len(set(delta)) < len(delta):
+                raise ConfigError("delta list must not repeat a value")
         if self.kind in ("full2d", "full3d", "effective") and not eps:
             raise ConfigError(f"{self.kind} needs a non-empty eps list")
         if self.kind in ("hardy", "stability"):

@@ -161,8 +161,7 @@ def assemble_segment(section: GridDomain, field, b: float, R: float,
     else:
         sigma = lam1_omega - 0.25 * (np.pi / (2 * R)) ** 2
         lam1_dn = float(lowest_eigenpairs(op.matrix, k=1, sigma=sigma,
-                                          v0=np.tile(J1, len(s_nodes)),
-                                          slice_size=section.n)[0][0])
+                                          v0=np.tile(J1, len(s_nodes)))[0][0])
     return SegmentProblem(
         R=R, b=b, section=section, op=op,
         lam1_dn=lam1_dn, lam1_omega=lam1_omega,
@@ -217,8 +216,7 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
     A = H - lam1_omega * sp.eye(H.shape[0])
     W = sp.diags(np.repeat(1.0 / (1.0 + s_nodes**2), section.n))
     fiber = np.kron(np.cos(np.pi * s_nodes / (2 * L)), J1)
-    vals, _, _ = lowest_eigenpairs(A, k=1, sigma=0.0, v0=fiber, M=W,
-                                   slice_size=section.n)
+    vals, _, _ = lowest_eigenpairs(A, k=1, sigma=0.0, v0=fiber, M=W)
     mu_min = float(vals[0])
     cert.mu_min = mu_min
     cert.margin = mu_min - cert.c_R
@@ -364,8 +362,7 @@ def deformation_experiment(section: GridDomain, field, b: float,
         H, mass, _ = assemble_deformed_tube(section, field, b, deformation,
                                             a, L, ds=ds)
         vals, _, _ = lowest_eigenpairs(H, k=1, sigma=0.8 * lam1_omega,
-                                       seed=seed, M=mass,
-                                       slice_size=section.n)
+                                       seed=seed, M=mass)
         lam = float(vals[0])
         rows.append({
             "amplitude": a,
@@ -410,8 +407,7 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
         regime = RegimeParams(eps=1.0, delta=0.0, b=b, K=tube.regime.K)
         tube_b = TubeSpec(tube.curve, tube.section, regime)
         op = assemble_full(tube_b, field, frame, shifted=False)
-        vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=sigma, seed=seed,
-                                       slice_size=tube.section.n)
+        vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=sigma, seed=seed)
         return float(vals[0])
 
     lam_free = ground_energy(0.0, 0.5 * lam1_omega)

@@ -551,19 +551,12 @@ assemble_effective_2d = assemble_effective_3d = assemble_effective
 # -- spectra and resolvent distances ----------------------------------------------
 
 
-def _slice_size(op: AssembledOperator) -> int | None:
-    """Section size of a tube operator's s-major lattice (the slice of
-    banded_cholesky's straight ends); None for any other operator."""
-    return op.grid["section"].n if op.grid.get("kind") in ("tube2d", "tube3d") \
-        else None
-
-
 def smallest_eigenpairs(op: AssembledOperator, k: int = 1,
                         sigma: float = 0.0, seed: int = 7) -> Spectrum:
     """k lowest eigenpairs by the banded shift-invert solve of
-    :func:`magtube.assemble.lowest_eigenpairs`."""
-    vals, vecs, res = lowest_eigenpairs(op.matrix, k=k, sigma=sigma, seed=seed,
-                                        slice_size=_slice_size(op))
+    :func:`magtube.assemble.lowest_eigenpairs`, whose factor reads a tube's
+    slice size off ``op.matrix``."""
+    vals, vecs, res = lowest_eigenpairs(op.matrix, k=k, sigma=sigma, seed=seed)
     return Spectrum(vals, vecs, res, ess_threshold=op.meta.get("ess_threshold"))
 
 
@@ -606,10 +599,8 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     """
     complex_path = opA.is_complex or opB.is_complex
     dtype = complex if complex_path else float
-    solve_A = banded_cholesky(opA.matrix.astype(dtype, copy=False),
-                              slice_size=_slice_size(opA))
-    solve_B = banded_cholesky(opB.matrix.astype(dtype, copy=False),
-                              slice_size=_slice_size(opB))
+    solve_A = banded_cholesky(opA.matrix)
+    solve_B = banded_cholesky(opB.matrix)
     n = opA.n
     embedding = None
     if opB.n != n:

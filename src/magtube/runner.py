@@ -258,11 +258,8 @@ def _run_nrc_sweep(config, out, seed):
     points = [(d, e) for d in delta_list for e in eps_list]
     results = _sweep(points, point, on_result=lambda p, r: table.add(*r),
                      tables=(table,))
-    table.rows.clear()  # rebuilt below grouped by delta
     for delta in delta_list:
         sub = [r for r in results if r[0] == delta]
-        for row in sub:
-            table.add(*row)
         fit = fit_order([r[1] for r in sub], [r[3] for r in sub])
         table.footer[f"fitted_order_delta_{delta:g}"] = fit.slope
         table.footer[f"fitted_order_ci95_delta_{delta:g}"] = fit.ci95

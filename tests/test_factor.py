@@ -1,5 +1,6 @@
 """Banded Cholesky factor of the positive-definite tube operators."""
 
+import functools
 import gc
 import threading
 import weakref
@@ -11,11 +12,12 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
-from magtube import assemble, geometry as geo, grids, operators as ops
+from magtube import assemble, geometry as geo, grids, hardy, \
+    operators as ops, xsection
 from magtube.assemble import AssembledOperator, RegimeParams, banded_cholesky
 from magtube.config import ExperimentConfig
 from magtube.errors import (EigensolverDiverged, GridBudgetError,
-                            NotPositiveDefinite)
+                            NotPositiveDefinite, ZeroFieldWarning)
 
 
 def make_tube(curve, section, eps, delta=1.0):
@@ -150,9 +152,20 @@ def _runs(op):
     return assemble._straight_runs(sp.triu(op.matrix, format="csr"), m)
 
 
-def _check_against_superlu(op, rng, is_complex, slice_size=None):
+@pytest.fixture
+def one_band(monkeypatch):
+    """banded_cholesky with no straight end: the whole matrix factors as
+    the rest, the reference layout for the straight ends."""
+    def factor(matrix):
+        with monkeypatch.context() as patch:
+            patch.setattr(assemble, "_straight_runs", lambda upper, m: (0, 0))
+            return banded_cholesky(matrix)
+    return factor
+
+
+def _check_against_superlu(op, rng, is_complex, cholesky=banded_cholesky):
     lu = sla.splu(op.matrix.tocsc())
-    solve = banded_cholesky(op.matrix, slice_size=slice_size)
+    solve = cholesky(op.matrix)
     for rhs in (rng.standard_normal(op.n),
                 rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)):
         want = lu.solve(rhs) if is_complex or rhs.dtype == float else (
@@ -165,10 +178,10 @@ def _check_against_superlu(op, rng, is_complex, slice_size=None):
     (_real_2d, False), (_complex_2d, True), (_complex_3d, True),
     (_complex_start, True), (_complex_end, True), (_complex_narrow, True),
     (_complex_every_row, True), (_complex_dtype_real, True)])
-def test_solve_matches_superlu(planar, rng, build, is_complex):
+def test_solve_matches_superlu(planar, rng, one_band, build, is_complex):
     op = build(planar)
     assert op.is_complex == is_complex
-    _check_against_superlu(op, rng, is_complex)
+    _check_against_superlu(op, rng, is_complex, one_band)
 
 
 @pytest.mark.parametrize("build, is_complex, runs", [
@@ -181,15 +194,114 @@ def test_straight_end_solve_matches_superlu(planar, rng, build, is_complex,
     op = build(planar)
     assert op.is_complex == is_complex
     assert _runs(op) == runs
-    _check_against_superlu(op, rng, is_complex, op.grid["section"].n)
+    _check_against_superlu(op, rng, is_complex)
+
+
+@pytest.fixture
+def slice_sizes(monkeypatch):
+    """Every (m, (lead, trail), upper) that banded_cholesky looks for
+    straight runs with, m the slice size it read off the matrix."""
+    calls = []
+    straight_runs = assemble._straight_runs
+
+    @functools.wraps(straight_runs)
+    def record(upper, m):
+        calls.append((m, straight_runs(upper, m), upper))
+        return calls[-1][1]
+
+    monkeypatch.setattr(assemble, "_straight_runs", record)
+    return calls
+
+
+def _factored(op):
+    """(section, its factor's run) of a built tube operator."""
+    return op.grid["section"], lambda: banded_cholesky(op.matrix)
+
+
+def _hardy_tube(run):
+    """(section, run) of a hardy eigensolve on a tube of an interval
+    section, whose own eigensolve looks for no straight run."""
+    sec = grids.interval(1.0, 0.1)
+    field = geo.AmbientField2D((((0.0, 0.0), 6.0, 1.0),))
+    return sec, lambda: run(sec, field)
+
+
+def _verify_hardy_b0(sec, field):
+    with pytest.warns(ZeroFieldWarning):
+        hardy.verify_hardy(sec, field, 0.0, R=2.0, L=8.0, ds=0.1)
+
+
+def _large_b(sec, field):
+    curve = geo.CurveProfile(dim=2, S=12.0, ds=0.1,
+                             kappa=geo.Profile.single(0.0, 2.0, 0.85))
+    tube = geo.TubeSpec(curve, sec, RegimeParams(eps=1.0, delta=0.0, b=0.0))
+    hardy.large_b_experiment(tube, field, [0.0, 1.0])
+
+
+_BUILDERS = {
+    "planar": lambda planar: _factored(_real_2d(planar)),
+    "planar-field": lambda planar: _factored(_complex_2d(planar)),
+    "spatial": lambda planar: _factored(_real_3d(planar)),
+    "spatial-twisted-field": lambda planar: _factored(_complex_3d(planar)),
+    "hardy-segment": lambda planar: _hardy_tube(
+        lambda sec, field: hardy.assemble_segment(sec, field, 1.0, R=2.0,
+                                                  ds=0.1)),
+    "verify-hardy-b0": lambda planar: _hardy_tube(_verify_hardy_b0),
+    "verify-hardy-b1": lambda planar: _hardy_tube(
+        lambda sec, field: hardy.verify_hardy(sec, field, 1.0, R=2.0, L=8.0,
+                                              ds=0.1)),
+    "deformed": lambda planar: _hardy_tube(
+        lambda sec, field: hardy.deformation_experiment(
+            sec, field, 1.0,
+            hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0)),
+            [0.0, 0.4], L=8.0, ds=0.1)),
+    "large-b": lambda planar: _hardy_tube(_large_b),
+}
+
+
+@pytest.mark.parametrize("builder", list(_BUILDERS))
+def test_factor_finds_every_builders_slices(planar, slice_sizes, builder):
+    # every tube builder's s-major lattice couples its first node to its
+    # copy in the next slice last in row 0, so the factor reads m =
+    # section size off the matrix and finds the straight runs that size
+    # gives
+    section, run = _BUILDERS[builder](planar)
+    slice_sizes.clear()  # a square section's own eigensolve, if built
+    run()
+    assert slice_sizes
+    straight_runs = assemble._straight_runs.__wrapped__
+    for m, runs, upper in slice_sizes:
+        assert m == section.n
+        assert runs == straight_runs(upper, section.n)
+
+
+def test_tridiagonal_operators_take_no_straight_run(planar, slice_sizes):
+    # a 1D effective operator and an interval section are kd = 1 bands:
+    # their one-row slices look for no straight run
+    sec, curve, frame, field = planar
+    eff = ops.assemble_effective(make_tube(curve, sec, 0.1), field,
+                                 frame=frame, mode="galerkin")
+    banded_cholesky(eff.matrix)
+    banded_cholesky(xsection.assemble_dirichlet_laplacian(sec).matrix)
+    assert slice_sizes == []
+
+
+def test_square_section_rows_are_straight_slices(rng, slice_sizes):
+    # the Dirichlet Laplacian of a 19 x 19 square section is a tube of its
+    # grid rows: all but one row are eliminated as straight slices, and it
+    # solves as SuperLU does
+    op = xsection.assemble_dirichlet_laplacian(grids.square(1.0, 0.1))
+    _check_against_superlu(op, rng, False)
+    ((m, (lead, trail), _),) = slice_sizes
+    assert m == 19 and lead + trail == op.n // m - 1 == 18
 
 
 @pytest.mark.parametrize("build", [
     _real_2d, _complex_2d, _complex_start, _complex_end, _complex_narrow,
     _complex_every_row, _complex_dtype_real])
-def test_one_band_without_a_real_end(planar, monkeypatch, build):
-    # without a slice size the whole matrix, with it the rows between the
-    # straight ends, factor as a single band of kd = section size, in the
+def test_one_band_without_a_real_end(planar, monkeypatch, one_band, build):
+    # without straight ends the whole matrix, with them the rows between
+    # the straight ends, factor as a single band of kd = section size, in the
     # matrix dtype (real when no entry has an imaginary part), after the
     # real mode tridiagonals of each straight end (one factor for both ends
     # when they hold the same slices)
@@ -210,19 +322,21 @@ def test_one_band_without_a_real_end(planar, monkeypatch, build):
     m = kd = planar[0].n
     dtype = complex if op.matrix.data.imag.any() else float
     lead, trail = _runs(op)
-    for slice_size, ends in ((None, []), (m, [p for p in (lead, trail) if p])):
+    for cholesky, ends in ((one_band, []),
+                           (banded_cholesky, [p for p in (lead, trail) if p])):
         bands.clear()
-        banded_cholesky(op.matrix, slice_size=slice_size)
+        cholesky(op.matrix)
         rows = op.n - sum(ends) * m
         shared = ends[1:] == ends[:1]
         assert bands == [((p * m,), float) for p in ends[shared:]] \
             + [((kd + 1, rows), dtype)]
 
 
-def test_fully_complex_tube_takes_one_band(planar, monkeypatch, rng):
-    # no slice of a tube complex in every slice is straight: with its slice
-    # size it still factors as one complex band of n columns, and solves
-    # to the same bits
+def test_fully_complex_tube_takes_one_band(planar, monkeypatch, one_band,
+                                           rng):
+    # no slice of a tube complex in every slice is straight: it still
+    # factors as one complex band of n columns, and solves to the bits of
+    # the band without straight ends
     bands = []
     factor = assemble._factor
 
@@ -233,9 +347,9 @@ def test_fully_complex_tube_takes_one_band(planar, monkeypatch, rng):
     op = _complex_every_row(planar)
     assert _runs(op) == (0, 0)
     rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-    want = banded_cholesky(op.matrix)(rhs)
+    want = one_band(op.matrix)(rhs)
     monkeypatch.setattr(assemble, "_factor", record)
-    got = banded_cholesky(op.matrix, slice_size=planar[0].n)(rhs)
+    got = banded_cholesky(op.matrix)(rhs)
     assert bands == [((planar[0].n + 1, op.n), complex)]
     assert np.array_equal(got, want)
 
@@ -246,7 +360,8 @@ def _complex_2d_straight_ends(planar):
 
 @pytest.mark.parametrize("build", [_real_2d, _complex_2d, _complex_every_row,
                                    _complex_2d_straight_ends])
-def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
+def test_band_factors_die_with_their_solve(planar, monkeypatch, one_band,
+                                           build):
     # reference counting frees every band factor (and a straight end's V
     # and tridiagonal factor) once its solve is dropped; a reference cycle
     # through the solve would hold the bands (86 MB each on the 3D Hardy
@@ -268,11 +383,12 @@ def test_band_factors_die_with_their_solve(planar, monkeypatch, build):
     monkeypatch.setattr(assemble, "_factor", record)
     monkeypatch.setattr(assemble, "_straight_end", record_end)
     op = build(planar)
-    slice_size = planar[0].n if build is _complex_2d_straight_ends else None
+    cholesky = banded_cholesky if build is _complex_2d_straight_ends \
+        else one_band
     gc.collect()
     gc.disable()
     try:
-        solve = banded_cholesky(op.matrix, slice_size=slice_size)
+        solve = cholesky(op.matrix)
         solve(np.ones(op.n, dtype=op.matrix.dtype))
         del solve
         alive = [ref for ref in factors if ref() is not None]
@@ -297,8 +413,8 @@ def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
                                                          thin_nrc2d):
     # nrc2d at eps = 0.025, delta = 1: one complex band of the whole matrix
     # carries the field's imaginary part through the straight stretch after
-    # it, where it decays into 60,143 subnormal entries; with its slice size
-    # the straight ends take that stretch out of the band
+    # it, where it decays into 60,143 subnormal entries; the straight ends
+    # take that stretch out of the band
     op = thin_nrc2d
     factor = assemble._factor
     straight_end = assemble._straight_end
@@ -320,7 +436,7 @@ def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
     # V and the factor d, e, its complex copy and g of the straight ends
     # (one for both: they hold the same slices), the band of the rest
     bands, ends = [], []
-    banded_cholesky(op.matrix, slice_size=m)
+    banded_cholesky(op.matrix)
     assert len(ends) == 1 and len(bands) == 1
     parts = [p for a in bands + list(ends[0]) for p in (a.real, a.imag)]
     assert sum(int(((p != 0) & (abs(p) < tiny)).sum()) for p in parts) == 0
@@ -328,16 +444,16 @@ def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
     assert bands[0].shape[1] == op.n - (lead + trail) * m <= 0.15 * op.n
 
 
-def test_straight_ends_solve_as_accurately_as_the_band(thin_nrc2d, rng):
+def test_straight_ends_solve_as_accurately_as_the_band(thin_nrc2d, rng,
+                                                       one_band):
     # eigh's eigenvalues of the slice block (||T0|| = 1e7 here) err by up to
     # 2.7e-9, alike on every slice of a mode; taken as they come they made
     # the straight-end solve 13 times less accurate than the band's
     op = thin_nrc2d
     rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     want = sla.splu(op.matrix.tocsc()).solve(rhs)
-    band, straight = (
-        np.linalg.norm(banded_cholesky(op.matrix, slice_size=m)(rhs) - want)
-        for m in (None, op.grid["section"].n))
+    band, straight = (np.linalg.norm(cholesky(op.matrix)(rhs) - want)
+                      for cholesky in (one_band, banded_cholesky))
     assert straight <= 2 * band
 
 
@@ -368,7 +484,7 @@ def test_pivot_of_a_straight_end_lies_in_its_rows(planar, build):
     bottom = la.eigvalsh(upper[-m:, -m:].toarray(), lower=False)[0] + 2 * c
     shifted = (op.matrix - (bottom + 1e-3 * abs(c)) * sp.eye(n)).tocsr()
     with pytest.raises(NotPositiveDefinite, match=f"\\(of {n}\\)") as info:
-        banded_cholesky(shifted, slice_size=m)
+        banded_cholesky(shifted)
     pivot = info.value.pivot
     if lead:
         assert pivot % m == 0 and m <= pivot <= lead * m
@@ -395,8 +511,8 @@ def split_rests(monkeypatch):
 @pytest.mark.parametrize("build, is_complex, kd, runs", [
     (_complex_3d, True, 99, (44, 44)), (_real_3d, False, 81, (59, 59))])
 @pytest.mark.parametrize("straight_ends", [False, True])
-def test_split_rest_solve_matches_superlu(planar, rng, split_rests, build,
-                                          is_complex, kd, runs,
+def test_split_rest_solve_matches_superlu(planar, rng, split_rests, one_band,
+                                          build, is_complex, kd, runs,
                                           straight_ends):
     # a complex (twisted, with field) and a real 3D band, whole and between
     # its straight ends, in two halves and a separator of kd rows (the
@@ -409,12 +525,13 @@ def test_split_rest_solve_matches_superlu(planar, rng, split_rests, build,
     m = op.grid["section"].n
     lead, trail = runs if straight_ends else (0, 0)
     assert _runs(op) == runs
-    _check_against_superlu(op, rng, is_complex, m if straight_ends else None)
+    _check_against_superlu(op, rng, is_complex,
+                           banded_cholesky if straight_ends else one_band)
     rest = op.n - (lead + trail) * m
     assert split_rests == [(kd, rest, lead * m, is_complex)]
 
 
-def test_rest_splits_above_the_split_bytes(planar, monkeypatch):
+def test_rest_splits_above_the_split_bytes(planar, monkeypatch, one_band):
     # the band of the rest, kd + 1 entries of 16 bytes per row of the
     # complex 3D tube, splits when it holds more than SPLIT_BAND_BYTES; the
     # shipped constant keeps the largest 2D rest (6,399 x 80 x 16 bytes)
@@ -432,30 +549,29 @@ def test_rest_splits_above_the_split_bytes(planar, monkeypatch):
     kd = op.grid["section"].n + 18
     band = (kd + 1) * op.n * 16
     monkeypatch.setattr(assemble, "SPLIT_BAND_BYTES", band)
-    banded_cholesky(op.matrix)
+    one_band(op.matrix)
     assert splits == []
     monkeypatch.setattr(assemble, "SPLIT_BAND_BYTES", band - 1)
-    banded_cholesky(op.matrix)
+    one_band(op.matrix)
     assert splits == [(kd, op.n)]
 
 
 @pytest.mark.parametrize("straight_ends", [False, True])
 def test_pivot_of_a_split_rest_is_a_row_of_the_matrix(planar, split_rests,
-                                                      straight_ends):
+                                                      one_band, straight_ends):
     # a negative diagonal entry in the left part (rows before 6,390), the
     # separator (6,390 to 6,488) or the right part, eliminated from the
     # last row, fails the split at exactly that row, also when the rest
     # starts after a straight end of 44 slices of 81 rows
     op = _complex_3d(planar)
     split_rests.clear()
-    m = op.grid["section"].n
+    cholesky = banded_cholesky if straight_ends else one_band
     for row in (5000, 6389, 6390, 6420, 6488, 6489, 8000):
         spike = sp.csr_matrix(([op.matrix[row, row].real + 1.0], ([row], [row])),
                               shape=op.matrix.shape)
         with pytest.raises(NotPositiveDefinite,
                            match=f"ending at row {row + 1} \\(of {op.n}\\)") as info:
-            banded_cholesky(op.matrix - spike,
-                            slice_size=m if straight_ends else None)
+            cholesky(op.matrix - spike)
         assert info.value.pivot == row + 1
     kd, nr, a, _ = split_rests[0]
     assert (a + (nr - kd) // 2, kd) == (6390, 99)
@@ -476,9 +592,9 @@ def test_split_band_memory_budget(planar, split_rests, monkeypatch):
         + (8 + 8 + 16 + 8) * lead * m + 8 * m * m
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
     with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
-        banded_cholesky(op.matrix, slice_size=m)
+        banded_cholesky(op.matrix)
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
-    banded_cholesky(op.matrix, slice_size=m)
+    banded_cholesky(op.matrix)
     assert len(split_rests) == 1
 
 
@@ -490,14 +606,13 @@ def test_split_solve_bytes_do_not_depend_on_the_worker(planar, rng,
     # bits
     op = build(planar)
     split_rests.clear()
-    m = op.grid["section"].n
     rhs = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     got = []
     for inline in (False, True):
         if inline:
             monkeypatch.setattr(assemble, "_halves",
                                 lambda left, right: (left(), right()))
-        solve = banded_cholesky(op.matrix, slice_size=m)
+        solve = banded_cholesky(op.matrix)
         got.append((solve(rhs), solve(rhs.real)))
     assert len(split_rests) == 2
     for x, y in got[1:]:
@@ -525,7 +640,7 @@ def test_split_factors_die_with_their_solve(planar, split_rests,
     gc.collect()
     gc.disable()
     try:
-        solve = banded_cholesky(op.matrix, slice_size=op.grid["section"].n)
+        solve = banded_cholesky(op.matrix)
         solve(np.ones(op.n, dtype=complex))
         del solve
         # the worker drops its last task (and the result it returned) just
@@ -798,7 +913,7 @@ def test_non_finite_matrix_rejected():
         banded_cholesky(mat)
 
 
-def test_band_memory_budget(planar, monkeypatch):
+def test_band_memory_budget(planar, monkeypatch, one_band):
     # the budget counts the band allocated: (kd + 1) entries per row, 16
     # bytes each in a complex band
     op = _complex_2d(planar)
@@ -806,9 +921,9 @@ def test_band_memory_budget(planar, monkeypatch):
     need = (kd + 1) * op.n * 16
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
     with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
-        banded_cholesky(op.matrix)
+        one_band(op.matrix)
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
-    banded_cholesky(op.matrix)
+    one_band(op.matrix)
 
 
 def test_band_memory_budget_counts_the_straight_ends(planar, monkeypatch):
@@ -831,12 +946,12 @@ def test_band_memory_budget_counts_the_straight_ends(planar, monkeypatch):
         whole = (kd + 1) * op.n * entry
         assert need < whole - 1
         monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", whole - 1)
-        banded_cholesky(op.matrix, slice_size=m)
+        banded_cholesky(op.matrix)
         monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
         with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
-            banded_cholesky(op.matrix, slice_size=m)
+            banded_cholesky(op.matrix)
         monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need)
-        banded_cholesky(op.matrix, slice_size=m)
+        banded_cholesky(op.matrix)
 
 
 def test_lowest_eigenpairs_respects_the_band_budget(planar, monkeypatch):
@@ -902,7 +1017,7 @@ def test_blas_threads_sets_the_loaded_pools():
 
 
 def test_every_band_factor_runs_on_one_thread(planar, fake_pools,
-                                             monkeypatch):
+                                             monkeypatch, one_band):
     # narrow and wide (kd >= 256) bands, real, complex and complex in part,
     # and the mode tridiagonals of straight ends all factor on one thread,
     # called from outside every blas_threads block or inside one of 4
@@ -923,11 +1038,11 @@ def test_every_band_factor_runs_on_one_thread(planar, fake_pools,
                        (256, 258, np.full(2, 1j)), (256, 1280, partial)):
         mat = (4.0 * sp.eye(n) + sp.diags(off, kd, shape=(n, n))
                + sp.diags(np.conj(off), -kd, shape=(n, n))).tocsr()
-        banded_cholesky(mat)
+        one_band(mat)
         with assemble.blas_threads(4):
-            banded_cholesky(mat)
+            one_band(mat)
     # the rest and one tridiagonal factor for both straight ends
-    banded_cholesky(_complex_2d(planar).matrix, slice_size=planar[0].n)
+    banded_cholesky(_complex_2d(planar).matrix)
     assert len(seen) == 10 and all(counts == [1, 1] for counts in seen)
     assert [p.count for p in fake_pools] == [2, 3]
 

@@ -650,6 +650,31 @@ def test_nrc_sweep_passes_start_vectors(tmp_path, monkeypatch):
     assert starts == expected
 
 
+def test_nrc_sweep_rejects_a_repeated_delta(tmp_path, monkeypatch):
+    # a repeated delta would solve its points twice and fit each order over
+    # the duplicates; each point is one row, and each delta's fit reads its
+    # own points
+    from magtube import operators as ops
+
+    text = MINI_NRC.format(out=tmp_path / "nrc", delta="1 1")
+    with pytest.raises(ConfigError, match="delta list must not repeat"):
+        ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
+    monkeypatch.setattr(
+        ops, "resolvent_distance",
+        lambda opA, opB, tol, seed, v0: (
+            opA.regime.eps ** (1 + opA.regime.delta),
+            {"converged": True, "vector": None}))
+    text = MINI_NRC.format(out=tmp_path / "nrc", delta="0 1")
+    table = run(ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text)),
+                out_dir=str(tmp_path / "nrc"))["tables"][0]
+    assert [row[:2] for row in table.rows] == [
+        (delta, eps) for delta in (0.0, 1.0) for eps in (0.2, 0.1, 0.05)]
+    for delta in (0, 1):
+        assert table.footer[f"fitted_order_delta_{delta}"] == \
+            pytest.approx(1 + delta)
+        assert table.footer[f"fitted_order_ci95_delta_{delta}"] < 1e-12
+
+
 def test_nrc_sweep_reproducible_bytes(tmp_path):
     # warm starts chain the points; the fixed sweep order keeps the bytes
     text = MINI_NRC.format(out=tmp_path / "o1", delta="0 1")
