@@ -189,12 +189,7 @@ def cov_link_matrix(n_cols, idx_l, idx_r, h, phases=None):
     idx_l = np.asarray(idx_l)
     idx_r = np.asarray(idx_r)
     nlinks = len(idx_l)
-    if phases is None:
-        coef_r = np.full(nlinks, 1.0 / h)
-        coef_l = np.full(nlinks, -1.0 / h)
-    else:
-        coef_r = (-1j / h) * np.exp(1j * np.asarray(phases))
-        coef_l = np.full(nlinks, 1j / h, dtype=complex)
+    coef_l, coef_r = link_coefficients(nlinks, h, phases)
     rows, cols, vals = [], [], []
     for idx, coef in ((idx_r, coef_r), (idx_l, coef_l)):
         sel = idx >= 0
@@ -205,6 +200,15 @@ def cov_link_matrix(n_cols, idx_l, idx_r, h, phases=None):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nlinks, n_cols),
     )
+
+
+def link_coefficients(nlinks: int, h, phases=None):
+    """(coef_l, coef_r): the entries of :func:`cov_link_matrix` at the left
+    and the right end of each link."""
+    if phases is None:
+        return np.full(nlinks, -1.0 / h), np.full(nlinks, 1.0 / h)
+    return (np.full(nlinks, 1j / h, dtype=complex),
+            (-1j / h) * np.exp(1j * np.asarray(phases)))
 
 
 def form_term(factor: sp.spmatrix, weights=None) -> sp.csr_matrix:
@@ -221,12 +225,6 @@ def dirichlet_links(n_nodes: int):
     idx = np.arange(-1, n_nodes + 1)
     idx[0] = idx[-1] = -1
     return idx[:-1], idx[1:]
-
-
-def dirichlet_second_difference(n_nodes: int, h: float) -> sp.csr_matrix:
-    """-d^2/dx^2 on n interior nodes, Dirichlet ends, via D^T D on links."""
-    D = cov_link_matrix(n_nodes, *dirichlet_links(n_nodes), h)
-    return form_term(D)
 
 
 def _band(kd: int, width: int, rows, cols, values) -> np.ndarray:

@@ -1,11 +1,11 @@
-"""Eps-expansion of the critical-regime 2D operator, quasimode construction,
-eigenvalue expansions, and the form-to-resolvent bound checker.
+"""Eps-expansion of the critical-regime 2D operator, quasimode construction
+and eigenvalue expansions.
 
 The operator family L(eps) = m (i d/ds + b A1) m^2 (i d/ds + b A1) m
 - eps^-2 d2/dtau2 + V at b = 1/eps is, at fixed grid, eps^-2 T (T the
 transverse Dirichlet form) plus a matrix M(eps) that is entrywise analytic
 in eps.  Its Taylor coefficients are read off the one tube builder,
-:func:`magtube.operators._tube_matrix`: M is sampled on a circle
+:class:`magtube.operators.TubeSkeleton`: one skeleton samples M on a circle
 |eps| = r in the complex plane, and a discrete Fourier transform of the
 samples gives the Cauchy integrals of its coefficients (the trapezoidal
 rule, exact up to aliasing).
@@ -35,19 +35,16 @@ import scipy.sparse as sp
 from .assemble import AssembledOperator, RegimeParams
 from .errors import (
     DegenerateModeError,
-    InvalidFormPair,
     ModeTrackingError,
     NoBoundStateError,
     NotApplicable,
 )
 from .geometry import FrameTrajectory, TubeSpec, integrate_frame
 from .operators import (
-    _tube_parts,
+    TubeSkeleton,
     assemble_full,
-    axis_grid,
     fiber_project,
     smallest_eigenpairs,
-    transverse_form,
     transverse_ground,
 )
 from .xsection import deflated_solver
@@ -90,13 +87,13 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
 
     terms[0] is the transverse form T, terms[1] = None and terms[j] the
     coefficient of eps^(j-2) in M(eps) = L(eps) - eps^-2 T.  With the
-    s-link factor Y, link weights w and potential V of the tube builder
-    (:func:`magtube.operators._tube_parts`),
+    s-link factor Y, link weights w and potential V of the tube skeleton
+    (:meth:`magtube.operators.TubeSkeleton.form_sample`),
     M(eps) = Y(conj eps)^H diag(w(eps)) Y(eps) + diag(V(eps)), the
     holomorphic continuation of the assembled matrix: the Hermitian adjoint
     itself is not analytic in eps.  Each coefficient is the Cauchy integral
     of M over |eps| = r by the trapezoidal rule at CONTOUR_POINTS points (a
-    discrete Fourier transform of the samples).
+    discrete Fourier transform of the samples), all on one skeleton.
 
     Requires delta = 1 and no field or a frame-aligned one: an ambient
     field's gauge casts positions to float, so it cannot be sampled at
@@ -116,50 +113,36 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
         )
     if frame is None:
         frame = integrate_frame(tube.curve)
-    ax = axis_grid(tube.curve)
-    sec = tube.section
-    lat = ax.lattice(sec)
+    skeleton = TubeSkeleton(tube.curve, tube.section, frame, field)
+    n = skeleton.lat.n
+    rows, cols = skeleton.form_pattern()
     r = CONTOUR_RADIUS / max(1.0, tube.curve.sup_kappa() * tube.sup_tau())
     N, order = CONTOUR_POINTS, max(j_max - 2, 0)
 
-    def parts(eps):
-        regime = RegimeParams(eps=eps, delta=1.0)
-        return _tube_parts(TubeSpec(tube.curve, sec, regime), lat, frame, field)
-
-    # every sample has the structure of |Y|^T |Y| + I, as Y's does not
-    # depend on eps; adjoint[p] is the slot of the transpose of entry p
-    Y = parts(r)[0]
-    pattern = (abs(Y).T @ abs(Y) + sp.eye(lat.n)).tocoo()
-    rows, cols = pattern.row, pattern.col
-    slot = sp.csr_matrix((np.arange(1, len(rows) + 1), (rows, cols)))
-    adjoint = np.asarray(slot[cols, rows]).ravel() - 1
-
-    def sample(eps):
-        Y, w, V, _ = parts(eps)
-        Y_conj = Y if np.isreal(eps) else parts(np.conj(eps))[0]
-        M = Y_conj.getH() @ (sp.diags(w) @ Y) + sp.diags(V)
-        return np.asarray(M[rows, cols]).ravel()
+    def adjoint(values):  # at the transposed entries: the s-link ends swap
+        diag, lr, rl = np.split(values, [n, n + (len(values) - n) // 2])
+        return np.concatenate([diag, rl, lr])
 
     # The trapezoidal rule N r^j c_j = sum_k M(eps_k) e^(-2 pi i j k / N),
     # eps_k = r e^(2 pi i k / N), summed over M_k - M_0 (with M_0 added back
     # to c_0) so that entries constant in eps give exact zeros.  As
     # M(eps_(N-k)) = M(eps_k)^H, the terms k and N - k pair into F + F^H,
     # which keeps every c_j Hermitian; only the j <= order rows are summed.
-    m0 = sample(r)
+    m0 = skeleton.form_sample(r)
     F = np.zeros((order + 1, len(rows)), dtype=complex)
     for k in range(1, N // 2):
         eps = r * np.exp(2j * np.pi * k / N)
         F += (np.exp(-2j * np.pi * k * np.arange(order + 1) / N)[:, None]
-              * (sample(eps) - m0))
-    d_half = sample(-r) - m0
-    terms = [transverse_form(lat), None]
+              * (skeleton.form_sample(eps) - m0))
+    d_half = skeleton.form_sample(-r) - m0
+    terms = [skeleton.transverse(), None]
     for j in range(order + 1):
-        c = (F[j] + F[j, adjoint].conj() + (-1) ** j * d_half) / (N * r**j)
+        c = (F[j] + adjoint(F[j]).conj() + (-1) ** j * d_half) / (N * r**j)
         terms.append(sp.csr_matrix((c + m0 if j == 0 else c, (rows, cols)),
-                                   shape=(lat.n, lat.n)))
+                                   shape=(n, n)))
     terms = terms[: j_max + 1]
-    grid = {"kind": "tube2d", "axis": ax, "section": sec, "n": lat.n,
-            "ntau": sec.n}
+    grid = {"kind": "tube2d", "axis": skeleton.axis, "section": tube.section,
+            "n": n, "ntau": tube.section.n}
     return SeriesOperator(terms=terms, j_max=min(j_max, len(terms) - 1),
                           grid=grid, meta={"delta": 1.0})
 
@@ -337,14 +320,14 @@ def eigenvalue_expansion(tube: TubeSpec, field, mode_index: int, J: int,
     if series is None:
         series = expand_operator_2d(tube, field, j_max=J + 2, frame=frame)
     qm = build_quasimode(series, mode_index=mode_index, J=J)
+    skeleton = TubeSkeleton(tube.curve, tube.section, frame, field)
     rows = []
     overlaps = []
     residuals = []
     for eps in eps_list:
         tube_eps = TubeSpec(tube.curve, tube.section,
-                            type(tube.regime)(eps=eps, delta=1.0,
-                                              K=tube.regime.K))
-        op = assemble_full(tube_eps, field, frame=frame, shifted=True)
+                            RegimeParams(eps=eps, delta=1.0, K=tube.regime.K))
+        op = assemble_full(tube_eps, field, skeleton=skeleton)
         spec = smallest_eigenpairs(op, k=mode_index + 2, sigma=0.0)
         psi = qm.Psi(eps)
         psi = psi / np.linalg.norm(psi)
@@ -360,103 +343,3 @@ def eigenvalue_expansion(tube: TubeSpec, field, mode_index: int, J: int,
         rows.append((eps, lam, qm.Gamma(eps), abs(lam - qm.Gamma(eps))))
         residuals.append(qm.residual(op, eps))
     return qm, rows, overlaps, residuals
-
-
-# -- Lemma: form difference controls resolvent difference ---------------------------
-
-
-@dataclass
-class FormPair:
-    """Two positive-definite operators on a common space with the measured
-    sharp form-discrepancy constant eta."""
-
-    L1: np.ndarray
-    L2: np.ndarray
-    eta: float
-
-
-def make_form_pair(L1: np.ndarray, L2: np.ndarray) -> FormPair:
-    for M in (L1, L2):
-        if M.shape[0] > 200:
-            raise InvalidFormPair("dense pair capped at 200 x 200")
-        vals = la.eigvalsh(M)
-        if vals[0] <= 0:
-            raise InvalidFormPair("operators must be positive definite")
-    eta = float(
-        np.linalg.norm(
-            _inv_sqrt(L1) @ (L1 - L2) @ _inv_sqrt(L2), 2
-        )
-    )
-    return FormPair(L1=L1, L2=L2, eta=eta)
-
-
-def _inv_sqrt(M: np.ndarray) -> np.ndarray:
-    vals, vecs = la.eigh(M)
-    return (vecs * vals**-0.5) @ vecs.conj().T
-
-
-def check_form_resolvent_lemma(pair: FormPair, n_vector_pairs: int = 1000,
-                               seed: int = 0) -> dict:
-    """Verify both halves of the form-to-resolvent bound on a dense pair.
-
-    resolvent side:  ||L1^-1 - L2^-1|| <= eta ||L1^-1|| ||L2^-1||
-    (the proof yields the sharper sqrt of the product; both are reported --
-    the printed product form requires ||L1^-1|| ||L2^-1|| >= 1, which the
-    harness normalization guarantees)
-    hypothesis side: |B1(phi,psi) - B2(phi,psi)| <= eta sqrt(Q1(psi) Q2(phi))
-    on sampled vector pairs.
-    """
-    L1, L2, eta = pair.L1, pair.L2, pair.eta
-    inv1 = np.linalg.inv(L1)
-    inv2 = np.linalg.inv(L2)
-    lhs = np.linalg.norm(inv1 - inv2, 2)
-    n1 = np.linalg.norm(inv1, 2)
-    n2 = np.linalg.norm(inv2, 2)
-    slack_printed = eta * n1 * n2 - lhs
-    slack_sqrt = eta * np.sqrt(n1 * n2) - lhs
-    rng = np.random.default_rng(seed)
-    n = L1.shape[0]
-    Phi = rng.standard_normal((n, n_vector_pairs))
-    Psi = rng.standard_normal((n, n_vector_pairs))
-    num = np.abs(np.einsum("ij,ij->j", Psi, (L1 - L2) @ Phi))
-    den = np.sqrt(
-        np.einsum("ij,ij->j", Psi, L1 @ Psi)
-        * np.einsum("ij,ij->j", Phi, L2 @ Phi)
-    )
-    worst = float(np.max(num / den))
-    return {
-        "eta": eta,
-        "resolvent_diff": float(lhs),
-        "bound_printed": float(eta * n1 * n2),
-        "slack_printed": float(slack_printed),
-        "bound_sqrt": float(eta * np.sqrt(n1 * n2)),
-        "slack_sqrt": float(slack_sqrt),
-        "hypothesis_worst_ratio": float(worst),
-        "hypothesis_ok": bool(worst <= eta * (1 + 1e-12)),
-    }
-
-
-def random_spd_pair(rng: np.random.Generator, n_max: int = 200):
-    """Random SPD pair sized/normalized like shifted waveguide operators.
-
-    Spectra are drawn in (0.05, 0.95) for the smallest eigenvalue and up to
-    ~50 for the largest, so resolvent norms exceed 1 and the printed product
-    bound applies.
-    """
-    n = int(rng.integers(8, n_max + 1))
-    lam_min = rng.uniform(0.05, 0.95)
-    lam_max = lam_min + rng.uniform(1.0, 50.0)
-
-    def one():
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        vals = np.sort(rng.uniform(lam_min, lam_max, n))
-        vals[0] = lam_min
-        return (q * vals) @ q.T
-
-    A = one()
-    B = A + rng.uniform(0.0, 0.5) * one() / 2
-    # keep B's smallest eigenvalue below 1 as well
-    bmin = la.eigvalsh(B)[0]
-    if bmin >= 1.0:
-        B = B * (lam_min / bmin)
-    return A, 0.5 * (B + B.T)

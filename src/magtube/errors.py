@@ -87,10 +87,6 @@ class ModeTrackingError(MagtubeError):
         self.overlaps = overlaps
 
 
-class InvalidFormPair(MagtubeError):
-    """Form-pair check requires positive-definite inputs."""
-
-
 class FitDomainError(MagtubeError):
     """Rate fit needs >= 3 points with positive values."""
 

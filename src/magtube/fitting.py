@@ -1,4 +1,4 @@
-"""Rate fits and Richardson extrapolation for convergence studies."""
+"""Rate fits for convergence studies."""
 
 from __future__ import annotations
 
@@ -17,9 +17,6 @@ class FitResult:
     stderr: float
     ci95: float
     npoints: int
-
-    def __str__(self):
-        return f"slope {self.slope:.3f} +/- {self.ci95:.3f} (95%, n={self.npoints})"
 
 
 def fit_order(eps, values) -> FitResult:
@@ -44,10 +41,4 @@ def fit_order(eps, values) -> FitResult:
     ci95 = stdtrit(n - 2, 0.975) * stderr  # Student-t quantile, as stats.t.ppf
     return FitResult(float(slope), float(intercept), float(stderr),
                      float(ci95), n)
-
-
-def richardson(value_h, value_h2, order: float = 2.0) -> float:
-    """Eliminate the leading O(h^order) error from values at h and h/2."""
-    fac = 2.0**order
-    return (fac * value_h2 - value_h) / (fac - 1.0)
 

@@ -535,9 +535,6 @@ class FrameAlignedField3D:
         return all(p.is_zero for p in (self.beta23, self.beta13, self.beta12))
 
 
-ZERO_FIELD_2D = FrameAlignedField2D(Profile())
-
-
 # -- tube specification -----------------------------------------------------------
 
 

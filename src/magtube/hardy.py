@@ -49,7 +49,7 @@ from .geometry import (
 from .grids import GridDomain, _subdivide
 from .operators import (
     TubeLattice,
-    _tube_matrix,
+    TubeSkeleton,
     assemble_full,
     transverse_ground,
 )
@@ -65,24 +65,12 @@ HARDY_PASS_TOL = 1e-9
 # [-1/2, 1/2], chi0 = 1 for |s| >= 1, and |chi0'|^2 + |chi1'|^2 = phi'^2.
 
 
-def _ramp(u):
-    u = np.clip(u, 0.0, 1.0)
-    return 3 * u**2 - 2 * u**3
-
-
 def _ramp_d(u):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     inside = (u > 0) & (u < 1)
     out[inside] = 6 * u[inside] * (1 - u[inside])
     return out
-
-
-def cutoff_pair(s):
-    """(chi0, chi1) of the shipped partition of unity."""
-    u = 2 * np.abs(np.asarray(s, dtype=float)) - 1.0
-    phi = (np.pi / 2) * _ramp(u)
-    return np.sin(phi), np.cos(phi)
 
 
 def cutoff_constant() -> float:
@@ -123,14 +111,17 @@ def _straight_tube_matrix(section: GridDomain, field, b: float, s_nodes,
     simply omits outside links (natural magnetic Neumann: vanishing covariant
     normal derivative); otherwise the ends are Dirichlet-eliminated.  This is
     the curvilinear tube operator of a straight curve at eps = 1, so the field
-    enters with its orientation and gauge.  Segment fields cover the whole
+    enters with its orientation and gauge.  The curve takes the mean node
+    spacing: on a long tube the first difference is off by enough roundoff
+    to take s = 0 off the frame's grid.  Segment fields cover the whole
     range on purpose: no support validation.
     """
     lat = TubeLattice(s_nodes, section, neumann_ends)
-    S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + lat.ds
-    curve = CurveProfile(dim=section.dim + 1, S=S, ds=lat.ds)
-    tube = TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=b))
-    return _tube_matrix(tube, lat, integrate_frame(curve), field).tocsr()
+    ds = (s_nodes[-1] - s_nodes[0]) / (len(s_nodes) - 1)
+    S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + ds
+    curve = CurveProfile(dim=section.dim + 1, S=S, ds=ds)
+    return TubeSkeleton(curve, section, integrate_frame(curve), field,
+                        lat).matrix(1.0, b)
 
 
 def assemble_segment(section: GridDomain, field, b: float, R: float,
@@ -398,15 +389,16 @@ def large_b_experiment(tube: TubeSpec, field, b_schedule,
     the spectrum raises NotPositiveDefinite, never a wrong value.  A
     schedule without b = 0 still pays for the floor solve.
     """
-    frame = integrate_frame(tube.curve)
+    skeleton = TubeSkeleton(tube.curve, tube.section,
+                            integrate_frame(tube.curve), field)
     lam1_omega, _ = transverse_ground(tube.section)
     S = tube.curve.S
     budget = 2.0 * (np.pi / (2 * S)) ** 2
 
     def ground_energy(b: float, sigma: float) -> float:
         regime = RegimeParams(eps=1.0, delta=0.0, b=b, K=tube.regime.K)
-        tube_b = TubeSpec(tube.curve, tube.section, regime)
-        op = assemble_full(tube_b, field, frame, shifted=False)
+        op = assemble_full(TubeSpec(tube.curve, tube.section, regime), field,
+                           shifted=False, skeleton=skeleton)
         vals, _, _ = lowest_eigenpairs(op.matrix, k=1, sigma=sigma, seed=seed)
         return float(vals[0])
 

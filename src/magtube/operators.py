@@ -1,8 +1,8 @@
 """Waveguide operators on the homogenized reference domain.
 
-The full curvilinear operator of planar and spatial tubes, the
-intermediate straight-tube approximation, and the effective 1D models for
-every scaling regime, plus resolvent-distance measurement between models.
+The full curvilinear operator of planar and spatial tubes and the
+effective 1D models for every scaling regime, plus resolvent-distance
+measurement between models.
 
 Discretization: every quadratic-form term is F* diag(w) F built from
 first-order covariant difference factors with link phases e^{i h a}; the
@@ -10,13 +10,14 @@ longitudinal factor of the (i d/ds + b A1) sandwich is composed with the
 metric multipliers node/link-wise.  Real symmetric matrices are produced
 whenever no magnetic or twist term is present.
 
-One builder, ``_tube_matrix``, writes the curvilinear tube operator
+One builder, :class:`TubeSkeleton`, writes the curvilinear tube operator
     transverse covariant Laplacian + h^-1/2 X h^-1 X h^-1/2 - |k|^2/(4 h^2),
 h = 1 - eps <tau, k(s)>, once.  The planar tube is its case with one
 transverse direction (no twist, no R term); the straight Hardy tubes of
-:mod:`magtube.hardy` are its kappa = 0, eps = 1 case.  :func:`assemble_full`
-is the public operator of every planar and spatial tube: it reads the
-dimension from the section, validates the tube and adds the shift.
+:mod:`magtube.hardy` are its kappa = 0, eps = 1 case; a sweep over eps or b
+holds one skeleton.  :func:`assemble_full` is the public operator of every
+planar and spatial tube: it reads the dimension from the section, validates
+the tube and adds the shift.
 
 Every tube operator lives on one :class:`TubeLattice`, the product of axis
 nodes and the section's interior nodes.  Unknowns are s-major: node
@@ -47,6 +48,7 @@ import scipy.sparse as sp
 
 from .assemble import (
     AssembledOperator,
+    RegimeParams,
     Spectrum,
     banded_cholesky,
     blas_threads,
@@ -54,6 +56,7 @@ from .assemble import (
     dirichlet_links,
     form_term,
     lanczos,
+    link_coefficients,
     lowest_eigenpairs,
     random_start,
 )
@@ -161,57 +164,14 @@ class TubeLattice:
         return cov_link_matrix(self.n, *self.axis_links(), self.ds,
                                phases=phases)
 
-    def axis_selectors(self):
-        """(SL, SR): per s-link, the value at its left / right node (0 at a
-        ghost endpoint)."""
-        out = []
-        for idx in self.axis_links():
-            ok = idx >= 0
-            out.append(sp.csr_matrix(
-                (np.ones(ok.sum()), (np.nonzero(ok)[0], idx[ok])),
-                shape=(len(idx), self.n)))
-        return tuple(out)
-
     def link_average(self) -> sp.csr_matrix:
-        """Average node values onto the s-links."""
-        SL, SR = self.axis_selectors()
-        return 0.5 * (SL + SR)
-
-
-def transverse_form(lat: TubeLattice, pulled=None, eps: float = 1.0,
-                    b: float = 0.0) -> sp.csr_matrix:
-    """eps^-2 sum_j (-i d/dtau_j + eps b A_j)^2 on every s-slab.
-
-    Without ``pulled`` this is the section's Dirichlet Laplacian per slab.
-    With a pulled 3D field it uses the explicit gauge of :func:`gauge_3d`
-    at the lattice's s-nodes.
-    """
-    sec = lat.section
-    mat = None
-    for axis in range(sec.dim):
-        idx_l, idx_r, mids = lat.section_links(axis)
-        phases = None
-        if pulled is not None:
-            if axis == 0:
-                # A2 = -t3 B23(s,0,0)/2, independent of tau2
-                B23ax, _, _, _ = pulled.on_axis(lat.nodes)
-                phases = (
-                    sec.h * eps * b
-                    * (-0.5 * eps * mids[:, 1])[None, :] * B23ax[:, None]
-                )
-            else:
-                # A3 needs the tau2-cumulative of B23 at tau3 link midpoints
-                u3 = np.unique(mids[:, 1])
-                _, _, A3g = gauge_3d(pulled, pulled.tube, lat.nodes,
-                                     sec.axes[0], u3)
-                i2 = np.rint((mids[:, 0] - sec.axes[0][0]) / sec.h).astype(int)
-                i3 = np.searchsorted(u3, mids[:, 1])
-                phases = sec.h * eps * b * A3g[:, i2, i3]
-            phases = phases.ravel()
-        D = cov_link_matrix(lat.n, idx_l, idx_r, sec.h, phases=phases)
-        term = eps**-2 * form_term(D)
-        mat = term if mat is None else mat + term
-    return mat
+        """Average node values onto the s-links (a ghost end counts 0)."""
+        ends = []
+        for idx in self.axis_links():
+            on = np.nonzero(idx >= 0)[0]
+            ends.append(sp.csr_matrix((np.ones(len(on)), (on, idx[on])),
+                                      shape=(len(idx), self.n)))
+        return 0.5 * (ends[0] + ends[1])
 
 
 def transverse_ground(section: GridDomain):
@@ -220,104 +180,277 @@ def transverse_ground(section: GridDomain):
     return consts.lam1, consts.J1
 
 
-def _check_support(tube: TubeSpec, field) -> None:
-    bound = tube.curve.support_bound()
+def _check_support(curve, field) -> None:
+    bound = curve.support_bound()
     if field is not None and not field.is_zero():
         bound = max(bound, field.support_bound())
-    if bound > tube.curve.S / 2 + 1e-12:
+    if bound > curve.S / 2 + 1e-12:
         raise SupportTruncationError(
-            f"supports reach |s| = {bound:.3f} > S/2 = {tube.curve.S / 2:.3f}"
+            f"supports reach |s| = {bound:.3f} > S/2 = {curve.S / 2:.3f}"
         )
-
-
-def _validate(tube: TubeSpec, frame: FrameTrajectory) -> None:
-    """validate_tube with the overlap probe; each message becomes a warning."""
-    for message in validate_tube(tube, frame=frame).messages:
-        warnings.warn(message, stacklevel=3)
 
 
 # -- the curvilinear tube operator -------------------------------------------------
 
 
-def _tube_matrix(tube: TubeSpec, lat: TubeLattice, frame: FrameTrajectory,
-                 field, gauge_chi=None) -> sp.csr_matrix:
-    """Unshifted homogenized operator of a planar or spatial tube on ``lat``.
+def _mul(a, b):
+    """a * b elementwise; a complex product as four real products, none
+    fused, as scipy's sparse kernels form it (numpy's own fuses them)."""
+    if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
+        return a * b
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
-    transverse_form + Y* diag(1/h) Y - |k|^2 / (4 h^2), with Y = X h^(-1/2),
-    h = 1 - eps <tau, k> (k from :func:`section_curvature`) and the s-link
-    factor X = -i d/ds + b A1 - i theta' d_alpha + R, R = h3 b A2 + h2 b A3.
-    A planar tube has one transverse direction, A1 = -(the gauge_2d
-    potential) and neither twist nor R; the Hardy tubes are the straight
-    eps = 1 case.  A zero field or b = 0 leaves the matrix real.
-    ``gauge_chi`` (Dirichlet axis ends) shifts the link phases by
-    -b (chi(s_r) - chi(s_l)).  No validation.
+
+class _LinkForm:
+    """G^H diag(w) F of one family of links, F's and G's row m holding a
+    value at node idx_l[m] and one at idx_r[m] (none at a ghost, -1).  Entry
+    (i, j) sums conj(G[m, i]) w[m] F[m, j] from 0 in increasing m, as
+    scipy's G.getH() @ (diag(w) @ F) does; a node lies on at most two links
+    of a family, one on each side."""
+
+    def __init__(self, idx_l, idx_r, n: int):
+        self.nlinks = m = len(idx_l)
+        self.both = (idx_l >= 0) & (idx_r >= 0)
+        self.l, self.r = idx_l[self.both], idx_r[self.both]
+        # each node's diagonal terms in link order, as indices into
+        # [left-end terms, right-end terms, 0]
+        ends = []
+        for first, idx in ((0, idx_l), (m, idx_r)):
+            term = np.full(n, 2 * m, dtype=np.int32)
+            on = np.nonzero(idx >= 0)[0]
+            term[idx[on]] = first + on
+            ends.append(term)
+        left_first = ends[0] < np.where(ends[1] < 2 * m, ends[1] - m, 2 * m)
+        self.diagonal = np.where(left_first, ends, ends[::-1])
+
+    def values(self, f, w=None, g=None):
+        """(diagonal, (l, r) entries, (r, l) entries) of G^H diag(w) F, from
+        the values (f_l, f_r) of F at both ends of each link; G = F unless
+        ``g`` gives its values."""
+        (f_l, f_r), (g_l, g_r) = f, (f if g is None else g)
+        if w is not None:
+            f_l, f_r = _mul(w, f_l), _mul(w, f_r)
+        terms = np.concatenate([_mul(f_l, np.conj(g_l)),
+                                _mul(f_r, np.conj(g_r)), [0]])
+        b = self.both
+        return (terms[self.diagonal[0]] + terms[self.diagonal[1]],
+                _mul(f_r[b], np.conj(g_l[b])), _mul(f_l[b], np.conj(g_r[b])))
+
+
+def _entries(n: int, forms):
+    """(rows, cols), part by part: the diagonal, then (l, r) and (r, l) of
+    each form's links between two unknowns."""
+    rows = [np.arange(n)] + [x for f in forms for x in (f.l, f.r)]
+    cols = [np.arange(n)] + [x for f in forms for x in (f.r, f.l)]
+    return rows, cols
+
+
+class TubeSkeleton:
+    """The part of a tube operator that does not depend on (eps, b).
+
+    :meth:`matrix` evaluates transverse form + Y* diag(1/h) Y - |k|^2/(4 h^2)
+    with Y = X h^(-1/2), h = 1 - eps <tau, k> (k from
+    :func:`section_curvature`) and X = -i d/ds + b A1 - i theta' d_alpha + R,
+    R = h3 b A2 + h2 b A3; a planar tube has A1 = -(the gauge_2d potential)
+    and neither twist nor R.  A zero field or b = 0 leaves it real.  The
+    skeleton holds <tau, k> at the nodes and s-link midpoints, the s-links
+    and each section axis's links, the CSR pattern with the slot of each
+    term and a twisted tube's twist operator; an evaluation writes h, the
+    phases, the link values (:func:`_mul`) and the shift into the pattern,
+    but a twisted tube's twist and R terms of X keep their sparse products.  Without ``lat`` the lattice is the curve's AxisGrid,
+    and the supports and 3D grid budget are checked as for assemble_full.
     """
-    Y, weights, V, pulled = _tube_parts(tube, lat, frame, field, gauge_chi)
-    return (transverse_form(lat, pulled, tube.regime.eps, tube.regime.b)
-            + form_term(Y, weights=weights) + sp.diags(V))
 
+    def __init__(self, curve, section: GridDomain, frame: FrameTrajectory,
+                 field, lat: TubeLattice | None = None):
+        self.field = None if field is None or field.is_zero() else field
+        self.axis = None
+        if lat is None:
+            _check_support(curve, self.field)
+            self.axis = axis_grid(curve)
+            lat = self.axis.lattice(section)
+            if section.dim == 2 and lat.n > GRID_BUDGET_3D:
+                raise GridBudgetError(f"{lat.n} unknowns exceed the 3D budget "
+                                      f"{GRID_BUDGET_3D}; coarsen ds or h")
+        self.curve, self.section, self.frame, self.lat = (curve, section,
+                                                          frame, lat)
+        self.coords = coords = section.node_coords().reshape(section.n, -1)
 
-def _tube_parts(tube: TubeSpec, lat: TubeLattice, frame: FrameTrajectory,
-                field, gauge_chi=None):
-    """(Y, w, V, pulled) of :func:`_tube_matrix`: the s-link factor
-    Y = X h^(-1/2), the link weights w = 1/h, the potential -|k|^2/(4 h^2)
-    per node and the pulled 3D field of the transverse form (or None).
+        def k_tau(s_arr):
+            k = section_curvature(curve, frame, s_arr)
+            out = k[:, :1] * coords[:, 0]
+            for j in range(1, section.dim):
+                out = out + k[:, j:j + 1] * coords[:, j]
+            return k, out
 
-    Without a field or with a frame-aligned planar one, every entry is
-    analytic in eps; a complex eps (b = 1/eps) gives their continuation,
-    which :mod:`magtube.asymptotics` samples on a circle.
-    """
-    sec = lat.section
-    curve = tube.curve
-    eps, b = tube.regime.eps, tube.regime.b
-    coords = sec.node_coords().reshape(sec.n, -1)
+        k_node, self.k_tau_node = k_tau(lat.nodes)
+        self.k_tau_link = k_tau(lat.mids)[1]
+        self.potential = -0.25 * (k_node**2).sum(axis=1)[:, None]
+        n = lat.n
+        # index arrays held for a sweep are int32, half the memory
+        self.s_links = tuple(i.astype(np.int32) for i in lat.axis_links())
+        self.s_form, *self.t_forms = forms = [
+            _LinkForm(idx_l.astype(np.int32), idx_r.astype(np.int32), n)
+            for idx_l, idx_r in (self.s_links, *(
+                lat.section_links(axis)[:2] for axis in range(section.dim)))]
+        self.twist = None
+        if not curve.theta_prime.is_zero:  # sparse products, no pattern
+            self.twist = _twist_term(lat, curve.theta_prime(lat.mids))
+            self.link_average = lat.link_average()
+            return
+        # each pattern entry once; slots[k] places part k of an evaluation
+        rows, cols = _entries(n, forms)
+        keys = np.concatenate(rows).astype(np.int64) * n + np.concatenate(cols)
+        order = np.argsort(keys)
+        self.indices = (keys[order] % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys[order], n * np.arange(n + 1)) \
+            .astype(np.int32)
+        slot = np.empty(len(keys), dtype=np.int32)
+        slot[order] = np.arange(len(keys))
+        self.slots = np.split(slot, np.cumsum([len(r) for r in rows])[:-1])
 
-    def metric(s_arr):
-        k = section_curvature(curve, frame, s_arr)
-        k_tau = k[:, :1] * coords[:, 0]
-        for j in range(1, sec.dim):
-            k_tau = k_tau + k[:, j:j + 1] * coords[:, j]
-        return k, 1.0 - eps * k_tau
-
-    k_node, h_node = metric(lat.nodes)
-    _, h_link = metric(lat.mids)
-    no_field = field is None or field.is_zero()
-    pulled = phases = r_mult = None
-    if b != 0.0 and not (no_field and gauge_chi is None):
-        if no_field:
+    def _gauge(self, eps, b, gauge_chi=None):
+        """(s-link phases, pulled 3D field, R multipliers of a twisted tube)
+        at (eps, b), each None if absent (no phases: X is real)."""
+        lat, sec, coords = self.lat, self.section, self.coords
+        pulled = r_mult = None
+        if b == 0.0 or (self.field is None and gauge_chi is None):
+            return None, pulled, r_mult
+        tube = TubeSpec(self.curve, sec, RegimeParams(eps=eps, delta=0.0, b=b))
+        if self.field is None:
             a = np.zeros((len(lat.mids), sec.n))
         elif sec.dim == 1:
             # (i d/ds + b A1)^2 = (-i d/ds - b A1)^2
-            a = -gauge_2d(field, frame, tube, lat.mids, coords[:, 0])
+            a = -gauge_2d(self.field, self.frame, tube, lat.mids, coords[:, 0])
         else:
-            pulled = PulledField(field=field, frame=frame, tube=tube)
+            pulled = PulledField(field=self.field, frame=self.frame, tube=tube)
             i2, i3 = (np.rint((coords[:, j] - sec.axes[j][0]) / sec.h)
                       .astype(int) for j in (0, 1))
             a, A2, A3 = (A[:, i2, i3] for A in
                          gauge_3d(pulled, tube, lat.mids, *sec.axes))
-            tp = curve.theta_prime(lat.mids)[:, None]
-            h2 = -eps * coords[None, :, 0] * tp
-            h3 = eps * coords[None, :, 1] * tp
-            r_mult = (h3 * b * A2 + h2 * b * A3).ravel()
+            if self.twist is not None:
+                tp = self.curve.theta_prime(lat.mids)[:, None]
+                h2 = -eps * coords[None, :, 0] * tp
+                h3 = eps * coords[None, :, 1] * tp
+                r_mult = (h3 * b * A2 + h2 * b * A3).ravel()
         phases = lat.ds * b * a
         if gauge_chi is not None:
             s_ext = np.concatenate([[lat.nodes[0] - lat.ds], lat.nodes,
                                     [lat.nodes[-1] + lat.ds]])
             chi = np.asarray(gauge_chi(s_ext), dtype=float)
             phases = phases - b * (chi[1:] - chi[:-1])[:, None]
-        phases = phases.ravel()
-    X = lat.axis_factor(phases)
-    if not curve.theta_prime.is_zero:
-        X = X + _twist_term(lat, curve.theta_prime(lat.mids))
-    if r_mult is not None and np.abs(r_mult).max() > 0:
-        X = X + sp.diags(r_mult) @ lat.link_average()
-    # the planar operator's arithmetic (h**-0.5, its square on the links,
-    # h**-2.0 in the potential): the asymptotics sweep reads eigenvalue
-    # differences that cancel to 1e-9 of their size, so the planar matrices
-    # must not move in their last bits; spatial tubes round 1/h this way too
-    Y = X @ sp.diags((h_node**-0.5).ravel())
-    V = -0.25 * (k_node**2).sum(axis=1)[:, None] * h_node**-2.0
-    return Y, ((h_link**-0.5) ** 2).ravel(), V.ravel(), pulled
+        return phases.ravel(), pulled, r_mult
+
+    def _metric(self, eps):
+        """(h^-1/2 at the nodes, the link weights 1/h, the potential
+        -|k|^2 / (4 h^2))."""
+        h_node = 1.0 - eps * self.k_tau_node
+        h_link = 1.0 - eps * self.k_tau_link
+        # h**-0.5, its square on the links and h**-2.0: the asymptotics sweep
+        # reads eigenvalue differences that cancel to 1e-9 of their size, so
+        # no matrix may move in its last bits
+        return ((h_node**-0.5).ravel(), ((h_link**-0.5) ** 2).ravel(),
+                (self.potential * h_node**-2.0).ravel())
+
+    def _s_factor(self, phases, hn):
+        """Y = X h^-1/2's values at both ends of each s-link."""
+        coef = link_coefficients(len(self.s_links[0]), self.lat.ds, phases)
+        return tuple(_mul(c, hn[idx]) for c, idx in zip(coef, self.s_links))
+
+    def _transverse(self, eps, b, pulled):
+        """(diagonal, off-diagonal parts) of eps^-2 sum_j
+        (-i d/dtau_j + eps b A_j)^2 on every s-slab: the field-free form, or
+        with a pulled 3D field the gauge of :func:`gauge_3d` at the s-nodes."""
+        sec, lat = self.section, self.lat
+        diag, off = None, []
+        for axis, form in enumerate(self.t_forms):
+            phases = None
+            if pulled is not None:
+                mids = sec.links(axis)[2]
+                if axis == 0:
+                    # A2 = -t3 B23(s,0,0)/2, independent of tau2
+                    B23ax, _, _, _ = pulled.on_axis(lat.nodes)
+                    phases = (
+                        sec.h * eps * b
+                        * (-0.5 * eps * mids[:, 1])[None, :] * B23ax[:, None]
+                    )
+                else:
+                    # A3 needs the tau2-cumulative of B23 at tau3 link mids
+                    u3 = np.unique(mids[:, 1])
+                    _, _, A3g = gauge_3d(pulled, pulled.tube, lat.nodes,
+                                         sec.axes[0], u3)
+                    i2 = np.rint((mids[:, 0] - sec.axes[0][0]) / sec.h) \
+                        .astype(int)
+                    i3 = np.searchsorted(u3, mids[:, 1])
+                    phases = sec.h * eps * b * A3g[:, i2, i3]
+                phases = phases.ravel()
+            values = form.values(link_coefficients(form.nlinks, sec.h, phases))
+            d, lr, rl = (_mul(v, eps**-2) for v in values)
+            diag = d if diag is None else diag + d
+            off += [lr, rl]
+        return diag, off
+
+    def _write(self, parts) -> sp.csr_matrix:
+        """The CSR matrix of the parts of :attr:`slots`, which cover it."""
+        data = np.empty(len(self.indices), dtype=np.result_type(*parts))
+        for slots, part in zip(self.slots, parts):
+            data[slots] = part
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=(self.lat.n, self.lat.n))
+
+    def _transverse_matrix(self, diag, off) -> sp.csr_matrix:
+        """The CSR matrix of a transverse form's parts."""
+        n = self.lat.n
+        rows, cols = map(np.concatenate, _entries(n, self.t_forms))
+        return sp.csr_matrix((np.concatenate([diag, *off]), (rows, cols)),
+                             shape=(n, n))
+
+    def matrix(self, eps, b, shift=0.0, gauge_chi=None) -> sp.csr_matrix:
+        """The tube operator at (eps, b) plus ``shift`` times the identity;
+        ``gauge_chi`` (Dirichlet axis ends) shifts the link phases by
+        -b (chi(s_r) - chi(s_l)).  No validation."""
+        phases, pulled, r_mult = self._gauge(eps, b, gauge_chi)
+        hn, w, V = self._metric(eps)
+        t_diag, t_off = self._transverse(eps, b, pulled)
+        if self.twist is None:
+            s_diag, lr, rl = self.s_form.values(self._s_factor(phases, hn), w)
+            return self._write([t_diag + s_diag + V + shift, lr, rl, *t_off])
+        X = self.lat.axis_factor(phases) + self.twist
+        if r_mult is not None and np.abs(r_mult).max() > 0:
+            X = X + sp.diags(r_mult) @ self.link_average
+        mat = (self._transverse_matrix(t_diag, t_off)
+               + form_term(X @ sp.diags(hn), weights=w) + sp.diags(V))
+        return (mat + shift * sp.eye(mat.shape[0])).tocsr()
+
+    # -- the Cauchy contour of magtube.asymptotics --
+
+    def form_pattern(self):
+        """(rows, cols) of the diagonal and of both entries of every s-link
+        between two unknowns."""
+        return tuple(map(np.concatenate, _entries(self.lat.n, [self.s_form])))
+
+    def form_sample(self, eps, delta: float = 1.0) -> np.ndarray:
+        """Y(conj eps)^H diag(w) Y(eps) + diag(V) at b = eps^-delta, at
+        :meth:`form_pattern`: the continuation in eps of the s-link form and
+        the potential, analytic without a field or with a frame-aligned
+        planar one (the Hermitian adjoint itself is not analytic in eps)."""
+
+        def parts(e):
+            hn, w, V = self._metric(e)
+            phases = self._gauge(e, RegimeParams(eps=e, delta=delta).b)[0]
+            return self._s_factor(phases, hn), w, V
+
+        f, w, V = parts(eps)
+        g = f if np.isreal(eps) else parts(np.conj(eps))[0]
+        diag, lr, rl = self.s_form.values(f, w, g)
+        return np.concatenate([diag + V, lr, rl])
+
+    def transverse(self) -> sp.csr_matrix:
+        """-d^2/dtau^2 on every s-slab, the transverse form at eps = 1."""
+        return self._transverse_matrix(*self._transverse(1.0, 0.0, None))
 
 
 def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:
@@ -332,9 +465,11 @@ def _twist_term(lat: TubeLattice, tp_mid) -> sp.csr_matrix:
 
 
 def assemble_full(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
-                  shifted: bool = True, gauge_chi=None) -> AssembledOperator:
-    """Homogenized curvilinear operator (:func:`_tube_matrix`) of a planar
-    or spatial tube, as the section is 1D or 2D.
+                  shifted: bool = True, gauge_chi=None,
+                  skeleton: TubeSkeleton | None = None) -> AssembledOperator:
+    """Homogenized curvilinear operator of a planar or spatial tube, as the
+    section is 1D or 2D: one evaluation of ``skeleton``, by default a
+    :class:`TubeSkeleton` of (tube, field, frame) built for this call.
 
     A spatial tube past GRID_BUDGET_3D unknowns raises GridBudgetError.
     With ``shifted`` the stored matrix is the positive-definite
@@ -344,42 +479,30 @@ def assemble_full(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
     planar or untwisted spatial tube; on a twisted one it moves by O(ds^2)
     (see the assemble module).
     """
-    _check_support(tube, field)
-    if frame is None:
-        frame = integrate_frame(tube.curve)
-    _validate(tube, frame)
-    sec = tube.section
-    ax = axis_grid(tube.curve)
-    lat = ax.lattice(sec)
-    if sec.dim == 2 and lat.n > GRID_BUDGET_3D:
-        raise GridBudgetError(f"{lat.n} unknowns exceed the 3D budget "
-                              f"{GRID_BUDGET_3D}; coarsen ds or h")
-    mat = _tube_matrix(tube, lat, frame, field, gauge_chi)
-    return _tube_operator(mat, tube, ax, shifted, f"full{sec.dim + 1}d")
-
-
-# The benchmark's names of the one builder.
-assemble_full_2d = assemble_full_3d = assemble_full
-
-
-def _tube_operator(mat, tube: TubeSpec, ax: AxisGrid, shifted: bool,
-                   model: str) -> AssembledOperator:
-    """Wrap a tube matrix; ``shifted`` adds -eps^-2 lam1h + K."""
-    sec = tube.section
-    eps = tube.regime.eps
+    if skeleton is None:
+        skeleton = TubeSkeleton(tube.curve, tube.section,
+                                frame or integrate_frame(tube.curve), field)
+    for message in validate_tube(tube, frame=skeleton.frame).messages:
+        warnings.warn(message, stacklevel=2)
+    sec, eps = tube.section, tube.regime.eps
     lam1h, J1h = transverse_ground(sec)
     K = _shift_constant(tube)
     shift = (-(eps**-2) * lam1h + K) if shifted else 0.0
     return AssembledOperator(
-        matrix=(mat + shift * sp.eye(mat.shape[0])).tocsr(),
-        grid={"kind": f"tube{sec.dim + 1}d", "axis": ax, "section": sec},
+        matrix=skeleton.matrix(eps, tube.regime.b, shift, gauge_chi),
+        grid={"kind": f"tube{sec.dim + 1}d", "axis": skeleton.axis,
+              "section": sec},
         bc={"s": "dirichlet", "tau" if sec.dim == 1 else "omega": "dirichlet"},
         shift=shift,
         regime=tube.regime,
         meta={"lam1h": lam1h, "J1h": J1h, "K": K,
               "ess_threshold": eps**-2 * lam1h + shift,
-              "model": model},
+              "model": f"full{sec.dim + 1}d"},
     )
+
+
+# The benchmark's names of the one builder.
+assemble_full_2d = assemble_full_3d = assemble_full
 
 
 def _shift_constant(tube: TubeSpec) -> float:
@@ -389,47 +512,50 @@ def _shift_constant(tube: TubeSpec) -> float:
     return 2.0 * tube.curve.sup_kappa() ** 2 / 4.0 + 1.0
 
 
+def _app_phases(tube: TubeSpec, grid, field, frame: FrameTrajectory):
+    """Phases (or None) of <a, tau> on the s-links of ``grid``, with
+    a = -eps b B(s,0) on a planar tube and a = -(B12, B13)(s,0,0) on a
+    spatial one, which holds at eps b = 1 (delta = 1), the only regime in
+    which the effective builder passes a field."""
+    if field is None or field.is_zero():
+        return None
+    coords = tube.section.node_coords().reshape(tube.section.n, -1)
+    if tube.section.dim == 1:
+        beta_mid = field.on_axis(frame, grid.mids)
+        phases = (-grid.ds * tube.regime.eps * tube.regime.b
+                  * np.outer(beta_mid, coords[:, 0]))
+    else:
+        _, B13, B12, _ = pullback_field(field, frame, tube).on_axis(grid.mids)
+        phases = grid.ds * -(B12[:, None] * coords[None, :, 0]
+                             + B13[:, None] * coords[None, :, 1])
+    return phases.ravel()
+
+
 def _app_longitudinal(tube: TubeSpec, lat: TubeLattice, field,
                       frame: FrameTrajectory) -> sp.csr_matrix:
     """X~ = -i d/ds - i theta' d_alpha + <a, tau>, the s-link factor of the
-    straight-metric approximation on ``lat``, with the on-axis potential
-    a = -eps b B(s,0) on a planar tube and a = -(B12, B13)(s,0,0) on a
-    spatial one.  The spatial form holds at eps b = 1 (delta = 1), the only
-    regime in which the effective builder passes a field.
-    """
-    sec = lat.section
-    coords = sec.node_coords().reshape(sec.n, -1)
-    phases = None
-    if field is not None and not field.is_zero():
-        if sec.dim == 1:
-            beta_mid = field.on_axis(frame, lat.mids)
-            phases = (-lat.ds * tube.regime.eps * tube.regime.b
-                      * np.outer(beta_mid, coords[:, 0]))
-        else:
-            _, B13, B12, _ = pullback_field(field, frame, tube).on_axis(lat.mids)
-            phases = lat.ds * -(B12[:, None] * coords[None, :, 0]
-                                + B13[:, None] * coords[None, :, 1])
-        phases = phases.ravel()
-    X = lat.axis_factor(phases)
+    straight-metric approximation on ``lat``."""
+    X = lat.axis_factor(_app_phases(tube, lat, field, frame))
     if not tube.curve.theta_prime.is_zero:
         X = X + _twist_term(lat, tube.curve.theta_prime(lat.mids))
     return X
 
 
-def assemble_app_2d(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
-                    shifted: bool = True) -> AssembledOperator:
-    """Straight-metric approximation: (i d/ds + eps b B(s,0) tau)^2 - kappa^2/4
-    - eps^-2 d^2/dtau^2 (+ shift)."""
-    _check_support(tube, field)
-    if frame is None:
-        frame = integrate_frame(tube.curve)
-    ax = axis_grid(tube.curve)
-    sec = tube.section
-    lat = ax.lattice(sec)
-    kin_s = form_term(_app_longitudinal(tube, lat, field, frame))
-    V = -0.25 * tube.curve.kappa(ax.nodes)[:, None] ** 2 * np.ones((1, sec.n))
-    mat = kin_s + transverse_form(lat, eps=tube.regime.eps) + sp.diags(V.ravel())
-    return _tube_operator(mat, tube, ax, shifted, "app2d")
+def _fiber_form(ns: int, J1h: np.ndarray, ds: float, phases):
+    """(diagonal, upper, lower) of (X E)^H (X E), X the untwisted
+    straight-metric factor (link phases ``phases``) and E the J1 fiber
+    embedding, each entry summed as scipy's product sums it: section node by
+    section node, the s-link left of an s-node first."""
+    # row k of x_l, x_r: X E on s-link k, from s-node k - 1 to s-node k
+    x_l, x_r = (c.reshape(ns + 1, len(J1h)) * J1h for c in
+                link_coefficients((ns + 1) * len(J1h), ds, phases))
+
+    def fold(a, b):  # sum_j a_j conj(b_j) along each row, in j order
+        return np.cumsum(_mul(a, np.conj(b)), axis=1)[:, -1]
+
+    ends = np.concatenate([x_r[:ns], x_l[1:]], axis=1)
+    return (fold(ends, ends), fold(x_r[1:ns], x_l[1:ns]),
+            fold(x_l[1:ns], x_r[1:ns]))
 
 
 def fiber_embedding(J1h: np.ndarray, ns: int) -> sp.csr_matrix:
@@ -480,7 +606,7 @@ def assemble_effective(tube: TubeSpec, field,
     if coefficient_source == "printed" and sec.dim == 2:
         raise ValueError("the printed coefficient belongs to the planar "
                          "T^[2]; a spatial tube takes 'measured'")
-    _check_support(tube, field)
+    _check_support(tube.curve, field)
     if frame is None:
         frame = integrate_frame(tube.curve)
     critical = abs(tube.regime.delta - 1.0) < 1e-12
@@ -493,16 +619,27 @@ def assemble_effective(tube: TubeSpec, field,
             "lam1h": lam1h, "ess_threshold": K}
     pot = -0.25 * tube.curve.kappa_mag(ax.nodes) ** 2
     if mode == "galerkin":
-        X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
-        E = fiber_embedding(J1h, ax.ns)
-        mat = sec.h**sec.dim * form_term(X @ E)
+        diagonal = [pot]
         if sec.dim == 2 and field is not None:
             M_omega = compute_constants(sec, method="mask").M_omega
             B23ax, _, _, _ = pullback_field(field, frame, tube).on_axis(ax.nodes)
-            mat = mat + sp.diags(B23ax**2 * M_omega)
+            diagonal.insert(0, B23ax**2 * M_omega)
             meta["M_omega"] = M_omega
-        mat = mat + sp.diags(pot)
         meta["coefficient_source"] = "galerkin-fiber"
+        hd = sec.h**sec.dim
+        if tube.curve.theta_prime.is_zero:
+            # elementwise, each sum in the order of the sparse sums below
+            d, upper, lower = (hd * x for x in _fiber_form(
+                ax.ns, J1h, ax.ds, _app_phases(tube, ax, field, frame)))
+            for term in (*diagonal, K):
+                d = d + term
+            mat = sp.diags([lower, d, upper], [-1, 0, 1], format="csr")
+        else:
+            X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
+            mat = hd * form_term(X @ fiber_embedding(J1h, ax.ns))
+            for term in diagonal:
+                mat = mat + sp.diags(term)
+            mat = (mat + K * sp.eye(ax.ns)).tocsr()
     else:
         constants = compute_constants(sec)
         phases = None
@@ -532,10 +669,10 @@ def assemble_effective(tube: TubeSpec, field,
                 meta["M_omega"] = constants.M_omega
         D = cov_link_matrix(ax.ns, *dirichlet_links(ax.ns), ax.ds,
                             phases=phases)
-        mat = form_term(D) + sp.diags(pot)
+        mat = (form_term(D) + sp.diags(pot) + K * sp.eye(ax.ns)).tocsr()
         meta["coefficient_source"] = coefficient_source
     return AssembledOperator(
-        matrix=(mat + K * sp.eye(ax.ns)).tocsr(),
+        matrix=mat,
         grid={"kind": "axis", "axis": ax, "section": sec},
         bc={"s": "dirichlet"},
         shift=K,

@@ -242,12 +242,13 @@ def _run_nrc_sweep(config, out, seed):
     # The sweep order fixes every start.
     maximizers = {}  # eps -> maximizer at the latest delta solved
     previous = None
+    skeleton = ops.TubeSkeleton(curve, section, frame, fieldobj)
 
     def point(pt):
         nonlocal previous
         delta, eps = pt
         tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta))
-        opA = ops.assemble_full(tube, fieldobj, frame)
+        opA = ops.assemble_full(tube, fieldobj, skeleton=skeleton)
         opB = ops.assemble_effective(tube, fieldobj, frame=frame,
                                      mode="galerkin")
         dist, info = ops.resolvent_distance(

@@ -5,9 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from magtube import asymptotics as asym, geometry as geo, grids, operators as ops
-from magtube.assemble import RegimeParams, dirichlet_second_difference
-from magtube.errors import DegenerateModeError, InvalidFormPair, NoBoundStateError, NotApplicable
+from magtube.assemble import RegimeParams
+from magtube.errors import DegenerateModeError, NoBoundStateError, NotApplicable
 from magtube.fitting import fit_order
+
+from reference import (InvalidFormPair, assemble_app_2d,
+                       check_form_resolvent_lemma,
+                       dirichlet_second_difference, make_form_pair,
+                       random_spd_pair)
 
 
 def make_tube(curve, sec, eps, delta=1.0, K=None):
@@ -56,7 +61,7 @@ def test_series_hermitian_terms(series5):
 def test_L2_matches_app_assembly(setup, series5):
     sec, curve, frame, field = setup
     tube = make_tube(curve, sec, 0.1)
-    app = ops.assemble_app_2d(tube, field, frame, shifted=False)
+    app = assemble_app_2d(tube, field, frame, shifted=False)
     ax = ops.axis_grid(curve)
     Ttau = dirichlet_second_difference(sec.n, sec.h)
     L2ref = app.matrix - 0.1**-2 * sp.kron(sp.eye(ax.ns), Ttau, format="csr")
@@ -211,8 +216,8 @@ def test_expansion_eigensolve_band_solves(setup, monkeypatch):
 
 def test_lemma_identical_operators(rng):
     A = np.eye(6) * 0.3
-    pair = asym.make_form_pair(A, A.copy())
-    out = asym.check_form_resolvent_lemma(pair, n_vector_pairs=50, seed=1)
+    pair = make_form_pair(A, A.copy())
+    out = check_form_resolvent_lemma(pair, n_vector_pairs=50, seed=1)
     assert out["eta"] == 0.0
     assert out["resolvent_diff"] < 1e-14
     assert out["hypothesis_ok"]
@@ -225,9 +230,9 @@ def test_lemma_scaling_case(rng):
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     vals = np.linspace(0.3, 5.0, n)
     L1 = (q * vals) @ q.T
-    pair = asym.make_form_pair(L1, 2 * L1)
+    pair = make_form_pair(L1, 2 * L1)
     assert abs(pair.eta - 1 / np.sqrt(2)) < 1e-12
-    out = asym.check_form_resolvent_lemma(pair, n_vector_pairs=200, seed=2)
+    out = check_form_resolvent_lemma(pair, n_vector_pairs=200, seed=2)
     assert abs(out["resolvent_diff"] - 0.5 / vals[0]) < 1e-12
     assert out["slack_printed"] >= 0
     assert out["slack_sqrt"] >= 0
@@ -236,9 +241,9 @@ def test_lemma_scaling_case(rng):
 
 def test_lemma_random_pairs_quick(rng):
     for _ in range(10):
-        A, B = asym.random_spd_pair(rng, n_max=60)
-        pair = asym.make_form_pair(A, B)
-        out = asym.check_form_resolvent_lemma(pair, n_vector_pairs=100, seed=3)
+        A, B = random_spd_pair(rng, n_max=60)
+        pair = make_form_pair(A, B)
+        out = check_form_resolvent_lemma(pair, n_vector_pairs=100, seed=3)
         assert out["slack_printed"] >= -1e-12
         assert out["slack_sqrt"] >= -1e-12
         assert out["hypothesis_ok"]
@@ -247,4 +252,4 @@ def test_lemma_random_pairs_quick(rng):
 def test_lemma_rejects_indefinite():
     M = np.diag([1.0, -0.5])
     with pytest.raises(InvalidFormPair):
-        asym.make_form_pair(M, np.eye(2))
+        make_form_pair(M, np.eye(2))

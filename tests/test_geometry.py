@@ -159,7 +159,8 @@ def test_gauge_2d_zero_and_slab():
     fr = geo.integrate_frame(curve)
     tube = make_tube(curve, sec, 0.2)
     tau = sec.node_coords()
-    A0 = geo.gauge_2d(geo.ZERO_FIELD_2D, fr, tube, fr.s[::2], tau)
+    zero = geo.FrameAlignedField2D(geo.Profile())
+    A0 = geo.gauge_2d(zero, fr, tube, fr.s[::2], tau)
     assert np.abs(A0).max() == 0.0
     # straight tube, frame-aligned B = B0 at the bump peak: A1 = B0 eps tau
     field = geo.FrameAlignedField2D(geo.Profile.single(0.0, 2.5, 1.3))

@@ -12,6 +12,8 @@ from magtube import geometry as geo, grids, hardy
 from magtube.assemble import RegimeParams
 from magtube.errors import DeformationTooLarge, ZeroFieldWarning
 
+from reference import cutoff_pair
+
 
 @pytest.fixture(scope="module")
 def sec2d():
@@ -26,7 +28,7 @@ def field2d():
 
 def test_cutoff_pair_properties():
     s = np.linspace(-2, 2, 4001)
-    chi0, chi1 = hardy.cutoff_pair(s)
+    chi0, chi1 = cutoff_pair(s)
     assert np.allclose(chi0**2 + chi1**2, 1.0, atol=1e-14)
     inner = np.abs(s) <= 0.5
     assert np.abs(chi0[inner]).max() == 0.0
@@ -138,6 +140,16 @@ def test_verify_hardy_certificate(sec2d, field2d):
     assert abs(cert_c.mu_min - mu_dense) < 1e-6 * max(1.0, abs(mu_dense))
 
 
+def test_verify_hardy_on_a_long_tube(field2d):
+    # at L = 40 the first difference of the s-nodes is 0.05000000000000426;
+    # a straight curve built on that spacing had no frame sample at s = 0
+    # ("grid must contain 0"); the curve now takes the mean node spacing
+    section = grids.interval(1.0, 0.05)
+    cert = hardy.verify_hardy(section, field2d, 1.0, R=2.0, L=40.0, ds=0.05)
+    assert cert.passed
+    assert cert.mu_min >= cert.c_R > 0
+
+
 def test_mu_min_monotone_in_L(sec2d, field2d):
     mus = []
     for L in (8.0, 12.0):
@@ -189,7 +201,7 @@ def test_hardy_eigensolves_start_from_the_fiber(sec2d, field2d, band_solves):
 def test_zero_field_pencil_separates(sec2d, field2d):
     # at b = 0 the pencil is J1 (x) the 1D weighted Dirichlet pencil; the
     # segment solve inside starts from its exact eigenvector 1 (x) J1
-    from magtube.assemble import dirichlet_second_difference
+    from reference import dirichlet_second_difference
 
     L, ds = 8.0, 0.05
     with pytest.warns(ZeroFieldWarning):

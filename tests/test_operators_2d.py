@@ -9,9 +9,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as sla
 
 from magtube import geometry as geo, grids, operators as ops
-from magtube.assemble import RegimeParams, dirichlet_second_difference
+from magtube.assemble import RegimeParams
 from magtube.config import ExperimentConfig
 from magtube.errors import EigensolverDiverged
+
+from reference import assemble_app_2d, dirichlet_second_difference
 
 PI24 = np.pi**2 / 4
 
@@ -50,7 +52,7 @@ def test_app_equals_full_free_case(straight_setup):
     sec, curve, frame = straight_setup
     tube = make_tube(curve, sec, 0.1)
     a = ops.assemble_full(tube, None, frame, shifted=False)
-    b = ops.assemble_app_2d(tube, None, frame, shifted=False)
+    b = assemble_app_2d(tube, None, frame, shifted=False)
     assert abs(a.matrix - b.matrix).max() == 0.0
 
 
@@ -79,7 +81,7 @@ def test_eps2_lam1_approaches_transverse_ground(bent_setup, axis_field):
 
 def test_hermiticity_exact(bent_setup, axis_field):
     sec, curve, frame = bent_setup
-    for assemble in (ops.assemble_full, ops.assemble_app_2d):
+    for assemble in (ops.assemble_full, assemble_app_2d):
         op = assemble(make_tube(curve, sec, 0.1), axis_field, frame)
         assert op.hermiticity_defect() <= 1e-12
 
@@ -200,7 +202,7 @@ def test_galerkin_effective_below_delta_1_does_not_depend_on_eps():
 def test_galerkin_fiber_matches_app_projection(bent_setup, axis_field):
     sec, curve, frame = bent_setup
     tube = make_tube(curve, sec, 0.1, K=0.0)
-    app = ops.assemble_app_2d(tube, axis_field, frame, shifted=False)
+    app = assemble_app_2d(tube, axis_field, frame, shifted=False)
     lam1h, J1h = ops.transverse_ground(sec)
     ax = ops.axis_grid(curve)
     fib = ops.fiber_project(app.matrix, J1h, ax.ns, sec.h)
@@ -481,7 +483,7 @@ def test_first_approximation_resolvent_decay(bent_setup, axis_field):
     for eps in (0.2, 0.1, 0.05):
         tube = make_tube(curve, sec, eps)
         opA = ops.assemble_full(tube, axis_field, frame)
-        opB = ops.assemble_app_2d(tube, axis_field, frame)
+        opB = assemble_app_2d(tube, axis_field, frame)
         d, info = ops.resolvent_distance(opA, opB)
         assert info["converged"]
         dists.append(d)

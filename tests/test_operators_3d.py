@@ -5,8 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from magtube import geometry as geo, grids, operators as ops
-from magtube.assemble import RegimeParams, dirichlet_second_difference
+from magtube.assemble import RegimeParams
 from magtube.errors import GridBudgetError
+
+from reference import dirichlet_second_difference
 
 pytestmark = pytest.mark.slow
 

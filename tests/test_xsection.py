@@ -6,7 +6,9 @@ import scipy.sparse as sp
 
 from magtube import grids, xsection as xs
 from magtube.errors import FredholmViolation, NotApplicable
-from magtube.fitting import fit_order, richardson
+from magtube.fitting import fit_order
+
+from reference import richardson
 
 PI24 = np.pi**2 / 4
 
