@@ -93,7 +93,8 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
     holomorphic continuation of the assembled matrix: the Hermitian adjoint
     itself is not analytic in eps.  Each coefficient is the Cauchy integral
     of M over |eps| = r by the trapezoidal rule at CONTOUR_POINTS points (a
-    discrete Fourier transform of the samples), all on one skeleton.
+    discrete Fourier transform of the samples), all on one skeleton, which
+    ``grid["skeleton"]`` carries on to :func:`eigenvalue_expansion`.
 
     Requires delta = 1 and no field or a frame-aligned one: an ambient
     field's gauge casts positions to float, so it cannot be sampled at
@@ -142,7 +143,7 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
                                    shape=(n, n)))
     terms = terms[: j_max + 1]
     grid = {"kind": "tube2d", "axis": skeleton.axis, "section": tube.section,
-            "n": n, "ntau": tube.section.n}
+            "n": n, "ntau": tube.section.n, "skeleton": skeleton}
     return SeriesOperator(terms=terms, j_max=min(j_max, len(terms) - 1),
                           grid=grid, meta={"delta": 1.0})
 
@@ -314,20 +315,21 @@ def eigenvalue_expansion(tube: TubeSpec, field, mode_index: int, J: int,
     """Expansion coefficients plus a verification record against the full
     operator: |lambda_n(eps) - Gamma_J(eps)| over the eps sweep, with mode
     identity tracked by quasimode overlap.  Also returns the quasimode
-    residual ``qm.residual`` on each of those operators."""
-    if frame is None:
-        frame = integrate_frame(tube.curve)
+    residual ``qm.residual`` on each of those operators.  The full
+    operators are evaluations of the series' skeleton, so a ``series``
+    passed in must be :func:`expand_operator_2d`'s of this tube, field and
+    frame."""
     if series is None:
         series = expand_operator_2d(tube, field, j_max=J + 2, frame=frame)
     qm = build_quasimode(series, mode_index=mode_index, J=J)
-    skeleton = TubeSkeleton(tube.curve, tube.section, frame, field)
+    skeleton = series.grid["skeleton"]
     rows = []
     overlaps = []
     residuals = []
     for eps in eps_list:
         tube_eps = TubeSpec(tube.curve, tube.section,
                             RegimeParams(eps=eps, delta=1.0, K=tube.regime.K))
-        op = assemble_full(tube_eps, field, skeleton=skeleton)
+        op = assemble_full(tube_eps, field, frame, skeleton=skeleton)
         spec = smallest_eigenpairs(op, k=mode_index + 2, sigma=0.0)
         psi = qm.Psi(eps)
         psi = psi / np.linalg.norm(psi)

@@ -260,13 +260,14 @@ class TubeSkeleton:
     and each section axis's links, the CSR pattern with the slot of each
     term and a twisted tube's twist operator; an evaluation writes h, the
     phases, the link values (:func:`_mul`) and the shift into the pattern,
-    but a twisted tube's twist and R terms of X keep their sparse products.  Without ``lat`` the lattice is the curve's AxisGrid,
-    and the supports and 3D grid budget are checked as for assemble_full.
+    but a twisted tube's twist and R terms of X keep their sparse products.
+    Without ``lat`` the lattice is the curve's AxisGrid, and the supports
+    and 3D grid budget are checked as for assemble_full.
     """
 
     def __init__(self, curve, section: GridDomain, frame: FrameTrajectory,
                  field, lat: TubeLattice | None = None):
-        self.field = None if field is None or field.is_zero() else field
+        self.field = self.nonzero(field)
         self.axis = None
         if lat is None:
             _check_support(curve, self.field)
@@ -311,6 +312,11 @@ class TubeSkeleton:
         slot = np.empty(len(keys), dtype=np.int32)
         slot[order] = np.arange(len(keys))
         self.slots = np.split(slot, np.cumsum([len(r) for r in rows])[:-1])
+
+    @staticmethod
+    def nonzero(field):
+        """``field``, or None for no field or a zero one."""
+        return None if field is None or field.is_zero() else field
 
     def _gauge(self, eps, b, gauge_chi=None):
         """(s-link phases, pulled 3D field, R multipliers of a twisted tube)
@@ -432,15 +438,15 @@ class TubeSkeleton:
         between two unknowns."""
         return tuple(map(np.concatenate, _entries(self.lat.n, [self.s_form])))
 
-    def form_sample(self, eps, delta: float = 1.0) -> np.ndarray:
-        """Y(conj eps)^H diag(w) Y(eps) + diag(V) at b = eps^-delta, at
-        :meth:`form_pattern`: the continuation in eps of the s-link form and
-        the potential, analytic without a field or with a frame-aligned
+    def form_sample(self, eps) -> np.ndarray:
+        """Y(conj eps)^H diag(w) Y(eps) + diag(V) at the critical b = 1/eps,
+        at :meth:`form_pattern`: the continuation in eps of the s-link form
+        and the potential, analytic without a field or with a frame-aligned
         planar one (the Hermitian adjoint itself is not analytic in eps)."""
 
         def parts(e):
             hn, w, V = self._metric(e)
-            phases = self._gauge(e, RegimeParams(eps=e, delta=delta).b)[0]
+            phases = self._gauge(e, e**-1.0)[0]  # as RegimeParams forms b
             return self._s_factor(phases, hn), w, V
 
         f, w, V = parts(eps)
@@ -469,7 +475,9 @@ def assemble_full(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
                   skeleton: TubeSkeleton | None = None) -> AssembledOperator:
     """Homogenized curvilinear operator of a planar or spatial tube, as the
     section is 1D or 2D: one evaluation of ``skeleton``, by default a
-    :class:`TubeSkeleton` of (tube, field, frame) built for this call.
+    :class:`TubeSkeleton` of (tube, field, frame) built for this call.  A
+    skeleton passed in must hold this tube's curve and section, ``field``
+    and ``frame`` (if given), or ValueError is raised.
 
     A spatial tube past GRID_BUDGET_3D unknowns raises GridBudgetError.
     With ``shifted`` the stored matrix is the positive-definite
@@ -482,6 +490,11 @@ def assemble_full(tube: TubeSpec, field, frame: FrameTrajectory | None = None,
     if skeleton is None:
         skeleton = TubeSkeleton(tube.curve, tube.section,
                                 frame or integrate_frame(tube.curve), field)
+    elif (skeleton.curve is not tube.curve
+          or skeleton.section is not tube.section
+          or frame is not None and frame is not skeleton.frame
+          or skeleton.field is not TubeSkeleton.nonzero(field)):
+        raise ValueError("the skeleton belongs to another tube, field or frame")
     for message in validate_tube(tube, frame=skeleton.frame).messages:
         warnings.warn(message, stacklevel=2)
     sec, eps = tube.section, tube.regime.eps
@@ -512,50 +525,31 @@ def _shift_constant(tube: TubeSpec) -> float:
     return 2.0 * tube.curve.sup_kappa() ** 2 / 4.0 + 1.0
 
 
-def _app_phases(tube: TubeSpec, grid, field, frame: FrameTrajectory):
-    """Phases (or None) of <a, tau> on the s-links of ``grid``, with
-    a = -eps b B(s,0) on a planar tube and a = -(B12, B13)(s,0,0) on a
-    spatial one, which holds at eps b = 1 (delta = 1), the only regime in
-    which the effective builder passes a field."""
-    if field is None or field.is_zero():
-        return None
-    coords = tube.section.node_coords().reshape(tube.section.n, -1)
-    if tube.section.dim == 1:
-        beta_mid = field.on_axis(frame, grid.mids)
-        phases = (-grid.ds * tube.regime.eps * tube.regime.b
-                  * np.outer(beta_mid, coords[:, 0]))
-    else:
-        _, B13, B12, _ = pullback_field(field, frame, tube).on_axis(grid.mids)
-        phases = grid.ds * -(B12[:, None] * coords[None, :, 0]
-                             + B13[:, None] * coords[None, :, 1])
-    return phases.ravel()
-
-
 def _app_longitudinal(tube: TubeSpec, lat: TubeLattice, field,
                       frame: FrameTrajectory) -> sp.csr_matrix:
     """X~ = -i d/ds - i theta' d_alpha + <a, tau>, the s-link factor of the
-    straight-metric approximation on ``lat``."""
-    X = lat.axis_factor(_app_phases(tube, lat, field, frame))
+    straight-metric approximation on ``lat``, with the on-axis potential
+    a = -eps b B(s,0) on a planar tube and a = -(B12, B13)(s,0,0) on a
+    spatial one.  The spatial form holds at eps b = 1 (delta = 1), the only
+    regime in which the effective builder passes a field.
+    """
+    sec = lat.section
+    coords = sec.node_coords().reshape(sec.n, -1)
+    phases = None
+    if field is not None and not field.is_zero():
+        if sec.dim == 1:
+            beta_mid = field.on_axis(frame, lat.mids)
+            phases = (-lat.ds * tube.regime.eps * tube.regime.b
+                      * np.outer(beta_mid, coords[:, 0]))
+        else:
+            _, B13, B12, _ = pullback_field(field, frame, tube).on_axis(lat.mids)
+            phases = lat.ds * -(B12[:, None] * coords[None, :, 0]
+                                + B13[:, None] * coords[None, :, 1])
+        phases = phases.ravel()
+    X = lat.axis_factor(phases)
     if not tube.curve.theta_prime.is_zero:
         X = X + _twist_term(lat, tube.curve.theta_prime(lat.mids))
     return X
-
-
-def _fiber_form(ns: int, J1h: np.ndarray, ds: float, phases):
-    """(diagonal, upper, lower) of (X E)^H (X E), X the untwisted
-    straight-metric factor (link phases ``phases``) and E the J1 fiber
-    embedding, each entry summed as scipy's product sums it: section node by
-    section node, the s-link left of an s-node first."""
-    # row k of x_l, x_r: X E on s-link k, from s-node k - 1 to s-node k
-    x_l, x_r = (c.reshape(ns + 1, len(J1h)) * J1h for c in
-                link_coefficients((ns + 1) * len(J1h), ds, phases))
-
-    def fold(a, b):  # sum_j a_j conj(b_j) along each row, in j order
-        return np.cumsum(_mul(a, np.conj(b)), axis=1)[:, -1]
-
-    ends = np.concatenate([x_r[:ns], x_l[1:]], axis=1)
-    return (fold(ends, ends), fold(x_r[1:ns], x_l[1:ns]),
-            fold(x_l[1:ns], x_r[1:ns]))
 
 
 def fiber_embedding(J1h: np.ndarray, ns: int) -> sp.csr_matrix:
@@ -619,27 +613,16 @@ def assemble_effective(tube: TubeSpec, field,
             "lam1h": lam1h, "ess_threshold": K}
     pot = -0.25 * tube.curve.kappa_mag(ax.nodes) ** 2
     if mode == "galerkin":
-        diagonal = [pot]
+        X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
+        E = fiber_embedding(J1h, ax.ns)
+        mat = sec.h**sec.dim * form_term(X @ E)
         if sec.dim == 2 and field is not None:
             M_omega = compute_constants(sec, method="mask").M_omega
             B23ax, _, _, _ = pullback_field(field, frame, tube).on_axis(ax.nodes)
-            diagonal.insert(0, B23ax**2 * M_omega)
+            mat = mat + sp.diags(B23ax**2 * M_omega)
             meta["M_omega"] = M_omega
+        mat = mat + sp.diags(pot)
         meta["coefficient_source"] = "galerkin-fiber"
-        hd = sec.h**sec.dim
-        if tube.curve.theta_prime.is_zero:
-            # elementwise, each sum in the order of the sparse sums below
-            d, upper, lower = (hd * x for x in _fiber_form(
-                ax.ns, J1h, ax.ds, _app_phases(tube, ax, field, frame)))
-            for term in (*diagonal, K):
-                d = d + term
-            mat = sp.diags([lower, d, upper], [-1, 0, 1], format="csr")
-        else:
-            X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
-            mat = hd * form_term(X @ fiber_embedding(J1h, ax.ns))
-            for term in diagonal:
-                mat = mat + sp.diags(term)
-            mat = (mat + K * sp.eye(ax.ns)).tocsr()
     else:
         constants = compute_constants(sec)
         phases = None
@@ -669,10 +652,10 @@ def assemble_effective(tube: TubeSpec, field,
                 meta["M_omega"] = constants.M_omega
         D = cov_link_matrix(ax.ns, *dirichlet_links(ax.ns), ax.ds,
                             phases=phases)
-        mat = (form_term(D) + sp.diags(pot) + K * sp.eye(ax.ns)).tocsr()
+        mat = form_term(D) + sp.diags(pot)
         meta["coefficient_source"] = coefficient_source
     return AssembledOperator(
-        matrix=mat,
+        matrix=(mat + K * sp.eye(ax.ns)).tocsr(),
         grid={"kind": "axis", "axis": ax, "section": sec},
         bc={"s": "dirichlet"},
         shift=K,

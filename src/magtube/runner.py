@@ -241,12 +241,13 @@ def _run_nrc_sweep(config, out, seed):
     # starts cold, from the fiber state of its operators (not from ``seed``).
     # The sweep order fixes every start.
     maximizers = {}  # eps -> maximizer at the latest delta solved
-    previous = None
-    skeleton = ops.TubeSkeleton(curve, section, frame, fieldobj)
+    previous = skeleton = None
 
     def point(pt):
-        nonlocal previous
+        nonlocal previous, skeleton
         delta, eps = pt
+        if skeleton is None:  # at the first point: its errors name the point
+            skeleton = ops.TubeSkeleton(curve, section, frame, fieldobj)
         tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta))
         opA = ops.assemble_full(tube, fieldobj, skeleton=skeleton)
         opB = ops.assemble_effective(tube, fieldobj, frame=frame,

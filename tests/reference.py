@@ -31,17 +31,15 @@ from magtube.geometry import (
     TubeSpec,
     gauge_2d,
     gauge_3d,
-    pullback_field,
     section_curvature,
 )
 from magtube.operators import (
     _app_longitudinal,
     _shift_constant,
     axis_grid,
-    fiber_embedding,
     transverse_ground,
 )
-from magtube.xsection import angular_derivative, compute_constants
+from magtube.xsection import angular_derivative
 
 # -- the sparse tube formula ---------------------------------------------------
 
@@ -149,25 +147,6 @@ def full_matrix(tube, field, frame, shifted=True, gauge_chi=None):
     lam1h, _ = transverse_ground(tube.section)
     shift = (-(eps**-2) * lam1h + _shift_constant(tube)) if shifted else 0.0
     return tube_matrix(tube, lat, frame, field, gauge_chi, shift)
-
-
-def galerkin_matrix(tube, field, frame):
-    """The matrix of ``assemble_effective(mode="galerkin")`` by sparse
-    products: h^dim E* X* X E (+ B23^2 M(omega)) - |k|^2/4 + K."""
-    sec = tube.section
-    if abs(tube.regime.delta - 1.0) >= 1e-12 or (field is not None
-                                                 and field.is_zero()):
-        field = None
-    ax = axis_grid(tube.curve)
-    _, J1h = transverse_ground(sec)
-    X = _app_longitudinal(tube, ax.lattice(sec), field, frame)
-    mat = sec.h**sec.dim * form_term(X @ fiber_embedding(J1h, ax.ns))
-    if sec.dim == 2 and field is not None:
-        M_omega = compute_constants(sec, method="mask").M_omega
-        B23ax, _, _, _ = pullback_field(field, frame, tube).on_axis(ax.nodes)
-        mat = mat + sp.diags(B23ax**2 * M_omega)
-    mat = mat + sp.diags(-0.25 * tube.curve.kappa_mag(ax.nodes) ** 2)
-    return (mat + _shift_constant(tube) * sp.eye(ax.ns)).tocsr()
 
 
 def series_terms(tube, field, frame, j_max, radius, points):

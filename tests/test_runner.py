@@ -470,6 +470,28 @@ def test_partial_flush_on_sweep_failure(tmp_path):
     assert (tmp_path / "bad_out" / "manifest.json").exists()
 
 
+def test_nrc_sweep_names_the_point_of_a_set_up_failure(tmp_path):
+    # the tube skeleton is built at the first sweep point, so a curvature
+    # support past S/2 fails as that point and still leaves a manifest
+    from magtube.errors import SupportTruncationError
+    from magtube.runner import PartialFailure
+
+    cfg = ExperimentConfig.load(write_config(
+        tmp_path / "wide.ini",
+        "[experiment]\nversion = 1\nkind = nrc-sweep\nseed = 7\n"
+        f"out = {tmp_path / 'wide_out'}\n"
+        "[section]\nshape = interval\nh = 0.1\nhalf_width = 1.0\n"
+        "[curve]\ndim = 2\nS = 6.0\nds = 0.1\nkappa = 0.0 4.0 1.0\n"
+        "[regime]\neps = 0.2 0.1 0.05\ndelta = 1\n",
+    ))
+    with pytest.raises(PartialFailure) as err:
+        run(cfg, out_dir=str(tmp_path / "wide_out"))
+    assert err.value.point == (1.0, 0.2)
+    assert isinstance(err.value.original, SupportTruncationError)
+    for name in ("manifest.json", "nrc_distances.partial.csv"):
+        assert (tmp_path / "wide_out" / name).exists()
+
+
 def test_runner_full2d_and_effective(tmp_path):
     text = """
 [experiment]

@@ -42,9 +42,6 @@ def test_nrc2d_sweep_matrices():
             tube = geo.TubeSpec(curve, sec, RegimeParams(eps=eps, delta=delta))
             assert_same(ops.assemble_full(tube, field, skeleton=skeleton).matrix,
                         reference.full_matrix(tube, field, frame))
-            assert_same(ops.assemble_effective(tube, field, frame=frame,
-                                               mode="galerkin").matrix,
-                        reference.galerkin_matrix(tube, field, frame))
 
 
 def test_asymptotics2d_matrices_and_contour_points():
@@ -118,9 +115,6 @@ def test_spatial_tube_with_field_and_gauge(twisted):
                                           skeleton=skeleton).matrix,
                         reference.full_matrix(tube, field, frame,
                                               gauge_chi=gauge))
-        assert_same(ops.assemble_effective(tube, field, frame=frame,
-                                           mode="galerkin").matrix,
-                    reference.galerkin_matrix(tube, field, frame))
 
 
 @pytest.mark.parametrize("neumann_ends", [True, False])
@@ -140,3 +134,22 @@ def test_hardy_segment_matrix(neumann_ends):
     tube = geo.TubeSpec(curve, section, RegimeParams(eps=1.0, delta=0.0, b=1.0))
     assert_same(got, reference.tube_matrix(tube, lat, geo.integrate_frame(curve),
                                            field))
+
+
+def test_assemble_full_refuses_a_skeleton_of_another_tube():
+    _, sec, curve, field, frame = load("nrc2d")
+    skeleton = ops.TubeSkeleton(curve, sec, frame, field)
+    tube = geo.TubeSpec(curve, sec, RegimeParams(eps=0.1, delta=1.0))
+    other_curve = geo.CurveProfile(dim=2, S=curve.S, ds=curve.ds,
+                                   kappa=curve.kappa)
+    other_field = geo.FrameAlignedField2D(geo.Profile.single(0.5, 1.5, 0.6))
+    for args, kwargs in (
+            ((geo.TubeSpec(other_curve, sec, tube.regime), field), {}),
+            ((geo.TubeSpec(curve, grids.interval(1.0, 0.025), tube.regime),
+              field), {}),
+            ((tube, other_field), {}),
+            ((tube, None), {}),
+            ((tube, field), {"frame": geo.integrate_frame(curve)})):
+        with pytest.raises(ValueError, match="another tube"):
+            ops.assemble_full(*args, skeleton=skeleton, **kwargs)
+    ops.assemble_full(tube, field, frame, skeleton=skeleton)
