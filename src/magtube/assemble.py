@@ -186,20 +186,15 @@ def cov_link_matrix(n_cols, idx_l, idx_r, h, phases=None):
     Without phases: the plain forward difference (u_right - u_left)/h.
     Dirichlet endpoints (index -1) contribute zero.
     """
-    idx_l = np.asarray(idx_l)
-    idx_r = np.asarray(idx_r)
-    nlinks = len(idx_l)
-    coef_l, coef_r = link_coefficients(nlinks, h, phases)
-    rows, cols, vals = [], [], []
-    for idx, coef in ((idx_r, coef_r), (idx_l, coef_l)):
-        sel = idx >= 0
-        rows.append(np.nonzero(sel)[0])
-        cols.append(idx[sel])
-        vals.append(coef[sel])
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nlinks, n_cols),
-    )
+    idx = np.stack([idx_l, idx_r], axis=1)
+    coef = np.stack(link_coefficients(len(idx), h, phases), axis=1)
+    # canonical CSR written directly: each row's columns ascending
+    swap = idx[:, 0] > idx[:, 1]
+    idx[swap], coef[swap] = idx[swap, ::-1], coef[swap, ::-1]
+    sel = idx >= 0
+    indptr = np.concatenate([[0], np.cumsum(sel.sum(axis=1))])
+    return sp.csr_matrix((coef[sel], idx[sel], indptr),
+                         shape=(len(idx), n_cols))
 
 
 def link_coefficients(nlinks: int, h, phases=None):

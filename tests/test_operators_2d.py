@@ -23,6 +23,27 @@ def make_tube(curve, section, eps, delta=1.0, b=None, K=None):
                         RegimeParams(eps=eps, delta=delta, b=b, K=K))
 
 
+def test_cov_link_matrix_rows_and_canonical_order():
+    # links in either orientation, with a Dirichlet ghost at either end
+    from magtube.assemble import cov_link_matrix, link_coefficients
+
+    idx_l = np.array([0, 3, -1, 2, 4, -1])
+    idx_r = np.array([1, 1, 2, -1, 3, -1])
+    phases = np.linspace(0.1, 0.6, 6)
+    for ph in (None, phases):
+        D = cov_link_matrix(5, idx_l, idx_r, 0.1, ph)
+        coef_l, coef_r = link_coefficients(6, 0.1, ph)
+        want = np.zeros((6, 5), dtype=D.dtype)
+        for k, (i, j) in enumerate(zip(idx_l, idx_r)):
+            if i >= 0:
+                want[k, i] = coef_l[k]
+            if j >= 0:
+                want[k, j] = coef_r[k]
+        assert np.array_equal(D.toarray(), want)
+        assert np.array_equal(D.indptr, [0, 2, 4, 5, 6, 8, 8])
+        assert np.array_equal(D.indices, [0, 1, 1, 3, 2, 2, 3, 4])
+
+
 @pytest.fixture(scope="module")
 def straight_setup():
     sec = grids.interval(1.0, 1 / 20)
