@@ -134,6 +134,12 @@ class RegimeParams:
         if self.b is None:
             self.b = self.eps ** (-self.delta)
 
+    @property
+    def critical(self) -> bool:
+        """delta = 1, eps b = 1: the only regime whose effective models
+        carry the field."""
+        return abs(self.delta - 1.0) < 1e-12
+
 
 @dataclass
 class AssembledOperator:

@@ -100,7 +100,7 @@ def expand_operator_2d(tube: TubeSpec, field, j_max: int = 4,
     field's gauge casts positions to float, so it cannot be sampled at
     complex eps.
     """
-    if abs(tube.regime.delta - 1.0) > 1e-12:
+    if not tube.regime.critical:
         raise NotApplicable("operator expansion is defined in the critical regime")
     if j_max > MAX_SERIES_ORDER:
         raise NotImplementedError(

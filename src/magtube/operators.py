@@ -603,8 +603,7 @@ def assemble_effective(tube: TubeSpec, field,
     _check_support(tube.curve, field)
     if frame is None:
         frame = integrate_frame(tube.curve)
-    critical = abs(tube.regime.delta - 1.0) < 1e-12
-    if not critical or (field is not None and field.is_zero()):
+    if not tube.regime.critical or (field is not None and field.is_zero()):
         field = None
     ax = axis_grid(tube.curve)
     lam1h, J1h = transverse_ground(sec)

@@ -241,6 +241,9 @@ def _run_nrc_sweep(config, out, seed):
     # starts cold, from the fiber state of its operators (not from ``seed``).
     # The sweep order fixes every start.
     maximizers = {}  # eps -> maximizer at the latest delta solved
+    # delta -> its Galerkin operator off the critical regime, where the field
+    # drops out and the operator does not depend on eps
+    galerkin = {}
     previous = skeleton = None
 
     def point(pt):
@@ -250,8 +253,12 @@ def _run_nrc_sweep(config, out, seed):
             skeleton = ops.TubeSkeleton(curve, section, frame, fieldobj)
         tube = geo.TubeSpec(curve, section, RegimeParams(eps=eps, delta=delta))
         opA = ops.assemble_full(tube, fieldobj, skeleton=skeleton)
-        opB = ops.assemble_effective(tube, fieldobj, frame=frame,
-                                     mode="galerkin")
+        opB = galerkin.get(delta)
+        if opB is None:
+            opB = ops.assemble_effective(tube, fieldobj, frame=frame,
+                                         mode="galerkin")
+            if not tube.regime.critical:
+                galerkin[delta] = opB
         dist, info = ops.resolvent_distance(
             opA, opB, tol=tol, seed=seed, v0=maximizers.get(eps, previous))
         previous = maximizers[eps] = info["vector"]

@@ -672,6 +672,34 @@ def test_nrc_sweep_passes_start_vectors(tmp_path, monkeypatch):
     assert starts == expected
 
 
+def test_nrc_sweep_builds_one_galerkin_operator_per_subcritical_delta(
+        tmp_path, monkeypatch):
+    # below delta = 1 the Galerkin operator does not depend on eps, so the
+    # sweep builds it once per delta; at delta = 1 once per point
+    from magtube import operators as ops
+
+    built, used = [], []
+    assemble = ops.assemble_effective
+
+    def count(tube, *args, **kwargs):
+        built.append((tube.regime.delta, tube.regime.eps))
+        return assemble(tube, *args, **kwargs)
+
+    def record(opA, opB, tol, seed, v0):
+        used.append((opA.regime.delta, opB))
+        return opA.regime.eps, {"converged": True, "vector": None}
+
+    monkeypatch.setattr(ops, "assemble_effective", count)
+    monkeypatch.setattr(ops, "resolvent_distance", record)
+    text = MINI_NRC.format(out=tmp_path / "nrc", delta="0 0.5 1")
+    run(ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text)),
+        out_dir=str(tmp_path / "nrc"))
+    assert built == [(0.0, 0.2), (0.5, 0.2), (1.0, 0.2), (1.0, 0.1),
+                     (1.0, 0.05)]
+    for delta, distinct in ((0.0, 1), (0.5, 1), (1.0, 3)):
+        assert len({id(op) for d, op in used if d == delta}) == distinct
+
+
 def test_nrc_sweep_rejects_a_repeated_delta(tmp_path, monkeypatch):
     # a repeated delta would solve its points twice and fit each order over
     # the duplicates; each point is one row, and each delta's fit reads its
