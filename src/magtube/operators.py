@@ -552,13 +552,19 @@ def _app_longitudinal(tube: TubeSpec, lat: TubeLattice, field,
     return X
 
 
-def fiber_embedding(J1h: np.ndarray, ns: int) -> sp.csr_matrix:
-    """Isometry E: f(s) -> f(s) J1(tau), as a coefficient matrix."""
-    ntau = len(J1h)
-    rows = np.arange(ns * ntau)
-    cols = np.repeat(np.arange(ns), ntau)
-    vals = np.tile(J1h, ns)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(ns * ntau, ns))
+def fiber_embedding(columns: np.ndarray, ns: int) -> sp.csr_matrix:
+    """Isometry E: f(s) -> f(s) J1(tau), as a coefficient matrix.
+
+    ``columns`` is J1, or an (nsec, c) array of section columns: then
+    E = I_ns (x) columns takes c channels per s-node, s-major (unknown
+    k * c + m is channel m at s-node k)."""
+    columns = np.asarray(columns)
+    ntau, c = len(columns), columns.size // len(columns)
+    cols = np.broadcast_to((c * np.arange(ns))[:, None, None] + np.arange(c),
+                           (ns, ntau, c)).ravel()
+    vals = np.tile(columns.ravel(), ns)
+    return sp.csr_matrix((vals, cols, c * np.arange(ns * ntau + 1)),
+                         shape=(ns * ntau, ns * c))
 
 
 def fiber_project(mat2d: sp.spmatrix, J1h: np.ndarray, ns: int,
@@ -679,6 +685,41 @@ def smallest_eigenpairs(op: AssembledOperator, k: int = 1,
     return Spectrum(vals, vecs, res, ess_threshold=op.meta.get("ess_threshold"))
 
 
+def _top_vector(apply, start: np.ndarray, tol: float) -> np.ndarray:
+    """The largest-magnitude eigenvector of a Hermitian ``apply``, by the
+    Lanczos of :func:`magtube.assemble.lanczos` at ``tol`` from ``start``."""
+    start = start / np.linalg.norm(start)
+    return lanczos(apply, start, apply(start), 1, tol, 10 * len(start))[1][0]
+
+
+def _channel_start(opA: AssembledOperator, opB: AssembledOperator, solve_B,
+                   dvol: float, dtype, tol: float) -> np.ndarray:
+    """E_c y, y the top eigenvector of the channel-Galerkin difference
+    (E_c* A E_c)^-1 - dvol |J1|^2 P B^-1 P* on span{J1, tau_alpha J1} (x)
+    axis.  E_c = I_ns (x) Q_c, Q_c a QR-orthonormal basis of the section
+    columns J1, tau_alpha J1 (J1 first), so E_c* E = |J1| I_ns (x) e_1 up to
+    sign; P picks out the J1 channel.  E_c* A E_c is banded (bandwidth
+    below 2 c, c = 1 + dim channels) and factored by banded_cholesky.  Both
+    Lanczos runs go to ``tol``: u_B, the ground state of B, from 1, then y
+    from u_B (x) 1."""
+    sec = opA.grid["section"]
+    J1h = opA.meta["J1h"]
+    coords = sec.node_coords().reshape(sec.n, -1)
+    Q = np.linalg.qr(np.column_stack([J1h, coords * J1h[:, None]]))[0]
+    c, ns = Q.shape[1], opB.n
+    E_c = fiber_embedding(Q, ns)
+    solve_c = banded_cholesky(E_c.T.tocsr() @ (opA.matrix @ E_c))
+    weight = dvol * np.dot(J1h, J1h)
+
+    def apply(y):
+        out = solve_c(y)
+        out[::c] -= weight * solve_B(y[::c])
+        return out
+
+    uB = _top_vector(solve_B, np.ones(ns, dtype=dtype), tol)
+    return E_c @ _top_vector(apply, np.kron(uB, np.ones(c)), tol)
+
+
 @blas_threads(1)
 def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
                        tol: float = 1e-3, seed: int = 11,
@@ -693,14 +734,16 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
     in s-major order their bandwidth is the section size.  A shift that
     fails to do so raises NotPositiveDefinite.
 
-    A ``v0`` (say, the maximizer of a neighbouring sweep point) is a warm
-    start.  Without ``v0``, a pair embedded by the J1 fiber starts from
-    u_B (x) (J1 + w): u_B the ground state of B, and
-    w ~ (sum_alpha tau_alpha) J1 the first-moment direction through which
-    curvature and field couple the fiber to the second transverse band.
-    The maximizer lies near one of those two states (the resolvent is
-    O(eps^2) on the rest), so the start is free of ``seed``.  A same-space
-    pair starts from a random vector drawn from ``seed``.
+    A ``v0`` (say, a random vector or a known maximizer) is the start.
+    Without ``v0``, a pair embedded by the J1 fiber starts, after both
+    factors, from the channel-Galerkin maximizer of :func:`_channel_start`:
+    the top eigenvector of the difference compressed to the channels J1 and
+    tau_alpha J1 (the fiber, and the first moments through which curvature
+    and field couple it to the second transverse band), lifted back to the
+    tube.  The maximizer lies near that span (the resolvent is O(eps^2) on
+    the rest), and the start is free of ``seed`` and of any other point of
+    a sweep.  A same-space pair starts from a random vector drawn from
+    ``seed``.
 
     Every start runs the Lanczos of :func:`magtube.assemble.lanczos` for
     one pair, whose first Krylov step is the probe D start.  It stops at the
@@ -729,10 +772,7 @@ def resolvent_distance(opA: AssembledOperator, opB: AssembledOperator,
         sec = opA.grid["section"]
         dvol = sec.h**sec.dim
         if v0 is None:
-            uB = lowest_eigenpairs(opB.matrix, k=1)[1][:, 0]
-            w = sec.node_coords().reshape(sec.n, -1).sum(axis=1) * J1h
-            fiber = J1h / np.linalg.norm(J1h) + w / np.linalg.norm(w)
-            v0 = np.kron(uB, fiber)
+            v0 = _channel_start(opA, opB, solve_B, dvol, dtype, tol)
 
     def apply(x):
         out = solve_A(x)

@@ -236,18 +236,16 @@ def _run_nrc_sweep(config, out, seed):
     )
     plot = LinePlot(title="norm-resolvent distance", xlabel="eps",
                     ylabel="|| inv difference ||", xlog=True, ylog=True)
-    # Lanczos start vectors: the maximizer at the same eps from the previous
-    # delta, else the previous eps's at this delta; only the first point
-    # starts cold, from the fiber state of its operators (not from ``seed``).
-    # The sweep order fixes every start.
-    maximizers = {}  # eps -> maximizer at the latest delta solved
+    # Every point starts cold, from the channel-Galerkin maximizer of its own
+    # operators (not from ``seed``), so each row depends only on its
+    # (delta, eps), not on the sweep order.
     # delta -> its Galerkin operator off the critical regime, where the field
     # drops out and the operator does not depend on eps
     galerkin = {}
-    previous = skeleton = None
+    skeleton = None
 
     def point(pt):
-        nonlocal previous, skeleton
+        nonlocal skeleton
         delta, eps = pt
         if skeleton is None:  # at the first point: its errors name the point
             skeleton = ops.TubeSkeleton(curve, section, frame, fieldobj)
@@ -259,9 +257,7 @@ def _run_nrc_sweep(config, out, seed):
                                          mode="galerkin")
             if not tube.regime.critical:
                 galerkin[delta] = opB
-        dist, info = ops.resolvent_distance(
-            opA, opB, tol=tol, seed=seed, v0=maximizers.get(eps, previous))
-        previous = maximizers[eps] = info["vector"]
+        dist, info = ops.resolvent_distance(opA, opB, tol=tol, seed=seed)
         return (delta, eps, tube.regime.b, dist, info["converged"])
 
     points = [(d, e) for d in delta_list for e in eps_list]

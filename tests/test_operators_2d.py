@@ -363,6 +363,8 @@ def small_pair():
 
 
 def test_resolvent_distance_restarts_from_its_maximizer(small_pair):
+    # a restart from the maximizer stops within a few applications, where a
+    # seeded random start takes many (the cold channel start takes 5)
     tol = 1e-3
     opA, opB = small_pair(0.1, 1.0)
     cold, info = ops.resolvent_distance(opA, opB, tol=tol)
@@ -371,7 +373,9 @@ def test_resolvent_distance_restarts_from_its_maximizer(small_pair):
                                              v0=info["vector"])
     assert warm_info["converged"]
     assert abs(warm - cold) <= tol * cold
-    assert warm_info["matvecs"] <= 10 < info["matvecs"]
+    v0 = np.random.default_rng(11).standard_normal(opA.n)
+    _, random_info = ops.resolvent_distance(opA, opB, tol=tol, v0=v0)
+    assert warm_info["matvecs"] <= 10 < random_info["matvecs"]
 
 
 def test_warm_distance_is_not_below_the_cold_one(small_pair):
@@ -391,13 +395,15 @@ def test_warm_distance_is_not_below_the_cold_one(small_pair):
 
 
 def test_cold_resolvent_distance_starts_from_the_fiber(small_pair):
-    # without v0 a full/effective pair starts from u_B (x) (J1 + w), which
-    # lies near the maximizer; a seeded random start finds the same norm
+    # without v0 a full/effective pair starts from the channel-Galerkin
+    # maximizer on span{J1, tau J1} (x) axis, which lies near the maximizer
+    # (3 applications at both eps, as measured when that start went in); a
+    # seeded random start finds the same norm
     tol = 1e-3
     for eps in (0.2, 0.1):
         opA, opB = small_pair(eps, 0.0)
         dist, info = ops.resolvent_distance(opA, opB, tol=tol)
-        assert info["converged"] and info["matvecs"] <= 15, eps
+        assert info["converged"] and info["matvecs"] <= 3, eps
         v0 = np.random.default_rng(11).standard_normal(opA.n)
         ref, _ = ops.resolvent_distance(opA, opB, tol=tol, v0=v0)
         assert abs(dist - ref) <= tol * ref, eps
@@ -453,20 +459,19 @@ def test_resolvent_lanczos_from_an_eigenvector_stops_at_once(small_pair):
 
 
 # Applications of the difference in the sweep below, as measured when the
-# per-step stopping rule went in (ARPACK's eigsh took 174)
-SWEEP_APPLICATIONS = 99
+# channel-Galerkin start went in (99 with the per-step stopping rule and
+# warm starts from the neighbouring point; ARPACK's eigsh took 174)
+SWEEP_APPLICATIONS = 27
 
 
 def test_resolvent_lanczos_sweep_application_count(small_pair):
-    # the delta x eps sweep in the nrc-sweep runner's start order; each
+    # the delta x eps sweep with the nrc-sweep runner's cold starts; each
     # application is one banded solve pair, so this counts the sweep's cost
-    maximizers, previous, total = {}, None, 0
+    total = 0
     for delta in (0.0, 0.5, 1.0):
         for eps in (0.2, 0.1, 0.05):
             opA, opB = small_pair(eps, delta)
-            _, info = ops.resolvent_distance(
-                opA, opB, tol=1e-3, v0=maximizers.get(eps, previous))
-            previous = maximizers[eps] = info["vector"]
+            _, info = ops.resolvent_distance(opA, opB, tol=1e-3)
             total += info["matvecs"]
     assert total <= SWEEP_APPLICATIONS
 

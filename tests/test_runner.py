@@ -646,16 +646,16 @@ def test_runner_nrc_kind_minimal(tmp_path):
     assert os.path.exists(tmp_path / "nrc" / "nrc_distances.svg")
 
 
-def test_nrc_sweep_passes_start_vectors(tmp_path, monkeypatch):
-    # each point starts from the maximizer at the same eps of the previous
-    # delta, else of the previous eps at its delta; only the first is cold
+def test_nrc_sweep_starts_every_point_cold(tmp_path, monkeypatch):
+    # no point passes a start vector: each starts from the channel-Galerkin
+    # maximizer of its own operators, never from another point's maximizer
     from magtube import operators as ops
 
-    starts = []
+    calls = []
 
-    def record(opA, opB, tol, seed, v0):
+    def record(opA, opB, **kwargs):
         delta, eps = opA.regime.delta, opA.regime.eps
-        starts.append(((delta, eps), v0))
+        calls.append(((delta, eps), sorted(kwargs)))
         return eps * (1 + delta), {"converged": True,
                                    "vector": ("maximizer", delta, eps)}
 
@@ -663,13 +663,26 @@ def test_nrc_sweep_passes_start_vectors(tmp_path, monkeypatch):
     text = MINI_NRC.format(out=tmp_path / "nrc", delta="0 0.5 1")
     run(ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text)),
         out_dir=str(tmp_path / "nrc"))
-    expected = [((0.0, 0.2), None),
-                ((0.0, 0.1), ("maximizer", 0.0, 0.2)),
-                ((0.0, 0.05), ("maximizer", 0.0, 0.1))]
-    for prev, delta in ((0.0, 0.5), (0.5, 1.0)):
-        expected += [((delta, eps), ("maximizer", prev, eps))
-                     for eps in (0.2, 0.1, 0.05)]
-    assert starts == expected
+    assert calls == [((delta, eps), ["seed", "tol"])
+                     for delta in (0.0, 0.5, 1.0) for eps in (0.2, 0.1, 0.05)]
+
+
+def test_nrc_sweep_rows_do_not_depend_on_the_delta_order(tmp_path):
+    # a point's row is a function of its own (delta, eps): the sweeps
+    # delta = 1 0, 0 1 and 1 write the same bytes for every shared point
+    rows = {}
+    for delta in ("1 0", "0 1", "1"):
+        out = tmp_path / delta.replace(" ", "_")
+        text = MINI_NRC.format(out=out, delta=delta)
+        run(ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text)),
+            out_dir=str(out))
+        lines = (out / "nrc_distances.csv").read_text().splitlines()
+        rows[delta] = {tuple(line.split(",")[:2]): line for line in lines[1:]
+                       if not line.startswith("#")}
+    assert len(rows["1 0"]) == len(rows["0 1"]) == 6 and len(rows["1"]) == 3
+    assert rows["1 0"] == rows["0 1"]
+    for point, line in rows["1"].items():
+        assert rows["1 0"][point] == line, point
 
 
 def test_nrc_sweep_builds_one_galerkin_operator_per_subcritical_delta(
@@ -685,7 +698,7 @@ def test_nrc_sweep_builds_one_galerkin_operator_per_subcritical_delta(
         built.append((tube.regime.delta, tube.regime.eps))
         return assemble(tube, *args, **kwargs)
 
-    def record(opA, opB, tol, seed, v0):
+    def record(opA, opB, tol, seed):
         used.append((opA.regime.delta, opB))
         return opA.regime.eps, {"converged": True, "vector": None}
 
@@ -711,7 +724,7 @@ def test_nrc_sweep_rejects_a_repeated_delta(tmp_path, monkeypatch):
         ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
     monkeypatch.setattr(
         ops, "resolvent_distance",
-        lambda opA, opB, tol, seed, v0: (
+        lambda opA, opB, tol, seed: (
             opA.regime.eps ** (1 + opA.regime.delta),
             {"converged": True, "vector": None}))
     text = MINI_NRC.format(out=tmp_path / "nrc", delta="0 1")
@@ -726,7 +739,7 @@ def test_nrc_sweep_rejects_a_repeated_delta(tmp_path, monkeypatch):
 
 
 def test_nrc_sweep_reproducible_bytes(tmp_path):
-    # warm starts chain the points; the fixed sweep order keeps the bytes
+    # every point starts from its own operators; nothing else reaches a row
     text = MINI_NRC.format(out=tmp_path / "o1", delta="0 1")
     cfg = ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
     run(cfg, out_dir=str(tmp_path / "o1"))
@@ -736,8 +749,8 @@ def test_nrc_sweep_reproducible_bytes(tmp_path):
 
 
 def test_nrc_sweep_bytes_do_not_depend_on_the_seed(tmp_path):
-    # the first point starts from the fiber state of its operators, every
-    # later one from a maximizer, so no start vector is drawn from the seed
+    # every point starts from the channel-Galerkin maximizer of its
+    # operators, so no start vector is drawn from the seed
     text = MINI_NRC.format(out=tmp_path / "s7", delta="0 1")
     cfg = ExperimentConfig.load(write_config(tmp_path / "nrc.ini", text))
     run(cfg, out_dir=str(tmp_path / "s7"), seed=7)
