@@ -221,8 +221,8 @@ def test_criterion_4_norm_resolvent_rates(sweep_fixture):
             dists.append(d)
         slopes3[delta] = fit_order(eps_list3, dists).slope
     elapsed3 = time.monotonic() - t3
-    # the cold first point (delta 0, eps 0.2) took 47 applications from the
-    # fiber start u_B (x) (J1 + (tau_1 + tau_2) J1)
+    # the channel start lies near the maximizer: the first point (delta 0,
+    # eps 0.2), cold like every point, takes at most 15 applications
     ok3d = (slopes3[0.0] >= 0.6 and slopes3[1.0] >= 0.6 and elapsed3 < 900
             and applications3[0] <= 15)
     report(4, ok2d and ok3d,
