@@ -2,13 +2,15 @@
 
 The banded factor works on straight ends, split rest: the straight,
 field-free slices at either end of a tube, their size read off the matrix,
-are eliminated exactly, one tridiagonal per mode of their section block, and
-the rest is factored as one band in the matrix dtype, or, when that band is
-wide, as two halves factored and swept at the same time on two threads, each
-on one BLAS thread, and a separator between them (see banded_cholesky).  The
-mode tridiagonals are factored by dpttrf and solved by ?pttrs (_tridiagonal,
-_tridiagonal_solve), every band by ?pbtrf and ?tbsv (_factor, _sweep), all
-through one binding (_kernel) of the entry points scipy exports to Cython.
+are eliminated exactly, one real tridiagonal per mode of their section
+block, each end held in one record (_StraightEnd), and the rest is factored
+as one band in the matrix dtype, or, when that band is wide, as two halves
+factored and swept at the same time on two threads, each on one BLAS thread,
+and a separator between them (see banded_cholesky).  The mode tridiagonals
+are factored by dpttrf and solved by dpttrs (_tridiagonal,
+_tridiagonal_solve), a complex right-hand side as its two real parts, every
+band by ?pbtrf and ?tbsv (_factor, _sweep), all through one binding
+(_kernel) of the entry points scipy exports to Cython.
 
 All quadratic-form terms are assembled as F* diag(w) F from first-order
 difference factors, so Hermiticity is exact by construction.  Covariant
@@ -27,7 +29,7 @@ import contextlib
 import ctypes
 import functools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -40,12 +42,12 @@ from .errors import EigensolverDiverged, GridBudgetError, NotPositiveDefinite
 # bytes per entry of a real band and 16 of a complex one (a split rest: its
 # two bands of nr - kd rows together, plus W_L, W_R and S', kd x kd each),
 # plus each straight end's V (m x m) and, per row, 8 bytes for each of its
-# tridiagonal factor's d and e and its interface column g and 16 for the
-# complex copy of e that a complex matrix solves with; two ends of the same
-# block share V, and of the same slices also d, e and g.  The largest
-# shipped case, the full3d tube (n = 57,399, kd = 399; 44 straight slices
-# of 361 rows at each end, a complex rest of 25,631 rows, split), holds
-# 171 MB (166 MB with the rest as one band, 367 MB as one complex band).
+# tridiagonal factor's d and e and its interface column g, real for a real
+# and a complex matrix alike; two ends of the same block share V, and of the
+# same slices also d, e and g.  The largest shipped case, the full3d tube
+# (n = 57,399, kd = 399; 44 straight slices of 361 rows at each end, a
+# complex rest of 25,631 rows, split), holds 171 MB (165 MB with the rest
+# as one band, 367 MB as one complex band).
 BAND_BUDGET_BYTES = 2 * 1024**3
 
 # A rest whose band holds more bytes than this splits in two halves that are
@@ -249,7 +251,7 @@ def _not_positive(pivot: int, n: int) -> NotPositiveDefinite:
 _KERNEL_ARGUMENTS = {
     "dpbtrf": "ciipii", "zpbtrf": "ciipii",
     "dtbsv": "ccciipipi", "ztbsv": "ccciipipi",
-    "dpttrf": "ippi", "dpttrs": "iipppii", "zpttrs": "ciipppii",
+    "dpttrf": "ippi", "dpttrs": "iipppii",
 }
 
 
@@ -295,16 +297,16 @@ def _factor(ab: np.ndarray, row_of, n: int) -> np.ndarray:
     return ab
 
 
-def _tridiagonal_args(t: str, d: np.ndarray, *vectors) -> None:
-    """Refuse, by ValueError, a diagonal ``d`` that is not a writable
-    contiguous float64 vector, or any of ``vectors`` (the off-diagonal, a
-    right-hand side) that is not one of d's length in the kernel type t."""
-    if _kernel_type(d, "C_CONTIGUOUS") != "d" or d.ndim != 1 or any(
-            _kernel_type(v, "C_CONTIGUOUS") != t or v.shape != d.shape
-            for v in vectors):
-        raise ValueError(f"a tridiagonal of {d.dtype} {d.shape} takes "
-                         f"{t} vectors of its length, not "
-                         f"{[(v.dtype.name, v.shape) for v in vectors]}")
+def _tridiagonal_args(d: np.ndarray, e: np.ndarray, *rhs) -> None:
+    """Refuse, by ValueError, a diagonal ``d`` or off-diagonal ``e`` that is
+    not a writable contiguous float64 vector, or a right-hand side (``rhs``)
+    that is not a float64 or complex128 one, or any of another length."""
+    vectors = (d, e, *rhs)
+    kinds = "".join(_kernel_type(v, "C_CONTIGUOUS") for v in vectors)
+    if kinds[:2] != "dd" or {v.shape for v in vectors} != {(d.size,)}:
+        raise ValueError(f"a tridiagonal of {d.dtype} {d.shape} takes a "
+                         "float64 off-diagonal and vectors of its length, not "
+                         f"{[(v.dtype.name, v.shape) for v in vectors[1:]]}")
 
 
 def _tridiagonal(d: np.ndarray, e: np.ndarray, row_of, n: int) -> None:
@@ -312,7 +314,7 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray, row_of, n: int) -> None:
     ``e`` (e[k] joins rows k and k + 1; its last entry is not read) in
     place: L diag(d) L^T, e holding L's subdiagonal.  ``row_of`` maps
     LAPACK's 1-based pivot to a row of the n-row matrix."""
-    _tridiagonal_args("d", d, e)
+    _tridiagonal_args(d, e)
     info = ctypes.c_int()
     _kernel("dpttrf")(ctypes.c_int(d.size), d.ctypes.data, e.ctypes.data, info)
     if info.value > 0:
@@ -320,18 +322,17 @@ def _tridiagonal(d: np.ndarray, e: np.ndarray, row_of, n: int) -> None:
 
 
 def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, y: np.ndarray) -> None:
-    """y <- T^-1 y in place by one dpttrs or zpttrs call, T = L diag(d) L^H
-    the factor (d, e) of _tridiagonal, y a contiguous vector of its length
-    and e in y's dtype."""
-    t = _kernel_type(y, "C_CONTIGUOUS")
-    _tridiagonal_args(t, d, e, y)
-    n, info = ctypes.c_int(y.size), ctypes.c_int()
-    args = (n, ctypes.c_int(1), d.ctypes.data, e.ctypes.data, y.ctypes.data,
-            n, info)
-    if t == "z":
-        _kernel("zpttrs")(b"L", *args)
-    else:
-        _kernel("dpttrs")(*args)
+    """y <- T^-1 y in place by one dpttrs call, T = L diag(d) L^T the
+    factor (d, e) of _tridiagonal and y a contiguous vector of its length; a
+    complex y is solved as its real and its imaginary part, the two columns
+    of that call."""
+    _tridiagonal_args(d, e, y)
+    parts = np.stack([y.real, y.imag]) if np.iscomplexobj(y) else y
+    n, info = ctypes.c_int(d.size), ctypes.c_int()
+    _kernel("dpttrs")(n, ctypes.c_int(parts.size // d.size), d.ctypes.data,
+                      e.ctypes.data, parts.ctypes.data, n, info)
+    if parts is not y:
+        y.real, y.imag = parts
 
 
 def _sweep(cb: np.ndarray, y: np.ndarray, trans: int) -> None:
@@ -512,22 +513,45 @@ def _straight_runs(upper: sp.csr_matrix, m: int) -> tuple:
     return lead, min(trail, slices - 1 - lead)
 
 
-def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
-                  complex_: bool, eig=None):
-    """Factor of a straight end: ``slices`` slices of the real block T0
-    (upper triangle ``block``), coupled by c I, numbered toward the rest.
+@dataclass
+class _StraightEnd:
+    """One straight end of banded_cholesky: ``at`` its slices (of m rows),
+    numbered toward the rest (step 1 at the leading end, -1 at the trailing
+    one), so that slice at.stop is the rest's next to it; the coupling c of
+    its slices, the eigenvectors V (m x m) of its slice block, the factor
+    (d, e) of its mode tridiagonals and its interface column g, by modes
+    (m x slices)."""
 
-    With T0 = V diag(lam) V^T (``eig`` = (lam, V) when already known) the
-    end is the congruence (I (x) V) of the tridiagonals T_j = tridiag(c,
-    lam_j, c) of the modes j, one per mode.  They are factored by one
-    dpttrf call (_tridiagonal), mode-major with the interface slice last in
-    each mode and e = 0 between modes.  g_j = T_j^-1 e_last, one dpttrs
-    call for all modes, is the interface column: the end's Schur term on
-    the interface block of the rest is c^2 V diag(g_last) V^T.  Returns
-    (lam, V) and (d, e, e_z, g): the factor, e_z the complex copy of e that
-    zpttrs takes when ``complex_`` (else None), and g by modes, m x slices.
-    ``row_of`` maps a failed pivot's slice (0 first) to a row of the n-row
-    matrix.
+    at: slice
+    c: float
+    V: np.ndarray
+    d: np.ndarray
+    e: np.ndarray
+    g: np.ndarray
+
+    def pivot_row(self, p: int) -> int:
+        """The 1-based row that the failed 1-based pivot p of the mode
+        tridiagonals reports: the row next to the rest of p's slice."""
+        m, k = len(self.V), (p - 1) % self.g.shape[1]
+        first = (self.at.start + k * self.at.step) * m
+        return first + (m if self.at.step == 1 else 1)
+
+
+def _straight_ends(upper: sp.csr_matrix, m: int, lead: int,
+                   trail: int) -> list:
+    """The factors (_StraightEnd) of the leading run of ``lead`` slices and
+    the trailing run of ``trail`` slices (those of one or more) of the upper
+    triangle ``upper``, slices of m rows, each of the real block T0 (upper
+    triangle) coupled by c I.
+
+    With T0 = V diag(lam) V^T an end is the congruence (I (x) V) of the
+    tridiagonals T_j = tridiag(c, lam_j, c) of the modes j, one per mode.
+    They are factored by one dpttrf call (_tridiagonal), mode-major with the
+    interface slice last in each mode and e = 0 between modes.  g_j =
+    T_j^-1 e_last, one dpttrs call for all modes, is the interface column:
+    the end's Schur term on the interface block of the rest is c^2 V
+    diag(g_last) V^T.  Two ends of the same block bitwise share V, and of
+    the same c and slice count also d, e and g.
 
     lam_j is the Rayleigh quotient of V's column j, summed in extended
     precision.  eigh's eigenvalues err by up to ~eps ||T0|| (2.7e-9 on
@@ -535,29 +559,39 @@ def _straight_end(block: np.ndarray, c: float, slices: int, row_of, n: int,
     every slice, where the errors of a band factor's pivots partly cancel:
     it made a straight end's solve 13 times less accurate than the band's.
     The quotients are exact to 1e-12 there."""
-    if eig is None:
-        _, V = la.eigh(block, lower=False, check_finite=False)
-        i, j = np.nonzero(block)
-        Vx = V.astype(np.longdouble)
-        terms = block[i, j].astype(np.longdouble)[:, None] * Vx[i] * Vx[j]
-        lam = (terms.sum(axis=0) + terms[i != j].sum(axis=0)) \
-            / (Vx * Vx).sum(axis=0)
-        eig = lam.astype(np.float64), V
-    lam, V = eig
-    d = np.repeat(lam, slices)
-    e = np.full(d.size, c)
-    e[slices - 1::slices] = 0.0
-    _tridiagonal(d, e, lambda p: row_of((p - 1) % slices), n)
-    g = np.zeros(d.size)
-    g[slices - 1::slices] = 1.0
-    _tridiagonal_solve(d, e, g)
-    # g decays geometrically away from the interface, into 330 subnormal
-    # entries on nrc2d's thinnest tube.  Flushed to zero they keep subnormal
-    # arithmetic out of every solve; each moves its entry of the end's
-    # solution by less than tiny |c V^T x_corner|.
-    g[np.abs(g) < np.finfo(float).tiny] = 0.0
-    return (lam, V), (d, e, e.astype(complex) if complex_ else None,
-                      g.reshape(-1, slices))
+    n, last = upper.shape[0], upper.shape[0] // m - 1
+    ends, bits = [], None
+    for slices, at in ((lead, slice(0, lead, 1)),
+                       (trail, slice(last, last - trail, -1))):
+        if not slices:
+            continue
+        outer = at.start * m
+        block = upper[outer:outer + m, outer:outer + m].toarray().real
+        c = upper[tuple(sorted((outer, outer + at.step * m)))].real
+        if block.tobytes() != bits:
+            bits = block.tobytes()
+            _, V = la.eigh(block, lower=False, check_finite=False)
+            i, j = np.nonzero(block)
+            Vx = V.astype(np.longdouble)
+            terms = block[i, j].astype(np.longdouble)[:, None] * Vx[i] * Vx[j]
+            lam = ((terms.sum(axis=0) + terms[i != j].sum(axis=0))
+                   / (Vx * Vx).sum(axis=0)).astype(np.float64)
+        elif c == ends[0].c and ends[0].g.shape[1] == slices:
+            ends.append(replace(ends[0], at=at))
+            continue
+        end = _StraightEnd(at, c, V, np.repeat(lam, slices),
+                           np.full(m * slices, c), np.zeros((m, slices)))
+        end.e[slices - 1::slices] = 0.0
+        _tridiagonal(end.d, end.e, end.pivot_row, n)
+        end.g[:, -1] = 1.0
+        _tridiagonal_solve(end.d, end.e, end.g.reshape(-1))
+        # g decays geometrically away from the interface, into 330 subnormal
+        # entries on nrc2d's thinnest tube.  Flushed to zero they keep
+        # subnormal arithmetic out of every solve; each moves its entry of
+        # the end's solution by less than tiny |c V^T x_corner|.
+        end.g[np.abs(end.g) < np.finfo(float).tiny] = 0.0
+        ends.append(end)
+    return ends
 
 
 def _real_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -611,8 +645,12 @@ def banded_cholesky(matrix: sp.spmatrix):
     dpttrf call (one factor for both ends when they also hold the same c and
     slice count).  The end is eliminated as a block with an interface column
     g_j = T_j^-1 e_last: its Schur term c^2 V diag(g_last) V^T comes off the
-    adjacent m x m block of the rest.  A solve takes an end's right-hand
-    side to modes, y = T^-1 V^T X^T by one dpttrs or zpttrs call, subtracts
+    adjacent m x m block of the rest.  Each end is one record
+    (_StraightEnd, built by _straight_ends): its slices and their direction
+    toward the rest, c, V, the factor d, e and g; the fold and both halves
+    of a solve read it, the fold g_last from it.  A solve takes an end's
+    right-hand side to modes, y = T^-1 V^T X^T by one dpttrs call (a complex
+    y as its real and imaginary parts, two columns of that call), subtracts
     c V y_last from the rest's right-hand side, solves the rest, and sets
     the end to V (y - g (c V^T x_corner)), each product with V in one real
     product.  The detection compares bits: a perturbed entry ends a run
@@ -637,9 +675,11 @@ def banded_cholesky(matrix: sp.spmatrix):
     the last, as n + 1 - p; in a split rest the row of the failed pivot in
     whichever block it lies, the right half counted from its last row), and
     GridBudgetError when the arrays held (8 bytes per real and 16 per
-    complex band entry, a split rest's W_L, W_R and S', and each straight
-    end's V, d, e, g and complex copy of e; see BAND_BUDGET_BYTES) would
-    exceed BAND_BUDGET_BYTES.  Every kernel runs on one
+    complex band entry, a split rest's W_L, W_R and S', and the straight
+    ends' V, d, e and g, each array once; see BAND_BUDGET_BYTES) would
+    exceed BAND_BUDGET_BYTES; the straight ends are factored before that
+    check, their arrays no larger than the rest's band and the matrix.
+    Every kernel runs on one
     BLAS thread (see blas_threads); the two halves of a split rest run on
     this thread and on one worker thread, whose kernels release the GIL,
     and give the same bytes as in turn.
@@ -650,62 +690,34 @@ def banded_cholesky(matrix: sp.spmatrix):
     n = matrix.shape[0]
     m = int(upper.indices[:upper.indptr[1]].max(initial=0))
     lead, trail = _straight_runs(upper, m) if m > 1 else (0, 0)
+    ends = _straight_ends(upper, m, lead, trail) if lead or trail else []
     a, b = lead * m, n - trail * m
-    # (slices, block T0, c, view of a vector on the end, first row of the
-    # interface block in the rest, row of a failed slice) per straight end,
-    # its slices numbered toward the rest
-    straight = []
-    if lead:
-        straight.append((lead, upper[:m, :m].toarray().real, upper[0, m].real,
-                         lambda x: x[:a].reshape(lead, m), 0,
-                         lambda k: (k + 1) * m))
-    if trail:
-        straight.append((trail, upper[n - m:, n - m:].toarray().real,
-                         upper[n - 2 * m, n - m].real,
-                         lambda x: x[b:].reshape(trail, m)[::-1], b - a - m,
-                         lambda k: n + 1 - (k + 1) * m))
     upper = upper.tocoo()
     row, col, data = upper.row, upper.col, upper.data
     del upper
-    if straight:
+    if ends:
         inside = (row >= a) & (col < b)
         row, col, data = row[inside] - a, col[inside] - a, data[inside]
     # the Schur terms of straight ends fill the m x m blocks they fold into
-    kd = int((col - row).max(initial=m - 1 if straight else 0))
+    kd = int((col - row).max(initial=m - 1 if ends else 0))
     if not (np.iscomplexobj(data) and data.imag.any()):
         data = data.real
-    # one V serves both ends when they hold the same block bitwise, and one
-    # tridiagonal factor when they also hold the same c and slice count
-    shared = len(straight) == 2 and \
-        straight[0][1].tobytes() == straight[1][1].tobytes()
-    same = shared and straight[0][0] == straight[1][0] \
-        and straight[0][2] == straight[1][2]
     nr = b - a
     split = (kd + 1) * nr * data.itemsize > SPLIT_BAND_BYTES and nr >= 3 * kd
     # a split rest holds two bands of nr - kd rows together, W_L, W_R and S';
-    # a straight end V, and 8 bytes per row for each of d, e and g, 16 for
-    # the complex copy of e
+    # the straight ends what they hold, each array once
     rest = ((kd + 1) * (nr - kd) + 3 * kd * kd if split else (kd + 1) * nr)
-    complex_ = np.iscomplexobj(matrix)
-    nbytes = rest * data.itemsize + 8 * m * m * (len(straight) - shared) \
-        + (24 + 16 * complex_) * (n - nr - same * a)
+    held = {id(v): v.nbytes for end in ends for v in (end.V, end.d, end.e, end.g)}
+    nbytes = rest * data.itemsize + sum(held.values())
     if nbytes > BAND_BUDGET_BYTES:
         raise GridBudgetError(
             f"band storage of {nbytes} bytes (n = {n}, kd = {kd}) exceeds "
             f"the budget {BAND_BUDGET_BYTES}; coarsen the grid"
         )
-    # (view of a vector on the end, interface corner of the rest, c, V, its
-    # tridiagonal factor) per straight end; their Schur terms fold into the
-    # rest
-    ends, eig, factor = [], None, None
-    for slices, block, c, view, start, row_of in straight:
-        if not (same and ends):
-            eig, factor = _straight_end(block, c, slices, row_of, n, complex_,
-                                        eig if shared else None)
-            V, g = eig[1], factor[-1]
-            schur = (V * (c * c * g[:, -1])) @ V.T
-        row, col, data = _fold(row, col, data, start, schur)
-        ends.append((view, slice(start, start + m), c, V, factor))
+    for i, end in enumerate(ends):
+        if not i or end.g is not ends[0].g:  # one term for one shared factor
+            schur = (end.V * (end.c * end.c * end.g[:, -1])) @ end.V.T
+        row, col, data = _fold(row, col, data, end.at.stop * m - a, schur)
     if split:
         rest = _split_rest(row, col, data, kd, nr, a, n)
     else:
@@ -719,20 +731,18 @@ def banded_cholesky(matrix: sp.spmatrix):
 
     def solve(rhs):
         x = np.array(rhs, dtype=np.result_type(rhs, dtype))
-        xr = x[a:b]
-        ys = []
-        for view, corner, c, V, (d, e, e_z, _) in ends:
+        X, ys = x.reshape(-1, m) if ends else None, []  # x by slices
+        for end in ends:
             # y = T^-1 V^T x_end by modes, and its coupling off the rest
-            y = _real_matmul(V.T, np.ascontiguousarray(view(x).T))
-            if np.iscomplexobj(y):
-                e = e.astype(complex) if e_z is None else e_z
-            _tridiagonal_solve(d, e, y.reshape(-1))
-            xr[corner] -= c * _real_matmul(V, y[:, -1:].copy())[:, 0]
+            y = _real_matmul(end.V.T, np.ascontiguousarray(X[end.at].T))
+            _tridiagonal_solve(end.d, end.e, y.reshape(-1))
+            X[end.at.stop] -= end.c * _real_matmul(end.V, y[:, -1:].copy())[:, 0]
             ys.append(y)
-        rest(xr)
-        for (view, corner, c, V, (*_, g)), y in zip(ends, ys):
-            y -= g * (c * _real_matmul(V.T, xr[corner].reshape(-1, 1)))
-            view(x)[:] = _real_matmul(V, y).T
+        rest(x[a:b])
+        for end, y in zip(ends, ys):
+            y -= end.g * (end.c * _real_matmul(end.V.T,
+                                               X[end.at.stop].reshape(-1, 1)))
+            X[end.at] = _real_matmul(end.V, y).T
         return x
 
     return solve

@@ -32,8 +32,9 @@ bump families use ``center width amplitude`` triplets joined by ';':
     beta23 / beta13 / beta12 = c w a      (frame3d)
 
     [regime]
-    eps = 0.2 0.1 0.05 0.025              (strictly decreasing for sweeps)
-    delta = 0 0.5 1
+    eps = 0.2 0.1 0.05 0.025              (each > 0; strictly decreasing
+                                           for sweeps)
+    delta = 0 0.5 1                       (each <= 1)
     b = 0 0.5 1 2 4                       (hardy / stability schedules)
     K = 2.0                               (full2d / full3d / effective: the
                                            shift constant K >= sup kappa^2/2;
@@ -55,7 +56,10 @@ So is a section of KIND_UNREAD_SECTIONS: xsection reads no [curve] or
 A [curve] or [field] whose dimension is not the section's plus one is a
 ConfigError, and so is a tube dimension its kind does not run
 (KIND_TUBE_DIM), and a [solver] coefficient other than measured or printed,
-or printed (the planar T^[2] coefficient) on a spatial tube.
+or printed (the planar T^[2] coefficient) on a spatial tube.  So is a
+[curve] profile of the other dimension (kappa on a spatial curve, kappa2,
+kappa3 or theta_prime on a planar one), and a [regime] eps <= 0 or delta
+> 1 (eps b >> 1 is out of scope), whatever the kind.
 """
 
 from __future__ import annotations
@@ -185,15 +189,21 @@ class ExperimentConfig:
     def validate(self):
         sweeps = ("nrc-sweep", "asymptotics")
         eps = self.get_floats("regime", "eps")
+        if not all(e > 0 for e in eps):
+            raise ConfigError(f"[regime] eps = {self.get('regime', 'eps')}: "
+                              "every eps must be > 0")
+        delta = self.get_floats("regime", "delta")
+        if not all(d <= 1 for d in delta):
+            raise ConfigError(f"[regime] delta = {self.get('regime', 'delta')}"
+                              ": every delta must be <= 1 (eps b >> 1 is out "
+                              "of scope)")
         if self.kind in sweeps:
             if len(eps) < 3:
                 raise ConfigError(f"{self.kind} needs an eps list (>= 3 points)")
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise ConfigError("eps list must be strictly decreasing")
-        if self.kind == "nrc-sweep":
-            delta = self.get_floats("regime", "delta", (1.0,))
-            if len(set(delta)) < len(delta):
-                raise ConfigError("delta list must not repeat a value")
+        if self.kind == "nrc-sweep" and len(set(delta)) < len(delta):
+            raise ConfigError("delta list must not repeat a value")
         if self.kind in ("full2d", "full3d", "effective") and not eps:
             raise ConfigError(f"{self.kind} needs a non-empty eps list")
         if self.kind in ("hardy", "stability"):

@@ -140,7 +140,8 @@ class CurveProfile:
 
     2D: signed curvature kappa.  3D: curvature pair (kappa2, kappa3) relative
     to the relatively parallel frame, plus twist velocity theta_prime.  All
-    profiles are compactly supported.
+    profiles are compactly supported; one of the other dimension, with any
+    bump, raises ValueError.
     """
 
     dim: int
@@ -154,6 +155,12 @@ class CurveProfile:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("curve dimension must be 2 or 3")
+        other = ("kappa2", "kappa3", "theta_prime") if self.dim == 2 \
+            else ("kappa",)
+        given = [name for name in other if getattr(self, name).bumps]
+        if given:
+            raise ValueError(f"a {self.dim}D curve takes no "
+                             f"{', '.join(given)} profile")
         n = int(round(2 * self.S / self.ds))
         if abs(n * self.ds - 2 * self.S) > 1e-9:
             raise ValueError("ds must subdivide [-S, S]")

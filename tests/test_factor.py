@@ -362,26 +362,26 @@ def _complex_2d_straight_ends(planar):
                                    _complex_2d_straight_ends])
 def test_band_factors_die_with_their_solve(planar, monkeypatch, one_band,
                                            build):
-    # reference counting frees every band factor (and a straight end's V
-    # and tridiagonal factor) once its solve is dropped; a reference cycle
-    # through the solve would hold the bands (86 MB each on the 3D Hardy
-    # segment) until the cycle collector runs
+    # reference counting frees every band factor (and a straight end's
+    # record, V and tridiagonal factor) once its solve is dropped; a
+    # reference cycle through the solve would hold the bands (86 MB each on
+    # the 3D Hardy segment) until the cycle collector runs
     factors = []
     factor = assemble._factor
-    straight_end = assemble._straight_end
+    straight_ends = assemble._straight_ends
 
     def record(ab, *args):
         factors.append(weakref.ref(factor(ab, *args)))
         return factors[-1]()
 
-    def record_end(*args):
-        (lam, V), tridiagonal = straight_end(*args)
-        factors.extend(weakref.ref(a) for a in (V, *tridiagonal)
-                       if a is not None)
-        return (lam, V), tridiagonal
+    def record_ends(*args):
+        ends = straight_ends(*args)
+        factors.extend(weakref.ref(a) for end in ends
+                       for a in (end, end.V, end.d, end.e, end.g))
+        return ends
 
     monkeypatch.setattr(assemble, "_factor", record)
-    monkeypatch.setattr(assemble, "_straight_end", record_end)
+    monkeypatch.setattr(assemble, "_straight_ends", record_ends)
     op = build(planar)
     cholesky = banded_cholesky if build is _complex_2d_straight_ends \
         else one_band
@@ -417,28 +417,30 @@ def test_field_free_ends_leave_no_subnormal_factor_entry(monkeypatch,
     # take that stretch out of the band
     op = thin_nrc2d
     factor = assemble._factor
-    straight_end = assemble._straight_end
+    straight_ends = assemble._straight_ends
 
     def record(ab, *args):
         bands.append(factor(ab, *args))
         return bands[-1]
 
-    def record_end(*args):
-        (lam, V), tridiagonal = straight_end(*args)
-        ends.append((V, *tridiagonal))
-        return (lam, V), tridiagonal
+    def record_ends(*args):
+        ends.extend(straight_ends(*args))
+        return ends
 
     monkeypatch.setattr(assemble, "_factor", record)
-    monkeypatch.setattr(assemble, "_straight_end", record_end)
+    monkeypatch.setattr(assemble, "_straight_ends", record_ends)
     tiny = np.finfo(float).tiny
     m = op.grid["section"].n
     lead, trail = _runs(op)
-    # V and the factor d, e, its complex copy and g of the straight ends
-    # (one for both: they hold the same slices), the band of the rest
+    # V and the factor d, e and g of the straight ends (one for both: they
+    # hold the same slices), the band of the rest
     bands, ends = [], []
     banded_cholesky(op.matrix)
-    assert len(ends) == 1 and len(bands) == 1
-    parts = [p for a in bands + list(ends[0]) for p in (a.real, a.imag)]
+    assert len(ends) == 2 and len(bands) == 1
+    first, second = ends
+    assert all(getattr(first, k) is getattr(second, k) for k in "Vdeg")
+    parts = [p for a in bands + [first.V, first.d, first.e, first.g]
+             for p in (a.real, a.imag)]
     assert sum(int(((p != 0) & (abs(p) < tiny)).sum()) for p in parts) == 0
     assert np.iscomplexobj(bands[0])
     assert bands[0].shape[1] == op.n - (lead + trail) * m <= 0.15 * op.n
@@ -580,7 +582,7 @@ def test_pivot_of_a_split_rest_is_a_row_of_the_matrix(planar, split_rests,
 def test_split_band_memory_budget(planar, split_rests, monkeypatch):
     # a split rest counts its two bands (nr - kd rows of kd + 1 entries
     # together), W_L, W_R and S' (kd x kd each), besides the straight ends
-    # (the two ends hold the same slices: one V, one d, e, g and complex e)
+    # (the two ends hold the same slices: one V, one d, e and g)
     op = _complex_3d(planar)
     split_rests.clear()
     m = op.grid["section"].n
@@ -589,7 +591,7 @@ def test_split_band_memory_budget(planar, split_rests, monkeypatch):
     assert lead == trail
     rest = op.n - (lead + trail) * m
     need = ((kd + 1) * (rest - kd) + 3 * kd * kd) * 16 \
-        + (8 + 8 + 16 + 8) * lead * m + 8 * m * m
+        + (8 + 8 + 8) * lead * m + 8 * m * m
     monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", need - 1)
     with pytest.raises(GridBudgetError, match=f"of {need} bytes"):
         banded_cholesky(op.matrix)
@@ -766,24 +768,23 @@ def _random_tridiagonals(rng, modes, slices):
 
 
 def test_tridiagonal_kernels_match_scipys_wrappers(rng):
-    # the binding's dpttrf, dpttrs and zpttrs give the bits of scipy's
-    # lapack.dpttrf, dpttrs and zpttrs, on a real and a complex right-hand
-    # side; a tridiagonal that is not positive fails at the same pivot
+    # the binding's dpttrf and dpttrs give the bits of scipy's lapack.dpttrf
+    # and dpttrs on a real right-hand side, and its two-column dpttrs of a
+    # complex one's real and imaginary parts the bits of lapack.zpttrs; a
+    # tridiagonal that is not positive fails at the same pivot
     d, e = _random_tridiagonals(rng, 7, 30)
     want_d, want_e, info = la.lapack.dpttrf(d, e[:-1])
     assert info == 0
     assemble._tridiagonal(d, e, lambda p: p, d.size)
     assert np.array_equal(d, want_d) and np.array_equal(e[:-1], want_e)
-    e_z = e.astype(complex)
     for rhs in (rng.standard_normal(d.size),
                 rng.standard_normal(d.size) + 1j * rng.standard_normal(d.size)):
         x = rhs.copy()
+        assemble._tridiagonal_solve(d, e, x)
         if np.iscomplexobj(rhs):
-            assemble._tridiagonal_solve(d, e_z, x)
             want, info = la.lapack.zpttrs(want_d, want_e.astype(complex), rhs,
                                           lower=1)
         else:
-            assemble._tridiagonal_solve(d, e, x)
             want, info = la.lapack.dpttrs(want_d, want_e, rhs)
         assert info == 0 and np.array_equal(x, want)
     d, e = _random_tridiagonals(rng, 7, 30)
@@ -797,7 +798,8 @@ def test_tridiagonal_kernels_match_scipys_wrappers(rng):
 
 def test_tridiagonal_kernels_reject_what_they_cannot_read(rng):
     # a strided, read-only or wrongly typed diagonal, off-diagonal or
-    # vector, or one of another length, is refused, not misread
+    # vector, or one of another length, is refused, not misread; the
+    # factor is real, a right-hand side real or complex
     d, e = _random_tridiagonals(rng, 3, 10)
     read_only = d.copy()
     read_only.flags.writeable = False
@@ -814,7 +816,8 @@ def test_tridiagonal_kernels_reject_what_they_cannot_read(rng):
     read_only.flags.writeable = False
     for bad_e, bad_y in ((e, np.ones(60)[::2]), (e, read_only),
                          (e, np.ones(30, dtype=np.float32)), (e, np.ones(29)),
-                         (e, np.ones(30, dtype=complex)),
+                         (e, np.ones(29, dtype=complex)),
+                         (e, np.ones(30, dtype=np.complex64)),
                          (e.astype(complex), y)):
         with pytest.raises(ValueError):
             assemble._tridiagonal_solve(d, bad_e, bad_y)
@@ -929,20 +932,19 @@ def test_band_memory_budget(planar, monkeypatch, one_band):
 def test_band_memory_budget_counts_the_straight_ends(planar, monkeypatch):
     # with straight ends the budget counts the band of the rest, one V
     # (both ends hold the same block) and, per row of a straight end, 8
-    # bytes for each of d, e and g and 16 for the complex copy of e that a
-    # complex matrix solves with; ends of the same slice count share them.
-    # That is well under the whole band's bytes
+    # bytes for each of d, e and g, for a real and a complex matrix alike;
+    # ends of the same slice count share them.  That is well under the
+    # whole band's bytes
     m = kd = planar[0].n
-    for build, per_row, same in ((_complex_2d, 40, True),
-                                 (_nudged_in_its_end, 40, False),
-                                 (_runs_2_2, 24, True)):
+    for build, same in ((_complex_2d, True), (_nudged_in_its_end, False),
+                        (_runs_2_2, True)):
         op = build(planar)
         lead, trail = _runs(op)
         assert (lead == trail) == same
         rest = op.n - (lead + trail) * m
-        entry = 16 if per_row == 40 else 8
+        entry = 16 if op.matrix.data.imag.any() else 8
         need = (kd + 1) * rest * entry + 8 * m * m \
-            + per_row * (lead if same else lead + trail) * m
+            + 24 * (lead if same else lead + trail) * m
         whole = (kd + 1) * op.n * entry
         assert need < whole - 1
         monkeypatch.setattr(assemble, "BAND_BUDGET_BYTES", whole - 1)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import magtube
-from magtube import cli
+from magtube import cli, geometry as geo
 from magtube.assemble import _blas_pools
 from magtube.config import ExperimentConfig
 from magtube.errors import ConfigError, FitDomainError, ZeroFieldWarning
@@ -276,6 +276,69 @@ def test_config_rejects_a_tube_of_another_dimension(tmp_path, capsys):
             ExperimentConfig.load(path)
         assert cli.main([kind, "--config", path]) == 2
         assert named in capsys.readouterr().err
+
+
+def _shipped(name, tmp_path):
+    """The text of ``configs/<name>.ini`` writing under ``tmp_path``."""
+    root = Path(__file__).resolve().parent.parent
+    text = (root / "configs" / f"{name}.ini").read_text()
+    return re.sub(r"(?m)^out = .*$", f"out = {tmp_path / 'out'}", text)
+
+
+def test_config_rejects_regime_values_no_run_accepts(tmp_path, capsys):
+    # nrc2d with delta = 1.5 failed at its first point (exit 1), leaving a
+    # partial CSV; effective2d with delta = 2 or eps = 0 exited 1, and with
+    # eps = -0.1 exited 0 and wrote rows of b = -10
+    nrc2d, effective2d = (_shipped(name, tmp_path)
+                          for name in ("nrc2d", "effective2d"))
+    for kind, text, named in (
+        ("nrc-sweep", nrc2d.replace("delta = 0 0.5 1", "delta = 0 0.5 1.5"),
+         "delta = 0 0.5 1.5: every delta must be <= 1"),
+        ("effective", effective2d.replace("delta = 1", "delta = 2"),
+         "delta = 2: every delta must be <= 1"),
+        ("effective", effective2d.replace("eps = 0.1", "eps = 0"),
+         "eps = 0: every eps must be > 0"),
+        ("effective", effective2d.replace("eps = 0.1", "eps = -0.1"),
+         "eps = -0.1: every eps must be > 0"),
+    ):
+        path = write_config(tmp_path / f"{kind}.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main([kind, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_a_curve_profile_of_the_other_dimension(tmp_path,
+                                                              capsys):
+    # effective2d with a kappa2 or theta_prime wrote the shipped CSV, the
+    # key silently ignored; full2d with theta_prime exited 1
+    effective2d = _shipped("effective2d", tmp_path)
+    full3d = _shipped("full3d", tmp_path)
+    for kind, text, named in (
+        ("effective", effective2d.replace("kappa = 0.0 2.0 1.2",
+                                          "kappa2 = 0.0 2.0 5.0"),
+         "a 2D curve takes no kappa2 profile"),
+        ("effective", effective2d.replace(
+            "kappa = 0.0 2.0 1.2", "kappa = 0.0 2.0 1.2\nkappa3 = 0 1 0\n"
+            "theta_prime = 0.0 2.0 1.0"),
+         "a 2D curve takes no kappa3, theta_prime profile"),
+        ("full2d", FULL2D.format(out=tmp_path / "out").replace(
+            "ds = 0.1\n", "ds = 0.1\ntheta_prime = 0.0 2.0 1.0\n", 1),
+         "a 2D curve takes no theta_prime profile"),
+        ("full3d", full3d.replace("kappa2 = 0.0 2.0 0.5",
+                                  "kappa = 0.0 2.0 0.5"),
+         "a 3D curve takes no kappa profile"),
+    ):
+        path = write_config(tmp_path / f"{kind}.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main([kind, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="a 3D curve takes no kappa"):
+        geo.CurveProfile(dim=3, S=8.0, ds=0.1,
+                         kappa=geo.Profile.single(0.0, 2.0, 0.5))
 
 
 def test_config_checks_the_coefficient_source(tmp_path, capsys):
