@@ -619,8 +619,18 @@ def _fold(row, col, data, start: int, S: np.ndarray):
 
 
 @blas_threads(1)
-def banded_cholesky(matrix: sp.spmatrix):
-    """Factor a Hermitian positive-definite sparse matrix; return its solve.
+def banded_cholesky(matrix: sp.spmatrix, sigma: float = 0.0,
+                    mass: np.ndarray | None = None):
+    """Factor the Hermitian positive-definite A = matrix - sigma diag(mass)
+    (mass the diagonal of a mass matrix, the identity by default); return
+    its solve.
+
+    A is never formed: sigma mass comes off the diagonal of the upper
+    triangle's copy that the factor makes anyway, before anything reads it.
+    So the straight ends, the rest, the pivots and the budget see the upper
+    entries of the sparse difference matrix - sigma M bit for bit, for a
+    matrix without explicit zeros (the difference drops those), and a
+    factor at many shifts rebuilds no sparse matrix.
 
     LAPACK ?pbtrf on the upper band, whose width kd is read from the matrix,
     and per solve ?pbtrs's two ?tbsv sweeps, U^-H then U^-1; every band is
@@ -684,9 +694,14 @@ def banded_cholesky(matrix: sp.spmatrix):
     this thread and on one worker thread, whose kernels release the GIL,
     and give the same bytes as in turn.
     """
-    if not np.isfinite(matrix.data).all():
+    shift = sigma * (1.0 if mass is None else mass)
+    if not (np.isfinite(matrix.data).all() and np.isfinite(shift).all()):
         raise ValueError("matrix has non-finite entries")
-    upper = sp.triu(matrix, format="csr")
+    # in the dtype of the difference: an integer matrix turns float
+    upper = sp.triu(matrix, format="csr").astype(
+        np.result_type(matrix.dtype, np.float64), copy=False)
+    if sigma:
+        upper.setdiag(upper.diagonal() - shift)
     n = matrix.shape[0]
     m = int(upper.indices[:upper.indptr[1]].max(initial=0))
     lead, trail = _straight_runs(upper, m) if m > 1 else (0, 0)
@@ -852,8 +867,9 @@ def lowest_eigenpairs(
     ``M`` is a diagonal positive mass matrix D, the identity by default;
     any other ``M`` raises ValueError.  Shift-invert Lanczos (lanczos) on
     y -> D^1/2 solve(D^1/2 y), where solve is the banded Cholesky solve of
-    ``matrix - sigma M`` (which finds a tube's straight ends in the matrix
-    itself), at every size; its pairs give
+    ``matrix - sigma M``, factored from ``matrix``, sigma and D's diagonal
+    without forming the difference (banded_cholesky), at every size; its
+    pairs give
     (sigma + 1/theta, D^-1/2 y), M-normalized.  Callers shift below the
     spectrum, so the factor exists.  By Sylvester's law of inertia its
     positive pivots (straight ends, split rest: every mode tridiagonal's,
@@ -876,13 +892,12 @@ def lowest_eigenpairs(
     if not 1 <= k <= kmax:
         raise ValueError(f"k = {k} is outside 1..{kmax}: at most "
                          f"min(n, LANCZOS_ROWS // 2) = {kmax} pairs at n = {n}")
-    mass = sp.eye(n, format="csr") if M is None else M
-    diag = mass.diagonal()
-    if (mass != sp.diags(diag)).nnz or not (diag > 0).all():
+    diag = np.ones(n) if M is None else M.diagonal()
+    if M is not None and (M != sp.diags(diag)).nnz or not (diag > 0).all():
         raise ValueError("the mass matrix M must be diagonal and positive")
     d = np.sqrt(diag)
     try:
-        solve = banded_cholesky(matrix - sigma * mass)
+        solve = banded_cholesky(matrix, sigma=sigma, mass=diag)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(
             f"sigma = {sigma:g} lies above the lowest eigenvalue: {exc}",
@@ -901,9 +916,8 @@ def lowest_eigenpairs(
     vals = sigma + 1.0 / theta
     order = np.argsort(vals)
     vals, vecs = vals[order], (Y[order] / d).T
-    mvecs = mass @ vecs
     residuals = np.array([
-        np.linalg.norm(matrix @ vecs[:, j] - vals[j] * mvecs[:, j])
+        np.linalg.norm(matrix @ vecs[:, j] - vals[j] * (diag * vecs[:, j]))
         for j in range(k)
     ])
     return vals, vecs, residuals

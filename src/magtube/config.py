@@ -49,8 +49,10 @@ bump families use ``center width amplitude`` triplets joined by ';':
                                            L >= 4 R)
 
 Keys are case-insensitive (``K`` and ``k`` in [regime] are the same key).
-KIND_KEYS lists the [regime] and [solver] keys each kind reads.  A section
-or key not listed, for the config's kind, is a ConfigError: no code reads it.
+KIND_KEYS lists the [regime] and [solver] keys each kind reads, SHAPE_KEYS
+the [section] keys of each shape and FIELD_KEYS the [field] keys of each
+field kind.  A section or key not listed, for the config's kind, shape or
+field kind, is a ConfigError: no code reads it.
 So is a section of KIND_UNREAD_SECTIONS: xsection reads no [curve] or
 [field], and hardy, whose tubes are straight, no [curve].
 A [curve] or [field] whose dimension is not the section's plus one is a
@@ -77,13 +79,29 @@ KINDS = (
     "asymptotics", "hardy", "stability",
 )
 
+# The [section] keys each shape reads and the [field] keys each field kind
+# reads, beside shape and kind themselves.
+SHAPE_KEYS = {
+    "interval": {"h", "half_width"},
+    "square": {"h", "a"},
+    "rectangle": {"h", "ax", "ay"},
+    "disk": {"h", "radius"},
+    "polygon": {"file"},
+}
+FIELD_KEYS = {
+    "none": set(),
+    "frame2d": {"beta"},
+    "ambient2d": {"bumps"},
+    "frame3d": {"beta23", "beta13", "beta12"},
+    "curl3d": {"comp"},
+}
 # Every key the builders below and the runners read, per section; the
 # [regime] and [solver] keys per kind.
 KEYS = {
     "experiment": {"version", "kind", "seed", "out"},
-    "section": {"shape", "h", "half_width", "a", "ax", "ay", "radius", "file"},
+    "section": {"shape"}.union(*SHAPE_KEYS.values()),
     "curve": {"dim", "s", "ds", "kappa", "kappa2", "kappa3", "theta_prime"},
-    "field": {"kind", "beta", "bumps", "comp", "beta23", "beta13", "beta12"},
+    "field": {"kind"}.union(*FIELD_KEYS.values()),
     "regime": set(),
     "solver": set(),
 }
@@ -163,6 +181,16 @@ class ExperimentConfig:
             if unread:
                 raise ConfigError(f"unknown key(s) in [{section}]: "
                                   f"{', '.join(unread)} (kind {kind})")
+        for section, name, default, table in (
+                ("section", "shape", "interval", SHAPE_KEYS),
+                ("field", "kind", "none", FIELD_KEYS)):
+            keys = raw.get(section, {})
+            variant = keys.get(name, default)
+            # an unknown shape or field kind is its builder's error
+            unread = sorted(set(keys) - {name} - table.get(variant, set(keys)))
+            if unread:
+                raise ConfigError(f"[{section}] {name} = {variant} reads no "
+                                  f"key {', '.join(unread)}")
         seed = int(exp.get("seed", "7"))
         out = exp.get("out", "out")
         cfg = cls(kind=kind, seed=seed, out_dir=out, raw=raw)

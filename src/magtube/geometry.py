@@ -10,6 +10,7 @@ supported potentials, hence divergence-free by construction.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -271,6 +272,21 @@ class FrameTrajectory:
             if arr is not None:
                 out[name] = arr[idx]
         return out
+
+    @functools.cached_property
+    def overlap_pairs(self) -> tuple:
+        """(s_i, s_j, |s_i - s_j|, |gamma_i - gamma_j|^2) of the pairs i < j
+        of every 8th sample, in row-major order, that validate_tube's probe
+        can flag at some tube diameter d: it flags |s_i - s_j| > 4 d with
+        |gamma_i - gamma_j|^2 < (2 d)^2, so only pairs closer than
+        |s_i - s_j| / 2 qualify (kept with a margin over the rounding of
+        both thresholds).  The distances do not depend on eps: one build per
+        frame serves every evaluation of its tube."""
+        pts, svals = self.gamma[::8], self.s[::8]
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        sdist = np.abs(svals[:, None] - svals[None, :])
+        i, j = np.nonzero(np.triu(d2 < 0.25 * (1 + 1e-9) * sdist**2, 1))
+        return svals[i], svals[j], sdist[i, j], d2[i, j]
 
 
 def integrate_frame(curve: CurveProfile) -> FrameTrajectory:
@@ -594,6 +610,8 @@ def validate_tube(tube: TubeSpec,
     The curvature inequality eps * sup|tau| * sup|kappa| < 1 is decidable and
     enforced; global injectivity of Phi is only probed at every 8th frame
     sample (sampling cannot prove it), so near-collisions yield warnings.
+    The probe compares the frame's eps-free pair distances
+    (FrameTrajectory.overlap_pairs) with thresholds in the tube diameter.
     """
     messages = []
     prod = tube.eps * tube.sup_tau() * tube.curve.sup_kappa()
@@ -607,16 +625,13 @@ def validate_tube(tube: TubeSpec,
         )
     status = "pass"
     if frame is not None:
-        pts = frame.gamma[::8]
-        svals = frame.s[::8]
+        s_i, s_j, sdist, d2 = frame.overlap_pairs
         diam = 2 * tube.eps * tube.sup_tau()
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-        sdist = np.abs(svals[:, None] - svals[None, :])
-        bad = (sdist > 4 * diam) & (d2 < (2 * diam) ** 2)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        bad = np.flatnonzero((sdist > 4 * diam) & (d2 < (2 * diam) ** 2))
+        if bad.size:
+            k = bad[0]
             messages.append(
-                f"sampled centreline points s={svals[i]:.2f}, s={svals[j]:.2f} "
+                f"sampled centreline points s={s_i[k]:.2f}, s={s_j[k]:.2f} "
                 f"approach within the tube diameter (possible overlap)"
             )
             status = "warn"

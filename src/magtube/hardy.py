@@ -65,23 +65,13 @@ HARDY_PASS_TOL = 1e-9
 # [-1/2, 1/2], chi0 = 1 for |s| >= 1, and |chi0'|^2 + |chi1'|^2 = phi'^2.
 
 
-def _ramp_d(u):
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = (u > 0) & (u < 1)
-    out[inside] = 6 * u[inside] * (1 - u[inside])
-    return out
-
-
 def cutoff_constant() -> float:
-    """C = sup(|chi0'|^2 + |chi1'|^2), evaluated numerically.
+    """C = sup(|chi0'|^2 + |chi1'|^2) = (3 pi / 2)^2 ~ 22.2.
 
-    One valid (not optimal) choice; phi' = pi * ramp'(2|s|-1) peaks at
-    (3 pi / 2)^2 ~ 22.2.
+    One valid (not optimal) choice: with u = 2|s| - 1, phi' = pi 6u(1 - u)
+    is largest at u = 1/2, where it is 3 pi / 2.
     """
-    s = np.linspace(0.0, 1.2, 200001)
-    phid = np.pi * _ramp_d(2 * s - 1.0)
-    return float(np.max(phid**2))
+    return (1.5 * np.pi) ** 2
 
 
 # -- straight-tube magnetic operators ---------------------------------------------
@@ -104,8 +94,9 @@ class SegmentProblem:
 
 
 def _straight_tube_matrix(section: GridDomain, field, b: float, s_nodes,
-                          neumann_ends: bool):
-    """(-i grad + b A)^2 on s_nodes x omega, Dirichlet on the omega faces.
+                          neumann_ends: bool, shift: float = 0.0):
+    """(-i grad + b A)^2 + shift on s_nodes x omega, Dirichlet on the omega
+    faces.
 
     With ``neumann_ends`` the end nodes are unknowns and the quadratic form
     simply omits outside links (natural magnetic Neumann: vanishing covariant
@@ -121,7 +112,7 @@ def _straight_tube_matrix(section: GridDomain, field, b: float, s_nodes,
     S = float(max(abs(s_nodes[0]), abs(s_nodes[-1]))) + ds
     curve = CurveProfile(dim=section.dim + 1, S=S, ds=ds)
     return TubeSkeleton(curve, section, integrate_frame(curve), field,
-                        lat).matrix(1.0, b)
+                        lat).matrix(1.0, b, shift)
 
 
 def assemble_segment(section: GridDomain, field, b: float, R: float,
@@ -193,18 +184,19 @@ def verify_hardy(section: GridDomain, field, b: float, R: float, L: float,
     Shift-invert at sigma = 0, whose factor is the banded Cholesky factor
     of A = H - lam1 itself: A is positive definite (its floor is the
     longitudinal ground energy), and a failed factor raises
-    NotPositiveDefinite.  At b = 0 the pencil separates into J1 (x) (the 1D
-    weighted Dirichlet pencil), so Lanczos starts from the fiber state
-    cos(pi s / 2L) (x) J1.
+    NotPositiveDefinite.  A is assembled with the shift on its diagonal, so
+    H is never held beside it.  At b = 0 the pencil separates into J1 (x)
+    (the 1D weighted Dirichlet pencil), so Lanczos starts from the fiber
+    state cos(pi s / 2L) (x) J1.
     """
     if L < 4 * R:
         raise ValueError("verify_hardy wants L >= 4 R")
     n_sub = _subdivide(2 * L, ds)
     cert = hardy_constant(section, field, b, R, ds=ds)
     s_nodes = (-L + ds * np.arange(n_sub + 1))[1:-1]
-    H = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=False)
     lam1_omega, J1 = transverse_ground(section)
-    A = H - lam1_omega * sp.eye(H.shape[0])
+    A = _straight_tube_matrix(section, field, b, s_nodes, neumann_ends=False,
+                              shift=-lam1_omega)
     W = sp.diags(np.repeat(1.0 / (1.0 + s_nodes**2), section.n))
     fiber = np.kron(np.cos(np.pi * s_nodes / (2 * L)), J1)
     vals, _, _ = lowest_eigenpairs(A, k=1, sigma=0.0, v0=fiber, M=W)

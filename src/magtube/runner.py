@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import resource
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -140,6 +141,9 @@ def _write_manifest(config, out, written, seed, elapsed):
         },
         "outputs": sorted(os.path.basename(p) for p in written),
         "elapsed_s": round(elapsed, 3),
+        # the process's peak resident set so far (ru_maxrss is in KiB)
+        "peak_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         "blas": blas_report(),
     }
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8") as f:

@@ -1065,3 +1065,93 @@ def test_solver_entry_points_run_on_one_thread(planar, fake_pools, monkeypatch):
     ops.resolvent_distance(op, op, tol=1e-2)
     assert seen and all(counts == [1, 1] for counts in seen)
     assert [p.count for p in fake_pools] == [2, 3]
+
+
+def _same_solves(solve, reference, rng, n):
+    # bit for bit, real and complex right-hand sides
+    for rhs in (rng.standard_normal(n),
+                rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        assert solve(rhs).tobytes() == reference(rhs).tobytes()
+
+
+def _hardy_pencil():
+    # verify_hardy's weighted pencil (H - lam1, W) on a coarse tube
+    sec = grids.interval(1.0, 0.1)
+    field = geo.AmbientField2D((((0.0, 0.0), 6.0, 1.0),))
+    s_nodes = (-8.0 + 0.1 * np.arange(161))[1:-1]
+    lam1, _ = ops.transverse_ground(sec)
+    A = hardy._straight_tube_matrix(sec, field, 1.0, s_nodes, False,
+                                    shift=-lam1)
+    return A, 0.0, sp.diags(np.repeat(1.0 / (1.0 + s_nodes**2), sec.n))
+
+
+def _deformed_pencil():
+    # deformation_experiment's pencil (H, mass) at its shift 0.8 lam1
+    sec = grids.interval(1.0, 0.1)
+    field = geo.AmbientField2D((((0.0, 0.0), 6.0, 1.0),))
+    deformation = hardy.DeformationSpec(e2=geo.Profile.single(0.0, 3.0, 1.0),
+                                        E1=geo.Profile.single(0.0, 3.0, 0.5))
+    H, mass, _ = hardy.assemble_deformed_tube(sec, field, 1.0, deformation,
+                                              0.4, L=8.0, ds=0.1)
+    assert np.ptp(mass.diagonal()) > 0.1
+    return H, 0.8 * ops.transverse_ground(sec)[0], mass
+
+
+@pytest.mark.parametrize("case", ["planar", "spatial-split", "hardy-pencil",
+                                  "deformed-pencil"])
+def test_shifted_factor_is_the_factor_of_the_difference(planar, rng, request,
+                                                        case):
+    # banded_cholesky(matrix, sigma, diag(M)) never forms matrix - sigma M,
+    # yet its straight ends, rest and solves are those of the difference
+    if case == "planar":
+        op = _complex_2d(planar)  # straight ends, lowest eigenvalue 1.650
+        matrix, sigma, M = op.matrix, 1.3, sp.eye(op.n)
+        assert _runs(op) == (239, 239)
+    elif case == "spatial-split":
+        op = _complex_3d(planar)  # lowest eigenvalue 1.165
+        matrix, sigma, M = op.matrix, 0.9, sp.eye(op.n)
+        splits = request.getfixturevalue("split_rests")
+    else:
+        matrix, sigma, M = (_hardy_pencil() if case == "hardy-pencil"
+                            else _deformed_pencil())
+    solve = banded_cholesky(matrix, sigma, M.diagonal())
+    _same_solves(solve, banded_cholesky((matrix - sigma * M).tocsr()), rng,
+                 matrix.shape[0])
+    if case == "spatial-split":
+        assert len(splits) == 2 and splits[0] == splits[1]  # the same rest
+
+
+@pytest.mark.parametrize("sigma", [1.68, 2.2])
+def test_shifted_factor_fails_at_the_pivot_of_the_difference(planar, sigma):
+    # above the ground energy 1.637: 1.68 fails in the rest, 2.2 in the
+    # leading straight end, whose 239 slices hold no mode below 2.12
+    op = _real_2d(planar)
+    pivots = []
+    for factor in (lambda: banded_cholesky(op.matrix, sigma),
+                   lambda: banded_cholesky(op.matrix - sigma * sp.eye(op.n))):
+        with pytest.raises(NotPositiveDefinite) as info:
+            factor()
+        pivots.append(info.value.pivot)
+    m, lead = planar[0].n, _runs(op)[0]
+    assert pivots[0] == pivots[1]
+    assert (pivots[0] <= lead * m) == (sigma > 2.12)
+
+
+def test_lowest_eigenpairs_factors_the_callers_matrix(planar, monkeypatch):
+    # no shifted copy: the factor gets the matrix object itself, the shift
+    # and the mass matrix's diagonal
+    op = _real_2d(planar)
+    mass = sp.diags(np.linspace(1.0, 2.0, op.n))
+    seen = []
+
+    def record(matrix, sigma=0.0, mass=None):
+        seen.append((matrix, sigma, mass))
+        return banded_cholesky(matrix, sigma, mass)
+
+    monkeypatch.setattr(assemble, "banded_cholesky", record)
+    assemble.lowest_eigenpairs(op.matrix, k=1, sigma=0.5, M=mass)
+    assemble.lowest_eigenpairs(op.matrix, k=1)
+    (first, sigma, diag), (second, zero, ones) = seen
+    assert first is op.matrix and second is op.matrix
+    assert sigma == 0.5 and np.array_equal(diag, mass.diagonal())
+    assert zero == 0.0 and np.array_equal(ones, np.ones(op.n))

@@ -34,8 +34,14 @@ def test_cutoff_pair_properties():
     assert np.abs(chi0[inner]).max() == 0.0
     outer = np.abs(s) >= 1.0
     assert np.allclose(chi0[outer], 1.0)
+    # C is the closed form (3 pi / 2)^2; the pair's sampled |chi'|^2 peaks
+    # there and stays below it
     C = hardy.cutoff_constant()
-    assert abs(C - (1.5 * np.pi) ** 2) < 1e-6  # cubic ramp peak
+    assert C == (1.5 * np.pi) ** 2
+    mids = 0.5 * (s[1:] + s[:-1])
+    grad2 = sum((np.diff(chi) / np.diff(s)) ** 2 for chi in (chi0, chi1))
+    assert grad2.max() <= C and C - grad2.max() < 1e-3 * C
+    assert np.abs(np.abs(mids[np.argmax(grad2)]) - 0.75) < 2e-3
 
 
 def test_segment_zero_field_gap(sec2d, field2d):
@@ -138,6 +144,30 @@ def test_verify_hardy_certificate(sec2d, field2d):
     W = np.diag(np.repeat(1.0 / (1.0 + s**2), coarse.n))
     mu_dense = la.eigh(A, W, eigvals_only=True, subset_by_index=(0, 0))[0]
     assert abs(cert_c.mu_min - mu_dense) < 1e-6 * max(1.0, abs(mu_dense))
+
+
+def test_verify_hardy_factors_h_minus_lam1(field2d, monkeypatch):
+    # the pencil matrix is assembled with -lam1 on its diagonal, H never
+    # beside it; it is H - lam1 I entry for entry, and the eigensolve
+    # receives it as built
+    from magtube.operators import transverse_ground
+
+    coarse, L, ds = grids.interval(1.0, 0.2), 8.0, 0.2
+    seen = []
+    solve = hardy.lowest_eigenpairs
+
+    def record(matrix, **kwargs):
+        seen.append(matrix)
+        return solve(matrix, **kwargs)
+
+    monkeypatch.setattr(hardy, "lowest_eigenpairs", record)
+    hardy.verify_hardy(coarse, field2d, 1.0, R=2.0, L=L, ds=ds)
+    s = (-L + ds * np.arange(int(round(2 * L / ds)) + 1))[1:-1]
+    H = hardy._straight_tube_matrix(coarse, field2d, 1.0, s, False)
+    A = seen[-1]
+    assert np.iscomplexobj(A) and A.shape == H.shape
+    want = (H - transverse_ground(coarse)[0] * sp.eye(H.shape[0])).toarray()
+    assert np.array_equal(A.toarray(), want)
 
 
 def test_verify_hardy_on_a_long_tube(field2d):

@@ -1,5 +1,7 @@
 """Full/approximate/effective planar operators, spectra, resolvent distances."""
 
+import functools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -530,3 +532,36 @@ def test_assembly_warns_on_a_sampled_overlap():
     with pytest.warns(UserWarning, match="approach"):
         op = ops.assemble_full(tube, None)
     assert op.n == 399 * 19
+
+
+def test_overlap_distances_are_built_once_per_skeleton(monkeypatch):
+    # the hairpin again: across an eps sweep on one skeleton the frame's
+    # pair distances are built once, and each evaluation warns exactly as
+    # validate_tube does on a frame of its own
+    builds = []
+    build = geo.FrameTrajectory.overlap_pairs.func
+
+    def counting(frame):
+        builds.append(frame)
+        return build(frame)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(geo.FrameTrajectory, "overlap_pairs")
+    monkeypatch.setattr(geo.FrameTrajectory, "overlap_pairs", counted)
+    width = 2.0
+    curve = geo.CurveProfile(dim=2, S=10.0, ds=0.05, kappa=geo.Profile.single(
+        0.0, width, np.pi / (width * 0.888022)))
+    sec = grids.interval(1.0, 0.1)
+    skeleton = ops.TubeSkeleton(curve, sec, geo.integrate_frame(curve), None)
+    messages = []
+    for eps in (0.45, 0.2, 0.05, 0.01):
+        tube = geo.TubeSpec(curve, sec, RegimeParams(eps=eps))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ops.assemble_full(tube, None, skeleton=skeleton)
+        want = geo.validate_tube(tube, frame=geo.integrate_frame(curve))
+        assert [str(w.message) for w in caught] == want.messages
+        messages += want.messages
+    # the closest pair flagged moves with eps; at eps = 0.01 none is
+    assert len(set(messages)) == len(messages) == 3
+    assert builds[0] is skeleton.frame and len(builds) == 1 + 4

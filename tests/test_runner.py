@@ -173,6 +173,40 @@ def test_config_rejects_keys_its_kind_never_reads(tmp_path, capsys):
         assert named in capsys.readouterr().err
 
 
+def test_config_rejects_keys_of_another_field_kind_or_shape(tmp_path,
+                                                            capsys):
+    # each key is read by some field kind (shape), but not by the config's
+    # own; every one ran and wrote the shipped CSV before
+    root = Path(__file__).resolve().parent.parent
+    eff = (root / "configs" / "effective2d.ini").read_text()
+    disk = (root / "configs" / "xsection_disk.ini").read_text()
+    hardy = MINI_HARDY.format(out=tmp_path / "out")
+    for kind, text, named in (
+        ("effective",
+         eff.replace("[field]\n", "[field]\nbumps = 0.0 0.0 6.0 9.0\n"),
+         "[field] kind = frame2d reads no key bumps"),
+        ("effective",
+         eff.replace("[field]\n", "[field]\nbeta23 = 0 1 5\n"),
+         "[field] kind = frame2d reads no key beta23"),
+        ("effective",
+         eff.replace("kind = frame2d", "kind = none"),
+         "[field] kind = none reads no key beta"),
+        ("hardy", hardy.replace("[section]\n", "[section]\na = 2.0\n"),
+         "[section] shape = interval reads no key a"),
+        ("xsection",
+         disk.replace("[section]\n", "[section]\nhalf_width = 2.0\n"),
+         "[section] shape = disk reads no key half_width"),
+    ):
+        path = write_config(tmp_path / f"{kind}.ini", text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            ExperimentConfig.load(path)
+        assert cli.main([kind, "--config", path]) == 2
+        assert named in capsys.readouterr().err
+    # the shipped configs read every key they hold
+    for path in sorted((root / "configs").glob("*.ini")):
+        ExperimentConfig.load(path)
+
+
 def test_config_rejects_a_hardy_tube_shorter_than_4_r(tmp_path, capsys):
     # verify_hardy wants L >= 4 R; the config says so before the first point
     text = MINI_HARDY.format(out=tmp_path / "out").replace("l = 8.0", "l = 6.0")
@@ -467,6 +501,8 @@ def test_manifest_echoes_config(tmp_path):
     # the BLAS pools found, each at the one thread the run holds it at
     assert manifest["blas"] == {
         "pools": {name: 1 for name, _, _ in _blas_pools()}}
+    # the process's peak resident set so far, in MiB
+    assert 10 < manifest["peak_rss_mb"] < 1e5
 
 
 def test_cli_exit_codes(tmp_path, capsys):
